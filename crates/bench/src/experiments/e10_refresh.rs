@@ -1,12 +1,11 @@
-//! E10 — the continuous-query refresh engine: serial-full vs
-//! dependency-filtered vs filtered + parallel refresh.
+//! E10 — the continuous-query refresh engine: full vs dependency-filtered
+//! refresh.
 //!
 //! Claim under test (§2.3): `Answer(CQ)` "has to be reevaluated when an
 //! update occurs **that may change the set of tuples**".  The paper-literal
 //! strategy ignores the qualifier and re-evaluates every registered query
 //! on every update; the refresh engine makes the qualifier operational
-//! (static dependency sets, `most-core::deps`) and shards the surviving
-//! evaluations over `std::thread::scope` workers (`most-core::refresh`).
+//! (static dependency sets, `most-core::deps`).
 //!
 //! The workload is *mixed-attribute* on purpose: motion batches and
 //! PRICE batches alternate, spatial and attribute queries are registered
@@ -48,7 +47,6 @@ fn drive(
     ticks: u64,
     batch: usize,
     filtering: bool,
-    workers: usize,
 ) -> Outcome {
     let scenario = CarScenario {
         count: n_objects,
@@ -61,7 +59,6 @@ fn drive(
     let plans = scenario.generate();
     let mut db = Database::new(ticks + 200);
     db.set_refresh_filtering(filtering);
-    db.set_refresh_workers(workers);
     for (i, rect) in region_grid().into_iter().enumerate() {
         db.add_region(format!("P{i}"), rect);
     }
@@ -134,7 +131,7 @@ fn region_grid() -> Vec<Polygon> {
         .collect()
 }
 
-/// Measures the three refresh strategies on one mixed-attribute workload.
+/// Measures the two refresh strategies on one mixed-attribute workload.
 pub fn run(scale: Scale) -> Table {
     let n_objects = scale.pick(40usize, 1_000usize);
     let n_queries = scale.pick(8usize, 64usize);
@@ -142,8 +139,7 @@ pub fn run(scale: Scale) -> Table {
     let batch = scale.pick(4usize, 32usize);
     let mut table = Table::new(
         "E10",
-        "refresh engine: dependency filtering and parallel re-evaluation \
-         (final displays identical under every regime)",
+        "refresh engine: dependency filtering (final displays identical under both regimes)",
         &[
             "objects",
             "CQs",
@@ -155,51 +151,32 @@ pub fn run(scale: Scale) -> Table {
             "speedup vs serial-full",
         ],
     );
-    let regimes: Vec<(String, bool, usize)> = std::iter::once(("full refresh (serial)".to_owned(), false, 1))
-        .chain(std::iter::once(("filtered (serial)".to_owned(), true, 1)))
-        .chain([2usize, 4, 8].into_iter().map(|w| (format!("filtered + parallel w{w}"), true, w)))
-        .collect();
-    let mut outcomes: Vec<Outcome> = Vec::new();
-    for (label, filtering, workers) in &regimes {
-        let out = drive(n_objects, n_queries, ticks, batch, *filtering, *workers);
+    let full = drive(n_objects, n_queries, ticks, batch, false);
+    let filtered = drive(n_objects, n_queries, ticks, batch, true);
+    for (label, out) in [("full refresh (serial)", &full), ("filtered (serial)", &filtered)] {
         table.row(vec![
             n_objects.to_string(),
             n_queries.to_string(),
             out.updates.to_string(),
-            label.clone(),
+            label.to_owned(),
             out.evals.to_string(),
             out.skipped.to_string(),
             fmt_duration(out.time),
-            fmt_f64(outcomes.first().map_or(1.0, |full: &Outcome| {
-                full.time.as_secs_f64() / out.time.as_secs_f64().max(1e-9)
-            })),
+            fmt_f64(full.time.as_secs_f64() / out.time.as_secs_f64().max(1e-9)),
         ]);
-        outcomes.push(out);
     }
 
     // The perf smoke gate: these hold on every run, including
     // `experiments e10 --quick` in CI.
-    let full = &outcomes[0];
-    for (i, out) in outcomes.iter().enumerate().skip(1) {
-        assert_eq!(
-            out.displays, full.displays,
-            "{}: filtered/parallel refresh changed an answer",
-            regimes[i].0
-        );
-        assert!(
-            out.evals < full.evals,
-            "{}: filtered refresh must perform strictly fewer evaluations \
-             ({} vs {}) on the mixed-attribute workload",
-            regimes[i].0,
-            out.evals,
-            full.evals
-        );
-        assert!(out.skipped > 0, "{}: nothing was filtered", regimes[i].0);
-        assert_eq!(
-            out.evals, outcomes[1].evals,
-            "worker count must not change which queries re-evaluate"
-        );
-    }
+    assert_eq!(filtered.displays, full.displays, "filtered refresh changed an answer");
+    assert!(
+        filtered.evals < full.evals,
+        "filtered refresh must perform strictly fewer evaluations ({} vs {}) on the \
+         mixed-attribute workload",
+        filtered.evals,
+        full.evals
+    );
+    assert!(filtered.skipped > 0, "nothing was filtered");
     assert_eq!(full.skipped, 0, "unfiltered regime must skip nothing");
 
     table.note(
@@ -207,12 +184,10 @@ pub fn run(scale: Scale) -> Table {
          (even ticks) over half-spatial / half-attribute continuous queries, \
          applied through the batched SharedDatabase-style apply_updates entry \
          point (one refresh pass per batch).  Dependency filtering skips every \
-         (batch × query) pair outside the query's statically-extracted DepSet; \
-         the parallel rows shard the surviving evaluations over \
-         std::thread::scope workers.  Final displays are asserted identical \
-         across all regimes, and the filtered path is asserted to perform \
-         strictly fewer evaluations than the full path — the CI quick run is \
-         the perf smoke gate.  Wall-clock speedups require a multi-core host.",
+         (batch × query) pair outside the query's statically-extracted DepSet.  \
+         Final displays are asserted identical across both regimes, and the \
+         filtered path is asserted to perform strictly fewer evaluations than \
+         the full path — the CI quick run is the perf smoke gate.",
     );
     table.mark_measured(&["time", "speedup vs serial-full"]);
     table
@@ -224,18 +199,14 @@ mod tests {
 
     #[test]
     fn filtered_strictly_beats_full_on_evaluations() {
-        // `run` itself asserts display equality, strict evaluation savings,
-        // and worker-count invariance; here we re-check the table shape.
+        // `run` itself asserts display equality and strict evaluation
+        // savings; here we re-check the table shape.
         let t = run(Scale::Quick);
-        assert_eq!(t.rows.len(), 5);
+        assert_eq!(t.rows.len(), 2);
         let full = t.cell_f64(0, "evaluations").unwrap();
         let filtered = t.cell_f64(1, "evaluations").unwrap();
         assert!(filtered < full, "filtered {filtered} vs full {full}");
         assert_eq!(t.cell_f64(0, "skipped"), Some(0.0));
         assert!(t.cell_f64(1, "skipped").unwrap() > 0.0);
-        // Parallel rows evaluate exactly as many times as filtered-serial.
-        for row in 2..5 {
-            assert_eq!(t.cell_f64(row, "evaluations"), Some(filtered));
-        }
     }
 }

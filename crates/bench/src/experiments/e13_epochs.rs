@@ -17,16 +17,15 @@
 //!   (`created == retired + live`, `live <= 2` with the one long pin).
 //!   All asserted in-run; this phase is deterministic, so the `epoch.*`
 //!   gauges land in the CI-diffed metrics block.
-//! * **Phase B (overlap, measured):** the same workload runs under two
-//!   engines — `locked`, the pre-PR shape (one `RwLock<Database>`, so
-//!   refresh excludes readers), and `epoch` (readers pin, writer
-//!   refreshes concurrently).  Closed-loop readers issue a fixed number
-//!   of instantaneous queries while a writer applies update batches that
-//!   trigger CQ refresh.  Every reader answer is verified against the
-//!   oracle's per-epoch states in-run (for `locked`: membership in the
-//!   oracle state set; for `epoch`: exact equality at the pinned epoch).
-//!   Observability is disabled around this phase so the nondeterministic
-//!   interleaving never leaks into the metrics snapshot.
+//! * **Phase B (overlap, measured):** closed-loop readers pin epochs and
+//!   issue a fixed number of instantaneous queries while a writer applies
+//!   update batches that trigger CQ refresh and publish concurrently.
+//!   Every reader answer is verified in-run against the oracle's state at
+//!   the pinned epoch (exact equality).  Observability is disabled around
+//!   this phase so the nondeterministic interleaving never leaks into the
+//!   metrics snapshot.  The pre-PR-6 `RwLock<Database>` engine this phase
+//!   used to run beside it is gone; its last measured rows are recorded
+//!   in EXPERIMENTS.md (E13).
 
 use crate::table::{fmt_duration, fmt_f64};
 use crate::{Scale, Table};
@@ -36,8 +35,6 @@ use most_ftl::Query;
 use most_spatial::{Point, Polygon, Rect, Velocity};
 use most_testkit::rng::Rng;
 use most_testkit::ser::to_json_string;
-use std::collections::HashSet;
-use std::sync::{Arc, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -145,10 +142,11 @@ fn oracle(db0: &Database, script: &[Step], cq: u64) -> Vec<String> {
 
 /// The reader workload: `queries` instantaneous evaluations, returning
 /// per-query latencies and the number of oracle mismatches observed.
+/// `eval` yields the pinned epoch and its canonical bytes, which must be
+/// exactly that epoch's oracle state.
 fn reader_pass(
-    eval: impl Fn() -> (Option<usize>, String),
+    eval: impl Fn() -> (usize, String),
     expected: &[String],
-    whole_set: &HashSet<&String>,
     queries: usize,
 ) -> (Vec<Duration>, usize) {
     let mut lats = Vec::with_capacity(queries);
@@ -157,14 +155,7 @@ fn reader_pass(
         let t0 = Instant::now();
         let (epoch, got) = eval();
         lats.push(t0.elapsed());
-        let ok = match epoch {
-            // Epoch engine: must be exactly the pinned epoch's state.
-            Some(e) => e < expected.len() && got == expected[e],
-            // Locked engine: no version to pin, but atomicity under the
-            // lock means the state must be *some* oracle state.
-            None => whole_set.contains(&got),
-        };
-        if !ok {
+        if expected.get(epoch) != Some(&got) {
             mismatches += 1;
         }
     }
@@ -185,58 +176,6 @@ fn percentiles(mut lats: Vec<Duration>) -> (Duration, Duration) {
     (pick(0.50), pick(0.95))
 }
 
-/// Phase B under the pre-PR engine: one `RwLock<Database>`, refresh and
-/// readers mutually exclusive.
-fn run_locked(
-    db0: &Database,
-    script: &[Step],
-    expected: &[String],
-    cq: u64,
-    readers: usize,
-    queries: usize,
-) -> PhaseBOutcome {
-    let whole_set: HashSet<&String> = expected.iter().collect();
-    let lock = Arc::new(RwLock::new(db0.clone()));
-    let start = Instant::now();
-    let (all_lats, mismatches) = thread::scope(|s| {
-        let writer = {
-            let lock = Arc::clone(&lock);
-            s.spawn(move || {
-                for step in script {
-                    apply_step(&mut lock.write().expect("db lock"), step);
-                }
-            })
-        };
-        let handles: Vec<_> = (0..readers)
-            .map(|_| {
-                let lock = Arc::clone(&lock);
-                let whole_set = &whole_set;
-                s.spawn(move || {
-                    reader_pass(
-                        || (None, observe(&lock.read().expect("db lock"), cq)),
-                        expected,
-                        whole_set,
-                        queries,
-                    )
-                })
-            })
-            .collect();
-        writer.join().expect("writer");
-        let mut lats = Vec::new();
-        let mut bad = 0usize;
-        for h in handles {
-            let (l, m) = h.join().expect("reader");
-            lats.extend(l);
-            bad += m;
-        }
-        (lats, bad)
-    });
-    let elapsed = start.elapsed();
-    let checks = all_lats.len();
-    let (p50, p95) = percentiles(all_lats);
-    PhaseBOutcome { elapsed, checks, mismatches, p50, p95 }
-}
-
 /// Phase B under the epoch engine: readers pin, writer refreshes and
 /// publishes concurrently.
 fn run_epoch(
@@ -247,7 +186,6 @@ fn run_epoch(
     readers: usize,
     queries: usize,
 ) -> PhaseBOutcome {
-    let whole_set: HashSet<&String> = expected.iter().collect();
     let shared = SharedDatabase::new(db0.clone());
     let start = Instant::now();
     let (all_lats, mismatches) = thread::scope(|s| {
@@ -267,15 +205,13 @@ fn run_epoch(
         let handles: Vec<_> = (0..readers)
             .map(|_| {
                 let shared = shared.clone();
-                let whole_set = &whole_set;
                 s.spawn(move || {
                     reader_pass(
                         || {
                             let pin = shared.pin();
-                            (Some(pin.epoch() as usize), observe(pin.db(), cq))
+                            (pin.epoch() as usize, observe(pin.db(), cq))
                         },
                         expected,
-                        whole_set,
                         queries,
                     )
                 })
@@ -306,7 +242,7 @@ fn run_epoch(
 pub fn run(scale: Scale) -> Table {
     let mut table = Table::new(
         "E13",
-        "epoch snapshots: oracle-exact lifecycle, then refresh-vs-read overlap (locked vs epoch)",
+        "epoch snapshots: oracle-exact lifecycle, then refresh-vs-read overlap",
         &[
             "phase",
             "engine",
@@ -375,7 +311,7 @@ pub fn run(scale: Scale) -> Table {
         ]);
     }
 
-    // ---- Phase B: measured overlap, locked vs epoch (obs disabled). ----
+    // ---- Phase B: measured overlap (obs disabled). ----
     let reader_counts: &[usize] = match scale {
         Scale::Quick => &[2],
         Scale::Full => &[2, 4, 8],
@@ -383,33 +319,24 @@ pub fn run(scale: Scale) -> Table {
     let queries_per_reader = scale.pick(30, 200);
     most_obs::set_enabled(false);
     for &readers in reader_counts {
-        for engine in ["locked", "epoch"] {
-            let out = if engine == "locked" {
-                run_locked(&db, &script, &expected, cq, readers, queries_per_reader)
-            } else {
-                run_epoch(&db, &script, &expected, cq, readers, queries_per_reader)
-            };
-            assert_eq!(
-                out.mismatches, 0,
-                "{engine}: reader answers diverge from the oracle states"
-            );
-            assert_eq!(out.checks, readers * queries_per_reader);
-            let secs = out.elapsed.as_secs_f64().max(1e-9);
-            table.row(vec![
-                "B overlap".into(),
-                engine.into(),
-                readers.to_string(),
-                steps.to_string(),
-                if engine == "epoch" { (steps + 1).to_string() } else { "—".into() },
-                out.checks.to_string(),
-                out.mismatches.to_string(),
-                "1".into(),
-                fmt_duration(out.elapsed),
-                fmt_f64(out.checks as f64 / secs),
-                fmt_duration(out.p50),
-                fmt_duration(out.p95),
-            ]);
-        }
+        let out = run_epoch(&db, &script, &expected, cq, readers, queries_per_reader);
+        assert_eq!(out.mismatches, 0, "reader answers diverge from the oracle states");
+        assert_eq!(out.checks, readers * queries_per_reader);
+        let secs = out.elapsed.as_secs_f64().max(1e-9);
+        table.row(vec![
+            "B overlap".into(),
+            "epoch".into(),
+            readers.to_string(),
+            steps.to_string(),
+            (steps + 1).to_string(),
+            out.checks.to_string(),
+            out.mismatches.to_string(),
+            "1".into(),
+            fmt_duration(out.elapsed),
+            fmt_f64(out.checks as f64 / secs),
+            fmt_duration(out.p50),
+            fmt_duration(out.p95),
+        ]);
     }
     most_obs::set_enabled(true);
 
@@ -419,11 +346,9 @@ pub fn run(scale: Scale) -> Table {
          JSON over instantaneous/continuous/persistent answers) to the single-threaded \
          oracle, accounting conserves (created == retired + live), and dropping the pin \
          retires its epoch — all asserted in-run, so this is the CI smoke gate.  Phase B \
-         runs identical reader/writer workloads under the pre-PR global RwLock and under \
-         epoch pinning: with the lock, every CQ refresh pass excludes all readers; with \
-         epochs, refresh runs on the writer's copy while readers answer from pinned \
-         snapshots.  Reader answers are oracle-verified in both engines.  Timings are \
-         wall-clock and vary; counts are seeded and exact.",
+         runs closed-loop readers beside the writer: refresh runs on the writer's copy \
+         while readers answer from pinned snapshots, each answer oracle-verified at its \
+         pinned epoch.  Timings are wall-clock and vary; counts are seeded and exact.",
     );
     table.mark_measured(&["time", "q/s", "p50", "p95"]);
     table
@@ -438,13 +363,11 @@ mod tests {
         // `run` asserts oracle equality, conservation and retirement
         // internally; reaching the table at all means the gates held.
         let t = run(Scale::Quick);
-        assert_eq!(t.rows.len(), 3);
+        assert_eq!(t.rows.len(), 2);
         // Phase A row: every check passed, one live epoch at the end.
         assert_eq!(t.rows[0][6], "0");
         assert_eq!(t.rows[0][7], "1");
-        // Phase B rows: zero mismatches under both engines.
-        for row in t.rows.iter().skip(1).take(2) {
-            assert_eq!(row[6], "0", "mismatches column: {row:?}");
-        }
+        // Phase B row: zero mismatches.
+        assert_eq!(t.rows[1][6], "0", "mismatches column: {:?}", t.rows[1]);
     }
 }

@@ -263,8 +263,9 @@ mod tests {
     #[test]
     fn compiled_and_indexed_strictly_reduce_candidates() {
         // `run` itself asserts display equality and the strict candidate
-        // reductions; here we re-check the table shape.
-        let t = run(Scale::Quick);
+        // reductions; here we re-check the table shape.  Through `run_one`,
+        // so the counter deltas are taken under the experiment lock.
+        let t = crate::experiments::run_one("e14", Scale::Quick).expect("e14 exists");
         assert_eq!(t.rows.len(), 3);
         let interp = t.cell_f64(0, "candidates evaluated").unwrap();
         let compiled = t.cell_f64(1, "candidates evaluated").unwrap();

@@ -22,15 +22,27 @@ pub mod fig1_query_types;
 pub mod micro;
 
 use crate::{Scale, Table};
+use std::sync::{Mutex, PoisonError};
+
+/// One experiment at a time per process.  The `most_obs` registry is
+/// process-global: a second thread's `reset()` zeroes counters under a
+/// running experiment's `counter_value` deltas (E14) and its adds leak into
+/// the other's snapshot, so concurrent `run_all`/`run_one` callers (the
+/// root `experiments_smoke` tests) must not interleave.
+static EXPERIMENT_LOCK: Mutex<()> = Mutex::new(());
 
 /// Runs an experiment with a clean observability registry and snapshots
-/// the counters into the table's deterministic `metrics` block.
+/// the counters into the table's deterministic `metrics` block, holding
+/// [`EXPERIMENT_LOCK`] across reset → run → snapshot.
 ///
 /// Counter values are pure functions of the workload (seeded, no
 /// wall-clock-derived counts), so the snapshot is byte-identical across
 /// same-seed runs — CI diffs it.  Histograms contribute only their
 /// sample *counts*, never timings.
 fn with_metrics(run: impl FnOnce() -> Table) -> Table {
+    // An experiment that panicked (a failed in-run gate) leaves nothing
+    // behind the lock to be inconsistent: the next run resets first.
+    let _exclusive = EXPERIMENT_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     most_obs::reset();
     let mut t = run();
     t.metrics = most_obs::metrics_kv();

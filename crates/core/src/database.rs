@@ -7,11 +7,11 @@ use crate::deps::{DepSet, UpdateKind};
 use crate::dynamic::AttrFunction;
 use crate::error::{CoreError, CoreResult};
 use crate::object::MovingObject;
+use crate::refresh::PlanState;
 use crate::snapshot::{ContextMode, DbContext};
 use crate::trigger::{TriggerEvent, TriggerRegistry};
 use most_dbms::value::Value;
 use most_ftl::answer::{Answer, AnswerTuple};
-use most_ftl::plan::{AtomCache, CompiledPlan};
 use most_ftl::{evaluate_query, Query};
 use most_index::{DynamicAttributeIndex, IndexKind, MovingObjectIndex2D};
 use most_spatial::{Point, Polygon, Rect, Velocity};
@@ -125,7 +125,7 @@ pub struct Database {
     classes: BTreeMap<String, ClassDef>,
     objects: BTreeMap<u64, MovingObject>,
     regions: BTreeMap<String, Polygon>,
-    continuous: ContinuousRegistry,
+    pub(crate) continuous: ContinuousRegistry,
     refresh_mode: RefreshMode,
     triggers: TriggerRegistry,
     spatial_index: Option<SpatialIndexState>,
@@ -134,13 +134,11 @@ pub struct Database {
     // Refresh-engine knobs (runtime tuning, not part of the persisted
     // state: a loaded database starts at the defaults).
     refresh_filtering: bool,
-    refresh_workers: usize,
-    eval_workers: usize,
     // Compiled-plan machinery (derived acceleration state, not part of the
     // persisted snapshot: plans recompile lazily after loading).
     compiled_plans: bool,
-    plans: BTreeMap<u64, PlanState>,
-    plan_generation: u64,
+    pub(crate) plans: BTreeMap<u64, PlanState>,
+    pub(crate) plan_generation: u64,
     attr_index: Option<AttrIndexState>,
     // Fault injection for panic-safety tests (not persisted): when set,
     // evaluating any query that reads this attribute panics at evaluation
@@ -192,8 +190,6 @@ impl most_testkit::ser::FromJson for Database {
             spatial_index: None,
             stats: most_testkit::ser::FromJson::from_json(j.field("stats")?)?,
             refresh_filtering: true,
-            refresh_workers: 1,
-            eval_workers: 1,
             compiled_plans: true,
             plans: BTreeMap::new(),
             plan_generation: 0,
@@ -208,46 +204,6 @@ struct SpatialIndexState {
     index: MovingObjectIndex2D,
     space: Rect,
     epoch: Tick,
-}
-
-/// Compiled-plan state of one registered continuous query: the flat atom
-/// plan built once at registration, each atom's statically-extracted
-/// dependency set, and the cached atom relations surviving across refreshes
-/// (see [`most_ftl::plan`]).
-#[derive(Debug, Clone)]
-pub(crate) struct PlanState {
-    pub(crate) plan: CompiledPlan,
-    atom_deps: Vec<(String, DepSet)>,
-    pub(crate) cache: AtomCache,
-}
-
-impl PlanState {
-    pub(crate) fn compile(q: &Query) -> PlanState {
-        let plan = CompiledPlan::compile(q);
-        let atom_deps = plan
-            .atoms()
-            .iter()
-            .map(|a| (a.key.clone(), DepSet::of_formula(&a.formula)))
-            .collect();
-        PlanState { plan, atom_deps, cache: AtomCache::new() }
-    }
-
-    /// Stamps the cache to the current `(clock, generation)` and drops the
-    /// entries this update batch can affect: exactly the atoms whose
-    /// dependency set one of the change kinds touches (a `Domain` change
-    /// touches every atom).  Unknown keys are dropped conservatively.
-    fn invalidate_affected(&mut self, stamp: (u64, u64), changes: &[(u64, UpdateKind)]) {
-        self.cache.ensure_stamp(stamp);
-        let atom_deps = &self.atom_deps;
-        self.cache.invalidate(|key| {
-            atom_deps
-                .iter()
-                .find(|(k, _)| k == key)
-                .is_none_or(|(_, deps)| {
-                    changes.iter().any(|(_, kind)| deps.affected_by(kind))
-                })
-        });
-    }
 }
 
 /// The Section 4 dynamic-attribute index wired into the refresh engine:
@@ -322,8 +278,6 @@ impl Database {
             spatial_index: None,
             stats: DbStats::default(),
             refresh_filtering: true,
-            refresh_workers: 1,
-            eval_workers: 1,
             compiled_plans: true,
             plans: BTreeMap::new(),
             plan_generation: 0,
@@ -372,30 +326,6 @@ impl Database {
     /// Whether dependency-set filtering is enabled.
     pub fn refresh_filtering(&self) -> bool {
         self.refresh_filtering
-    }
-
-    /// Sets how many worker threads a refresh pass may use to re-evaluate
-    /// queries concurrently (1 = serial, the default).
-    pub fn set_refresh_workers(&mut self, workers: usize) {
-        self.refresh_workers = workers.max(1);
-    }
-
-    /// The refresh worker count.
-    pub fn refresh_workers(&self) -> usize {
-        self.refresh_workers
-    }
-
-    /// Sets how many worker threads a *single* evaluation may use to shard
-    /// its per-object candidate loops (1 = serial, the default).  Refresh
-    /// passes that already shard across queries evaluate each query
-    /// serially to avoid nested thread pools.
-    pub fn set_eval_workers(&mut self, workers: usize) {
-        self.eval_workers = workers.max(1);
-    }
-
-    /// The per-evaluation worker count.
-    pub fn eval_workers(&self) -> usize {
-        self.eval_workers
     }
 
     /// Enables/disables compiled query plans for continuous queries (on by
@@ -781,190 +711,6 @@ impl Database {
         }
     }
 
-    /// Refresh hook run after every explicit update batch: continuous
-    /// queries are the materialized views that may now be stale
-    /// (Section 2.3).  Each change names the updated/inserted/removed
-    /// object and the [`UpdateKind`] the dependency filter tests.
-    ///
-    /// The pass runs in three steps: (1) dependency filtering — queries
-    /// whose [`DepSet`](crate::deps::DepSet) no change can affect are
-    /// skipped outright (`skipped_refreshes`); (2) evaluation — the
-    /// remaining queries re-evaluate, sharded over
-    /// [`Database::refresh_workers`] threads in [`RefreshMode::Full`];
-    /// (3) merge — answers merge serially at the clock-tick boundary.
-    fn after_updates(&mut self, changes: &[(u64, UpdateKind)]) -> CoreResult<()> {
-        self.stats.updates += changes.len() as u64;
-        if changes.is_empty() || self.continuous.is_empty() {
-            return Ok(());
-        }
-        let boundary = self.clock;
-        most_obs::span!("refresh.eval");
-        // Step 0: compiled-plan bookkeeping.  Ensure every registered query
-        // has a plan (lazy compilation covers freshly-loaded databases),
-        // then stamp each cache to the current tick/generation and drop
-        // exactly the cached atoms this batch can affect.
-        if self.compiled_plans {
-            for id in self.continuous.ids() {
-                if !self.plans.contains_key(&id) {
-                    let entry = self.continuous.get(id).expect("id from ids() snapshot");
-                    self.plans.insert(id, PlanState::compile(&entry.query));
-                }
-            }
-        }
-        let stamp = (self.clock, self.plan_generation);
-        for state in self.plans.values_mut() {
-            state.invalidate_affected(stamp, changes);
-        }
-        // Step 1: dependency filtering.
-        let mut to_refresh: Vec<(u64, Query)> = Vec::new();
-        let mut skipped = 0u64;
-        for id in self.continuous.ids() {
-            let relevant = {
-                let entry = self.continuous.get(id).expect("id from ids() snapshot");
-                !self.refresh_filtering
-                    || changes.iter().any(|(_, kind)| entry.deps.affected_by(kind))
-            };
-            if relevant {
-                let query = self
-                    .continuous
-                    .get(id)
-                    .expect("id from ids() snapshot")
-                    .query
-                    .clone();
-                to_refresh.push((id, query));
-            } else {
-                self.continuous.note_skipped(id);
-                skipped += 1;
-            }
-        }
-        most_obs::add("refresh.total", to_refresh.len() as u64 + skipped);
-        most_obs::add("refresh.skipped", skipped);
-        most_obs::add("refresh.evaluated", to_refresh.len() as u64);
-        // Step 2/3 for the incremental mode: per changed object, restricted
-        // re-evaluation against the final batch state (each pinned
-        // evaluation sees all mutations, so the per-object merges commute).
-        // A failing (or panicking) evaluation must fail only the offending
-        // query's refresh: every other query still refreshes, and the first
-        // error is reported to the caller after the pass completes.
-        let mut first_err: Option<CoreError> = None;
-        let mut full: Vec<(u64, Query)> = Vec::new();
-        for (id, query) in to_refresh {
-            if self.refresh_mode == RefreshMode::Incremental
-                && !formula_mentions_fixed_objects(&query.formula)
-            {
-                let mut ids: Vec<u64> = changes.iter().map(|(oid, _)| *oid).collect();
-                ids.sort_unstable();
-                ids.dedup();
-                for oid in ids {
-                    let start = std::time::Instant::now();
-                    let fresh = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                        || self.evaluate_pinned(&query, oid),
-                    ))
-                    .unwrap_or_else(|payload| {
-                        most_obs::inc("refresh.worker_panics");
-                        Err(CoreError::EvalPanic(crate::refresh::panic_message(
-                            &payload,
-                        )))
-                    });
-                    let fresh = match fresh {
-                        Ok(fresh) => fresh,
-                        Err(e) => {
-                            first_err.get_or_insert(e);
-                            break; // this query keeps its pre-batch answer
-                        }
-                    };
-                    let nanos = start.elapsed().as_nanos() as u64;
-                    most_obs::inc("refresh.incremental");
-                    most_obs::observe("refresh.query_nanos", nanos);
-                    self.continuous
-                        .refresh_incremental(id, boundary, &Value::Id(oid), fresh, nanos);
-                }
-            } else {
-                full.push((id, query));
-            }
-        }
-        // Step 2/3 for full refreshes: evaluate (possibly in parallel),
-        // then merge serially.  Plan states travel with their queries so
-        // worker threads can replay and refill the atom caches; every state
-        // is reinserted before any result is inspected, so an evaluation
-        // error cannot leak plans.
-        let plan_states: Vec<Option<PlanState>> =
-            full.iter().map(|(id, _)| self.plans.remove(id)).collect();
-        let results = crate::refresh::evaluate_refresh_set(
-            self,
-            &full,
-            plan_states,
-            self.refresh_workers,
-            self.eval_workers,
-        );
-        let mut merged = Vec::with_capacity(results.len());
-        for (id, result, nanos, state) in results {
-            if let Some(state) = state {
-                self.plans.insert(id, state);
-            }
-            merged.push((id, result, nanos));
-        }
-        for (id, result, nanos) in merged {
-            match result {
-                Ok(fresh) => self.continuous.refresh(id, boundary, fresh, nanos),
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Evaluates `q` restricted to instantiations that bind `id` in at
-    /// least one target variable.  For each target `v`, the variable is
-    /// *substituted* by the constant object (`Formula::pin`), so every atom
-    /// mentioning `v` evaluates once for that object instead of being
-    /// enumerated over the whole domain — this is what makes the
-    /// incremental refresh cheaper than a full one.
-    fn evaluate_pinned(&self, q: &Query, id: u64) -> CoreResult<Answer> {
-        let mut merged: std::collections::BTreeMap<Vec<Value>, IntervalSet> =
-            std::collections::BTreeMap::new();
-        let pin_value = Value::Id(id);
-        for (pos, var) in q.targets.iter().enumerate() {
-            let pinned_formula = q.formula.pin(var, &pin_value);
-            let other_targets: Vec<String> = q
-                .targets
-                .iter()
-                .filter(|t| *t != var)
-                .cloned()
-                .collect();
-            let pinned = Query { targets: other_targets.clone(), formula: pinned_formula };
-            let answer = self.evaluate_global(&pinned)?;
-            for tup in answer.tuples {
-                // Re-insert the pinned value at every position held by
-                // `var` (duplicate target names share one column value).
-                let mut values = Vec::with_capacity(q.targets.len());
-                let mut it = tup.values.into_iter();
-                for (i, t) in q.targets.iter().enumerate() {
-                    if i == pos || t == var {
-                        values.push(pin_value.clone());
-                    } else {
-                        values.push(it.next().expect("arity matches other_targets"));
-                    }
-                }
-                merged
-                    .entry(values)
-                    .and_modify(|s| *s = s.union(&tup.intervals))
-                    .or_insert(tup.intervals);
-            }
-        }
-        Ok(Answer::new(
-            q.targets.clone(),
-            merged
-                .into_iter()
-                .map(|(values, intervals)| AnswerTuple { values, intervals })
-                .collect(),
-        ))
-    }
-
     // ------------------------------------------------------------------
     // Queries
     // ------------------------------------------------------------------
@@ -982,21 +728,28 @@ impl Database {
 
     /// Evaluates a query on the implicit future history starting now and
     /// returns the answer in **global** clock ticks.
-    fn evaluate_global(&self, q: &Query) -> CoreResult<Answer> {
-        self.evaluate_global_with(q, self.eval_workers)
+    pub(crate) fn evaluate_global(&self, q: &Query) -> CoreResult<Answer> {
+        self.evaluate_global_via(q, None)
     }
 
-    /// [`Database::evaluate_global`] with an explicit per-evaluation worker
-    /// count — the refresh engine passes 1 when it already shards across
-    /// queries, to avoid nested thread pools.
-    pub(crate) fn evaluate_global_with(&self, q: &Query, eval_workers: usize) -> CoreResult<Answer> {
+    /// [`Database::evaluate_global`], optionally through `q`'s compiled
+    /// plan: cached atom relations are replayed verbatim, freshly computed
+    /// ones are harvested back into the plan's cache for the next refresh.
+    pub(crate) fn evaluate_global_via(
+        &self,
+        q: &Query,
+        plan: Option<&mut PlanState>,
+    ) -> CoreResult<Answer> {
         if let Some(marker) = &self.eval_fault {
             if DepSet::of_query(q).attrs.contains(marker) {
                 panic!("injected evaluation fault: attribute `{marker}`");
             }
         }
-        let ctx = self.current_context().with_eval_workers(eval_workers);
-        let local = evaluate_query(&ctx, q)?;
+        let ctx = self.current_context();
+        let local = match plan {
+            Some(state) => most_ftl::evaluate_compiled(&ctx, &state.plan, &mut state.cache)?,
+            None => evaluate_query(&ctx, q)?,
+        };
         Ok(shift_answer(local, self.clock))
     }
 
@@ -1004,29 +757,11 @@ impl Database {
     /// any query that reads the named attribute panics at evaluation entry.
     /// This is the deterministic stand-in for "a query evaluation
     /// panicked" used by the panic-safety regression tests — the panic
-    /// travels the exact production path (refresh workers, epoch writers,
+    /// travels the exact production path (refresh pass, epoch writers,
     /// server sessions) without depending on an evaluator bug to trigger
     /// it.  Never set outside tests.
     pub fn set_eval_fault(&mut self, attr: Option<String>) {
         self.eval_fault = attr;
-    }
-
-    /// [`Database::evaluate_global_with`] through a compiled plan: cached
-    /// atom relations are replayed verbatim, freshly computed ones are
-    /// harvested back into the plan's cache for the next refresh.
-    pub(crate) fn evaluate_global_with_plan(
-        &self,
-        state: &mut PlanState,
-        eval_workers: usize,
-    ) -> CoreResult<Answer> {
-        if let Some(marker) = &self.eval_fault {
-            if state.atom_deps.iter().any(|(_, d)| d.attrs.contains(marker)) {
-                panic!("injected evaluation fault: attribute `{marker}`");
-            }
-        }
-        let ctx = self.current_context().with_eval_workers(eval_workers);
-        let local = most_ftl::evaluate_compiled(&ctx, &state.plan, &mut state.cache)?;
-        Ok(shift_answer(local, self.clock))
     }
 
     /// Evaluates an instantaneous query without mutating statistics —

@@ -1,143 +1,242 @@
-//! Parallel refresh evaluation for the continuous-query engine.
+//! The continuous-query refresh pass: filter → evaluate → merge.
 //!
-//! After dependency filtering (`Database::after_updates`), the queries
-//! that must re-evaluate are independent of one another: each reads the
-//! database immutably and produces a fresh [`Answer`].  This module fans
-//! that evaluation work across [`std::thread::scope`] workers; merging
-//! back into the registry stays serial in the caller (it mutates shared
-//! state and is cheap compared to evaluation).
+//! Continuous queries are materialized views (Section 2.3): `Answer(CQ)`
+//! "has to be reevaluated when an update occurs that may change the set of
+//! tuples".  [`Database::after_updates`] is that re-evaluation, run once
+//! per explicit update batch, and this module is all of it:
 //!
-//! Worker shards evaluate their queries with `eval_workers = 1`: the two
-//! parallelism levels (across queries here, across candidate objects in
-//! `most_ftl::eval`) are never nested, so the thread count stays bounded
-//! by whichever level is active.
+//! 1. **filter** — a query whose [`DepSet`] no change in the batch can
+//!    affect is skipped outright;
+//! 2. **evaluate** — each surviving query re-evaluates against the final
+//!    batch state, through its compiled plan in [`RefreshMode::Full`] or
+//!    per changed object in [`RefreshMode::Incremental`];
+//! 3. **merge** — the fresh answer replaces the materialized one from the
+//!    current tick onwards.
+//!
+//! The pass is serial, one query at a time.  Parallelism in this engine
+//! lives one level up, per shard (`crate::sharded`): work partitioned by
+//! object scales, fan-out inside one batch was a knob no served workload
+//! turned (EXPERIMENTS.md, E10).
 
-use crate::database::{Database, PlanState};
+use crate::database::{formula_mentions_fixed_objects, Database, RefreshMode};
+use crate::deps::{DepSet, UpdateKind};
 use crate::error::{CoreError, CoreResult};
-use most_ftl::answer::Answer;
+use most_dbms::value::Value;
+use most_ftl::answer::{Answer, AnswerTuple};
+use most_ftl::plan::{AtomCache, CompiledPlan};
 use most_ftl::Query;
+use most_temporal::IntervalSet;
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Re-evaluates every query in `queries` against the current database
-/// state, using up to `workers` threads.  `plans` travels in parallel to
-/// `queries`: a `Some` entry evaluates through its compiled plan (replaying
-/// and refilling the per-atom cache), a `None` entry interprets the AST.
-/// Returns, per query, its id, the evaluation result, the evaluation's
-/// wall-clock cost in nanoseconds, and the plan state handed back to the
-/// caller.  Result order matches input order regardless of worker count,
-/// so the caller's serial merge is deterministic.
-pub(crate) fn evaluate_refresh_set(
-    db: &Database,
-    queries: &[(u64, Query)],
-    mut plans: Vec<Option<PlanState>>,
-    workers: usize,
-    eval_workers: usize,
-) -> Vec<(u64, CoreResult<Answer>, u64, Option<PlanState>)> {
-    debug_assert_eq!(plans.len(), queries.len());
-    plans.resize_with(queries.len(), || None);
-    let workers = workers.max(1).min(queries.len().max(1));
-    if workers <= 1 {
-        most_obs::add("refresh.shards", u64::from(!queries.is_empty()));
-        let out: Vec<_> = queries
+/// Compiled-plan state of one registered continuous query: the flat atom
+/// plan built once at registration, each atom's statically-extracted
+/// dependency set, and the cached atom relations surviving across refreshes
+/// (see [`most_ftl::plan`]).
+#[derive(Debug, Clone)]
+pub(crate) struct PlanState {
+    pub(crate) plan: CompiledPlan,
+    atom_deps: Vec<(String, DepSet)>,
+    pub(crate) cache: AtomCache,
+}
+
+impl PlanState {
+    pub(crate) fn compile(q: &Query) -> PlanState {
+        let plan = CompiledPlan::compile(q);
+        let atom_deps = plan
+            .atoms()
             .iter()
-            .zip(plans)
-            .map(|((id, q), mut plan)| {
-                let (result, nanos) = timed_eval(db, q, &mut plan, eval_workers);
-                (*id, result, nanos, plan)
-            })
+            .map(|a| (a.key.clone(), DepSet::of_formula(&a.formula)))
             .collect();
-        for (_, _, nanos, _) in &out {
-            most_obs::observe("refresh.query_nanos", *nanos);
+        PlanState {
+            plan,
+            atom_deps,
+            cache: AtomCache::new(),
         }
-        return out;
     }
-    let chunk = queries.len().div_ceil(workers);
-    let mut out = Vec::with_capacity(queries.len());
-    let mut shard_nanos = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for shard in queries.chunks(chunk) {
-            let rest = plans.split_off(shard.len().min(plans.len()));
-            let shard_plans = std::mem::replace(&mut plans, rest);
-            handles.push(scope.spawn(move || {
-                let start = std::time::Instant::now();
-                let results = shard
-                    .iter()
-                    .zip(shard_plans)
-                    .map(|((id, q), mut plan)| {
-                        let (result, nanos) = timed_eval(db, q, &mut plan, 1);
-                        (*id, result, nanos, plan)
-                    })
-                    .collect::<Vec<_>>();
-                (results, start.elapsed().as_nanos() as u64)
-            }));
+
+    /// Stamps the cache to the current `(clock, generation)` and drops the
+    /// entries this update batch can affect: exactly the atoms whose
+    /// dependency set one of the change kinds touches (a `Domain` change
+    /// touches every atom).  Unknown keys are dropped conservatively.
+    fn invalidate_affected(&mut self, stamp: (u64, u64), changes: &[(u64, UpdateKind)]) {
+        self.cache.ensure_stamp(stamp);
+        let atom_deps = &self.atom_deps;
+        self.cache.invalidate(|key| {
+            atom_deps
+                .iter()
+                .find(|(k, _)| k == key)
+                .is_none_or(|(_, deps)| changes.iter().any(|(_, kind)| deps.affected_by(kind)))
+        });
+    }
+}
+
+impl Database {
+    /// Refresh hook run after every explicit update batch.  Each change
+    /// names the updated/inserted/removed object and the [`UpdateKind`]
+    /// the dependency filter tests.
+    ///
+    /// A failing (or panicking) evaluation fails only the offending
+    /// query's refresh: every other query still refreshes, the batch's
+    /// mutations stay applied, and the first error is reported to the
+    /// caller after the pass completes.
+    pub(crate) fn after_updates(&mut self, changes: &[(u64, UpdateKind)]) -> CoreResult<()> {
+        self.stats.updates += changes.len() as u64;
+        if changes.is_empty() || self.continuous.is_empty() {
+            return Ok(());
         }
-        for (handle, shard) in handles.into_iter().zip(queries.chunks(chunk)) {
-            // `timed_eval` catches per-query panics, so a worker thread
-            // dying is out-of-band (allocation failure, catch_unwind
-            // escape).  Even then the refresh pass must survive: synthesize
-            // an `EvalPanic` failure for each query the dead worker owned
-            // instead of propagating the panic into the caller — which
-            // would poison the `SharedDatabase` lock and wedge the server.
-            match handle.join() {
-                Ok((results, nanos)) => {
-                    out.extend(results);
-                    shard_nanos.push(nanos);
+        let boundary = self.now();
+        most_obs::span!("refresh.eval");
+        // Evaluation borrows the whole database immutably while its plan's
+        // atom cache refills, so the plans step outside for the pass.
+        // Nothing between here and the hand-back returns early; were the
+        // pass to unwind, the plans are derived state and recompile lazily.
+        let mut plans = std::mem::take(&mut self.plans);
+        // Ensure every registered query has a plan (lazy compilation covers
+        // freshly-loaded databases and plans dropped by a panic), then
+        // stamp each cache to the current tick/generation and drop exactly
+        // the cached atoms this batch can affect.
+        if self.compiled_plans() {
+            for (id, entry) in self.continuous.iter() {
+                plans
+                    .entry(id)
+                    .or_insert_with(|| PlanState::compile(&entry.query));
+            }
+        }
+        let stamp = (boundary, self.plan_generation);
+        for state in plans.values_mut() {
+            state.invalidate_affected(stamp, changes);
+        }
+        let incremental = self.refresh_mode() == RefreshMode::Incremental;
+        let mut changed: Vec<u64> = Vec::new();
+        if incremental {
+            changed.extend(changes.iter().map(|(oid, _)| *oid));
+            changed.sort_unstable();
+            changed.dedup();
+        }
+        let (mut evaluated, mut skipped) = (0u64, 0u64);
+        let mut first_err: Option<CoreError> = None;
+        for id in self.continuous.ids() {
+            let entry = self.continuous.get(id).expect("id from ids() snapshot");
+            if self.refresh_filtering()
+                && !changes.iter().any(|(_, kind)| entry.deps.affected_by(kind))
+            {
+                self.continuous.note_skipped(id);
+                skipped += 1;
+                continue;
+            }
+            evaluated += 1;
+            if incremental && !formula_mentions_fixed_objects(&entry.query.formula) {
+                // Per changed object, a restricted re-evaluation against
+                // the final batch state (each pinned evaluation sees all
+                // mutations, so the per-object merges commute).
+                let query = entry.query.clone();
+                for &oid in &changed {
+                    match timed_eval(|| self.evaluate_pinned(&query, oid)) {
+                        (Ok(fresh), nanos) => {
+                            most_obs::inc("refresh.incremental");
+                            self.continuous.refresh_incremental(
+                                id,
+                                boundary,
+                                &Value::Id(oid),
+                                fresh,
+                                nanos,
+                            );
+                        }
+                        (Err(e), _) => {
+                            first_err.get_or_insert(e);
+                            break; // the remaining objects keep their pre-batch rows
+                        }
+                    }
                 }
-                Err(payload) => {
-                    most_obs::inc("refresh.worker_panics");
-                    let msg = panic_message(&payload);
-                    out.extend(shard.iter().map(|(id, _)| {
-                        (
-                            *id,
-                            Err(CoreError::EvalPanic(format!(
-                                "refresh worker died: {msg}"
-                            ))),
-                            0,
-                            None,
-                        )
-                    }));
+            } else {
+                let (result, nanos) =
+                    timed_eval(|| self.evaluate_global_via(&entry.query, plans.get_mut(&id)));
+                match result {
+                    Ok(fresh) => self.continuous.refresh(id, boundary, fresh, nanos),
+                    Err(e) => {
+                        if matches!(e, CoreError::EvalPanic(_)) {
+                            // The plan's atom cache may be half-written
+                            // mid-panic; drop it so the next refresh
+                            // recompiles from the AST.
+                            plans.remove(&id);
+                        }
+                        first_err.get_or_insert(e);
+                    }
                 }
             }
         }
-    });
-    // Registry traffic stays out of the worker loops: one batch here.
-    most_obs::add("refresh.shards", shard_nanos.len() as u64);
-    for nanos in shard_nanos {
-        most_obs::observe("refresh.shard_nanos", nanos);
+        self.plans = plans;
+        most_obs::add("refresh.total", evaluated + skipped);
+        most_obs::add("refresh.skipped", skipped);
+        most_obs::add("refresh.evaluated", evaluated);
+        first_err.map_or(Ok(()), Err)
     }
-    for (_, _, nanos, _) in &out {
-        most_obs::observe("refresh.query_nanos", *nanos);
+
+    /// Evaluates `q` restricted to instantiations that bind `id` in at
+    /// least one target variable.  For each target `v`, the variable is
+    /// *substituted* by the constant object (`Formula::pin`), so every atom
+    /// mentioning `v` evaluates once for that object instead of being
+    /// enumerated over the whole domain — this is what makes the
+    /// incremental refresh cheaper than a full one.
+    fn evaluate_pinned(&self, q: &Query, id: u64) -> CoreResult<Answer> {
+        let mut merged: BTreeMap<Vec<Value>, IntervalSet> = BTreeMap::new();
+        let pin_value = Value::Id(id);
+        for (pos, var) in q.targets.iter().enumerate() {
+            let pinned_formula = q.formula.pin(var, &pin_value);
+            let other_targets: Vec<String> =
+                q.targets.iter().filter(|t| *t != var).cloned().collect();
+            let pinned = Query {
+                targets: other_targets,
+                formula: pinned_formula,
+            };
+            let answer = self.evaluate_global(&pinned)?;
+            for tup in answer.tuples {
+                // Re-insert the pinned value at every position held by
+                // `var` (duplicate target names share one column value).
+                let mut values = Vec::with_capacity(q.targets.len());
+                let mut it = tup.values.into_iter();
+                for (i, t) in q.targets.iter().enumerate() {
+                    if i == pos || t == var {
+                        values.push(pin_value.clone());
+                    } else {
+                        values.push(it.next().expect("arity matches other_targets"));
+                    }
+                }
+                merged
+                    .entry(values)
+                    .and_modify(|s| *s = s.union(&tup.intervals))
+                    .or_insert(tup.intervals);
+            }
+        }
+        Ok(Answer::new(
+            q.targets.clone(),
+            merged
+                .into_iter()
+                .map(|(values, intervals)| AnswerTuple { values, intervals })
+                .collect(),
+        ))
     }
-    out
 }
 
-fn timed_eval(
-    db: &Database,
-    q: &Query,
-    plan: &mut Option<PlanState>,
-    eval_workers: usize,
-) -> (CoreResult<Answer>, u64) {
+/// Runs one refresh evaluation, returning its result and wall-clock cost
+/// in nanoseconds.
+///
+/// Evaluation runs arbitrary FTL over arbitrary trajectories; a panic in
+/// one query must fail only that query's refresh, not abort the whole pass
+/// — which would unwind through the epoch writer and wedge the server.
+/// The `AssertUnwindSafe` is justified: the database is only read, and the
+/// one thing an evaluation writes (its plan's atom cache) is discarded by
+/// the caller on [`CoreError::EvalPanic`].
+fn timed_eval(eval: impl FnOnce() -> CoreResult<Answer>) -> (CoreResult<Answer>, u64) {
     let start = std::time::Instant::now();
-    // Evaluation runs arbitrary FTL over arbitrary trajectories; a panic in
-    // one query must fail only that query's refresh, not abort the whole
-    // pass.  The `AssertUnwindSafe` is justified: on panic the plan state is
-    // discarded below (its per-atom cache may be half-written), and `db` is
-    // only read.
-    let result = match catch_unwind(AssertUnwindSafe(|| match plan {
-        Some(state) => db.evaluate_global_with_plan(state, eval_workers),
-        None => db.evaluate_global_with(q, eval_workers),
-    })) {
-        Ok(result) => result,
-        Err(payload) => {
-            most_obs::inc("refresh.worker_panics");
-            // The compiled plan's cache may be inconsistent mid-panic;
-            // drop it so the next refresh recompiles from the AST.
-            *plan = None;
-            Err(CoreError::EvalPanic(panic_message(&payload)))
-        }
-    };
-    (result, start.elapsed().as_nanos() as u64)
+    let result = catch_unwind(AssertUnwindSafe(eval)).unwrap_or_else(|payload| {
+        most_obs::inc("refresh.worker_panics");
+        Err(CoreError::EvalPanic(panic_message(&payload)))
+    });
+    let nanos = start.elapsed().as_nanos() as u64;
+    most_obs::observe("refresh.query_nanos", nanos);
+    (result, nanos)
 }
 
 /// Renders a `catch_unwind`/`join` payload: `&str` and `String` payloads
@@ -156,10 +255,19 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::database::UpdateOp;
     use most_spatial::{Point, Polygon, Velocity};
 
-    fn db_with_cars(n: u64) -> Database {
+    const QUERIES: [&str; 2] = [
+        "RETRIEVE o WHERE Eventually within 200 INSIDE(o, P)",
+        "RETRIEVE o WHERE OUTSIDE(o, P)",
+    ];
+
+    /// `n` cars moving right past region P, one CQ per entry of
+    /// [`QUERIES`]; returns the database and the CQ ids.
+    fn db_with_cars(n: u64, compiled: bool) -> (Database, Vec<u64>) {
         let mut db = Database::new(300);
+        db.set_compiled_plans(compiled);
         for i in 0..n {
             db.insert_moving_object(
                 "cars",
@@ -168,70 +276,50 @@ mod tests {
             );
         }
         db.add_region("P", Polygon::rectangle(100.0, -10.0, 150.0, 10.0));
-        db
+        let cqs = QUERIES
+            .iter()
+            .map(|src| db.register_continuous(Query::parse(src).unwrap()).unwrap())
+            .collect();
+        (db, cqs)
     }
 
     #[test]
-    fn parallel_matches_serial() {
-        let db = db_with_cars(40);
-        let queries: Vec<(u64, Query)> = (0..8)
-            .map(|i| {
-                let q = if i % 2 == 0 {
-                    Query::parse("RETRIEVE o WHERE Eventually within 200 INSIDE(o, P)")
-                } else {
-                    Query::parse("RETRIEVE o WHERE OUTSIDE(o, P)")
-                };
-                (i, q.unwrap())
-            })
-            .collect();
-        let serial = evaluate_refresh_set(&db, &queries, vec![None; queries.len()], 1, 1);
-        for workers in [2, 4, 8, 16] {
-            let parallel =
-                evaluate_refresh_set(&db, &queries, vec![None; queries.len()], workers, 1);
-            assert_eq!(parallel.len(), serial.len());
-            for ((sid, sres, _, _), (pid, pres, _, _)) in serial.iter().zip(&parallel) {
-                assert_eq!(sid, pid, "result order must match input order");
-                assert_eq!(
-                    sres.as_ref().unwrap(),
-                    pres.as_ref().unwrap(),
-                    "answers must not depend on worker count"
-                );
+    fn compiled_plans_match_interpreter() {
+        let (mut interpreted, cqs) = db_with_cars(40, false);
+        let (mut compiled, _) = db_with_cars(40, true);
+        for step in 0..4u64 {
+            let batch = [UpdateOp::Motion {
+                id: step + 1,
+                velocity: Velocity::new(2.0 + step as f64, 0.0),
+            }];
+            for db in [&mut interpreted, &mut compiled] {
+                db.advance_clock(3);
+                db.apply_updates(&batch).unwrap();
             }
-        }
-    }
-
-    #[test]
-    fn compiled_plans_match_interpreter_across_workers() {
-        let db = db_with_cars(40);
-        let queries: Vec<(u64, Query)> = (0..8)
-            .map(|i| {
-                let q = if i % 2 == 0 {
-                    Query::parse("RETRIEVE o WHERE Eventually within 200 INSIDE(o, P)")
-                } else {
-                    Query::parse("RETRIEVE o WHERE OUTSIDE(o, P)")
-                };
-                (i, q.unwrap())
-            })
-            .collect();
-        let interpreted = evaluate_refresh_set(&db, &queries, vec![None; queries.len()], 1, 1);
-        for workers in [1, 4] {
-            let plans = queries.iter().map(|(_, q)| Some(PlanState::compile(q))).collect();
-            let compiled = evaluate_refresh_set(&db, &queries, plans, workers, 1);
-            for ((sid, sres, _, _), (pid, pres, _, plan)) in interpreted.iter().zip(&compiled) {
-                assert_eq!(sid, pid);
+            for &cq in &cqs {
                 assert_eq!(
-                    sres.as_ref().unwrap(),
-                    pres.as_ref().unwrap(),
+                    interpreted.continuous_answer(cq).unwrap(),
+                    compiled.continuous_answer(cq).unwrap(),
                     "compiled plans must reproduce interpreter answers"
                 );
-                assert!(plan.is_some(), "plan state must come back to the caller");
             }
+            assert_eq!(
+                compiled.plans.len(),
+                cqs.len(),
+                "plans come back after the pass"
+            );
+            assert!(interpreted.plans.is_empty());
         }
     }
 
     #[test]
-    fn empty_set_is_fine() {
-        let db = db_with_cars(1);
-        assert!(evaluate_refresh_set(&db, &[], Vec::new(), 4, 1).is_empty());
+    fn empty_batch_is_fine() {
+        let (mut db, _) = db_with_cars(1, true);
+        let evaluations = db.continuous_evaluations() + db.noop_refreshes();
+        db.after_updates(&[]).unwrap();
+        assert_eq!(
+            db.continuous_evaluations() + db.noop_refreshes(),
+            evaluations
+        );
     }
 }

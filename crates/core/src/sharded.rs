@@ -221,9 +221,9 @@ impl CutPin {
     }
 
     /// Runs `f` against every pinned shard in parallel (scoped threads,
-    /// one per shard), returning results in shard order.  Shard-level
-    /// evaluation keeps `eval_workers = 1` semantics per shard: the
-    /// cross-shard threads *are* the parallelism level.
+    /// one per shard), returning results in shard order.  Evaluation
+    /// inside a shard is serial: the cross-shard threads *are* the
+    /// parallelism level.
     fn scatter<R: Send>(
         &self,
         f: impl Fn(&Database) -> CoreResult<R> + Sync,
@@ -435,8 +435,7 @@ impl ShardedDb {
         let writer = lock_clean(&self.writer);
         let mut parts: Vec<Vec<UpdateOp>> = vec![Vec::new(); self.shards.len()];
         for op in ops {
-            let shard = self.shard_of_locked(&writer, op_id(op))?;
-            parts[shard].push(op.clone());
+            parts[self.shard_of_locked(&writer, op_id(op))].push(op.clone());
         }
         let result = self.parallel_shards(|i, shard| {
             if parts[i].is_empty() {
@@ -525,18 +524,20 @@ impl ShardedDb {
         self.publish_cut(writer);
     }
 
-    /// The shard index owning object `id` (routing lookup only; the
-    /// object may not exist).
-    fn shard_of_locked(&self, writer: &ShardWriter, id: u64) -> CoreResult<usize> {
+    /// The shard index an update for object `id` applies on (routing
+    /// lookup only; the object may not exist).  An id no band was ever
+    /// assigned exists on no shard, so whichever shard receives the op
+    /// reports [`CoreError::UnknownObject`] under the per-shard-prefix
+    /// semantics of [`ShardedDb::apply_updates`] — exactly what hash
+    /// routing does with an unknown id.  Shard 0 is the arbitrary pick.
+    fn shard_of_locked(&self, writer: &ShardWriter, id: u64) -> usize {
         match &self.routing {
             ShardRouting::HashId => {
-                Ok(self.routing.route_insert(id, Point::origin(), self.shards.len()))
+                self.routing.route_insert(id, Point::origin(), self.shards.len())
             }
-            ShardRouting::SpatialBands { .. } => writer
-                .assignment
-                .get(&id)
-                .copied()
-                .ok_or(CoreError::UnknownObject(id)),
+            ShardRouting::SpatialBands { .. } => {
+                writer.assignment.get(&id).copied().unwrap_or(0)
+            }
         }
     }
 
@@ -782,16 +783,35 @@ mod tests {
 
     #[test]
     fn updates_for_unknown_objects_error_without_wedging() {
-        let (_, sharded) = twin_worlds(2, ShardRouting::HashId);
-        let err = sharded
-            .apply_updates(&[UpdateOp::Motion { id: 9_999, velocity: Velocity::zero() }])
-            .unwrap_err();
-        assert!(matches!(err, CoreError::UnknownObject(9_999)));
-        // The engine still serves and mutates.
-        sharded
-            .apply_updates(&[UpdateOp::Motion { id: 1, velocity: Velocity::new(1.0, 1.0) }])
-            .unwrap();
-        assert!(sharded.pin().object_shard(1).is_ok());
+        for routing in [
+            ShardRouting::HashId,
+            ShardRouting::SpatialBands { min_x: 0.0, max_x: 200.0 },
+        ] {
+            let (_, sharded) = twin_worlds(2, routing.clone());
+            let seq0 = sharded.pin().cut().seq();
+            // Per-shard prefix: the valid op ahead of the bad one applies,
+            // and the cut publishes either way.
+            let err = sharded
+                .apply_updates(&[
+                    UpdateOp::Motion { id: 1, velocity: Velocity::new(7.0, 7.0) },
+                    UpdateOp::Motion { id: 9_999, velocity: Velocity::zero() },
+                ])
+                .unwrap_err();
+            assert!(matches!(err, CoreError::UnknownObject(9_999)), "{routing:?}: {err:?}");
+            let pin = sharded.pin();
+            assert_eq!(pin.cut().seq(), seq0 + 1, "{routing:?}: the cut must publish");
+            let db = pin.object_shard(1).unwrap();
+            assert_eq!(
+                db.object(1).unwrap().velocity_at(db.now()),
+                Some(Velocity::new(7.0, 7.0)),
+                "{routing:?}: the prefix ahead of the unknown id must apply"
+            );
+            // The engine still serves and mutates.
+            sharded
+                .apply_updates(&[UpdateOp::Motion { id: 1, velocity: Velocity::new(1.0, 1.0) }])
+                .unwrap();
+            assert!(sharded.pin().object_shard(1).is_ok());
+        }
     }
 
     #[test]

@@ -38,20 +38,12 @@ pub struct DbContext<'a> {
     origin: Tick,
     horizon: Horizon,
     mode: ContextMode,
-    workers: usize,
 }
 
 impl<'a> DbContext<'a> {
     /// Creates a context whose local tick 0 is global tick `origin`.
     pub fn new(db: &'a Database, origin: Tick, mode: ContextMode) -> Self {
-        DbContext { db, origin, horizon: Horizon::new(db.expiration()), mode, workers: 1 }
-    }
-
-    /// Sets the worker count the evaluator may use to shard single-variable
-    /// candidate loops (see [`most_ftl::EvalContext::eval_workers`]).
-    pub fn with_eval_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
+        DbContext { db, origin, horizon: Horizon::new(db.expiration()), mode }
     }
 
     /// The global tick corresponding to local tick 0.
@@ -67,10 +59,6 @@ impl<'a> DbContext<'a> {
 impl EvalContext for DbContext<'_> {
     fn horizon(&self) -> Horizon {
         self.horizon
-    }
-
-    fn eval_workers(&self) -> usize {
-        self.workers.max(1)
     }
 
     fn object_ids(&self) -> Vec<u64> {

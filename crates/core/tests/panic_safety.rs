@@ -1,20 +1,20 @@
 //! Regression tests: a panicking query evaluation must not terminate the
 //! refresh pass (PR 9 satellite bugfix).
 //!
-//! Before the fix, `evaluate_refresh_set` joined its workers with
-//! `.expect("refresh worker panicked")`: one panicking evaluation aborted
-//! the entire refresh, unwound through `SharedDatabase::write`, poisoned
-//! the epoch writer lock, and wedged every later mutation.  Now the panic
-//! is caught at the evaluation boundary: only the offending query's
-//! refresh fails (with `CoreError::EvalPanic`), every other query
-//! refreshes, and the batch's mutations stay applied.
+//! Before the fix, one panicking evaluation aborted the entire refresh,
+//! unwound through `SharedDatabase::write`, poisoned the epoch writer
+//! lock, and wedged every later mutation.  Now the panic is caught at the
+//! evaluation boundary: only the offending query's refresh fails (with
+//! `CoreError::EvalPanic`), every other query refreshes, the batch's
+//! mutations stay applied, and the next clean batch brings the failed
+//! query's answer back up to date.
 //!
 //! The deliberately panicking evaluation comes from
 //! `Database::set_eval_fault`: queries reading the armed attribute panic
-//! at evaluation entry, on the exact production path (refresh workers,
-//! epoch writers).
+//! at evaluation entry, on the exact production path (refresh pass, epoch
+//! writers).
 
-use most_core::{CoreError, Database, SharedDatabase, UpdateOp};
+use most_core::{CoreError, Database, RefreshMode, SharedDatabase, UpdateOp};
 use most_ftl::Query;
 use most_spatial::{Point, Polygon, Velocity};
 
@@ -24,9 +24,8 @@ const BOOM: &str = "BOOM";
 /// the armed attribute, and a healthy spatial CQ.  Returns
 /// `(db, faulty_cq, healthy_cq)`; the fault is armed after registration
 /// (registration itself must evaluate cleanly).
-fn armed_db(n: u64, workers: usize) -> (Database, u64, u64) {
+fn armed_db(n: u64) -> (Database, u64, u64) {
     let mut db = Database::new(300);
-    db.set_refresh_workers(workers);
     for i in 0..n {
         let id = db.insert_moving_object(
             "cars",
@@ -37,7 +36,7 @@ fn armed_db(n: u64, workers: usize) -> (Database, u64, u64) {
     }
     db.add_region("P", Polygon::rectangle(10.0, -10.0, 200.0, 10.0));
     let faulty = db
-        .register_continuous(Query::parse(&format!("RETRIEVE o WHERE o.{BOOM} <= 100")).unwrap())
+        .register_continuous(faulty_query())
         .unwrap();
     let healthy = db
         .register_continuous(
@@ -48,58 +47,107 @@ fn armed_db(n: u64, workers: usize) -> (Database, u64, u64) {
     (db, faulty, healthy)
 }
 
-/// A batch of motion updates plus one `BOOM` write, so dependency
-/// filtering refreshes both the spatial CQ and the attribute-reading
-/// (faulty) CQ.
+fn faulty_query() -> Query {
+    Query::parse(&format!("RETRIEVE o WHERE o.{BOOM} <= 100")).unwrap()
+}
+
+/// A batch of motion updates (every object) plus one `BOOM` write, so
+/// dependency filtering refreshes both the spatial CQ and the
+/// attribute-reading (faulty) CQ.
 fn motion_batch(n: u64) -> Vec<UpdateOp> {
+    batch_with_boom(n, 2.0)
+}
+
+/// [`motion_batch`] writing `boom` to object 1: above 100 it takes the
+/// object out of the faulty CQ's answer.
+fn batch_with_boom(n: u64, boom: f64) -> Vec<UpdateOp> {
     let mut ops: Vec<UpdateOp> = (0..n)
         .map(|i| UpdateOp::Motion { id: i + 1, velocity: Velocity::new(2.0, 0.0) })
         .collect();
     ops.push(UpdateOp::Static {
         id: 1,
         attr: BOOM.into(),
-        value: most_dbms::value::Value::from(2.0),
+        value: most_dbms::value::Value::from(boom),
     });
     ops
 }
 
+/// What a fresh evaluation of the faulty CQ's query displays right now.
+fn fresh_display(db: &Database) -> Vec<Vec<most_dbms::value::Value>> {
+    let now = db.now();
+    let answer = db.instantaneous_readonly(&faulty_query()).unwrap();
+    answer.at_tick(now).into_iter().map(|t| t.values.clone()).collect()
+}
+
 #[test]
 fn panicking_evaluation_fails_only_that_query() {
-    for workers in [1, 4] {
-        let (mut db, faulty, healthy) = armed_db(8, workers);
-        let healthy_before = db.continuous_answer(healthy).unwrap().clone();
+    let (mut db, faulty, healthy) = armed_db(8);
+    let healthy_before = db.continuous_answer(healthy).unwrap().clone();
 
-        // The refresh pass must survive the panic and report it as an error.
-        let err = db.apply_updates(&motion_batch(8)).unwrap_err();
-        assert!(
-            matches!(err, CoreError::EvalPanic(_)),
-            "workers={workers}: expected EvalPanic, got {err:?}"
-        );
+    // The refresh pass must survive the panic and report it as an error.
+    let err = db.apply_updates(&motion_batch(8)).unwrap_err();
+    assert!(matches!(err, CoreError::EvalPanic(_)), "expected EvalPanic, got {err:?}");
 
-        // The mutations stayed applied and the healthy CQ refreshed.
-        let now = db.now();
-        assert_eq!(
-            db.object(1).unwrap().velocity_at(now),
-            Some(Velocity::new(2.0, 0.0))
-        );
-        let healthy_after = db.continuous_answer(healthy).unwrap();
-        assert_ne!(
-            healthy_before, *healthy_after,
-            "workers={workers}: healthy CQ must refresh past the panic"
-        );
-        // The faulty CQ still serves its pre-batch materialized answer.
-        assert!(db.continuous_answer(faulty).is_ok());
+    // The mutations stayed applied and the healthy CQ refreshed.
+    let now = db.now();
+    assert_eq!(
+        db.object(1).unwrap().velocity_at(now),
+        Some(Velocity::new(2.0, 0.0))
+    );
+    let healthy_after = db.continuous_answer(healthy).unwrap();
+    assert_ne!(
+        healthy_before, *healthy_after,
+        "healthy CQ must refresh past the panic"
+    );
+    // The faulty CQ still serves its pre-batch materialized answer.
+    assert!(db.continuous_answer(faulty).is_ok());
 
-        // The database is not wedged: disarm and mutate again cleanly.
+    // The database is not wedged: disarm and mutate again cleanly.
+    db.set_eval_fault(None);
+    db.apply_updates(&motion_batch(8)).unwrap();
+}
+
+#[test]
+fn faulty_query_catches_up_on_the_next_clean_batch() {
+    for mode in [RefreshMode::Full, RefreshMode::Incremental] {
+        let (mut db, faulty, _healthy) = armed_db(6);
+        db.set_refresh_mode(mode);
+        let compiles = most_obs::counter_value("ftl.plan.compiles");
+
+        // The failing batch takes object 1 out of the true answer; the
+        // materialized one could not refresh and goes stale.
+        let err = db.apply_updates(&batch_with_boom(6, 500.0)).unwrap_err();
+        assert!(matches!(err, CoreError::EvalPanic(_)), "{mode:?}: {err:?}");
         db.set_eval_fault(None);
-        db.apply_updates(&motion_batch(8)).unwrap();
+        assert_ne!(
+            db.continuous_display(faulty, db.now()).unwrap(),
+            fresh_display(&db),
+            "{mode:?}: the failed refresh must have left a stale display to repair"
+        );
+
+        // The next batch repairs it: in Full mode the plan dropped on the
+        // panic recompiles lazily and the query re-evaluates; Incremental
+        // re-evaluates every object the batch touches.
+        db.advance_clock(1);
+        db.apply_updates(&batch_with_boom(6, 600.0)).unwrap();
+        assert_eq!(
+            db.continuous_display(faulty, db.now()).unwrap(),
+            fresh_display(&db),
+            "{mode:?}: the faulty CQ must catch up once the fault clears"
+        );
+        if cfg!(feature = "obs") && mode == RefreshMode::Full {
+            assert!(
+                most_obs::counter_value("ftl.plan.compiles") > compiles,
+                "the dropped plan must recompile"
+            );
+        }
     }
 }
 
 #[test]
 fn panicking_evaluation_is_counted_and_survives_under_incremental_mode() {
-    let (mut db, _faulty, _healthy) = armed_db(4, 1);
-    db.set_refresh_mode(most_core::RefreshMode::Incremental);
+    let (mut db, _faulty, _healthy) = armed_db(4);
+    db.set_refresh_mode(RefreshMode::Incremental);
     let before = most_obs::counter_value("refresh.worker_panics");
     let err = db.apply_updates(&motion_batch(4)).unwrap_err();
     assert!(matches!(err, CoreError::EvalPanic(_)));
@@ -118,7 +166,7 @@ fn shared_database_survives_panicking_refresh() {
     // The epoch-writer path: before the fix the panic unwound through
     // `EpochDb::write` and poisoned the writer lock; every later mutation
     // then panicked on `.expect("epoch writer lock poisoned")`.
-    let (db, _faulty, healthy) = armed_db(6, 4);
+    let (db, _faulty, healthy) = armed_db(6);
     let shared = SharedDatabase::new(db);
     let err = shared.apply_updates(&motion_batch(6)).unwrap_err();
     assert!(matches!(err, CoreError::EvalPanic(_)));

@@ -22,12 +22,7 @@ use std::collections::BTreeMap;
 
 /// The evaluator's read-only view of a MOST database history starting at
 /// tick 0 (= the query entry time, per the appendix convention).
-///
-/// The `Sync` bound lets the evaluator fan the per-object candidate loop of
-/// an atom across scoped worker threads (see
-/// [`EvalContext::eval_workers`]); every implementation is a read-only view
-/// over plain data, so the bound costs nothing.
-pub trait EvalContext: Sync {
+pub trait EvalContext {
     /// The finite evaluation horizon (query expiration time).
     fn horizon(&self) -> Horizon;
 
@@ -70,16 +65,6 @@ pub trait EvalContext: Sync {
         None
     }
 
-    /// How many worker threads the evaluator may use for the per-object
-    /// candidate loop of a single-variable atom.  `1` (the default) keeps
-    /// evaluation strictly serial; contexts backed by large databases can
-    /// raise it to split candidate objects over `std::thread::scope`
-    /// workers (each binding is evaluated independently of the others, so
-    /// the split is sound by construction).
-    fn eval_workers(&self) -> usize {
-        1
-    }
-
     /// A *scalar dynamic attribute*'s piecewise-polynomial series: for each
     /// validity interval, coefficients `[a, b, c]` of `a·t² + b·t + c`
     /// (local evaluation time).  The paper's model covers "dynamic
@@ -99,7 +84,6 @@ pub struct MemoryContext {
     horizon: Horizon,
     objects: BTreeMap<u64, MemoryObject>,
     regions: BTreeMap<String, Polygon>,
-    workers: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -115,15 +99,7 @@ impl MemoryContext {
             horizon: Horizon::new(horizon_end),
             objects: BTreeMap::new(),
             regions: BTreeMap::new(),
-            workers: 1,
         }
-    }
-
-    /// Allows the evaluator to use up to `n` worker threads for atom
-    /// candidate loops (see [`EvalContext::eval_workers`]).
-    pub fn set_workers(&mut self, n: usize) -> &mut Self {
-        self.workers = n.max(1);
-        self
     }
 
     /// Adds an object with its motion.
@@ -188,11 +164,6 @@ impl EvalContext for MemoryContext {
 
     fn region(&self, name: &str) -> Option<Polygon> {
         self.regions.get(name).cloned()
-    }
-
-    fn eval_workers(&self) -> usize {
-        // `Default`-constructed contexts have `workers == 0`; clamp.
-        self.workers.max(1)
     }
 }
 

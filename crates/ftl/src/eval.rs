@@ -551,16 +551,12 @@ fn atom_object_vars(terms: &[&Term], obj_vars: &BTreeSet<String>) -> Vec<String>
     out
 }
 
-/// Candidate count below which the single-variable loop stays serial even
-/// when the context offers workers (thread spawn would dominate).
-const PARALLEL_MIN_CANDIDATES: usize = 16;
-
 /// [`atom_relation`] with an explicit candidate id set (index pruning).
 fn atom_relation_over(
     ctx: &dyn EvalContext,
     vars: &[String],
     ids: &[u64],
-    eval_one: impl Fn(&Env) -> FtlResult<IntervalSet> + Sync,
+    eval_one: impl Fn(&Env) -> FtlResult<IntervalSet>,
 ) -> FtlResult<VarRelation> {
     most_obs::inc("ftl.atoms");
     most_obs::inc("ftl.pruned");
@@ -569,7 +565,7 @@ fn atom_relation_over(
     most_obs::add("ftl.candidates_pruned", domain.saturating_sub(ids.len() as u64));
     match vars.first() {
         Some(var) => {
-            let rows = single_var_rows(var, ids, ctx.eval_workers(), &eval_one)?;
+            let rows = single_var_rows(var, ids, &eval_one)?;
             Ok(VarRelation::new(vars.to_vec(), rows))
         }
         None => {
@@ -582,14 +578,12 @@ fn atom_relation_over(
 /// Builds an atom's relation by enumerating instantiations of its object
 /// variables over the active domain.  Each binding is evaluated
 /// independently of every other (the atom routines read only the
-/// environment and the context), which both removes per-binding allocation
-/// churn — one reused [`Env`], rows built in place — and lets the
-/// single-variable case shard candidate objects over scoped worker threads
-/// when [`EvalContext::eval_workers`] allows.
+/// environment and the context), which removes per-binding allocation
+/// churn: one reused [`Env`], rows built in place.
 fn atom_relation(
     ctx: &dyn EvalContext,
     vars: &[String],
-    eval_one: impl Fn(&Env) -> FtlResult<IntervalSet> + Sync,
+    eval_one: impl Fn(&Env) -> FtlResult<IntervalSet>,
 ) -> FtlResult<VarRelation> {
     let ids = ctx.object_ids();
     most_obs::inc("ftl.atoms");
@@ -599,7 +593,7 @@ fn atom_relation(
             Ok(VarRelation::nullary(set))
         }
         1 => {
-            let rows = single_var_rows(&vars[0], &ids, ctx.eval_workers(), &eval_one)?;
+            let rows = single_var_rows(&vars[0], &ids, &eval_one)?;
             Ok(VarRelation::new(vars.to_vec(), rows))
         }
         k => {
@@ -643,53 +637,26 @@ fn atom_relation(
     }
 }
 
-/// The single-variable candidate loop: one row per object with a non-empty
-/// interval set.  With `workers > 1` and enough candidates, contiguous id
-/// shards evaluate on scoped threads — disjoint objects never share state,
-/// so the shards are independent and the concatenation (re-sorted by
-/// [`VarRelation::new`]) is identical to the serial result.
 type Rows = Vec<(Vec<Value>, IntervalSet)>;
 
+/// The single-variable candidate loop: one row per object with a non-empty
+/// interval set.
 fn single_var_rows(
     var: &str,
     ids: &[u64],
-    workers: usize,
-    eval_one: &(impl Fn(&Env) -> FtlResult<IntervalSet> + Sync),
+    eval_one: &impl Fn(&Env) -> FtlResult<IntervalSet>,
 ) -> FtlResult<Rows> {
     // One registry batch per atom's candidate loop, never per candidate.
     most_obs::observe("ftl.candidates", ids.len() as u64);
     most_obs::add("ftl.candidates_evaluated", ids.len() as u64);
-    let serial = |shard: &[u64]| -> FtlResult<Rows> {
-        let mut env = Env::new();
-        let mut rows = Vec::new();
-        for &id in shard {
-            env.set(var, Value::Id(id));
-            let set = eval_one(&env)?;
-            if !set.is_empty() {
-                rows.push((vec![Value::Id(id)], set));
-            }
-        }
-        Ok(rows)
-    };
-    let workers = workers.max(1).min(ids.len());
-    if workers <= 1 || ids.len() < PARALLEL_MIN_CANDIDATES {
-        return serial(ids);
-    }
-    let chunk = ids.len().div_ceil(workers);
-    let results: Vec<FtlResult<Rows>> =
-        std::thread::scope(|s| {
-            let handles: Vec<_> = ids
-                .chunks(chunk)
-                .map(|shard| s.spawn(move || serial(shard)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("atom worker panicked"))
-                .collect()
-        });
+    let mut env = Env::new();
     let mut rows = Vec::new();
-    for r in results {
-        rows.extend(r?);
+    for &id in ids {
+        env.set(var, Value::Id(id));
+        let set = eval_one(&env)?;
+        if !set.is_empty() {
+            rows.push((vec![Value::Id(id)], set));
+        }
     }
     Ok(rows)
 }

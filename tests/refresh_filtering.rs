@@ -1,8 +1,8 @@
 //! Soundness of the refresh engine's dependency filtering (ISSUE 2
 //! acceptance): a randomized lockstep property drives two databases — one
-//! with dependency-set filtering (and parallel refresh workers), one
-//! re-evaluating every registered query on every update, the paper's
-//! literal reading — through the same event sequence and asserts their
+//! with dependency-set filtering, one re-evaluating every registered query
+//! on every update, the paper's literal reading — through the same event
+//! sequence and asserts their
 //! materialized `Answer(CQ)`s are identical after **every** event.  Any
 //! update whose refresh the engine skips therefore never changes a query's
 //! reference-semantics answer.
@@ -80,10 +80,9 @@ const QUERIES: &[&str] = &[
     "RETRIEVE o WHERE true",
 ];
 
-fn build_db(filtering: bool, workers: usize) -> (Database, Vec<u64>) {
+fn build_db(filtering: bool) -> (Database, Vec<u64>) {
     let mut db = Database::new(EXPIRATION);
     db.set_refresh_filtering(filtering);
-    db.set_refresh_workers(workers);
     let starts = [
         (Point::new(-60.0, 0.0), Velocity::new(1.0, 0.0)),
         (Point::new(40.0, 10.0), Velocity::new(-1.0, 0.0)),
@@ -147,8 +146,8 @@ fn skipped_refreshes_never_change_an_answer() {
     Check::new("refresh::skipped_refreshes_never_change_an_answer")
         .cases(24)
         .run(&arb_events(), |events| {
-            let (mut filtered, mut ids_a) = build_db(true, 3);
-            let (mut unfiltered, mut ids_b) = build_db(false, 1);
+            let (mut filtered, mut ids_a) = build_db(true);
+            let (mut unfiltered, mut ids_b) = build_db(false);
             let cqs: Vec<u64> = QUERIES
                 .iter()
                 .map(|src| {
@@ -189,7 +188,7 @@ fn skipped_refreshes_never_change_an_answer() {
 
 #[test]
 fn irrelevant_updates_are_skipped_and_counted() {
-    let (mut db, ids) = build_db(true, 1);
+    let (mut db, ids) = build_db(true);
     let spatial = db
         .register_continuous(Query::parse("RETRIEVE o WHERE Eventually INSIDE(o, P)").unwrap())
         .unwrap();
