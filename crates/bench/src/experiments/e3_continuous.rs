@@ -7,7 +7,7 @@
 
 use crate::table::{fmt_duration, fmt_f64};
 use crate::{Scale, Table};
-use most_core::{Database, RefreshMode};
+use most_core::Database;
 use most_ftl::Query;
 use most_spatial::Polygon;
 use most_workload::cars::{apply_due_updates, CarScenario};
@@ -66,45 +66,36 @@ pub fn run(scale: Scale) -> Table {
             "1".into(),
         ]);
 
-        // MOST regimes: materialized answer; full vs incremental refresh.
-        for (label, mode) in [
-            ("MOST (full refresh)", RefreshMode::Full),
-            ("MOST (incremental refresh)", RefreshMode::Incremental),
-        ] {
-            let mut db = Database::new(window * 2);
-            db.set_refresh_mode(mode);
-            db.add_region("P", region.clone());
-            let ids = scenario.populate(&mut db, &plans);
-            let t0 = Instant::now();
-            let cq = db.register_continuous(query.clone()).expect("register");
-            let mut displays_most = Vec::with_capacity(window as usize);
-            for t in 1..=window {
-                db.advance_clock(1);
-                apply_due_updates(&mut db, &ids, &plans, t - 1, t);
-                displays_most.push(db.continuous_display(cq, t).expect("display"));
-            }
-            let most_time = t0.elapsed();
-            let most_evals = db.continuous_evaluations() + db.incremental_refreshes();
-            assert_eq!(displays_most, displays_naive, "{label} must agree with per-tick");
-            table.row(vec![
-                window.to_string(),
-                updates.to_string(),
-                label.into(),
-                most_evals.to_string(),
-                fmt_duration(most_time),
-                fmt_f64(naive_time.as_secs_f64() / most_time.as_secs_f64().max(1e-9)),
-            ]);
+        // MOST: one materialized answer, refreshed on explicit updates only.
+        let mut db = Database::new(window * 2);
+        db.add_region("P", region.clone());
+        let ids = scenario.populate(&mut db, &plans);
+        let t0 = Instant::now();
+        let cq = db.register_continuous(query.clone()).expect("register");
+        let mut displays_most = Vec::with_capacity(window as usize);
+        for t in 1..=window {
+            db.advance_clock(1);
+            apply_due_updates(&mut db, &ids, &plans, t - 1, t);
+            displays_most.push(db.continuous_display(cq, t).expect("display"));
         }
+        let most_time = t0.elapsed();
+        assert_eq!(displays_most, displays_naive, "MOST must agree with per-tick");
+        table.row(vec![
+            window.to_string(),
+            updates.to_string(),
+            "MOST".into(),
+            db.continuous_evaluations().to_string(),
+            fmt_duration(most_time),
+            fmt_f64(naive_time.as_secs_f64() / most_time.as_secs_f64().max(1e-9)),
+        ]);
     }
     table.note(
         "Claimed shape: MOST performs at most 1 + (#updates) evaluations regardless \
          of the window length; per-tick re-evaluation performs one per tick.  The \
          evaluations column counts answer-CHANGING evaluations (a refresh whose \
          merged answer is byte-identical past the boundary is a no-op and no longer \
-         miscounts the metric), so the full-refresh row can sit well under \
-         1 + #updates.  All displays are asserted identical tick by tick.  The \
-         incremental regime (extension) re-evaluates only the changed object's \
-         instantiations, pushing the crossover far beyond one update per tick.",
+         miscounts the metric), so the MOST row can sit well under 1 + #updates.  \
+         All displays are asserted identical tick by tick.",
     );
     table.mark_measured(&["time", "speedup vs per-tick"]);
     table
@@ -117,20 +108,17 @@ mod tests {
     #[test]
     fn most_evaluates_once_plus_updates() {
         let t = run(Scale::Quick);
-        // Rows come in triples: per-tick, MOST full, MOST incremental.
-        for chunk in t.rows.chunks(3) {
+        // Rows come in pairs: per-tick, MOST.
+        for chunk in t.rows.chunks(2) {
             let window: f64 = chunk[0][0].parse().unwrap();
             let updates: f64 = chunk[0][1].parse().unwrap();
             let naive_evals: f64 = chunk[0][3].parse().unwrap();
-            let full_evals: f64 = chunk[1][3].parse().unwrap();
-            let incr_evals: f64 = chunk[2][3].parse().unwrap();
+            let most_evals: f64 = chunk[1][3].parse().unwrap();
             assert_eq!(naive_evals, window);
             // `evaluations` counts answer-changing evaluations only: at most
             // one per update on top of the registration evaluation.
-            assert!(full_evals >= 1.0);
-            assert!(full_evals <= 1.0 + updates);
-            assert!(incr_evals <= 1.0 + updates);
-            assert!(full_evals <= naive_evals + updates);
+            assert!(most_evals >= 1.0);
+            assert!(most_evals <= 1.0 + updates);
         }
         // With no updates at all, exactly one evaluation served everything.
         assert_eq!(t.cell_f64(1, "evaluations"), Some(1.0));

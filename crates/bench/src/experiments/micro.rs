@@ -13,7 +13,7 @@ use crate::table::fmt_duration;
 use crate::timing::bench;
 use crate::{Scale, Table};
 use most_core::rewrite::{MostDbmsLayer, MovingTableDef};
-use most_core::{Database, RefreshMode};
+use most_core::Database;
 use most_dbms::expr::{CmpOp, Expr};
 use most_dbms::query::SelectQuery;
 use most_dbms::schema::ColumnType;
@@ -119,24 +119,6 @@ pub fn run(scale: Scale) -> Table {
             total
         });
         add(&mut table, "continuous", format!("materialized_once/n{n}"), s);
-        let s = bench(warmup, samples, || {
-            let mut db = build_db(n);
-            db.set_refresh_mode(RefreshMode::Incremental);
-            let cq = db.register_continuous(query.clone()).expect("register");
-            let ids = db.object_ids();
-            let mut total = 0usize;
-            for t in 0..window {
-                db.advance_clock(1);
-                // One motion update per tick: the regime where refresh
-                // strategy dominates.
-                let id = ids[(t as usize) % ids.len()];
-                let v = db.object(id).expect("exists").velocity_at(t + 1).expect("spatial");
-                db.update_motion(id, v).expect("update");
-                total += db.continuous_display(cq, t + 1).expect("display").len();
-            }
-            total
-        });
-        add(&mut table, "continuous", format!("materialized_incremental/n{n}"), s);
         let s = bench(warmup, samples, || {
             let mut db = build_db(n);
             let mut total = 0usize;

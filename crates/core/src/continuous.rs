@@ -48,8 +48,6 @@ pub struct ContinuousRegistry {
     /// (initial registration + answer-changing refreshes) — the E3 cost
     /// metric.
     pub evaluations: u64,
-    /// Incremental (per-object) refreshes performed.
-    pub incremental_refreshes: u64,
     /// Refreshes skipped outright because the triggering updates were
     /// outside the query's dependency set (no evaluation performed).
     pub skipped_refreshes: u64,
@@ -113,23 +111,6 @@ impl ContinuousRegistry {
         self.entries.iter().map(|(k, v)| (*k, v))
     }
 
-    /// Applies an incremental refresh for one changed object.  `nanos` is
-    /// the wall-clock cost of the per-object re-evaluation.
-    pub fn refresh_incremental(
-        &mut self,
-        id: u64,
-        boundary: Tick,
-        changed: &Value,
-        fresh: Answer,
-        nanos: u64,
-    ) {
-        if let Some(entry) = self.entries.get_mut(&id) {
-            entry.answer = merge_incremental(&entry.answer, boundary, changed, &fresh);
-            entry.refresh_nanos += nanos;
-            self.incremental_refreshes += 1;
-        }
-    }
-
     /// Replaces an entry's answer after a refresh evaluation.  `nanos` is
     /// the wall-clock cost of the evaluation that produced `new_answer`.
     ///
@@ -163,66 +144,6 @@ impl ContinuousRegistry {
     pub fn ids(&self) -> Vec<u64> {
         self.entries.keys().copied().collect()
     }
-}
-
-/// Incremental refresh (DESIGN.md extension): merges only the rows that
-/// involve the `changed` object.  Sound whenever an instantiation's
-/// satisfaction depends solely on the objects it binds — true for every FTL
-/// formula whose terms reference objects only through variables (atoms are
-/// evaluated per instantiation).  Callers must fall back to a full refresh
-/// when the formula mentions a fixed object id.
-///
-/// * old rows **not** containing `changed` are kept verbatim (the update
-///   cannot affect them);
-/// * old rows containing `changed` keep only their already-served past
-///   (`< boundary`);
-/// * `fresh` (the re-evaluation restricted to instantiations containing
-///   `changed`) contributes the future (`>= boundary`).
-pub fn merge_incremental(
-    old: &Answer,
-    boundary: Tick,
-    changed: &Value,
-    fresh: &Answer,
-) -> Answer {
-    assert_eq!(
-        old.vars, fresh.vars,
-        "merge_incremental: answers disagree on target variables"
-    );
-    let mut rows: BTreeMap<Vec<Value>, IntervalSet> = BTreeMap::new();
-    let past = (boundary > 0)
-        .then(|| IntervalSet::singleton(Interval::new(0, boundary - 1)));
-    for tup in &old.tuples {
-        if tup.values.contains(changed) {
-            if let Some(past) = &past {
-                let clipped = tup.intervals.intersect(past);
-                if !clipped.is_empty() {
-                    rows.insert(tup.values.clone(), clipped);
-                }
-            }
-        } else {
-            rows.insert(tup.values.clone(), tup.intervals.clone());
-        }
-    }
-    // `[boundary, Tick::MAX]` — well-formed for every boundary, including
-    // `Tick::MAX` itself (`Tick::MAX - 1` as the end both excluded valid
-    // ticks and made the constructor panic at the top of the domain).
-    let future = IntervalSet::singleton(Interval::new(boundary, Tick::MAX));
-    for tup in &fresh.tuples {
-        debug_assert!(tup.values.contains(changed));
-        let clipped = tup.intervals.intersect(&future);
-        if clipped.is_empty() {
-            continue;
-        }
-        rows.entry(tup.values.clone())
-            .and_modify(|s| *s = s.union(&clipped))
-            .or_insert(clipped);
-    }
-    Answer::new(
-        old.vars.clone(),
-        rows.into_iter()
-            .map(|(values, intervals)| AnswerTuple { values, intervals })
-            .collect(),
-    )
 }
 
 /// The difference between two continuous-query displays, as `(added,
@@ -356,7 +277,6 @@ most_testkit::json_struct!(ContinuousRegistry {
     next,
     entries,
     evaluations,
-    incremental_refreshes,
     skipped_refreshes,
     noop_refreshes
 });
@@ -486,33 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_incremental_empty_fresh_deletes_future_of_changed() {
-        let changed = Value::Id(1);
-        let old = answer(&[(1, &[(2, 9)]), (2, &[(2, 9)])]);
-        let fresh = answer(&[]);
-        let merged = merge_incremental(&old, 4, &changed, &fresh);
-        // Changed object keeps only its served past [2,3].
-        assert_eq!(
-            merged.intervals_for(&[Value::Id(1)]).unwrap(),
-            &IntervalSet::singleton(Interval::new(2, 3))
-        );
-        // Unchanged object is untouched.
-        assert_eq!(
-            merged.intervals_for(&[Value::Id(2)]).unwrap(),
-            &IntervalSet::singleton(Interval::new(2, 9))
-        );
-    }
-
-    #[test]
-    fn merge_incremental_at_zero_boundary_drops_changed_past() {
-        let changed = Value::Id(1);
-        let old = answer(&[(1, &[(0, 9)])]);
-        let fresh = answer(&[]);
-        let merged = merge_incremental(&old, 0, &changed, &fresh);
-        assert!(merged.intervals_for(&[Value::Id(1)]).is_none());
-    }
-
-    #[test]
     fn merge_at_tick_max_boundary_keeps_past_and_final_tick() {
         // A boundary at the very top of the tick domain used to construct
         // the inverted interval [MAX, MAX-1] and panic; it must instead
@@ -529,17 +422,6 @@ mod tests {
         );
         // Object 2's contribution lies entirely below the boundary: dropped.
         assert!(merged.intervals_for(&[Value::Id(2)]).is_none());
-
-        let changed = Value::Id(1);
-        let fresh = answer(&[(1, &[(Tick::MAX, Tick::MAX)])]);
-        let inc = merge_incremental(&old, Tick::MAX, &changed, &fresh);
-        assert_eq!(
-            inc.intervals_for(&[Value::Id(1)]).unwrap(),
-            &IntervalSet::from_intervals([
-                Interval::new(0, 5),
-                Interval::new(Tick::MAX, Tick::MAX),
-            ])
-        );
     }
 
     #[test]

@@ -7,7 +7,6 @@ use crate::deps::{DepSet, UpdateKind};
 use crate::dynamic::AttrFunction;
 use crate::error::{CoreError, CoreResult};
 use crate::object::MovingObject;
-use crate::refresh::PlanState;
 use crate::snapshot::{ContextMode, DbContext};
 use crate::trigger::{TriggerEvent, TriggerRegistry};
 use most_dbms::value::Value;
@@ -70,20 +69,6 @@ pub enum UpdateOp {
     },
 }
 
-/// How continuous queries are kept fresh on explicit updates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RefreshMode {
-    /// Re-evaluate every registered query in full (the paper's literal
-    /// "reevaluated when an update occurs").
-    #[default]
-    Full,
-    /// Re-evaluate only the instantiations involving the changed object —
-    /// sound because an instantiation's satisfaction depends solely on the
-    /// objects it binds; formulas that mention fixed object ids fall back
-    /// to a full refresh (see `continuous::merge_incremental`).
-    Incremental,
-}
-
 /// Cumulative database statistics (cost accounting for the experiments).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DbStats {
@@ -126,19 +111,10 @@ pub struct Database {
     objects: BTreeMap<u64, MovingObject>,
     regions: BTreeMap<String, Polygon>,
     pub(crate) continuous: ContinuousRegistry,
-    refresh_mode: RefreshMode,
     triggers: TriggerRegistry,
     spatial_index: Option<SpatialIndexState>,
     /// Cost counters.
     pub stats: DbStats,
-    // Refresh-engine knobs (runtime tuning, not part of the persisted
-    // state: a loaded database starts at the defaults).
-    refresh_filtering: bool,
-    // Compiled-plan machinery (derived acceleration state, not part of the
-    // persisted snapshot: plans recompile lazily after loading).
-    compiled_plans: bool,
-    pub(crate) plans: BTreeMap<u64, PlanState>,
-    pub(crate) plan_generation: u64,
     attr_index: Option<AttrIndexState>,
     // Fault injection for panic-safety tests (not persisted): when set,
     // evaluating any query that reads this attribute panics at evaluation
@@ -146,7 +122,6 @@ pub struct Database {
     eval_fault: Option<String>,
 }
 
-most_testkit::json_enum!(RefreshMode { Full, Incremental });
 most_testkit::json_struct!(DbStats { updates, instantaneous_queries });
 most_testkit::json_struct!(MotionUpdate { position, velocity });
 most_testkit::json_enum!(UpdateOp {
@@ -168,7 +143,6 @@ impl most_testkit::ser::ToJson for Database {
             ("objects".to_owned(), self.objects.to_json()),
             ("regions".to_owned(), self.regions.to_json()),
             ("continuous".to_owned(), self.continuous.to_json()),
-            ("refresh_mode".to_owned(), self.refresh_mode.to_json()),
             ("triggers".to_owned(), self.triggers.to_json()),
             ("stats".to_owned(), self.stats.to_json()),
         ])
@@ -185,14 +159,9 @@ impl most_testkit::ser::FromJson for Database {
             objects: most_testkit::ser::FromJson::from_json(j.field("objects")?)?,
             regions: most_testkit::ser::FromJson::from_json(j.field("regions")?)?,
             continuous: most_testkit::ser::FromJson::from_json(j.field("continuous")?)?,
-            refresh_mode: most_testkit::ser::FromJson::from_json(j.field("refresh_mode")?)?,
             triggers: most_testkit::ser::FromJson::from_json(j.field("triggers")?)?,
             spatial_index: None,
             stats: most_testkit::ser::FromJson::from_json(j.field("stats")?)?,
-            refresh_filtering: true,
-            compiled_plans: true,
-            plans: BTreeMap::new(),
-            plan_generation: 0,
             attr_index: None,
             eval_fault: None,
         })
@@ -273,14 +242,9 @@ impl Database {
             objects: BTreeMap::new(),
             regions: BTreeMap::new(),
             continuous: ContinuousRegistry::new(),
-            refresh_mode: RefreshMode::default(),
             triggers: TriggerRegistry::new(),
             spatial_index: None,
             stats: DbStats::default(),
-            refresh_filtering: true,
-            compiled_plans: true,
-            plans: BTreeMap::new(),
-            plan_generation: 0,
             attr_index: None,
             eval_fault: None,
         }
@@ -304,45 +268,6 @@ impl Database {
     /// the MOST model is that answers change with time *without* updates.
     pub fn advance_clock(&mut self, ticks: Duration) {
         self.clock += ticks;
-    }
-
-    /// Selects how continuous queries are refreshed on updates.
-    pub fn set_refresh_mode(&mut self, mode: RefreshMode) {
-        self.refresh_mode = mode;
-    }
-
-    /// The current refresh mode.
-    pub fn refresh_mode(&self) -> RefreshMode {
-        self.refresh_mode
-    }
-
-    /// Enables/disables dependency-set filtering of refreshes (on by
-    /// default).  With filtering off, every explicit update re-evaluates
-    /// every registered query — the paper's literal reading.
-    pub fn set_refresh_filtering(&mut self, on: bool) {
-        self.refresh_filtering = on;
-    }
-
-    /// Whether dependency-set filtering is enabled.
-    pub fn refresh_filtering(&self) -> bool {
-        self.refresh_filtering
-    }
-
-    /// Enables/disables compiled query plans for continuous queries (on by
-    /// default).  With plans on, each registered query is lowered once into
-    /// a flat atom plan whose per-atom interval relations are cached across
-    /// refreshes and invalidated per dependency set.  Disabling drops every
-    /// plan and cache; refreshes fall back to interpreting the AST.
-    pub fn set_compiled_plans(&mut self, on: bool) {
-        self.compiled_plans = on;
-        if !on {
-            self.plans.clear();
-        }
-    }
-
-    /// Whether compiled plans are enabled.
-    pub fn compiled_plans(&self) -> bool {
-        self.compiled_plans
     }
 
     // ------------------------------------------------------------------
@@ -472,9 +397,6 @@ impl Database {
     /// Registers a named region (polygon) for `INSIDE` / `OUTSIDE`.
     pub fn add_region(&mut self, name: impl Into<String>, poly: Polygon) {
         self.regions.insert(name.into(), poly);
-        // Region (re)definitions bypass the update classifier; bumping the
-        // generation flushes every compiled-plan cache at its next use.
-        self.plan_generation += 1;
     }
 
     /// The paper's opening query — "How far is the car with license plate
@@ -729,27 +651,12 @@ impl Database {
     /// Evaluates a query on the implicit future history starting now and
     /// returns the answer in **global** clock ticks.
     pub(crate) fn evaluate_global(&self, q: &Query) -> CoreResult<Answer> {
-        self.evaluate_global_via(q, None)
-    }
-
-    /// [`Database::evaluate_global`], optionally through `q`'s compiled
-    /// plan: cached atom relations are replayed verbatim, freshly computed
-    /// ones are harvested back into the plan's cache for the next refresh.
-    pub(crate) fn evaluate_global_via(
-        &self,
-        q: &Query,
-        plan: Option<&mut PlanState>,
-    ) -> CoreResult<Answer> {
         if let Some(marker) = &self.eval_fault {
             if DepSet::of_query(q).attrs.contains(marker) {
                 panic!("injected evaluation fault: attribute `{marker}`");
             }
         }
-        let ctx = self.current_context();
-        let local = match plan {
-            Some(state) => most_ftl::evaluate_compiled(&ctx, &state.plan, &mut state.cache)?,
-            None => evaluate_query(&ctx, q)?,
-        };
+        let local = evaluate_query(&self.current_context(), q)?;
         Ok(shift_answer(local, self.clock))
     }
 
@@ -811,14 +718,7 @@ impl Database {
     /// refreshed only on explicit updates.  Returns the query id.
     pub fn register_continuous(&mut self, q: Query) -> CoreResult<u64> {
         let answer = self.evaluate_global(&q)?;
-        // Compile once at registration (the tentpole of the compiled-plan
-        // engine): refreshes replay this plan instead of re-walking the AST.
-        let plan = self.compiled_plans.then(|| PlanState::compile(&q));
-        let id = self.continuous.register(q, self.clock, answer);
-        if let Some(state) = plan {
-            self.plans.insert(id, state);
-        }
-        Ok(id)
+        Ok(self.continuous.register(q, self.clock, answer))
     }
 
     /// The materialized `Answer(CQ)` (global ticks).
@@ -841,7 +741,6 @@ impl Database {
 
     /// Cancels a continuous query.
     pub fn cancel_continuous(&mut self, id: u64) -> CoreResult<()> {
-        self.plans.remove(&id);
         if self.continuous.cancel(id) {
             Ok(())
         } else {
@@ -852,11 +751,6 @@ impl Database {
     /// Total continuous-query evaluations performed so far (E3 metric).
     pub fn continuous_evaluations(&self) -> u64 {
         self.continuous.evaluations
-    }
-
-    /// Incremental (per-object) refreshes performed so far.
-    pub fn incremental_refreshes(&self) -> u64 {
-        self.continuous.incremental_refreshes
     }
 
     /// Refreshes skipped by dependency-set filtering so far.
@@ -880,11 +774,10 @@ impl Database {
     /// regions, continuous-query answers, triggers, counters.  Two
     /// things are deliberately excluded:
     ///
-    /// * derived acceleration structures (spatial/attr indexes,
-    ///   compiled plans), exactly as in
-    ///   [`ToJson`](most_testkit::ser::ToJson) — a recovered or
-    ///   replicated copy that rebuilds them on demand still
-    ///   fingerprints equal;
+    /// * derived acceleration structures (spatial/attr indexes), exactly
+    ///   as in [`ToJson`](most_testkit::ser::ToJson) — a recovered or
+    ///   replicated copy that rebuilds them on demand still fingerprints
+    ///   equal;
     /// * wall-clock performance accounting (the per-CQ `refresh_nanos`
     ///   timing, zeroed at its one known location
     ///   `continuous.entries.<id>.refresh_nanos`), which is measured,
@@ -1153,8 +1046,8 @@ impl Database {
 
 /// Whether a formula references a fixed object id through a constant term
 /// (only constructible programmatically; the FTL grammar has no id
-/// literals).  Such formulas make rows independent of their own bindings
-/// impossible to guarantee, so incremental refresh must not be used.
+/// literals).  A row of such a query depends on an object it does not
+/// bind, so per-shard evaluation cannot answer it.
 pub(crate) fn formula_mentions_fixed_objects(f: &most_ftl::Formula) -> bool {
     use most_ftl::ast::{Formula, Term};
     fn term_has_id(t: &Term) -> bool {
@@ -1457,15 +1350,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn compiled_plans_match_interpreter_refreshes() {
-        let fast = highway_db();
-        let mut slow = highway_db();
-        slow.set_compiled_plans(false);
-        assert!(fast.compiled_plans() && !slow.compiled_plans());
-        assert_twin_answers(fast, slow);
     }
 
     #[test]

@@ -25,12 +25,14 @@
 //! filtering would require a class atom first and is future work), and
 //! negation/expansion make every query sensitive to the domain.
 //!
-//! Soundness (property-tested in `tests/refresh_filtering.rs`): evaluation
-//! is a deterministic function of the active domain, the trajectories, the
-//! mentioned attributes' series and the referenced regions.  An update that
-//! changes none of the components a query reads leaves its re-evaluation —
-//! and hence the merged answer — unchanged, so skipping the refresh is
-//! observationally invisible.
+//! Soundness (property-tested in `tests/continuous_maintenance.rs`):
+//! evaluation is a deterministic function of the active domain, the
+//! trajectories, the mentioned attributes' series and the referenced
+//! regions.  An update that changes none of the components a query reads
+//! leaves its re-evaluation unchanged on the window the materialized answer
+//! already covers, so skipping the refresh is invisible there.  What a skip
+//! does forgo is the horizon extension a re-evaluation at a later tick
+//! brings (ROADMAP item 4).
 
 use most_ftl::ast::{Formula, Term};
 use most_ftl::numeric::is_motion_attr;

@@ -42,7 +42,7 @@ pub mod wal;
 
 pub use class::ClassDef;
 pub use continuous::display_delta;
-pub use database::{Database, MotionUpdate, RefreshMode, UpdateOp};
+pub use database::{Database, MotionUpdate, UpdateOp};
 pub use deps::{DepSet, UpdateKind};
 pub use dynamic::{AttrFunction, DynamicAttribute};
 pub use epoch::{EpochDb, EpochPin, EpochSnapshot, EpochStats, PublishObserver};

@@ -14,7 +14,7 @@
 //! at evaluation entry, on the exact production path (refresh pass, epoch
 //! writers).
 
-use most_core::{CoreError, Database, RefreshMode, SharedDatabase, UpdateOp};
+use most_core::{CoreError, Database, SharedDatabase, UpdateOp};
 use most_ftl::Query;
 use most_spatial::{Point, Polygon, Velocity};
 
@@ -109,45 +109,32 @@ fn panicking_evaluation_fails_only_that_query() {
 
 #[test]
 fn faulty_query_catches_up_on_the_next_clean_batch() {
-    for mode in [RefreshMode::Full, RefreshMode::Incremental] {
-        let (mut db, faulty, _healthy) = armed_db(6);
-        db.set_refresh_mode(mode);
-        let compiles = most_obs::counter_value("ftl.plan.compiles");
+    let (mut db, faulty, _healthy) = armed_db(6);
 
-        // The failing batch takes object 1 out of the true answer; the
-        // materialized one could not refresh and goes stale.
-        let err = db.apply_updates(&batch_with_boom(6, 500.0)).unwrap_err();
-        assert!(matches!(err, CoreError::EvalPanic(_)), "{mode:?}: {err:?}");
-        db.set_eval_fault(None);
-        assert_ne!(
-            db.continuous_display(faulty, db.now()).unwrap(),
-            fresh_display(&db),
-            "{mode:?}: the failed refresh must have left a stale display to repair"
-        );
+    // The failing batch takes object 1 out of the true answer; the
+    // materialized one could not refresh and goes stale.
+    let err = db.apply_updates(&batch_with_boom(6, 500.0)).unwrap_err();
+    assert!(matches!(err, CoreError::EvalPanic(_)), "{err:?}");
+    db.set_eval_fault(None);
+    assert_ne!(
+        db.continuous_display(faulty, db.now()).unwrap(),
+        fresh_display(&db),
+        "the failed refresh must have left a stale display to repair"
+    );
 
-        // The next batch repairs it: in Full mode the plan dropped on the
-        // panic recompiles lazily and the query re-evaluates; Incremental
-        // re-evaluates every object the batch touches.
-        db.advance_clock(1);
-        db.apply_updates(&batch_with_boom(6, 600.0)).unwrap();
-        assert_eq!(
-            db.continuous_display(faulty, db.now()).unwrap(),
-            fresh_display(&db),
-            "{mode:?}: the faulty CQ must catch up once the fault clears"
-        );
-        if cfg!(feature = "obs") && mode == RefreshMode::Full {
-            assert!(
-                most_obs::counter_value("ftl.plan.compiles") > compiles,
-                "the dropped plan must recompile"
-            );
-        }
-    }
+    // The next batch re-evaluates the query and repairs it.
+    db.advance_clock(1);
+    db.apply_updates(&batch_with_boom(6, 600.0)).unwrap();
+    assert_eq!(
+        db.continuous_display(faulty, db.now()).unwrap(),
+        fresh_display(&db),
+        "the faulty CQ must catch up once the fault clears"
+    );
 }
 
 #[test]
-fn panicking_evaluation_is_counted_and_survives_under_incremental_mode() {
+fn panicking_evaluation_is_counted() {
     let (mut db, _faulty, _healthy) = armed_db(4);
-    db.set_refresh_mode(RefreshMode::Incremental);
     let before = most_obs::counter_value("refresh.worker_panics");
     let err = db.apply_updates(&motion_batch(4)).unwrap_err();
     assert!(matches!(err, CoreError::EvalPanic(_)));

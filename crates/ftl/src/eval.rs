@@ -159,28 +159,7 @@ fn collect_object_vars(f: &Formula, out: &mut BTreeSet<String>) {
     }
 }
 
-/// Evaluation entry point for every subformula: when a compiled-plan cache
-/// session is active (see [`crate::plan::evaluate_compiled`]) and `f` is
-/// one of the plan's atoms, its relation is replayed from — or recorded
-/// into — the session; everything else falls through to the bottom-up
-/// computation unchanged.
 fn eval_formula(
-    ctx: &dyn EvalContext,
-    f: &Formula,
-    obj_vars: &BTreeSet<String>,
-) -> FtlResult<VarRelation> {
-    match crate::plan::probe(f) {
-        crate::plan::Probe::Hit(rel) => Ok(rel),
-        crate::plan::Probe::Miss(key) => {
-            let rel = eval_formula_uncached(ctx, f, obj_vars)?;
-            crate::plan::store(key, &rel);
-            Ok(rel)
-        }
-        crate::plan::Probe::Off => eval_formula_uncached(ctx, f, obj_vars),
-    }
-}
-
-fn eval_formula_uncached(
     ctx: &dyn EvalContext,
     f: &Formula,
     obj_vars: &BTreeSet<String>,
@@ -211,8 +190,8 @@ fn eval_formula_uncached(
             // the region at all.  Only sound for a bare object variable
             // (INSIDE is monotone in the candidate set: non-candidates have
             // empty interval sets and would be dropped anyway).
-            let pruned = match (term, ctx.inside_candidates(&poly)) {
-                (Term::Var(_), Some(ids)) => Some(ids),
+            let pruned = match term {
+                Term::Var(_) => ctx.inside_candidates(&poly),
                 _ => None,
             };
             let eval_one = |env: &Env| {
@@ -678,8 +657,8 @@ fn point_motion(
                 "variable `{name}` = {other} is not an object in a spatial predicate"
             ))),
         },
-        // Constant object references arise from pinned evaluation (e.g.
-        // incremental continuous-query refresh).
+        // Constant object references arise from pinned evaluation (the
+        // assignment quantifier binding a variable to an object).
         Term::Const(Value::Id(id)) => Ok(ctx.trajectory(*id)),
         Term::Const(Value::Null) => Ok(None),
         other => Err(FtlError::Type(format!(
@@ -972,6 +951,58 @@ mod tests {
         assert!(a
             .intervals_for(&[Value::Id(1)])
             .is_some_and(|s| s.last_tick() == Some(55)));
+    }
+
+    /// [`ctx`] behind a position "index" that prunes nothing and counts
+    /// how often it is probed.
+    struct CountingIndex {
+        inner: MemoryContext,
+        probes: std::cell::Cell<u32>,
+    }
+
+    impl EvalContext for CountingIndex {
+        fn horizon(&self) -> most_temporal::Horizon {
+            self.inner.horizon()
+        }
+        fn object_ids(&self) -> Vec<u64> {
+            self.inner.object_ids()
+        }
+        fn trajectory(&self, id: u64) -> Option<Trajectory> {
+            self.inner.trajectory(id)
+        }
+        fn attr_series(&self, id: u64, name: &str) -> Vec<(Value, Interval)> {
+            self.inner.attr_series(id, name)
+        }
+        fn region(&self, name: &str) -> Option<Polygon> {
+            self.inner.region(name)
+        }
+        fn inside_candidates(&self, _region: &Polygon) -> Option<Vec<u64>> {
+            self.probes.set(self.probes.get() + 1);
+            Some(self.inner.object_ids())
+        }
+    }
+
+    #[test]
+    fn inside_over_a_pinned_object_does_not_probe_the_index() {
+        // What the assignment quantifier's `body.pin(..)` produces, once per
+        // instantiation: the candidate set could only be discarded.
+        let indexed = CountingIndex { inner: ctx(), probes: std::cell::Cell::new(0) };
+        let pinned = Query {
+            targets: vec![],
+            formula: Formula::Inside(Term::Const(Value::Id(1)), "P".into()),
+        };
+        assert_eq!(
+            evaluate_query(&indexed, &pinned).unwrap(),
+            evaluate_query(&ctx(), &pinned).unwrap()
+        );
+        assert_eq!(indexed.probes.get(), 0);
+        // A bare variable is what the index is for.
+        let bare = Query::parse("RETRIEVE o WHERE INSIDE(o, P)").unwrap();
+        assert_eq!(
+            evaluate_query(&indexed, &bare).unwrap(),
+            evaluate_query(&ctx(), &bare).unwrap()
+        );
+        assert_eq!(indexed.probes.get(), 1);
     }
 }
 

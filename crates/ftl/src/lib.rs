@@ -44,7 +44,6 @@ pub mod eval;
 pub mod lexer;
 pub mod numeric;
 pub mod parser;
-pub mod plan;
 pub mod relation;
 pub mod semantics;
 
@@ -53,4 +52,3 @@ pub use ast::{Formula, Query, Term};
 pub use context::EvalContext;
 pub use error::{FtlError, FtlResult};
 pub use eval::{evaluate_query, explain_query, TraceNode};
-pub use plan::{evaluate_compiled, AtomCache, CompiledPlan};

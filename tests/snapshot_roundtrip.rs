@@ -7,8 +7,10 @@
 //! recovery): a client that restores a snapshot and replays subsequent
 //! mutations sees exactly what the server sees.
 
-use most_testkit::ser::{from_json_str, to_json_string};
+use most_testkit::ser::{from_json_str, to_json_string, FromJson, Json, ToJson};
+use moving_objects::core::wal::{DurableDb, WalConfig};
 use moving_objects::core::{Database, SharedDatabase, UpdateOp};
+use moving_objects::dbms::value::Value;
 use moving_objects::ftl::Query;
 use moving_objects::spatial::{Polygon, Velocity};
 use moving_objects::workload::cars::{apply_due_updates, CarScenario};
@@ -212,4 +214,92 @@ fn mid_epoch_snapshot_restores_last_published_epoch() {
             "replayed snapshot diverges from published E+1: {q:?}"
         );
     }
+}
+
+/// `checkpoint.json` as the commit before the refresh-regime collapse wrote
+/// it (its `Database` named a refresh regime and its registry counted
+/// per-object refreshes): two cars, region P, an `INSIDE` and a `PRICE`
+/// continuous query, checkpointed at tick 5 under the per-object regime —
+/// so parked car 2's row still ends at tick 100, the horizon of the
+/// registration-time evaluation.
+const PARENT_CHECKPOINT: &str = r#"{"next_seq":2,"db":{"expiration":100,"clock":5,"next_id":3,
+"classes":{"cars":{"name":"cars","spatial":true,"attrs":[]}},
+"objects":{"1":{"id":1,"class":"cars","trajectory":[{"anchor":{"x":0.0,"y":0.0},"since":0,"velocity":{"dx":1.0,"dy":0.0}},{"anchor":{"x":5.0,"y":0.0},"since":5,"velocity":{"dx":2.0,"dy":0.0}}],"statics":{"PRICE":[[0,{"Float":80.0}]]},"dynamics":{}},
+"2":{"id":2,"class":"cars","trajectory":[{"anchor":{"x":50.0,"y":0.0},"since":0,"velocity":{"dx":0.0,"dy":0.0}}],"statics":{"PRICE":[[0,{"Float":150.0}]]},"dynamics":{}}},
+"regions":{"P":[{"x":40.0,"y":-10.0},{"x":60.0,"y":-10.0},{"x":60.0,"y":10.0},{"x":40.0,"y":10.0}]},
+"continuous":{"next":2,"entries":{
+"0":{"query":{"targets":["o"],"formula":{"Inside":[{"Var":"o"},"P"]}},"entered_at":0,"answer":{"vars":["o"],"tuples":[{"values":[{"Id":1}],"intervals":[{"begin":23,"end":32}]},{"values":[{"Id":2}],"intervals":[{"begin":0,"end":100}]}]},"deps":{"position":true,"attrs":[],"regions":["P"]},"refreshes":0,"skipped":0,"refresh_nanos":9877},
+"1":{"query":{"targets":["o"],"formula":{"Cmp":["Le",{"Attr":[{"Var":"o"},"PRICE"]},{"Const":{"Int":100}}]}},"entered_at":0,"answer":{"vars":["o"],"tuples":[{"values":[{"Id":1}],"intervals":[{"begin":0,"end":100}]}]},"deps":{"position":false,"attrs":["PRICE"],"regions":[]},"refreshes":0,"skipped":1,"refresh_nanos":0}},
+"evaluations":2,"incremental_refreshes":1,"skipped_refreshes":1,"noop_refreshes":0},
+"refresh_mode":"Incremental","triggers":{"next":0,"triggers":[]},"stats":{"updates":3,"instantaneous_queries":0}}}"#;
+
+/// What the writing commit displayed from that state: `(cq, tick, ids)`.
+const PARENT_DISPLAYS: &[(u64, u64, &[u64])] = &[
+    (0, 5, &[2]),
+    (0, 30, &[1, 2]),
+    (0, 50, &[2]),
+    (0, 105, &[]),
+    (1, 5, &[1]),
+    (1, 50, &[1]),
+    (1, 105, &[]),
+];
+
+fn assert_parent_displays(db: &Database) {
+    for &(cq, tick, ids) in PARENT_DISPLAYS {
+        let shown: Vec<Vec<Value>> = ids.iter().map(|&id| vec![Value::Id(id)]).collect();
+        assert_eq!(db.continuous_display(cq, tick).unwrap(), shown, "cq {cq} at tick {tick}");
+    }
+}
+
+#[test]
+fn checkpoint_written_before_the_regime_collapse_loads_and_recovers() {
+    // The bare snapshot (`mostql` LOAD, the server's `Snapshot` reply).
+    let doc = Json::parse(PARENT_CHECKPOINT).expect("fixture parses");
+    let db = Database::from_json(doc.field("db").unwrap()).expect("old snapshot loads");
+    assert_eq!(db.now(), 5);
+    assert_parent_displays(&db);
+    // New snapshots carry neither of the two dropped keys.
+    let keys = |j: &Json| match j {
+        Json::Obj(fields) => fields.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+        other => panic!("expected an object, got {}", other.kind()),
+    };
+    let rewritten = db.to_json();
+    assert_eq!(
+        keys(&rewritten),
+        ["expiration", "clock", "next_id", "classes", "objects", "regions", "continuous", "triggers", "stats"]
+    );
+    assert_eq!(
+        keys(rewritten.field("continuous").unwrap()),
+        ["next", "entries", "evaluations", "skipped_refreshes", "noop_refreshes"]
+    );
+
+    // The same document as a WAL directory, as a checkpoint leaves it:
+    // `checkpoint.json` plus the next, still empty, segment.
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("parent_format_wal");
+    let _ = std::fs::remove_dir_all(&dir); // stale state from a failed run
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("checkpoint.json"), PARENT_CHECKPOINT).unwrap();
+    std::fs::write(dir.join("wal-00000002.seg"), b"MOSTWAL1").unwrap();
+    let (durable, recovery) = DurableDb::open(&dir, WalConfig::default()).expect("recovers");
+    assert_eq!((recovery.checkpoint_seq, recovery.records_replayed), (2, 0));
+    assert_parent_displays(durable.pin().db());
+
+    // New records replay over the old checkpoint: a reopened copy equals
+    // the snapshot driven through the same updates, and the batch extends
+    // the parked car's row as every refresh now does.
+    let ops = [UpdateOp::Motion { id: 1, velocity: Velocity::new(1.0, 0.0) }];
+    durable.advance_clock(10).unwrap();
+    durable.apply_updates(&ops).unwrap();
+    drop(durable);
+    let (reopened, recovery) = DurableDb::open(&dir, WalConfig::default()).expect("recovers");
+    assert_eq!(recovery.records_replayed, 2);
+    let mut reference = db;
+    reference.advance_clock(10);
+    reference.apply_updates(&ops).unwrap();
+    assert_eq!(reopened.pin().db().fingerprint(), reference.fingerprint());
+    assert_eq!(
+        reopened.pin().db().continuous_display(0, 105).unwrap(),
+        vec![vec![Value::Id(2)]]
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }
