@@ -18,6 +18,7 @@ use most_ftl::answer::{Answer, AnswerTuple};
 use most_ftl::Query;
 use most_temporal::{Interval, IntervalSet, Tick};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A registered continuous query.
 #[derive(Debug, Clone)]
@@ -26,8 +27,9 @@ pub struct CqEntry {
     pub query: Query,
     /// Global tick at which the query was entered.
     pub entered_at: Tick,
-    /// Materialized answer, in **global** ticks.
-    pub answer: Answer,
+    /// Materialized answer, in **global** ticks.  Shared between epochs
+    /// until a refresh changes it.
+    pub answer: Arc<Answer>,
     /// Statically-extracted dependency set ([`DepSet::of_query`]); the
     /// refresh engine skips updates that cannot affect it.
     pub deps: DepSet,
@@ -74,7 +76,7 @@ impl ContinuousRegistry {
             CqEntry {
                 query,
                 entered_at,
-                answer,
+                answer: Arc::new(answer),
                 deps,
                 refreshes: 0,
                 skipped: 0,
@@ -122,10 +124,10 @@ impl ContinuousRegistry {
         if let Some(entry) = self.entries.get_mut(&id) {
             let merged = merge_answers(&entry.answer, &new_answer, boundary);
             entry.refresh_nanos += nanos;
-            if merged == entry.answer {
+            if merged == *entry.answer {
                 self.noop_refreshes += 1;
             } else {
-                entry.answer = merged;
+                entry.answer = Arc::new(merged);
                 entry.refreshes += 1;
                 self.evaluations += 1;
             }

@@ -12,10 +12,11 @@ use crate::trigger::{TriggerEvent, TriggerRegistry};
 use most_dbms::value::Value;
 use most_ftl::answer::{Answer, AnswerTuple};
 use most_ftl::{evaluate_query, Query};
-use most_index::{DynamicAttributeIndex, IndexKind, MovingObjectIndex2D};
+use most_index::{CowMap, DynamicAttributeIndex, IndexKind, MovingObjectIndex2D};
 use most_spatial::{Point, Polygon, Rect, Velocity};
 use most_temporal::{Duration, IntervalSet, Tick};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A position/velocity report from a sensor (e.g. GPS), applied as one
 /// explicit update.
@@ -102,20 +103,30 @@ pub struct DbStats {
 /// );
 /// assert_eq!(db.continuous_evaluations(), 1);
 /// ```
+///
+/// `Clone` is **structural sharing**, not a deep copy: the clone points at
+/// the same classes, regions, triggers, materialized answers, object
+/// chunks and index nodes, and each side copies only what it later
+/// writes (`Arc::make_mut` at every write site).  The epoch engine leans
+/// on this: one clone per published epoch costs the batch, not the
+/// population.
 #[derive(Debug, Clone)]
 pub struct Database {
+    // Persisted state: exactly what `ToJson` writes and `fingerprint`
+    // hashes.
     expiration: Duration,
     clock: Tick,
     next_id: u64,
-    classes: BTreeMap<String, ClassDef>,
-    objects: BTreeMap<u64, MovingObject>,
-    regions: BTreeMap<String, Polygon>,
+    classes: Arc<BTreeMap<String, ClassDef>>,
+    objects: CowMap<MovingObject>,
+    regions: Arc<BTreeMap<String, Polygon>>,
     pub(crate) continuous: ContinuousRegistry,
-    triggers: TriggerRegistry,
-    spatial_index: Option<SpatialIndexState>,
+    triggers: Arc<TriggerRegistry>,
     /// Cost counters.
     pub stats: DbStats,
-    attr_index: Option<AttrIndexState>,
+    // Derived acceleration: rebuilt from the persisted state on demand,
+    // never serialized, never allowed to change an answer.
+    derived: Derived,
     // Fault injection for panic-safety tests (not persisted): when set,
     // evaluating any query that reads this attribute panics at evaluation
     // entry.  See `set_eval_fault`.
@@ -156,16 +167,32 @@ impl most_testkit::ser::FromJson for Database {
             clock: most_testkit::ser::FromJson::from_json(j.field("clock")?)?,
             next_id: most_testkit::ser::FromJson::from_json(j.field("next_id")?)?,
             classes: most_testkit::ser::FromJson::from_json(j.field("classes")?)?,
-            objects: most_testkit::ser::FromJson::from_json(j.field("objects")?)?,
+            objects: CowMap::from_entries(
+                CHUNKS_COPIED,
+                BTreeMap::<u64, MovingObject>::from_json(j.field("objects")?)?,
+            ),
             regions: most_testkit::ser::FromJson::from_json(j.field("regions")?)?,
             continuous: most_testkit::ser::FromJson::from_json(j.field("continuous")?)?,
             triggers: most_testkit::ser::FromJson::from_json(j.field("triggers")?)?,
-            spatial_index: None,
             stats: most_testkit::ser::FromJson::from_json(j.field("stats")?)?,
-            attr_index: None,
+            derived: Derived::default(),
             eval_fault: None,
         })
     }
+}
+
+/// Counter of object chunks copied because a published epoch still shares
+/// them — the per-batch cost of copy-on-write, by count.
+const CHUNKS_COPIED: &str = "epoch.chunks_copied";
+
+/// The two Section 4 indexes.  Cloning shares them: the octree and its leg
+/// table are path-copied inside `most-index`; the attribute index is one
+/// `Arc`, copied whole by the first batch that writes the indexed
+/// attribute and shared by every batch that does not.
+#[derive(Debug, Clone, Default)]
+struct Derived {
+    spatial_index: Option<SpatialIndexState>,
+    attr_index: Option<Arc<AttrIndexState>>,
 }
 
 #[derive(Debug, Clone)]
@@ -238,14 +265,13 @@ impl Database {
             expiration,
             clock: 0,
             next_id: 1,
-            classes: BTreeMap::new(),
-            objects: BTreeMap::new(),
-            regions: BTreeMap::new(),
+            classes: Arc::default(),
+            objects: CowMap::new(CHUNKS_COPIED),
+            regions: Arc::default(),
             continuous: ContinuousRegistry::new(),
-            triggers: TriggerRegistry::new(),
-            spatial_index: None,
+            triggers: Arc::default(),
             stats: DbStats::default(),
-            attr_index: None,
+            derived: Derived::default(),
             eval_fault: None,
         }
     }
@@ -276,7 +302,7 @@ impl Database {
 
     /// Declares (or replaces) an object class.
     pub fn define_class(&mut self, class: ClassDef) {
-        self.classes.insert(class.name.clone(), class);
+        Arc::make_mut(&mut self.classes).insert(class.name.clone(), class);
     }
 
     /// Inserts a spatial object of `class` at the current tick.  An
@@ -308,23 +334,21 @@ impl Database {
         position: Point,
         velocity: Velocity,
     ) -> CoreResult<()> {
-        if self.objects.contains_key(&id) {
+        if self.objects.contains_key(id) {
             return Err(CoreError::DuplicateObject(id));
         }
         let class = class.into();
-        self.classes
-            .entry(class.clone())
-            .or_insert_with(|| ClassDef::spatial(class.clone()));
+        if !self.classes.contains_key(&class) {
+            Arc::make_mut(&mut self.classes).insert(class.clone(), ClassDef::spatial(class.clone()));
+        }
         self.next_id = self.next_id.max(id + 1);
         let obj = MovingObject::spatial(id, class, self.clock, position, velocity);
-        if let Some(ix) = &mut self.spatial_index {
+        if let Some(ix) = &mut self.derived.spatial_index {
             ix.index.insert(id, self.clock - ix.epoch, position, velocity);
         }
-        if let Some(ix) = &mut self.attr_index {
-            // The newcomer may acquire the indexed attribute later; rebuild
-            // at the next epoch boundary rather than tracking it piecemeal.
-            ix.dirty = true;
-        }
+        // The newcomer may acquire the indexed attribute later; rebuild at
+        // the next epoch boundary rather than tracking it piecemeal.
+        self.mark_attr_index_dirty();
         self.objects.insert(id, obj);
         if !self.continuous.is_empty() {
             // An insertion is an explicit update: refresh materialized
@@ -341,15 +365,13 @@ impl Database {
     /// Inserts a non-spatial object of `class` (auto-created as open).
     pub fn insert_plain_object(&mut self, class: impl Into<String>) -> u64 {
         let class = class.into();
-        self.classes
-            .entry(class.clone())
-            .or_insert_with(|| ClassDef::plain(class.clone()));
+        if !self.classes.contains_key(&class) {
+            Arc::make_mut(&mut self.classes).insert(class.clone(), ClassDef::plain(class.clone()));
+        }
         let id = self.next_id;
         self.next_id += 1;
         self.objects.insert(id, MovingObject::plain(id, class));
-        if let Some(ix) = &mut self.attr_index {
-            ix.dirty = true;
-        }
+        self.mark_attr_index_dirty();
         if !self.continuous.is_empty() {
             self.after_updates(&[(id, UpdateKind::Domain)])
                 .expect("continuous refresh after insert");
@@ -360,12 +382,12 @@ impl Database {
 
     /// Immutable object access.
     pub fn object(&self, id: u64) -> CoreResult<&MovingObject> {
-        self.objects.get(&id).ok_or(CoreError::UnknownObject(id))
+        self.objects.get(id).ok_or(CoreError::UnknownObject(id))
     }
 
     /// All object ids, ascending.
     pub fn object_ids(&self) -> Vec<u64> {
-        self.objects.keys().copied().collect()
+        self.objects.keys().collect()
     }
 
     /// Number of objects.
@@ -378,25 +400,30 @@ impl Database {
         self.objects.is_empty()
     }
 
+    /// How much of the object table this database shares with `other`, as
+    /// `(chunks that are the same allocation in both, chunks here)` — the
+    /// memory two epochs hold once rather than twice.
+    pub fn shared_object_chunks(&self, other: &Database) -> (usize, usize) {
+        (self.objects.chunks_shared_with(&other.objects), self.objects.chunk_count())
+    }
+
     /// Removes an object (e.g. a vehicle leaving the monitored fleet).
     /// Continuous queries are refreshed, exactly as for any other explicit
     /// update.
     pub fn remove_object(&mut self, id: u64) -> CoreResult<()> {
-        if self.objects.remove(&id).is_none() {
+        if self.objects.remove(id).is_none() {
             return Err(CoreError::UnknownObject(id));
         }
-        if let Some(ix) = &mut self.spatial_index {
+        if let Some(ix) = &mut self.derived.spatial_index {
             ix.index.remove(id);
         }
-        if let Some(ix) = &mut self.attr_index {
-            ix.dirty = true;
-        }
+        self.mark_attr_index_dirty();
         self.after_updates(&[(id, UpdateKind::Domain)])
     }
 
     /// Registers a named region (polygon) for `INSIDE` / `OUTSIDE`.
     pub fn add_region(&mut self, name: impl Into<String>, poly: Polygon) {
-        self.regions.insert(name.into(), poly);
+        Arc::make_mut(&mut self.regions).insert(name.into(), poly);
     }
 
     /// The paper's opening query — "How far is the car with license plate
@@ -520,7 +547,7 @@ impl Database {
     /// Motion-vector mutation without the refresh hook.
     fn apply_motion(&mut self, id: u64, velocity: Velocity) -> CoreResult<()> {
         let now = self.clock;
-        let obj = self.objects.get_mut(&id).ok_or(CoreError::UnknownObject(id))?;
+        let obj = self.objects.get_mut(id).ok_or(CoreError::UnknownObject(id))?;
         let position = obj
             .position_at(now)
             .ok_or_else(|| CoreError::AttributeKind {
@@ -528,7 +555,7 @@ impl Database {
                 detail: "motion update on a non-spatial object".into(),
             })?;
         obj.update_velocity(now, velocity);
-        if let Some(ix) = &mut self.spatial_index {
+        if let Some(ix) = &mut self.derived.spatial_index {
             ix.index.update(id, now - ix.epoch, position, velocity);
         }
         Ok(())
@@ -537,7 +564,7 @@ impl Database {
     /// Position-report mutation without the refresh hook.
     fn apply_position(&mut self, id: u64, update: MotionUpdate) -> CoreResult<()> {
         let now = self.clock;
-        let obj = self.objects.get_mut(&id).ok_or(CoreError::UnknownObject(id))?;
+        let obj = self.objects.get_mut(id).ok_or(CoreError::UnknownObject(id))?;
         if obj.trajectory().is_none() {
             return Err(CoreError::AttributeKind {
                 attr: "POSITION".into(),
@@ -545,7 +572,7 @@ impl Database {
             });
         }
         obj.update_position(now, update.position, update.velocity);
-        if let Some(ix) = &mut self.spatial_index {
+        if let Some(ix) = &mut self.derived.spatial_index {
             ix.index
                 .update(id, now - ix.epoch, update.position, update.velocity);
         }
@@ -555,7 +582,7 @@ impl Database {
     /// Static-attribute mutation without the refresh hook.
     fn apply_static(&mut self, id: u64, name: &str, value: Value) -> CoreResult<()> {
         let now = self.clock;
-        let obj = self.objects.get_mut(&id).ok_or(CoreError::UnknownObject(id))?;
+        let obj = self.objects.get_mut(id).ok_or(CoreError::UnknownObject(id))?;
         let class = self
             .classes
             .get(&obj.class)
@@ -580,7 +607,7 @@ impl Database {
         function: Option<AttrFunction>,
     ) -> CoreResult<()> {
         let now = self.clock;
-        let obj = self.objects.get_mut(&id).ok_or(CoreError::UnknownObject(id))?;
+        let obj = self.objects.get_mut(id).ok_or(CoreError::UnknownObject(id))?;
         let class = self
             .classes
             .get(&obj.class)
@@ -602,20 +629,20 @@ impl Database {
     /// the new state cannot be represented as an in-range line.
     fn attr_index_on_write(&mut self, id: u64, name: &str) {
         let now = self.clock;
-        let (rel, lifetime, range) = match &self.attr_index {
+        let (rel, lifetime, range) = match &self.derived.attr_index {
             Some(ix) if ix.attr == name && !ix.dirty && now - ix.epoch <= ix.index.lifetime() => {
                 (now - ix.epoch, ix.index.lifetime(), ix.index.value_range())
             }
-            Some(ix) if ix.attr == name && !ix.dirty => {
+            Some(ix) if ix.attr == name => {
                 // The clock has outrun the index lifetime; leave the rebuild
                 // to the next epoch boundary.
-                self.attr_index.as_mut().expect("matched Some").dirty = true;
+                self.mark_attr_index_dirty();
                 return;
             }
             _ => return,
         };
-        let line = self.objects.get(&id).map(|o| attr_line(o, name, now));
-        let ix = self.attr_index.as_mut().expect("checked above");
+        let line = self.objects.get(id).map(|o| attr_line(o, name, now));
+        let ix = Arc::make_mut(self.derived.attr_index.as_mut().expect("checked above"));
         match line {
             Some(AttrLine::Line(value, slope))
                 if line_in_range(value, slope, lifetime - rel, range) =>
@@ -630,6 +657,14 @@ impl Database {
             // unindexed, but an already-indexed line would go stale.
             Some(AttrLine::Absent) if !ix.index.contains(id) => {}
             _ => ix.dirty = true,
+        }
+    }
+
+    /// Marks the dynamic-attribute index (if any) for rebuild at the next
+    /// epoch boundary.  An already-dirty index stays shared.
+    fn mark_attr_index_dirty(&mut self) {
+        if let Some(ix) = self.derived.attr_index.as_mut().filter(|ix| !ix.dirty) {
+            Arc::make_mut(ix).dirty = true;
         }
     }
 
@@ -725,7 +760,7 @@ impl Database {
     pub fn continuous_answer(&self, id: u64) -> CoreResult<&Answer> {
         self.continuous
             .get(id)
-            .map(|e| &e.answer)
+            .map(|e| e.answer.as_ref())
             .ok_or(CoreError::UnknownContinuousQuery(id))
     }
 
@@ -821,7 +856,7 @@ impl Database {
     /// [`Database::take_trigger_events`].
     pub fn create_trigger(&mut self, name: impl Into<String>, q: Query) -> CoreResult<u64> {
         let cq = self.register_continuous(q)?;
-        Ok(self.triggers.create(name, cq, self.clock))
+        Ok(Arc::make_mut(&mut self.triggers).create(name, cq, self.clock))
     }
 
     /// Collects trigger firings whose satisfaction began in
@@ -829,7 +864,7 @@ impl Database {
     pub fn take_trigger_events(&mut self) -> Vec<TriggerEvent> {
         let now = self.clock;
         let mut events = Vec::new();
-        for trig in self.triggers.iter_mut() {
+        for trig in Arc::make_mut(&mut self.triggers).iter_mut() {
             let Some(entry) = self.continuous.get(trig.continuous_id) else {
                 continue;
             };
@@ -863,17 +898,17 @@ impl Database {
         // clock is more than H past its start).
         let mut index = MovingObjectIndex2D::new(self.expiration * 2, space);
         let now = self.clock;
-        for (id, obj) in &self.objects {
+        for (id, obj) in self.objects.iter() {
             if let (Some(p), Some(v)) = (obj.position_at(now), obj.velocity_at(now)) {
-                index.insert(*id, 0, p, v);
+                index.insert(id, 0, p, v);
             }
         }
-        self.spatial_index = Some(SpatialIndexState { index, space, epoch: now });
+        self.derived.spatial_index = Some(SpatialIndexState { index, space, epoch: now });
     }
 
     /// Whether the position index is maintained.
     pub fn has_spatial_index(&self) -> bool {
-        self.spatial_index.is_some()
+        self.derived.spatial_index.is_some()
     }
 
     /// Index-assisted candidate lookup: ids of objects whose indexed motion
@@ -886,7 +921,7 @@ impl Database {
         to: Tick,
         bbox: &Rect,
     ) -> Option<Vec<u64>> {
-        let ix = self.spatial_index.as_ref()?;
+        let ix = self.derived.spatial_index.as_ref()?;
         if from < ix.epoch || to - ix.epoch > ix.index.lifetime() {
             return None;
         }
@@ -903,7 +938,7 @@ impl Database {
     /// paid at epoch boundaries and a published snapshot's index is
     /// always fresh enough for [`Database::objects_in_rect_at`].
     pub fn maintain_spatial_index(&mut self) -> bool {
-        if let Some(ix) = &self.spatial_index {
+        if let Some(ix) = &self.derived.spatial_index {
             if self.clock - ix.epoch > self.expiration {
                 let space = ix.space;
                 self.enable_spatial_index(space);
@@ -932,12 +967,12 @@ impl Database {
         value_range: (f64, f64),
     ) {
         let attr = attr.into();
-        self.attr_index = Some(self.build_attr_index(attr, kind, value_range));
+        self.derived.attr_index = Some(Arc::new(self.build_attr_index(attr, kind, value_range)));
     }
 
     /// Whether a dynamic-attribute index is maintained (dirty or not).
     pub fn has_attr_index(&self) -> bool {
-        self.attr_index.is_some()
+        self.derived.attr_index.is_some()
     }
 
     fn build_attr_index(
@@ -952,12 +987,12 @@ impl Database {
         let now = self.clock;
         let mut index = DynamicAttributeIndex::new(kind, lifetime, value_range);
         let mut dirty = false;
-        for (id, obj) in &self.objects {
+        for (id, obj) in self.objects.iter() {
             match attr_line(obj, &attr, now) {
                 AttrLine::Absent => {}
                 AttrLine::Line(value, slope) => {
                     if line_in_range(value, slope, lifetime, value_range) {
-                        index.insert(*id, 0, value, slope);
+                        index.insert(id, 0, value, slope);
                     } else {
                         dirty = true;
                     }
@@ -981,7 +1016,7 @@ impl Database {
         lo: f64,
         hi: f64,
     ) -> Option<Vec<u64>> {
-        let ix = self.attr_index.as_ref()?;
+        let ix = self.derived.attr_index.as_ref()?;
         if ix.dirty || ix.attr != attr {
             return None;
         }
@@ -997,12 +1032,12 @@ impl Database {
     /// [`Database::maintain_spatial_index`].  Returns whether a
     /// reconstruction happened.
     pub fn maintain_attr_index(&mut self) -> bool {
-        if let Some(ix) = &self.attr_index {
+        if let Some(ix) = &self.derived.attr_index {
             if ix.dirty || self.clock - ix.epoch > self.expiration {
                 let attr = ix.attr.clone();
                 let kind = ix.kind;
                 let range = ix.index.value_range();
-                self.attr_index = Some(self.build_attr_index(attr, kind, range));
+                self.derived.attr_index = Some(Arc::new(self.build_attr_index(attr, kind, range)));
                 most_obs::inc("index.attr_rebuilds");
                 return true;
             }
@@ -1024,7 +1059,7 @@ impl Database {
     /// reconstructing in place.
     pub fn objects_in_rect_at(&self, rect: &Rect) -> (Vec<u64>, bool) {
         let now = self.clock;
-        match &self.spatial_index {
+        match &self.derived.spatial_index {
             Some(ix) if now - ix.epoch <= self.expiration => {
                 let (ids, _) = ix.index.query_at(now - ix.epoch, rect);
                 (ids, true)
@@ -1036,7 +1071,7 @@ impl Database {
                     .filter(|(_, o)| {
                         o.position_at(now).is_some_and(|p| rect.contains(p))
                     })
-                    .map(|(id, _)| *id)
+                    .map(|(id, _)| id)
                     .collect();
                 (ids, false)
             }

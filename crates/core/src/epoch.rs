@@ -16,7 +16,11 @@
 //!   held at all**.  A pin is valid indefinitely; the snapshot never
 //!   changes underneath it.
 //! * The **writer** accumulates update batches into epoch `E + 1`, a
-//!   private copy-on-write clone of `E` materialized on first mutation.
+//!   private clone of `E` materialized on first mutation.  The clone
+//!   shares `E`'s state structurally — object chunks, octree nodes,
+//!   classes, regions, materialized answers — and each write copies only
+//!   the chunk or node it touches, so a batch costs O(batch · log n),
+//!   not O(population).
 //!   Continuous-query refresh runs on this private copy (inside
 //!   [`Database::apply_updates`]) while readers keep answering from `E` —
 //!   refresh and reads overlap instead of excluding each other.
@@ -28,7 +32,9 @@
 //! * Old epochs **retire when their last pin drops**: the `Arc` refcount
 //!   is the pin count, so memory for epoch `E` is reclaimed exactly when
 //!   the final [`EpochPin`] (and the publish slot) releases it.  A slow
-//!   subscriber pins one old epoch — not the whole history.
+//!   subscriber pins one old epoch — not the whole history — and what
+//!   that pin keeps alive beyond the current state is only the chunks
+//!   and nodes rewritten since.
 //!
 //! Accounting is exposed two ways: [`EpochDb::stats`] returns an
 //! [`EpochStats`] snapshot obeying the conservation invariant
@@ -41,7 +47,7 @@ use crate::database::{Database, UpdateOp};
 use crate::error::CoreResult;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 /// Callback invoked at the epoch-publish boundary, after index
 /// maintenance and immediately before the pointer swap.  It runs under
@@ -227,14 +233,20 @@ impl EpochDb {
     /// mutation is invisible to readers until [`EpochDb::advance_epoch`]
     /// (EpochDb::advance_epoch) publishes it.
     pub fn write<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
-        let mut w = self.inner.writer.lock().expect("epoch writer lock poisoned");
-        if w.next.is_none() {
-            // Copy-on-write: clone the published state outside the
-            // pointer lock (the pin drops the lock before we clone).
-            let base = self.pin();
-            w.next = Some(base.db().clone());
-        }
-        f(w.next.as_mut().expect("next epoch materialized"))
+        let mut w = self.lock_writer();
+        f(self.next_epoch(&mut w))
+    }
+
+    fn lock_writer(&self) -> MutexGuard<'_, WriterState> {
+        self.inner.writer.lock().expect("epoch writer lock poisoned")
+    }
+
+    /// The unpublished next epoch, materialized on first use as a clone of
+    /// the published one.  The clone is structural sharing
+    /// ([`Database`]'s `Clone`): it copies pointers, and every later write
+    /// copies only the object chunk or index node it touches.
+    fn next_epoch<'w>(&self, w: &'w mut WriterState) -> &'w mut Database {
+        w.next.get_or_insert_with(|| Database::clone(&self.pin()))
     }
 
     /// Publishes the buffered next epoch, if any, and returns the current
@@ -242,7 +254,10 @@ impl EpochDb {
     /// buffered.  The previous epoch retires as soon as its last pin
     /// drops — immediately, if no reader holds one.
     pub fn advance_epoch(&self) -> u64 {
-        let mut w = self.inner.writer.lock().expect("epoch writer lock poisoned");
+        self.publish(&mut self.lock_writer())
+    }
+
+    fn publish(&self, w: &mut WriterState) -> u64 {
         let Some(mut db) = w.next.take() else {
             return self.current_epoch();
         };
@@ -266,10 +281,13 @@ impl EpochDb {
                 self.inner.published.write().expect("epoch pointer lock poisoned");
             std::mem::replace(&mut *slot, snapshot)
         };
-        // Release the pointer lock before the old epoch's (potentially
-        // large) state drops.
+        // Release the pointer lock before the old epoch drops.  That frees
+        // only what no later epoch shares: the chunks and nodes its
+        // successor rewrote.
         drop(old);
-        most_obs::gauge_set("epoch.current", epoch);
+        // A high-water mark, not last-write-wins: shards publish in
+        // parallel, and which of them writes last is a race.
+        most_obs::gauge_max("epoch.current", epoch);
         most_obs::gauge_set("epoch.pinned", counters.live());
         most_obs::add("epoch.published", 1);
         most_obs::add("epoch.batches", batches);
@@ -281,8 +299,9 @@ impl EpochDb {
     ///
     /// [`SharedDatabase::write`]: crate::shared::SharedDatabase::write
     pub fn commit<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
-        let r = self.write(f);
-        self.advance_epoch();
+        let mut w = self.lock_writer();
+        let r = f(self.next_epoch(&mut w));
+        self.publish(&mut w);
         r
     }
 
@@ -293,13 +312,14 @@ impl EpochDb {
     /// successfully-applied prefix (the documented
     /// [`Database::apply_updates`] semantics) lands in that same single
     /// epoch rather than silently riding along with a later batch.
+    ///
+    /// The writer lock is held once across materialize → apply → publish,
+    /// so concurrent callers each get their own epoch.
     pub fn apply_updates(&self, ops: &[UpdateOp]) -> CoreResult<()> {
-        let result = self.write(|db| db.apply_updates(ops));
-        {
-            let mut w = self.inner.writer.lock().expect("epoch writer lock poisoned");
-            w.pending_batches += 1;
-        }
-        self.advance_epoch();
+        let mut w = self.lock_writer();
+        w.pending_batches += 1;
+        let result = self.next_epoch(&mut w).apply_updates(ops);
+        self.publish(&mut w);
         result
     }
 
@@ -309,13 +329,9 @@ impl EpochDb {
     /// buffered batches become visible atomically at the next
     /// [`advance_epoch`](EpochDb::advance_epoch).
     pub fn buffer_updates(&self, ops: &[UpdateOp]) -> CoreResult<()> {
-        let mut w = self.inner.writer.lock().expect("epoch writer lock poisoned");
-        if w.next.is_none() {
-            let base = self.pin();
-            w.next = Some(base.db().clone());
-        }
+        let mut w = self.lock_writer();
         w.pending_batches += 1;
-        w.next.as_mut().expect("next epoch materialized").apply_updates(ops)
+        self.next_epoch(&mut w).apply_updates(ops)
     }
 
     /// Installs (or replaces, or clears) the publish observer.  The
@@ -329,15 +345,13 @@ impl EpochDb {
     /// pre-populated database) should [`pin`](EpochDb::pin) and consume
     /// it once before or after installing.
     pub fn set_publish_observer(&self, observer: Option<PublishObserver>) {
-        let mut w = self.inner.writer.lock().expect("epoch writer lock poisoned");
-        w.observer = observer;
+        self.lock_writer().observer = observer;
     }
 
     /// Epoch accounting snapshot; see [`EpochStats`].
     pub fn stats(&self) -> EpochStats {
         let counters = &self.inner.counters;
-        let pending_batches =
-            self.inner.writer.lock().expect("epoch writer lock poisoned").pending_batches;
+        let pending_batches = self.lock_writer().pending_batches;
         EpochStats {
             current: counters.current.load(Ordering::Acquire),
             created: counters.created.load(Ordering::Acquire),

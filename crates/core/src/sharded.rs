@@ -253,9 +253,9 @@ impl CutPin {
 }
 
 /// Builds a sharded world **before** wrapping shards in epoch machinery:
-/// bulk inserts go straight into raw per-shard [`Database`]s (no
-/// copy-on-write epoch clone per insert, which at 10⁶ objects would be
-/// quadratic), and [`finish`](ShardedDbBuilder::finish) publishes every
+/// bulk inserts go straight into raw per-shard [`Database`]s (no epoch
+/// — a chunk copy, a refresh pass and a cut — published per insert), and
+/// [`finish`](ShardedDbBuilder::finish) publishes every
 /// shard's epoch 0 plus the initial cut.
 #[derive(Debug)]
 pub struct ShardedDbBuilder {

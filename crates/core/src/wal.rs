@@ -610,14 +610,15 @@ impl DurableDb {
     }
 
     /// Recovers from `dir` and reopens for appending.  The recovered
-    /// state becomes epoch 0; the [`Recovery`] accounting is returned
-    /// alongside.
+    /// state **moves** into epoch 0 — read it through [`DurableDb::pin`];
+    /// the [`Recovery`] returned alongside carries the accounting, and its
+    /// `db` is left an empty database.
     pub fn open(dir: &Path, cfg: WalConfig) -> io::Result<(DurableDb, Recovery)> {
-        let recovery = recover(dir)?;
+        let mut recovery = recover(dir)?;
         let wal = Wal::reopen(dir, &recovery, cfg)?;
-        let durable =
-            DurableDb { epochs: EpochDb::new(recovery.db.clone()), wal: Mutex::new(wal) };
-        Ok((durable, recovery))
+        let empty = Database::new(recovery.db.expiration());
+        let db = std::mem::replace(&mut recovery.db, empty);
+        Ok((DurableDb { epochs: EpochDb::new(db), wal: Mutex::new(wal) }, recovery))
     }
 
     /// The underlying epoch engine (for lock-free reads and epoch

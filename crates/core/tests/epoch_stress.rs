@@ -334,3 +334,35 @@ fn error_batches_race_readers_without_tearing() {
         assert_eq!(shared.epoch_stats().current as usize, script.len());
     }
 }
+
+/// Concurrent writers: every `apply_updates` call is one batch, one
+/// refresh pass, one epoch — the writer lock is held from materializing
+/// the next epoch to publishing it, so two callers can never fold their
+/// batches into one epoch (which also stranded a `pending_batches`
+/// count).  A barrier releases all writers at once.
+#[test]
+fn concurrent_writers_publish_one_epoch_per_batch() {
+    const WRITERS: usize = 4;
+    const BATCHES: usize = 500;
+    let (db, ids, _) = build_world(11);
+    let edb = EpochDb::new(db);
+    let start = std::sync::Barrier::new(WRITERS);
+    thread::scope(|s| {
+        for w in 0..WRITERS {
+            let (edb, ids, start) = (edb.clone(), &ids, &start);
+            s.spawn(move || {
+                start.wait();
+                for k in 0..BATCHES {
+                    let velocity = Velocity::new(w as f64 - 1.5, (k % 5) as f64 - 2.0);
+                    edb.apply_updates(&[UpdateOp::Motion { id: ids[(w + k) % ids.len()], velocity }])
+                        .unwrap();
+                }
+            });
+        }
+    });
+    let st = edb.stats();
+    assert_eq!(st.current, (WRITERS * BATCHES) as u64, "batches folded into shared epochs: {st:?}");
+    assert_eq!(st.pending_batches, 0, "a folded batch left its count behind: {st:?}");
+    assert_eq!(st.created, st.retired + st.live, "conservation: {st:?}");
+    assert_eq!(st.live, 1);
+}

@@ -21,6 +21,9 @@
 //! * [`index2d`] — the "3-dimensional space, with the third dimension
 //!   being, obviously, time" variant for objects moving in the plane,
 //!   implemented as an octree over (time × x × y);
+//! * [`cowmap`] — the id-ordered copy-on-write map behind the octree's
+//!   leg table and the database's object table (structural sharing
+//!   between epochs);
 //! * [`rebuild`] — horizon management: "the index needs to be reconstructed
 //!   every T time units", with counters supporting the E8 sweep of the
 //!   paper's open question ("choosing an appropriate value for T").
@@ -28,6 +31,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cowmap;
 pub mod dynidx;
 pub mod index2d;
 pub mod quadtree;
@@ -35,6 +39,7 @@ pub mod rebuild;
 pub mod rtree;
 pub mod segment;
 
+pub use cowmap::CowMap;
 pub use dynidx::{DynamicAttributeIndex, IndexKind, QueryStats, ScanIndex};
 pub use index2d::MovingObjectIndex2D;
 pub use rebuild::RebuildingIndex;

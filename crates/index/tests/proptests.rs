@@ -216,3 +216,109 @@ fn index2d_matches_trajectory_model() {
         },
     );
 }
+
+// ---------------------------------------------------------------------------
+// Persistence of the path-copied octree: a clone is a snapshot
+// ---------------------------------------------------------------------------
+
+#[derive(Debug, Clone)]
+enum Op2 {
+    Insert { id: u64, x: i32, y: i32, vx: i32, vy: i32 },
+    /// `dt` ticks after the object's previous update.
+    Update { id: u64, dt: Tick, vx: i32, vy: i32 },
+    Remove { id: u64 },
+}
+
+fn arb_ops2() -> Gen<Vec<Op2>> {
+    // Enough inserts over a small pool that leaves split (capacity 8) and
+    // later ops rewrite interior nodes, not just the root leaf.
+    let vel = || ints(-4i32..4);
+    vecs(
+        one_of(vec![
+            tuple2(ints(0..32u64), tuple4(ints(-200i32..200), ints(-200i32..200), vel(), vel()))
+                .map(|(id, (x, y, vx, vy))| Op2::Insert { id, x, y, vx, vy }),
+            tuple2(ints(0..32u64), tuple4(ints(-200i32..200), ints(-200i32..200), vel(), vel()))
+                .map(|(id, (x, y, vx, vy))| Op2::Insert { id, x, y, vx, vy }),
+            tuple4(ints(0..32u64), ints(0..40 as Tick), vel(), vel())
+                .map(|(id, dt, vx, vy)| Op2::Update { id, dt, vx, vy }),
+            ints(0..32u64).map(|id| Op2::Remove { id }),
+        ]),
+        1..60,
+    )
+}
+
+/// Applies the ops that are valid in sequence (no double insert, no update
+/// of a missing object or past the lifetime); `last` tracks each live
+/// object's latest update tick.
+fn apply2(
+    idx: &mut MovingObjectIndex2D,
+    last: &mut std::collections::BTreeMap<u64, Tick>,
+    ops: &[Op2],
+) {
+    let vel = |vx: i32, vy: i32| Velocity::new(vx as f64 * 0.5, vy as f64 * 0.5);
+    for op in ops {
+        match *op {
+            Op2::Insert { id, x, y, vx, vy } => {
+                if last.insert(id, 0).is_none() {
+                    idx.insert(id, 0, Point::new(x as f64, y as f64), vel(vx, vy));
+                }
+            }
+            Op2::Update { id, dt, vx, vy } => {
+                let Some(at) = last.get_mut(&id) else { continue };
+                if *at + dt >= LIFETIME {
+                    continue;
+                }
+                *at += dt;
+                let p = idx.position_of(id, *at).expect("live object has a position");
+                idx.update(id, *at, p, vel(vx, vy));
+            }
+            Op2::Remove { id } => {
+                assert_eq!(idx.remove(id), last.remove(&id).is_some());
+            }
+        }
+    }
+}
+
+/// Everything a reader can ask the index, rendered for comparison: ids,
+/// intervals and the access-cost stats (equal trees visit equal nodes).
+fn answers2(idx: &MovingObjectIndex2D) -> String {
+    let regions = [
+        Rect::new(-60.0, -60.0, 60.0, 60.0),
+        Rect::new(-250.0, -250.0, 0.0, 0.0),
+        Rect::new(40.0, -200.0, 260.0, 30.0),
+    ];
+    let mut out = format!("len {}\n", idx.len());
+    for region in &regions {
+        for t in [0, 37, 120, LIFETIME - 1] {
+            out += &format!("{:?}\n", idx.query_at(t, region));
+        }
+        for (from, to) in [(0, LIFETIME), (30, 90), (150, 160)] {
+            out += &format!("{:?}\n", idx.query_window(from, to, region));
+        }
+    }
+    out
+}
+
+#[test]
+fn index2d_clone_is_a_snapshot_and_its_mutations_match_a_fresh_build() {
+    let new_index =
+        || MovingObjectIndex2D::new(LIFETIME, Rect::new(-1500.0, -1500.0, 1500.0, 1500.0));
+    Check::new("index::index2d_clone_is_a_snapshot")
+        .cases(64)
+        .regressions(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/proptests.seeds"))
+        .run(&tuple2(arb_ops2(), ints(0usize..60)), |(ops, cut)| {
+            let cut = (*cut).min(ops.len());
+            let mut last = Default::default();
+            let mut before = new_index();
+            apply2(&mut before, &mut last, &ops[..cut]);
+            let frozen = answers2(&before);
+
+            let mut after = before.clone();
+            apply2(&mut after, &mut last, &ops[cut..]);
+
+            let mut fresh = new_index();
+            apply2(&mut fresh, &mut Default::default(), ops);
+            assert_eq!(answers2(&after), answers2(&fresh), "clone-then-mutate diverged from a fresh build");
+            assert_eq!(answers2(&before), frozen, "mutating the clone changed the original");
+        });
+}

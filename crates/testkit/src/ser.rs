@@ -370,17 +370,20 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
+                Some(c) if c < 0x20 => return Err(self.err("unescaped control character")),
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("unescaped control character"));
+                    // Consume the run up to the next quote, escape or
+                    // control byte in one step.  All three are ASCII and the
+                    // input is a `&str`, so the run starts and ends on
+                    // character boundaries — and only the run is validated,
+                    // never the rest of the document.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
+                        self.pos += 1;
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -591,6 +594,19 @@ impl<T: ToJson> ToJson for Box<T> {
 impl<T: FromJson> FromJson for Box<T> {
     fn from_json(j: &Json) -> Result<Self, JsonError> {
         T::from_json(j).map(Box::new)
+    }
+}
+
+// A shared value encodes as the value itself: sharing is an in-memory
+// property, not part of the persisted form.
+impl<T: ToJson> ToJson for std::sync::Arc<T> {
+    fn to_json(&self) -> Json {
+        (**self).to_json()
+    }
+}
+impl<T: FromJson> FromJson for std::sync::Arc<T> {
+    fn from_json(j: &Json) -> Result<Self, JsonError> {
+        T::from_json(j).map(std::sync::Arc::new)
     }
 }
 
@@ -904,6 +920,23 @@ mod tests {
             Json::parse(r#""\u0041\u00e9\ud83d\ude00""#).unwrap(),
             Json::Str("Aé\u{1F600}".into())
         );
+    }
+
+    #[test]
+    fn parse_time_is_linear_in_document_size() {
+        // ~4 MB of short strings.  Validating the whole rest of the input
+        // per character made this (string bytes) x (document bytes): 36 s
+        // for a tenth of this document, so about an hour for all of it.
+        // One pass takes well under a second even unoptimised.
+        let items = 400_000;
+        let text = format!("[{}]", vec!["\"car-é7\""; items].join(","));
+        assert!(text.len() > 4_000_000);
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&text).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(parsed.as_arr().unwrap().len(), items);
+        assert_eq!(parsed.as_arr().unwrap()[items - 1], Json::Str("car-é7".into()));
+        assert!(elapsed.as_secs() < 10, "parsing 4 MB took {elapsed:?}");
     }
 
     #[test]

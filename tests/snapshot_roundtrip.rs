@@ -273,6 +273,15 @@ fn checkpoint_written_before_the_regime_collapse_loads_and_recovers() {
         ["next", "entries", "evaluations", "skipped_refreshes", "noop_refreshes"]
     );
 
+    // Those two keys aside, the state re-emits the fixture byte for byte:
+    // the chunked object table and the `Arc`-shared maps encode exactly as
+    // the `BTreeMap`s they replaced.
+    let expected = PARENT_CHECKPOINT
+        .replace('\n', "")
+        .replace(r#""incremental_refreshes":1,"#, "")
+        .replace(r#""refresh_mode":"Incremental","#, "");
+    assert_eq!(format!(r#"{{"next_seq":2,"db":{}}}"#, rewritten.render().unwrap()), expected);
+
     // The same document as a WAL directory, as a checkpoint leaves it:
     // `checkpoint.json` plus the next, still empty, segment.
     let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("parent_format_wal");
