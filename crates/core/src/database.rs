@@ -307,6 +307,11 @@ impl Database {
 
     /// Inserts a spatial object of `class` at the current tick.  An
     /// undeclared class is auto-created as an open spatial class.
+    ///
+    /// # Panics
+    /// Panics on motion [`Database::insert_moving_object_with_id`] rejects
+    /// as [`CoreError::NonFiniteMotion`]: the caller guarantees a finite
+    /// position and velocity that stay finite for 2 · expiration ticks.
     pub fn insert_moving_object(
         &mut self,
         class: impl Into<String>,
@@ -315,8 +320,13 @@ impl Database {
     ) -> u64 {
         let id = self.next_id;
         self.insert_moving_object_with_id(id, class, position, velocity)
-            .expect("next_id is never taken");
+            .unwrap_or_else(|e| panic!("{e}"));
         id
+    }
+
+    /// The id the next [`Database::insert_moving_object`] assigns.
+    pub fn next_object_id(&self) -> u64 {
+        self.next_id
     }
 
     /// Inserts a spatial object under an explicit, caller-chosen id.  The
@@ -325,8 +335,10 @@ impl Database {
     /// sharded world must be byte-identical to a single-shard reference
     /// holding the same ids.
     ///
-    /// Errors with [`CoreError::DuplicateObject`] if the id already exists;
-    /// `next_id` advances past `id` so implicit inserts never collide.
+    /// Errors with [`CoreError::DuplicateObject`] if the id already exists
+    /// and with [`CoreError::NonFiniteMotion`] on motion that is or becomes
+    /// non-finite; `next_id` advances past `id` so implicit inserts never
+    /// collide.
     pub fn insert_moving_object_with_id(
         &mut self,
         id: u64,
@@ -337,6 +349,7 @@ impl Database {
         if self.objects.contains_key(id) {
             return Err(CoreError::DuplicateObject(id));
         }
+        self.check_finite_motion(id, position, velocity)?;
         let class = class.into();
         if !self.classes.contains_key(&class) {
             Arc::make_mut(&mut self.classes).insert(class.clone(), ClassDef::spatial(class.clone()));
@@ -547,13 +560,15 @@ impl Database {
     /// Motion-vector mutation without the refresh hook.
     fn apply_motion(&mut self, id: u64, velocity: Velocity) -> CoreResult<()> {
         let now = self.clock;
-        let obj = self.objects.get_mut(id).ok_or(CoreError::UnknownObject(id))?;
-        let position = obj
+        let position = self
+            .object(id)?
             .position_at(now)
             .ok_or_else(|| CoreError::AttributeKind {
                 attr: "POSITION".into(),
                 detail: "motion update on a non-spatial object".into(),
             })?;
+        self.check_finite_motion(id, position, velocity)?;
+        let obj = self.objects.get_mut(id).expect("looked up above");
         obj.update_velocity(now, velocity);
         if let Some(ix) = &mut self.derived.spatial_index {
             ix.index.update(id, now - ix.epoch, position, velocity);
@@ -564,19 +579,35 @@ impl Database {
     /// Position-report mutation without the refresh hook.
     fn apply_position(&mut self, id: u64, update: MotionUpdate) -> CoreResult<()> {
         let now = self.clock;
-        let obj = self.objects.get_mut(id).ok_or(CoreError::UnknownObject(id))?;
-        if obj.trajectory().is_none() {
+        if self.object(id)?.trajectory().is_none() {
             return Err(CoreError::AttributeKind {
                 attr: "POSITION".into(),
                 detail: "position update on a non-spatial object".into(),
             });
         }
+        self.check_finite_motion(id, update.position, update.velocity)?;
+        let obj = self.objects.get_mut(id).expect("looked up above");
         obj.update_position(now, update.position, update.velocity);
         if let Some(ix) = &mut self.derived.spatial_index {
             ix.index
                 .update(id, now - ix.epoch, update.position, update.velocity);
         }
         Ok(())
+    }
+
+    /// Rejects motion the model cannot carry: a non-finite position or
+    /// velocity component, or a position that overflows within the index
+    /// lifetime (2 · expiration).  A NaN would otherwise read back as every
+    /// position and cross every octree cell.
+    fn check_finite_motion(&self, id: u64, position: Point, velocity: Velocity) -> CoreResult<()> {
+        let reach = 2.0 * self.expiration as f64;
+        // `p + v · reach` is non-finite whenever `p` or `v` is, too.
+        let far = [position.x + velocity.dx * reach, position.y + velocity.dy * reach];
+        if far.iter().all(|c| c.is_finite()) {
+            Ok(())
+        } else {
+            Err(CoreError::NonFiniteMotion { id })
+        }
     }
 
     /// Static-attribute mutation without the refresh hook.
@@ -1250,6 +1281,48 @@ mod tests {
             .update_position(m, MotionUpdate { position: Point::origin(), velocity: Velocity::zero() })
             .is_err());
         assert!(db.update_motion(99, Velocity::zero()).is_err());
+    }
+
+    #[test]
+    fn non_finite_motion_is_rejected_mid_batch_before_it_mutates() {
+        let mut db = highway_db();
+        db.enable_spatial_index(Rect::new(-500.0, -500.0, 500.0, 500.0));
+        db.advance_clock(10);
+        let motion = |id, dx| UpdateOp::Motion { id, velocity: Velocity::new(dx, 0.0) };
+        let hostile = [
+            motion(2, f64::NAN),
+            UpdateOp::Position {
+                id: 2,
+                update: MotionUpdate {
+                    position: Point::new(190.0, 0.0),
+                    velocity: Velocity::new(1e308, 1e308),
+                },
+            },
+        ];
+        for (k, bad) in hostile.into_iter().enumerate() {
+            let before = format!("{:?}", db.object(2).unwrap());
+            let speed = 2.0 + k as f64;
+            let err = db.apply_updates(&[motion(1, speed), bad, motion(2, 3.0)]).unwrap_err();
+            assert_eq!(err, CoreError::NonFiniteMotion { id: 2 });
+            // The op before the bad one applied; the bad one and the rest did not.
+            assert_eq!(db.object(1).unwrap().velocity_at(10), Some(Velocity::new(speed, 0.0)));
+            assert_eq!(format!("{:?}", db.object(2).unwrap()), before);
+            for t in [10, 50, 1_000] {
+                let p = db.object(2).unwrap().position_at(t).unwrap();
+                assert!(p.x.is_finite() && p.y.is_finite(), "tick {t}: {p:?}");
+            }
+        }
+        // The index never saw the bad motion: car 2 is where it was headed.
+        db.advance_clock(40);
+        let (ids, used) = db.objects_in_rect(&Rect::new(145.0, -1.0, 155.0, 1.0));
+        assert!(used);
+        assert_eq!(ids, vec![2]);
+        let far_away = Point::new(f64::INFINITY, 0.0);
+        assert_eq!(
+            db.insert_moving_object_with_id(9, "cars", far_away, Velocity::zero()),
+            Err(CoreError::NonFiniteMotion { id: 9 })
+        );
+        assert!(db.object(9).is_err());
     }
 
     #[test]

@@ -59,6 +59,13 @@ pub enum CoreError {
     EvalPanic(String),
     /// An object id passed to an explicit-id insert already exists.
     DuplicateObject(u64),
+    /// A position or motion vector has a non-finite component, or carries
+    /// the object off the finite plane within the index lifetime
+    /// (2 · expiration).  Rejected before anything is mutated.
+    NonFiniteMotion {
+        /// The object the motion was for.
+        id: u64,
+    },
     /// A query cannot be answered by shard-local evaluation +
     /// scatter-gather (more or fewer than one free object variable, or a
     /// fixed object id that may live on another shard).  Carries a
@@ -103,6 +110,9 @@ impl fmt::Display for CoreError {
             }
             CoreError::DuplicateObject(id) => {
                 write!(f, "object #{id} already exists")
+            }
+            CoreError::NonFiniteMotion { id } => {
+                write!(f, "object #{id}: position and motion must stay finite")
             }
             CoreError::Unshardable(detail) => {
                 write!(f, "query is not shardable: {detail}")

@@ -303,7 +303,8 @@ impl ShardedDbBuilder {
     }
 
     /// Inserts a moving object, routed by the builder's policy, under a
-    /// globally-unique id.
+    /// globally-unique id.  Panics on non-finite motion, like
+    /// [`Database::insert_moving_object`].
     pub fn insert_moving_object(
         &mut self,
         class: &str,
@@ -315,7 +316,7 @@ impl ShardedDbBuilder {
         let shard = self.routing.route_insert(id, position, self.dbs.len());
         self.dbs[shard]
             .insert_moving_object_with_id(id, class, position, velocity)
-            .expect("builder ids are unique");
+            .unwrap_or_else(|e| panic!("{e}"));
         if matches!(self.routing, ShardRouting::SpatialBands { .. }) {
             self.assignment.insert(id, shard);
         }
@@ -493,7 +494,8 @@ impl ShardedDb {
     }
 
     /// Inserts a moving object at runtime, routed by policy, under a
-    /// globally-unique id; publishes a cut.
+    /// globally-unique id; publishes a cut.  Panics on non-finite motion,
+    /// like [`Database::insert_moving_object`].
     pub fn insert_moving_object(
         &self,
         class: &str,
@@ -509,7 +511,7 @@ impl ShardedDb {
         }
         self.shards[shard]
             .commit(|db| db.insert_moving_object_with_id(id, class, position, velocity))
-            .expect("sharded ids are unique");
+            .unwrap_or_else(|e| panic!("{e}"));
         self.publish_cut(writer);
         id
     }

@@ -6,6 +6,13 @@
 //! (time × x × y); each object's motion is a 3-D line segment (piecewise,
 //! across motion-vector updates) inserted into every cell it crosses.
 //!
+//! A leaf that overflows picks its split axes from the segments it holds
+//! (`splits_time`): it halves time as well as x and y only where the
+//! objects move far enough within the node's time span for that to
+//! separate them.  Elsewhere it halves x and y alone, into four children
+//! that each keep the whole time span — halving time there would only copy
+//! every leg into both halves, and a motion update would rewrite them all.
+//!
 //! The tree is **path-copied**: every child link is an [`Arc`], so cloning
 //! the index copies the root pointer (and the leg table's chunk pointers),
 //! and an update through a clone rewrites only the nodes its segments
@@ -36,24 +43,30 @@ impl Box3 {
         (0..3).all(|i| self.min[i] <= other.max[i] && other.min[i] <= self.max[i])
     }
 
-    fn octants(&self) -> [Box3; 8] {
-        let mid = [
-            (self.min[0] + self.max[0]) / 2.0,
-            (self.min[1] + self.max[1]) / 2.0,
-            (self.min[2] + self.max[2]) / 2.0,
-        ];
-        let mut out = [*self; 8];
-        for (i, b) in out.iter_mut().enumerate() {
-            for (axis, &m) in mid.iter().enumerate() {
-                if i & (1 << axis) == 0 {
-                    b.max[axis] = m;
+    /// The `N` children of a node over this box: eight halve time, x and
+    /// y; four halve x and y and keep the whole time span.  Child `i` takes
+    /// the upper half of the `k`-th halved axis iff bit `k` of `i` is set.
+    fn children<const N: usize>(&self) -> [Box3; N] {
+        let first = first_split_axis::<N>();
+        std::array::from_fn(|i| {
+            let mut b = *self;
+            for axis in first..3 {
+                let mid = (self.min[axis] + self.max[axis]) / 2.0;
+                if (i >> (axis - first)) & 1 == 0 {
+                    b.max[axis] = mid;
                 } else {
-                    b.min[axis] = m;
+                    b.min[axis] = mid;
                 }
             }
-        }
-        out
+            b
+        })
     }
+}
+
+/// The first axis a node with `N` children halves — time (0) for eight, x
+/// (1) for four; every axis after it is halved too.
+const fn first_split_axis<const N: usize>() -> usize {
+    3 - N.trailing_zeros() as usize
 }
 
 /// A 3-D line segment (the space-time trace of one motion leg).
@@ -88,15 +101,22 @@ impl Seg3 {
         true
     }
 
-    /// [`Seg3::intersects`] against each of `b`'s eight octants, sharing
-    /// the per-plane divisions between them: every octant's slab on an
-    /// axis is the lower or the upper half of `b`'s, so six parameter
-    /// spans (axis × half) serve all eight tests.  The arithmetic per
-    /// octant is that of `intersects`, operation for operation, so the
-    /// two agree bit for bit.
-    fn octant_hits(&self, b: &Box3) -> [bool; 8] {
+    /// [`Seg3::intersects`] against each of `b`'s `N` children
+    /// ([`Box3::children`]), sharing the per-plane divisions between them:
+    /// a child's slab on a halved axis is the lower or the upper half of
+    /// `b`'s and on the time axis of a four-way split is `b`'s own, so six
+    /// parameter spans (axis × half) serve every test.  The arithmetic per
+    /// child is that of `intersects`, operation for operation, so the two
+    /// agree bit for bit.
+    fn child_hits<const N: usize>(&self, b: &Box3) -> [bool; N] {
+        let first = first_split_axis::<N>();
         let spans: [[Option<(f64, f64)>; 2]; 3] = std::array::from_fn(|axis| {
-            let planes = [b.min[axis], (b.min[axis] + b.max[axis]) / 2.0, b.max[axis]];
+            let mid = (b.min[axis] + b.max[axis]) / 2.0;
+            let planes = if axis < first {
+                [b.min[axis], b.max[axis], b.max[axis]]
+            } else {
+                [b.min[axis], mid, b.max[axis]]
+            };
             let (p0, d) = (self.p0[axis], self.p1[axis] - self.p0[axis]);
             std::array::from_fn(|half| {
                 let (min, max) = (planes[half], planes[half + 1]);
@@ -108,10 +128,17 @@ impl Seg3 {
                 }
             })
         });
-        std::array::from_fn(|octant| {
+        std::array::from_fn(|child| {
             let (mut t_min, mut t_max) = (0.0f64, 1.0f64);
             for (axis, halves) in spans.iter().enumerate() {
-                let Some((lo, hi)) = halves[(octant >> axis) & 1] else { return false };
+                let half = if axis < first {
+                    0
+                } else {
+                    (child >> (axis - first)) & 1
+                };
+                let Some((lo, hi)) = halves[half] else {
+                    return false;
+                };
                 t_min = t_min.max(lo);
                 t_max = t_max.min(hi);
                 if t_min > t_max {
@@ -121,19 +148,46 @@ impl Seg3 {
             true
         })
     }
+
+    /// Distance covered in the plane per tick (0 for an instant).
+    fn xy_speed(&self) -> f64 {
+        let [dt, dx, dy]: [f64; 3] = std::array::from_fn(|axis| self.p1[axis] - self.p0[axis]);
+        if dt > 0.0 {
+            (dx * dx + dy * dy).sqrt() / dt
+        } else {
+            0.0
+        }
+    }
 }
 
 /// One indexed segment: the object and the piece of its motion.
 type Item = (u64, Seg3);
 
+/// The split rule for an overflowing leaf over `b`: halve time as well as
+/// x and y only when the items' mean xy speed × the node's time extent
+/// reaches its smaller xy extent, which keeps cells roughly isotropic in
+/// (x, y, v̄·t).  It is read off the items rather than fixed because the
+/// right time depth differs by region and by speed: a cell of parked cars
+/// never gains from a time split (each stationary leg is copied into every
+/// time half), a cell of fast ones does from the root down.
+fn splits_time(items: &[Item], b: &Box3) -> bool {
+    let mean_speed = items.iter().map(|(_, seg)| seg.xy_speed()).sum::<f64>() / items.len() as f64;
+    let extent = |axis: usize| b.max[axis] - b.min[axis];
+    mean_speed * extent(0) >= extent(1).min(extent(2))
+}
+
 /// A node *is* its shared allocation: a leaf's items sit inline behind one
-/// `Arc`, an interior node's eight children behind another, so the tree
+/// `Arc`, an interior node's children behind another, so the tree
 /// allocates, frees and dereferences exactly as often as an unshared one.
-/// Cloning an interior array clones eight handles, never a sibling's items.
+/// Cloning an interior array clones its handles, never a sibling's items.
+/// An interior node records the split its leaf chose by its child count.
 #[derive(Debug, Clone)]
 enum Node {
     Leaf(Items),
-    Internal(Arc<[Node; 8]>),
+    /// Halves x and y; each child keeps the node's whole time span.
+    Quad(Arc<[Node; 4]>),
+    /// Halves time, x and y.
+    Oct(Arc<[Node; 8]>),
 }
 
 /// A leaf's items: a small vector whose buffer is one shareable
@@ -148,11 +202,20 @@ struct Items {
 }
 
 /// Filler for spare capacity; never read.
-const NO_ITEM: Item = (0, Seg3 { p0: [0.0; 3], p1: [0.0; 3] });
+const NO_ITEM: Item = (
+    0,
+    Seg3 {
+        p0: [0.0; 3],
+        p1: [0.0; 3],
+    },
+);
 
 impl Items {
     fn empty() -> Items {
-        Items { slots: Arc::from([]), len: 0 }
+        Items {
+            slots: Arc::from([]),
+            len: 0,
+        }
     }
 
     fn live(&self) -> &[Item] {
@@ -165,7 +228,10 @@ impl Items {
         let capacity = len.next_power_of_two().max(4);
         let mut slots: Arc<[Item]> = std::iter::repeat_n(NO_ITEM, capacity).collect();
         Arc::get_mut(&mut slots).expect("just allocated")[..live.len()].copy_from_slice(live);
-        Items { slots, len: live.len() }
+        Items {
+            slots,
+            len: live.len(),
+        }
     }
 
     /// Whether replacing the buffer leaves an older clone of the index
@@ -188,13 +254,12 @@ impl Items {
         self.len += 1;
     }
 
-    /// Removes the items `gone` selects; returns whether there were any.
-    fn remove(&mut self, gone: impl Fn(&Item) -> bool, copied: &mut u64) -> bool {
-        let before = self.len;
+    /// Removes the items `gone` selects.
+    fn remove(&mut self, gone: impl Fn(&Item) -> bool, copied: &mut u64) {
         if let Some(slots) = Arc::get_mut(&mut self.slots) {
             // Unshared: compact in place, as `Vec::retain` would.
             let mut kept = 0;
-            for at in 0..before {
+            for at in 0..self.len {
                 if !gone(&slots[at]) {
                     slots[kept] = slots[at];
                     kept += 1;
@@ -203,10 +268,14 @@ impl Items {
             self.len = kept;
         } else if self.live().iter().any(&gone) {
             *copied += self.shared();
-            let kept: Vec<Item> = self.live().iter().copied().filter(|item| !gone(item)).collect();
+            let kept: Vec<Item> = self
+                .live()
+                .iter()
+                .copied()
+                .filter(|item| !gone(item))
+                .collect();
             *self = Items::with_room(&kept, kept.len());
         }
-        self.len < before
     }
 }
 
@@ -216,11 +285,36 @@ const NODES_COPIED: &str = "index.nodes_copied";
 
 /// Write access to an interior node's children, copying the array first
 /// (and counting the copy) when an older clone of the index shares it.
-fn unshare<'a>(kids: &'a mut Arc<[Node; 8]>, copied: &mut u64) -> &'a mut [Node; 8] {
+fn unshare<'a, const N: usize>(
+    kids: &'a mut Arc<[Node; N]>,
+    copied: &mut u64,
+) -> &'a mut [Node; N] {
     let before = Arc::as_ptr(kids);
     let kids = Arc::make_mut(kids);
     *copied += u64::from(!std::ptr::eq(before, kids));
     kids
+}
+
+/// Runs `f` on every child of an interior node over `bounds` that `seg`
+/// crosses, with the child's box.
+fn each_crossed<const N: usize>(
+    kids: &mut Arc<[Node; N]>,
+    bounds: Box3,
+    seg: Seg3,
+    copied: &mut u64,
+    mut f: impl FnMut(&mut Node, Box3, &mut u64),
+) {
+    let hits = seg.child_hits::<N>(&bounds);
+    for ((b, kid), hit) in bounds
+        .children::<N>()
+        .into_iter()
+        .zip(unshare(kids, copied))
+        .zip(hits)
+    {
+        if hit {
+            f(kid, b, copied);
+        }
+    }
 }
 
 /// One motion leg of an indexed object.
@@ -287,7 +381,10 @@ impl MovingObjectIndex2D {
     /// # Panics
     /// Panics when the id is already present.
     pub fn insert(&mut self, id: u64, at: Tick, p: Point, v: Velocity) {
-        assert!(!self.objects.contains_key(id), "object #{id} already indexed");
+        assert!(
+            !self.objects.contains_key(id),
+            "object #{id} already indexed"
+        );
         let leg = Leg {
             from: at,
             until: self.lifetime,
@@ -314,7 +411,11 @@ impl MovingObjectIndex2D {
         let last = legs.last_mut().expect("non-empty legs");
         assert!(t >= last.from, "updates must move forward in time");
         let old_seg = last.seg();
-        let new_leg = Leg { from: t, until: self.lifetime, motion: MovingPoint::new(p, t, v) };
+        let new_leg = Leg {
+            from: t,
+            until: self.lifetime,
+            motion: MovingPoint::new(p, t, v),
+        };
         // The old leg keeps its served prefix, if it has one.
         let prefix = (t > last.from).then(|| {
             last.until = t - 1;
@@ -362,10 +463,7 @@ impl MovingObjectIndex2D {
         };
         let out: Vec<u64> = candidates
             .into_iter()
-            .filter(|&id| {
-                self.position_of(id, t)
-                    .is_some_and(|p| region.contains(p))
-            })
+            .filter(|&id| self.position_of(id, t).is_some_and(|p| region.contains(p)))
             .collect();
         stats.results = out.len() as u64;
         (out, stats)
@@ -393,7 +491,9 @@ impl MovingObjectIndex2D {
         let window = IntervalSet::singleton(Interval::new(from, to.min(self.lifetime)));
         let mut out = Vec::new();
         for id in candidates {
-            let Some(legs) = self.objects.get(id) else { continue };
+            let Some(legs) = self.objects.get(id) else {
+                continue;
+            };
             let mut acc = IntervalSet::empty();
             for leg in legs {
                 let span = IntervalSet::singleton(Interval::new(leg.from, leg.until));
@@ -434,48 +534,50 @@ impl MovingObjectIndex2D {
 }
 
 fn insert_rec(node: &mut Node, bounds: Box3, id: u64, seg: Seg3, depth: u32, copied: &mut u64) {
+    let descend = |kid: &mut Node, b: Box3, copied: &mut u64| {
+        insert_rec(kid, b, id, seg, depth + 1, copied);
+    };
     match node {
         Node::Leaf(items) => {
             items.push((id, seg), copied);
             if items.len <= LEAF_CAPACITY || depth >= MAX_DEPTH {
                 return;
             }
-            let empty = Items::empty();
-            let mut kids: [Node; 8] = std::array::from_fn(|_| Node::Leaf(empty.clone()));
-            let octs = bounds.octants();
-            for &(mid, mseg) in items.live() {
-                for ((o, kid), hit) in octs.iter().zip(&mut kids).zip(mseg.octant_hits(&bounds)) {
-                    if hit {
-                        insert_rec(kid, *o, mid, mseg, depth + 1, copied);
-                    }
-                }
-            }
-            *node = Node::Internal(Arc::new(kids));
+            let interior = if splits_time(items.live(), &bounds) {
+                Node::Oct(split(items.live(), bounds, depth, copied))
+            } else {
+                Node::Quad(split(items.live(), bounds, depth, copied))
+            };
+            *node = interior;
         }
-        Node::Internal(kids) => {
-            let hits = seg.octant_hits(&bounds);
-            for ((o, kid), hit) in bounds.octants().iter().zip(unshare(kids, copied)).zip(hits) {
-                if hit {
-                    insert_rec(kid, *o, id, seg, depth + 1, copied);
-                }
-            }
-        }
+        Node::Quad(kids) => each_crossed(kids, bounds, seg, copied, descend),
+        Node::Oct(kids) => each_crossed(kids, bounds, seg, copied, descend),
     }
 }
 
-fn remove_rec(node: &mut Node, bounds: Box3, id: u64, seg: Seg3, copied: &mut u64) -> bool {
+/// The `N` children an overflowing leaf at `depth` hands its items to.
+fn split<const N: usize>(
+    items: &[Item],
+    bounds: Box3,
+    depth: u32,
+    copied: &mut u64,
+) -> Arc<[Node; N]> {
+    let empty = Items::empty();
+    let mut kids = Arc::new(std::array::from_fn(|_| Node::Leaf(empty.clone())));
+    for &(id, seg) in items {
+        each_crossed(&mut kids, bounds, seg, copied, |kid, b, copied| {
+            insert_rec(kid, b, id, seg, depth + 1, copied);
+        });
+    }
+    kids
+}
+
+fn remove_rec(node: &mut Node, bounds: Box3, id: u64, seg: Seg3, copied: &mut u64) {
+    let descend = |kid: &mut Node, b: Box3, copied: &mut u64| remove_rec(kid, b, id, seg, copied);
     match node {
         Node::Leaf(items) => items.remove(|(i, s)| *i == id && *s == seg, copied),
-        Node::Internal(kids) => {
-            let mut removed = false;
-            let hits = seg.octant_hits(&bounds);
-            for ((o, kid), hit) in bounds.octants().iter().zip(unshare(kids, copied)).zip(hits) {
-                if hit {
-                    removed |= remove_rec(kid, *o, id, seg, copied);
-                }
-            }
-            removed
-        }
+        Node::Quad(kids) => each_crossed(kids, bounds, seg, copied, descend),
+        Node::Oct(kids) => each_crossed(kids, bounds, seg, copied, descend),
     }
 }
 
@@ -489,12 +591,21 @@ fn query_rec(node: &Node, bounds: Box3, probe: &Box3, out: &mut Vec<u64>, visite
                 }
             }
         }
-        Node::Internal(kids) => {
-            for (o, kid) in bounds.octants().iter().zip(kids.iter()) {
-                if o.intersects(probe) {
-                    query_rec(kid, *o, probe, out, visited);
-                }
-            }
+        Node::Quad(kids) => query_kids(kids, bounds, probe, out, visited),
+        Node::Oct(kids) => query_kids(kids, bounds, probe, out, visited),
+    }
+}
+
+fn query_kids<const N: usize>(
+    kids: &[Node; N],
+    bounds: Box3,
+    probe: &Box3,
+    out: &mut Vec<u64>,
+    visited: &mut u64,
+) {
+    for (b, kid) in bounds.children::<N>().iter().zip(kids) {
+        if b.intersects(probe) {
+            query_rec(kid, *b, probe, out, visited);
         }
     }
 }
@@ -557,7 +668,10 @@ mod tests {
         let mut idx = MovingObjectIndex2D::new(500, space());
         let mut objs = Vec::new();
         for i in 0..200u64 {
-            let p = Point::new((i % 20) as f64 * 40.0 - 400.0, (i / 20) as f64 * 40.0 - 200.0);
+            let p = Point::new(
+                (i % 20) as f64 * 40.0 - 400.0,
+                (i / 20) as f64 * 40.0 - 200.0,
+            );
             let v = Velocity::new(((i % 5) as f64 - 2.0) * 0.3, ((i % 3) as f64 - 1.0) * 0.3);
             idx.insert(i, 0, p, v);
             objs.push(MovingPoint::from_origin(p, v));
@@ -576,12 +690,16 @@ mod tests {
         }
     }
 
-    #[test]
-    fn octant_hits_agrees_with_intersects_octant_by_octant() {
-        let mut rng = most_testkit::rng::Rng::seed_from_u64(0x0C7A);
-        let b = Box3 { min: [0.0, -500.0, -500.0], max: [200.0, 500.0, 500.0] };
-        // Lattice coordinates put endpoints on the faces and mid-planes and
-        // make axis-parallel (d == 0) segments common.
+    /// Checks `child_hits::<N>` against `intersects` on each of the `N`
+    /// child boxes for 20k segments whose lattice coordinates put endpoints
+    /// on the faces and mid-planes and make axis-parallel (d == 0) segments
+    /// common.
+    fn child_hits_agree_with_intersects<const N: usize>(seed: u64) {
+        let mut rng = most_testkit::rng::Rng::seed_from_u64(seed);
+        let b = Box3 {
+            min: [0.0, -500.0, -500.0],
+            max: [200.0, 500.0, 500.0],
+        };
         let mut coord = |axis: usize| {
             let span = b.max[axis] - b.min[axis];
             b.min[axis] + span * (rng.below(13) as f64 - 2.0) / 8.0
@@ -591,9 +709,80 @@ mod tests {
                 p0: [coord(0), coord(1), coord(2)],
                 p1: [coord(0), coord(1), coord(2)],
             };
-            let want = b.octants().map(|o| seg.intersects(&o));
-            assert_eq!(seg.octant_hits(&b), want, "{seg:?}");
+            let want = b.children::<N>().map(|c| seg.intersects(&c));
+            assert_eq!(seg.child_hits::<N>(&b), want, "{seg:?}");
         }
+    }
+
+    #[test]
+    fn octant_hits_agrees_with_intersects_octant_by_octant() {
+        child_hits_agree_with_intersects::<8>(0x0C7A);
+    }
+
+    #[test]
+    fn quadrant_hits_agrees_with_intersects_quadrant_by_quadrant() {
+        let b = Box3 {
+            min: [0.0, -500.0, -500.0],
+            max: [200.0, 500.0, 500.0],
+        };
+        for q in b.children::<4>() {
+            assert_eq!(
+                (q.min[0], q.max[0]),
+                (0.0, 200.0),
+                "a quadrant keeps the time span"
+            );
+        }
+        child_hits_agree_with_intersects::<4>(0x4CAD);
+    }
+
+    /// (four-way, eight-way) interior node counts.
+    fn interior_counts(node: &Node) -> (usize, usize) {
+        let sum = |kids: &[Node]| {
+            kids.iter()
+                .map(interior_counts)
+                .fold((0, 0), |a, c| (a.0 + c.0, a.1 + c.1))
+        };
+        match node {
+            Node::Leaf(_) => (0, 0),
+            Node::Quad(kids) => {
+                let (q, o) = sum(&kids[..]);
+                (q + 1, o)
+            }
+            Node::Oct(kids) => {
+                let (q, o) = sum(&kids[..]);
+                (q, o + 1)
+            }
+        }
+    }
+
+    #[test]
+    fn time_is_split_only_where_the_objects_move() {
+        // Parked cars never split time, however deep the cluster goes.
+        let mut parked = MovingObjectIndex2D::new(200, space());
+        for i in 0..64 {
+            parked.insert(i, 0, Point::new(12.5, -7.0), Velocity::zero());
+        }
+        let (quads, octs) = interior_counts(&parked.root);
+        assert_eq!((quads, octs), (MAX_DEPTH as usize, 0));
+        assert_eq!(
+            parked
+                .query_at(150, &Rect::new(10.0, -10.0, 15.0, -5.0))
+                .0
+                .len(),
+            64
+        );
+
+        // Cars crossing their cell within its time span split time too.
+        let mut fast = MovingObjectIndex2D::new(200, space());
+        for i in 0..64u64 {
+            let p = Point::new(
+                (i % 8) as f64 * 100.0 - 400.0,
+                (i / 8) as f64 * 100.0 - 400.0,
+            );
+            fast.insert(i, 0, p, Velocity::new(4.0, 3.0));
+        }
+        let (_, octs) = interior_counts(&fast.root);
+        assert!(octs > 0, "fast movers never split time");
     }
 
     #[test]

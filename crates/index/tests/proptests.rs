@@ -4,7 +4,9 @@
 use most_index::{DynamicAttributeIndex, IndexKind, MovingObjectIndex2D};
 use most_spatial::{MovingPoint, Point, Rect, Trajectory, Velocity};
 use most_temporal::{Horizon, IntervalSet, Tick};
-use most_testkit::check::{bools, ints, just, one_of, tuple2, tuple3, tuple4, vecs, Check, Gen};
+use most_testkit::check::{
+    bools, ints, just, one_of, select, tuple2, tuple3, tuple4, vecs, Check, Gen,
+};
 
 const LIFETIME: Tick = 200;
 
@@ -169,50 +171,83 @@ fn quadtree_and_rtree_agree() {
     );
 }
 
+/// Where the co-located objects of the trajectory model sit.
+const SPOT: (i32, i32) = (17, -33);
+
+/// Motion vectors with components in [-4, 4]: a quarter stationary, a
+/// quarter crawling at 1% of that, so the octree's split rule takes both
+/// its branches — time is halved only under fast movers.
+fn arb_velocity() -> Gen<Velocity> {
+    tuple3(ints(-8i32..=8), ints(-8i32..=8), select(&[0.0, 0.5, 0.5, 0.005]))
+        .map(|(vx, vy, scale)| Velocity::new(vx as f64 * scale, vy as f64 * scale))
+}
+
+/// An object of the trajectory model: its start, its motion vector, and
+/// updates `(dt, velocity)` each `dt` ticks after the previous one — a
+/// zero `dt` replaces the leg, a positive one leaves a prefix leg behind.
+#[allow(clippy::type_complexity)]
+fn arb_object() -> Gen<((i32, i32), Velocity, Vec<(Tick, Velocity)>)> {
+    let lattice = tuple2(ints(-200i32..200), ints(-200i32..200));
+    tuple3(
+        one_of(vec![lattice.clone(), lattice, just(SPOT)]),
+        arb_velocity(),
+        vecs(tuple2(ints(0..60 as Tick), arb_velocity()), 0..4),
+    )
+}
+
 #[test]
 fn index2d_matches_trajectory_model() {
-    #[allow(clippy::type_complexity)]
-    let arb_obj: Gen<(i32, i32, i32, i32, Option<(Tick, i32, i32)>)> = tuple2(
-        tuple4(ints(-200i32..200), ints(-200i32..200), ints(-4i32..4), ints(-4i32..4)),
-        one_of(vec![
-            just(None),
-            tuple3(ints(1..LIFETIME), ints(-4i32..4), ints(-4i32..4)).map(Some),
-        ]),
-    )
-    .map(|((x, y, vx, vy), upd)| (x, y, vx, vy, upd));
+    let region = one_of(vec![tuple2(ints(-200i32..150), ints(-200i32..150)), just((0, -60))]);
     let gen = tuple4(
-        vecs(arb_obj, 1..25),
+        vecs(arb_object(), 1..40),
         ints(0..LIFETIME),
-        ints(-200i32..150),
-        ints(-200i32..150),
+        tuple2(ints(0..LIFETIME), ints(0..LIFETIME)),
+        region,
     );
-    Check::new("index::index2d_matches_trajectory_model").cases(48).run(
+    Check::new("index::index2d_matches_trajectory_model").cases(64).run(
         &gen,
-        |(objs, t, rx, ry)| {
+        |(objs, t, (from, len), (rx, ry))| {
             let mut idx =
                 MovingObjectIndex2D::new(LIFETIME, Rect::new(-1500.0, -1500.0, 1500.0, 1500.0));
-            let mut trajs: Vec<Trajectory> = Vec::new();
-            for (i, (x, y, vx, vy, upd)) in objs.iter().enumerate() {
-                let p = Point::new(*x as f64, *y as f64);
-                let v = Velocity::new(*vx as f64 * 0.5, *vy as f64 * 0.5);
-                idx.insert(i as u64, 0, p, v);
-                let mut traj = Trajectory::new(MovingPoint::from_origin(p, v));
-                if let Some((ut, uvx, uvy)) = upd {
-                    let nv = Velocity::new(*uvx as f64 * 0.5, *uvy as f64 * 0.5);
-                    idx.update(i as u64, *ut, traj.position_at_tick(*ut), nv);
-                    traj.update_velocity(*ut, nv);
-                }
-                trajs.push(traj);
-            }
-            let region = Rect::new(*rx as f64, *ry as f64, *rx as f64 + 60.0, *ry as f64 + 60.0);
-            let (got, _) = idx.query_at(*t, &region);
-            let want: Vec<u64> = trajs
+            let trajs: Vec<Trajectory> = objs
                 .iter()
                 .enumerate()
-                .filter(|(_, traj)| region.contains(traj.position_at_tick(*t)))
-                .map(|(i, _)| i as u64)
+                .map(|(i, ((x, y), v, updates))| {
+                    let p = Point::new(*x as f64, *y as f64);
+                    idx.insert(i as u64, 0, p, *v);
+                    let mut traj = Trajectory::new(MovingPoint::from_origin(p, *v));
+                    let mut at = 0;
+                    for &(dt, nv) in updates {
+                        at += dt;
+                        if at >= LIFETIME {
+                            break;
+                        }
+                        idx.update(i as u64, at, traj.position_at_tick(at), nv);
+                        traj.update_velocity(at, nv);
+                    }
+                    traj
+                })
                 .collect();
-            assert_eq!(got, want);
+            let region = Rect::new(*rx as f64, *ry as f64, *rx as f64 + 60.0, *ry as f64 + 60.0);
+            let inside = |id: usize, tick: Tick| region.contains(trajs[id].position_at_tick(tick));
+
+            let (got, stats) = idx.query_at(*t, &region);
+            let want: Vec<u64> =
+                (0..trajs.len()).filter(|&id| inside(id, *t)).map(|id| id as u64).collect();
+            assert_eq!(got, want, "query_at {t}");
+            assert_eq!(stats.results, got.len() as u64);
+
+            let to = (from + len).min(LIFETIME);
+            let (got, _) = idx.query_window(*from, to, &region);
+            let want: Vec<(u64, IntervalSet)> = (0..trajs.len())
+                .filter_map(|id| {
+                    let ticks = IntervalSet::from_predicate(Horizon::new(LIFETIME), |tick| {
+                        *from <= tick && tick <= to && inside(id, tick)
+                    });
+                    (!ticks.is_empty()).then_some((id as u64, ticks))
+                })
+                .collect();
+            assert_eq!(got, want, "query_window {from}..={to}");
         },
     );
 }

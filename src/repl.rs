@@ -160,11 +160,11 @@ impl Session {
         let at = pair_after(line, "AT")?;
         let vel = pair_after(line, "VEL")?;
         let class = word_after(line, "CLASS").unwrap_or_else(|| "objects".to_owned());
-        let id = self.db.insert_moving_object(
-            class,
-            Point::new(at.0, at.1),
-            Velocity::new(vel.0, vel.1),
-        );
+        let id = self.db.next_object_id();
+        let (position, velocity) = (Point::new(at.0, at.1), Velocity::new(vel.0, vel.1));
+        self.db
+            .insert_moving_object_with_id(id, class, position, velocity)
+            .map_err(|e| e.to_string())?;
         self.names.insert(name.clone(), id);
         Ok(format!("{name} = #{id}"))
     }
@@ -588,6 +588,8 @@ mod tests {
             "FROBNICATE",
             "CREATE",
             "CREATE x AT (1) VEL (0, 0)",
+            "CREATE x AT (NaN, 0) VEL (0, 0)",
+            "CREATE x AT (0, 0) VEL (1e308, 0)",
             "SET nobody.PRICE = 3",
             "MOVE ghost VEL (1, 1)",
             "SHOW cqX",
