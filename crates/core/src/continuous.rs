@@ -16,7 +16,8 @@ use crate::deps::DepSet;
 use most_dbms::value::Value;
 use most_ftl::answer::{Answer, AnswerTuple};
 use most_ftl::Query;
-use most_temporal::{Interval, IntervalSet, Tick};
+use most_temporal::{Duration, Interval, IntervalSet, Tick};
+use most_testkit::ser::{FromJson, Json, JsonError, ToJson};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -27,6 +28,10 @@ pub struct CqEntry {
     pub query: Query,
     /// Global tick at which the query was entered.
     pub entered_at: Tick,
+    /// Global tick of the evaluation the answer's window starts at (the
+    /// registration, or the last refresh): the answer covers ticks up to
+    /// `evaluated_at + expiration`.
+    pub evaluated_at: Tick,
     /// Materialized answer, in **global** ticks.  Shared between epochs
     /// until a refresh changes it.
     pub answer: Arc<Answer>,
@@ -39,6 +44,13 @@ pub struct CqEntry {
     pub skipped: u64,
     /// Cumulative wall-clock nanoseconds spent re-evaluating this entry.
     pub refresh_nanos: u64,
+}
+
+impl CqEntry {
+    /// The horizon rule: whether the materialized window still covers `now`.
+    pub(crate) fn covers(&self, now: Tick, expiration: Duration) -> bool {
+        now <= self.evaluated_at.saturating_add(expiration)
+    }
 }
 
 /// Registry of live continuous queries.
@@ -76,6 +88,7 @@ impl ContinuousRegistry {
             CqEntry {
                 query,
                 entered_at,
+                evaluated_at: entered_at,
                 answer: Arc::new(answer),
                 deps,
                 refreshes: 0,
@@ -124,6 +137,7 @@ impl ContinuousRegistry {
         if let Some(entry) = self.entries.get_mut(&id) {
             let merged = merge_answers(&entry.answer, &new_answer, boundary);
             entry.refresh_nanos += nanos;
+            entry.evaluated_at = boundary;
             if merged == *entry.answer {
                 self.noop_refreshes += 1;
             } else {
@@ -266,15 +280,44 @@ pub fn combine_shard_answers(parts: &[Answer]) -> crate::error::CoreResult<Answe
         .fold(first.clone(), |acc, part| acc.union_with(part)))
 }
 
-most_testkit::json_struct!(CqEntry {
-    query,
-    entered_at,
-    answer,
-    deps,
-    refreshes,
-    skipped,
-    refresh_nanos
-});
+impl ToJson for CqEntry {
+    fn to_json(&self) -> Json {
+        let mut fields = vec![
+            ("query".to_owned(), self.query.to_json()),
+            ("entered_at".to_owned(), self.entered_at.to_json()),
+            ("answer".to_owned(), self.answer.to_json()),
+            ("deps".to_owned(), self.deps.to_json()),
+            ("refreshes".to_owned(), self.refreshes.to_json()),
+            ("skipped".to_owned(), self.skipped.to_json()),
+            ("refresh_nanos".to_owned(), self.refresh_nanos.to_json()),
+        ];
+        // Written once a refresh has moved it, so snapshots written before
+        // the field existed (which decode it as `entered_at`) re-encode
+        // unchanged.
+        if self.evaluated_at != self.entered_at {
+            fields.push(("evaluated_at".to_owned(), self.evaluated_at.to_json()));
+        }
+        Json::Obj(fields)
+    }
+}
+
+impl FromJson for CqEntry {
+    fn from_json(j: &Json) -> Result<Self, JsonError> {
+        let entered_at = Tick::from_json(j.field("entered_at")?)?;
+        Ok(CqEntry {
+            query: FromJson::from_json(j.field("query")?)?,
+            entered_at,
+            evaluated_at: j
+                .field("evaluated_at")
+                .map_or(Ok(entered_at), Tick::from_json)?,
+            answer: FromJson::from_json(j.field("answer")?)?,
+            deps: FromJson::from_json(j.field("deps")?)?,
+            refreshes: FromJson::from_json(j.field("refreshes")?)?,
+            skipped: FromJson::from_json(j.field("skipped")?)?,
+            refresh_nanos: FromJson::from_json(j.field("refresh_nanos")?)?,
+        })
+    }
+}
 most_testkit::json_struct!(ContinuousRegistry {
     next,
     entries,

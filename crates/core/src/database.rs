@@ -290,10 +290,13 @@ impl Database {
         self.expiration
     }
 
-    /// Advances the clock.  No re-evaluation happens: the whole point of
-    /// the MOST model is that answers change with time *without* updates.
+    /// Advances the clock.  Answers change with time *without* updates —
+    /// the whole point of the MOST model — so the only re-evaluation is a
+    /// continuous query whose materialized window the clock has outrun
+    /// (`refresh.horizon_renewals`).
     pub fn advance_clock(&mut self, ticks: Duration) {
         self.clock += ticks;
+        self.renew_horizons();
     }
 
     // ------------------------------------------------------------------

@@ -6,7 +6,8 @@
 //! per explicit update batch, and this module is all of it:
 //!
 //! 1. **filter** — a query whose [`DepSet`](crate::deps::DepSet) no change
-//!    in the batch can affect is skipped outright;
+//!    in the batch can affect is skipped outright, while its materialized
+//!    window still covers the clock (the horizon rule, DESIGN.md §6);
 //! 2. **evaluate** — each surviving query is re-evaluated in full against
 //!    the final batch state, by the evaluator instantaneous queries use, so
 //!    a refreshed display equals a fresh query by construction;
@@ -39,16 +40,41 @@ impl Database {
         if changes.is_empty() || self.continuous.is_empty() {
             return Ok(());
         }
+        self.refresh_pass(changes)
+    }
+
+    /// The clock's half of the horizon rule, run by
+    /// [`Database::advance_clock`]: renews every query whose window no
+    /// longer covers the clock.  A failed renewal keeps its query's answer;
+    /// the next update evaluates it again and reports the error.
+    pub(crate) fn renew_horizons(&mut self) {
+        let (now, expiration) = (self.now(), self.expiration());
+        if self.continuous.iter().any(|(_, e)| !e.covers(now, expiration)) {
+            let _ = self.refresh_pass(&[]);
+        }
+    }
+
+    /// One filter → evaluate → merge pass over every query.  With no
+    /// changes (the clock's pass) only renewals evaluate, and nothing
+    /// counts as skipped.
+    fn refresh_pass(&mut self, changes: &[(u64, UpdateKind)]) -> CoreResult<()> {
         let boundary = self.now();
         most_obs::span!("refresh.eval");
-        let (mut evaluated, mut skipped) = (0u64, 0u64);
+        let (mut evaluated, mut skipped, mut renewals) = (0u64, 0u64, 0u64);
         let mut first_err: Option<CoreError> = None;
         for id in self.continuous.ids() {
             let entry = self.continuous.get(id).expect("id from ids() snapshot");
             if !changes.iter().any(|(_, kind)| entry.deps.affected_by(kind)) {
-                self.continuous.note_skipped(id);
-                skipped += 1;
-                continue;
+                // A query no change affects is skippable only while its
+                // window still covers the clock.
+                if entry.covers(boundary, self.expiration()) {
+                    if !changes.is_empty() {
+                        self.continuous.note_skipped(id);
+                        skipped += 1;
+                    }
+                    continue;
+                }
+                renewals += 1;
             }
             evaluated += 1;
             match timed_eval(|| self.evaluate_global(&entry.query)) {
@@ -61,6 +87,7 @@ impl Database {
         most_obs::add("refresh.total", evaluated + skipped);
         most_obs::add("refresh.skipped", skipped);
         most_obs::add("refresh.evaluated", evaluated);
+        most_obs::add("refresh.horizon_renewals", renewals);
         first_err.map_or(Ok(()), Err)
     }
 }

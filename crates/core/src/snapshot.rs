@@ -65,6 +65,10 @@ impl EvalContext for DbContext<'_> {
         self.db.object_ids()
     }
 
+    fn object_count(&self) -> usize {
+        self.db.len()
+    }
+
     fn trajectory(&self, id: u64) -> Option<Trajectory> {
         let obj = self.db.object(id).ok()?;
         let traj = obj.trajectory()?;

@@ -29,6 +29,11 @@ pub trait EvalContext {
     /// The active domain: ids of all objects, ascending.
     fn object_ids(&self) -> Vec<u64>;
 
+    /// The size of the active domain, without building it.
+    fn object_count(&self) -> usize {
+        self.object_ids().len()
+    }
+
     /// The motion of object `id` over the horizon (single-leg for
     /// instantaneous/continuous evaluation).
     fn trajectory(&self, id: u64) -> Option<Trajectory>;
@@ -164,6 +169,60 @@ impl EvalContext for MemoryContext {
 
     fn region(&self, name: &str) -> Option<Polygon> {
         self.regions.get(name).cloned()
+    }
+}
+
+/// A view of `inner` whose active domain is the sorted id set `ids`: the
+/// restriction a conjunction passes to its second operand.  Index probes
+/// are cut to `ids` too, so an atom enumerates its probe ∩ `ids`.
+pub(crate) struct Restricted<'a> {
+    pub(crate) inner: &'a dyn EvalContext,
+    pub(crate) ids: Vec<u64>,
+}
+
+impl Restricted<'_> {
+    /// `probe` ∩ the restriction.
+    pub(crate) fn restrict(&self, mut probe: Vec<u64>) -> Vec<u64> {
+        probe.retain(|id| self.ids.binary_search(id).is_ok());
+        probe
+    }
+}
+
+impl EvalContext for Restricted<'_> {
+    fn horizon(&self) -> Horizon {
+        self.inner.horizon()
+    }
+
+    fn object_ids(&self) -> Vec<u64> {
+        self.ids.clone()
+    }
+
+    fn object_count(&self) -> usize {
+        self.ids.len()
+    }
+
+    fn trajectory(&self, id: u64) -> Option<Trajectory> {
+        self.inner.trajectory(id)
+    }
+
+    fn attr_series(&self, id: u64, name: &str) -> Vec<(Value, Interval)> {
+        self.inner.attr_series(id, name)
+    }
+
+    fn region(&self, name: &str) -> Option<Polygon> {
+        self.inner.region(name)
+    }
+
+    fn inside_candidates(&self, region: &Polygon) -> Option<Vec<u64>> {
+        Some(self.restrict(self.inner.inside_candidates(region)?))
+    }
+
+    fn attr_range_candidates(&self, attr: &str, lo: f64, hi: f64) -> Option<Vec<u64>> {
+        Some(self.restrict(self.inner.attr_range_candidates(attr, lo, hi)?))
+    }
+
+    fn dynamic_series(&self, id: u64, name: &str) -> Vec<(Interval, [f64; 3])> {
+        self.inner.dynamic_series(id, name)
     }
 }
 

@@ -21,7 +21,7 @@
 
 use crate::answer::{Answer, AnswerTuple};
 use crate::ast::{CmpOp, Formula, Query, Term};
-use crate::context::EvalContext;
+use crate::context::{EvalContext, Restricted};
 use crate::error::{FtlError, FtlResult};
 use crate::numeric::{compare_terms, is_motion_attr, value_series};
 use crate::relation::VarRelation;
@@ -164,56 +164,48 @@ fn eval_formula(
     f: &Formula,
     obj_vars: &BTreeSet<String>,
 ) -> FtlResult<VarRelation> {
+    eval_probed(ctx, f, obj_vars, index_probe(ctx, f, obj_vars))
+}
+
+/// [`eval_formula`] with `f`'s [`index_probe`] already taken.
+fn eval_probed(
+    ctx: &dyn EvalContext,
+    f: &Formula,
+    obj_vars: &BTreeSet<String>,
+    probe: Option<Vec<u64>>,
+) -> FtlResult<VarRelation> {
     let h = ctx.horizon();
     match f {
         Formula::Bool(true) => Ok(VarRelation::nullary(IntervalSet::full(h))),
         Formula::Bool(false) => Ok(VarRelation::nullary(IntervalSet::empty())),
         Formula::Cmp(op, lhs, rhs) => {
             let vars = atom_object_vars(&[lhs, rhs], obj_vars);
-            let eval_one = |env: &Env| compare_terms(ctx, env, *op, lhs, rhs);
-            // Section 4 integration: a range comparison over one object's
-            // non-motion attribute may fetch an index-pruned candidate
-            // superset (non-candidates produce empty interval sets and
-            // would be dropped anyway).
-            match attr_range_prune(ctx, *op, lhs, rhs, &vars) {
-                Some(ids) => atom_relation_over(ctx, &vars, &ids, eval_one),
-                None => atom_relation(ctx, &vars, eval_one),
-            }
+            atom_relation(ctx, &vars, probe, |env| {
+                compare_terms(ctx, env, *op, lhs, rhs)
+            })
         }
         Formula::Inside(term, region) => {
             let poly = ctx
                 .region(region)
                 .ok_or_else(|| FtlError::UnknownRegion(region.clone()))?;
             let vars = atom_object_vars(&[term], obj_vars);
-            // Section 4 integration: when the context maintains a position
-            // index, restrict enumeration to objects whose motion can enter
-            // the region at all.  Only sound for a bare object variable
-            // (INSIDE is monotone in the candidate set: non-candidates have
-            // empty interval sets and would be dropped anyway).
-            let pruned = match term {
-                Term::Var(_) => ctx.inside_candidates(&poly),
-                _ => None,
-            };
-            let eval_one = |env: &Env| {
+            atom_relation(ctx, &vars, probe, |env| {
                 Ok(match point_motion(ctx, env, term)? {
                     Some(traj) => piecewise(&traj, h, |leg, h| inside_polygon(leg, &poly, h)),
                     None => IntervalSet::empty(),
                 })
-            };
-            match pruned {
-                Some(ids) => atom_relation_over(ctx, &vars, &ids, eval_one),
-                None => atom_relation(ctx, &vars, eval_one),
-            }
+            })
         }
         Formula::Outside(term, region) => {
             let poly = ctx
                 .region(region)
                 .ok_or_else(|| FtlError::UnknownRegion(region.clone()))?;
             let vars = atom_object_vars(&[term], obj_vars);
-            atom_relation(ctx, &vars, |env| {
+            atom_relation(ctx, &vars, None, |env| {
                 Ok(match point_motion(ctx, env, term)? {
-                    Some(traj) => piecewise(&traj, h, |leg, h| inside_polygon(leg, &poly, h))
-                        .complement(h),
+                    Some(traj) => {
+                        piecewise(&traj, h, |leg, h| inside_polygon(leg, &poly, h)).complement(h)
+                    }
                     None => IntervalSet::empty(),
                 })
             })
@@ -225,7 +217,7 @@ fn eval_formula(
                 .ok_or_else(|| FtlError::UnknownRegion(region.clone()))?;
             let negated = matches!(f, Formula::OutsideMoving(..));
             let vars = atom_object_vars(&[term, anchor], obj_vars);
-            atom_relation(ctx, &vars, |env| {
+            atom_relation(ctx, &vars, None, |env| {
                 let (point, anch) = match (
                     point_motion(ctx, env, term)?,
                     point_motion(ctx, env, anchor)?,
@@ -252,8 +244,7 @@ fn eval_formula(
                             leg_p.velocity - leg_a.velocity,
                         );
                         let span = IntervalSet::singleton(Interval::new(lo, hi));
-                        acc = acc
-                            .union(&inside_polygon(rel, &poly, h).intersect(&span));
+                        acc = acc.union(&inside_polygon(rel, &poly, h).intersect(&span));
                     }
                 }
                 Ok(if negated { acc.complement(h) } else { acc })
@@ -262,7 +253,7 @@ fn eval_formula(
         Formula::WithinSphere(r, terms) => {
             let refs: Vec<&Term> = terms.iter().collect();
             let vars = atom_object_vars(&refs, obj_vars);
-            atom_relation(ctx, &vars, |env| {
+            atom_relation(ctx, &vars, None, |env| {
                 let mut trajs = Vec::with_capacity(terms.len());
                 for t in terms {
                     match point_motion(ctx, env, t)? {
@@ -273,8 +264,31 @@ fn eval_formula(
                 Ok(within_sphere_piecewise(*r, &trajs, h))
             })
         }
-        Formula::And(a, b) => Ok(eval_formula(ctx, a, obj_vars)?
-            .and_join(&eval_formula(ctx, b, obj_vars)?)),
+        Formula::And(a, b) => {
+            let (pa, pb) = (index_probe(ctx, a, obj_vars), index_probe(ctx, b, obj_vars));
+            let free = f.free_vars();
+            if free.len() != 1 || !obj_vars.contains(&free[0]) {
+                return Ok(eval_probed(ctx, a, obj_vars, pa)?
+                    .and_join(&eval_probed(ctx, b, obj_vars, pb)?));
+            }
+            // Both operands range over one object variable: the side with
+            // the smaller known candidate bound drives, and the other is
+            // evaluated only over the ids it kept (DESIGN.md §11).
+            let bound = |p: &Option<Vec<u64>>| p.as_ref().map_or(usize::MAX, Vec::len);
+            let ((first, p1), (second, p2)) = if bound(&pb) < bound(&pa) {
+                ((b, pb), (a, pa))
+            } else {
+                ((a, pa), (b, pb))
+            };
+            let r1 = eval_probed(ctx, first, obj_vars, p1)?;
+            if r1.vars().is_empty() {
+                return Ok(r1.and_join(&eval_probed(ctx, second, obj_vars, p2)?));
+            }
+            let ids = r1.rows().iter().filter_map(|(v, _)| v[0].as_id()).collect();
+            let view = Restricted { inner: ctx, ids };
+            let p2 = p2.map(|p| view.restrict(p));
+            Ok(r1.and_join(&eval_probed(&view, second, obj_vars, p2)?))
+        }
         Formula::Or(a, b) => {
             let ra = eval_formula(ctx, a, obj_vars)?;
             let rb = eval_formula(ctx, b, obj_vars)?;
@@ -333,9 +347,7 @@ fn eval_formula(
             most_obs::inc("ftl.temporal_ops");
             Ok(eval_formula(ctx, a, obj_vars)?.map_sets(|s| s.always_for(*c, h)))
         }
-        Formula::Assign(x, term, body) => {
-            eval_assignment(ctx, x, term, body, obj_vars)
-        }
+        Formula::Assign(x, term, body) => eval_assignment(ctx, x, term, body, obj_vars),
     }
 }
 
@@ -398,9 +410,7 @@ fn eval_assignment_rec(
     if inst.len() < term_vars.len() {
         for &id in ids {
             inst.push(Value::Id(id));
-            eval_assignment_rec(
-                ctx, x, term, body, obj_vars, term_vars, ids, inst, combined,
-            )?;
+            eval_assignment_rec(ctx, x, term, body, obj_vars, term_vars, ids, inst, combined)?;
             inst.pop();
         }
         return Ok(());
@@ -428,11 +438,7 @@ fn eval_assignment_rec(
 /// Attaches fixed instantiation columns to a relation: rows that disagree
 /// with the instantiation on shared variables are dropped; missing columns
 /// are appended.
-fn attach_instantiation(
-    rel: &VarRelation,
-    vars: &[String],
-    values: &[Value],
-) -> VarRelation {
+fn attach_instantiation(rel: &VarRelation, vars: &[String], values: &[Value]) -> VarRelation {
     let mut out_vars = rel.vars().to_vec();
     let mut extra: Vec<(usize, &Value)> = Vec::new();
     for (i, v) in vars.iter().enumerate() {
@@ -473,6 +479,26 @@ fn merge_disjunctive(a: VarRelation, b: VarRelation) -> FtlResult<VarRelation> {
     }
 }
 
+/// Section 4 integration: the candidate superset a context index yields for
+/// an atom over one bare object variable, `INSIDE(o, P)` or
+/// [`attr_range_prune`]'s range comparison.  Non-candidates would produce
+/// empty interval sets and be dropped anyway.  `None` means "enumerate the
+/// domain": another shape (a pinned constant is one object, its probe could
+/// only be discarded) or no index.
+fn index_probe(
+    ctx: &dyn EvalContext,
+    f: &Formula,
+    obj_vars: &BTreeSet<String>,
+) -> Option<Vec<u64>> {
+    match f {
+        Formula::Cmp(op, lhs, rhs) => {
+            attr_range_prune(ctx, *op, lhs, rhs, &atom_object_vars(&[lhs, rhs], obj_vars))
+        }
+        Formula::Inside(Term::Var(_), region) => ctx.inside_candidates(&ctx.region(region)?),
+        _ => None,
+    }
+}
+
 /// Detects a range comparison of the shape `x.NAME op const` (either
 /// orientation) over a single object variable and a **non-motion**
 /// attribute, and asks the context's dynamic-attribute index for a
@@ -489,14 +515,10 @@ fn attr_range_prune(
         return None;
     }
     let (attr, op, bound) = match (lhs, rhs) {
-        (Term::Attr(base, name), Term::Const(c))
-            if matches!(base.as_ref(), Term::Var(_)) =>
-        {
+        (Term::Attr(base, name), Term::Const(c)) if matches!(base.as_ref(), Term::Var(_)) => {
             (name, op, c.as_f64()?)
         }
-        (Term::Const(c), Term::Attr(base, name))
-            if matches!(base.as_ref(), Term::Var(_)) =>
-        {
+        (Term::Const(c), Term::Attr(base, name)) if matches!(base.as_ref(), Term::Var(_)) => {
             (name, op.flipped(), c.as_f64()?)
         }
         _ => return None,
@@ -530,42 +552,32 @@ fn atom_object_vars(terms: &[&Term], obj_vars: &BTreeSet<String>) -> Vec<String>
     out
 }
 
-/// [`atom_relation`] with an explicit candidate id set (index pruning).
-fn atom_relation_over(
-    ctx: &dyn EvalContext,
-    vars: &[String],
-    ids: &[u64],
-    eval_one: impl Fn(&Env) -> FtlResult<IntervalSet>,
-) -> FtlResult<VarRelation> {
-    most_obs::inc("ftl.atoms");
-    most_obs::inc("ftl.pruned");
-    // Pruned = domain minus candidates: what the index saved this atom.
-    let domain = ctx.object_ids().len() as u64;
-    most_obs::add("ftl.candidates_pruned", domain.saturating_sub(ids.len() as u64));
-    match vars.first() {
-        Some(var) => {
-            let rows = single_var_rows(var, ids, &eval_one)?;
-            Ok(VarRelation::new(vars.to_vec(), rows))
-        }
-        None => {
-            let set = eval_one(&Env::new())?;
-            Ok(VarRelation::nullary(set))
-        }
-    }
-}
-
 /// Builds an atom's relation by enumerating instantiations of its object
-/// variables over the active domain.  Each binding is evaluated
-/// independently of every other (the atom routines read only the
-/// environment and the context), which removes per-binding allocation
-/// churn: one reused [`Env`], rows built in place.
+/// variables over the active domain, or over its [`index_probe`] when it
+/// has one.  Each binding is evaluated independently of every other (the
+/// atom routines read only the environment and the context), which removes
+/// per-binding allocation churn: one reused [`Env`], rows built in place.
 fn atom_relation(
     ctx: &dyn EvalContext,
     vars: &[String],
+    probe: Option<Vec<u64>>,
     eval_one: impl Fn(&Env) -> FtlResult<IntervalSet>,
 ) -> FtlResult<VarRelation> {
-    let ids = ctx.object_ids();
     most_obs::inc("ftl.atoms");
+    let ids = match probe {
+        Some(ids) => {
+            most_obs::inc("ftl.pruned");
+            // Pruned = domain minus candidates: what the index saved this atom.
+            let domain = ctx.object_count() as u64;
+            most_obs::add(
+                "ftl.candidates_pruned",
+                domain.saturating_sub(ids.len() as u64),
+            );
+            ids
+        }
+        None if vars.is_empty() => Vec::new(),
+        None => ctx.object_ids(),
+    };
     match vars.len() {
         0 => {
             let set = eval_one(&Env::new())?;
@@ -641,11 +653,7 @@ fn single_var_rows(
 }
 
 /// Resolves a point term (object variable / POINT literal) to its motion.
-fn point_motion(
-    ctx: &dyn EvalContext,
-    env: &Env,
-    term: &Term,
-) -> FtlResult<Option<Trajectory>> {
+fn point_motion(ctx: &dyn EvalContext, env: &Env, term: &Term) -> FtlResult<Option<Trajectory>> {
     match term {
         Term::Point(x, y) => Ok(Some(Trajectory::new(MovingPoint::stationary(Point::new(
             *x, *y,
@@ -669,11 +677,7 @@ fn point_motion(
 
 /// `WITHIN_SPHERE` over piecewise-linear motions: the horizon is split at
 /// every motion-vector switch, and the single-leg routine runs per span.
-fn within_sphere_piecewise(
-    r: f64,
-    trajs: &[Trajectory],
-    h: most_temporal::Horizon,
-) -> IntervalSet {
+fn within_sphere_piecewise(r: f64, trajs: &[Trajectory], h: most_temporal::Horizon) -> IntervalSet {
     let mut cuts: BTreeSet<Tick> = BTreeSet::new();
     cuts.insert(0);
     for traj in trajs {
@@ -783,9 +787,7 @@ mod tests {
     #[test]
     fn paper_query_i_price_and_entry() {
         // Example (I): objects entering P within 60 with PRICE <= 100.
-        let a = answer(
-            "RETRIEVE o WHERE o.PRICE <= 100 AND Eventually within 60 INSIDE(o, P)",
-        );
+        let a = answer("RETRIEVE o WHERE o.PRICE <= 100 AND Eventually within 60 INSIDE(o, P)");
         // Object 1 reaches x=50 at t=50 — within 60 from t>=0? Eventually
         // within 60 INSIDE holds at t=0 (enters at 50 <= 60). Object 3 is
         // already inside (always). Object 2's price is too high.
@@ -797,7 +799,8 @@ mod tests {
 
     #[test]
     fn paper_query_ii_enter_and_stay() {
-        let src = "RETRIEVE o WHERE Eventually within 60 (INSIDE(o, P) AND Always for 10 INSIDE(o, P))";
+        let src =
+            "RETRIEVE o WHERE Eventually within 60 (INSIDE(o, P) AND Always for 10 INSIDE(o, P))";
         let a = answer(src);
         // Object 1 is inside P for ticks 50..=70 (21 ticks) so it can stay
         // 10 ticks from t=50..60; reachable within 60 of tick 0. Object 2
@@ -819,8 +822,7 @@ mod tests {
     #[test]
     fn paper_until_pairs() {
         // Pairs staying within 120 of each other until both in P.
-        let src =
-            "RETRIEVE o, n WHERE DIST(o, n) <= 120 Until (INSIDE(o, P) AND INSIDE(n, P))";
+        let src = "RETRIEVE o, n WHERE DIST(o, n) <= 120 Until (INSIDE(o, P) AND INSIDE(n, P))";
         check_against_oracle(src);
         let a = answer(src);
         assert!(!a.is_empty());
@@ -846,17 +848,13 @@ mod tests {
     fn disjunction_extension() {
         check_against_oracle("RETRIEVE o WHERE INSIDE(o, P) OR o.PRICE <= 70");
         // Disjunction with different variable sets (expansion).
-        check_against_oracle(
-            "RETRIEVE o, n WHERE INSIDE(o, P) OR DIST(o, n) <= 10",
-        );
+        check_against_oracle("RETRIEVE o, n WHERE INSIDE(o, P) OR DIST(o, n) <= 10");
     }
 
     #[test]
     fn nexttime_and_untilwithin() {
         check_against_oracle("RETRIEVE o WHERE Nexttime INSIDE(o, P)");
-        check_against_oracle(
-            "RETRIEVE o WHERE OUTSIDE(o, P) until_within 55 INSIDE(o, P)",
-        );
+        check_against_oracle("RETRIEVE o WHERE OUTSIDE(o, P) until_within 55 INSIDE(o, P)");
     }
 
     #[test]
@@ -888,10 +886,8 @@ mod tests {
             2,
             Trajectory::starting_at(Point::new(10.0, 10.0), Velocity::new(3.0, 0.0)),
         );
-        let q = Query::parse(
-            "RETRIEVE o WHERE [x <- o.SPEED] Eventually (o.SPEED >= 2 * x)",
-        )
-        .unwrap();
+        let q =
+            Query::parse("RETRIEVE o WHERE [x <- o.SPEED] Eventually (o.SPEED >= 2 * x)").unwrap();
         let fast = evaluate_query(&c, &q).unwrap();
         let slow = crate::semantics::naive_answer(&c, &q).unwrap();
         assert_eq!(fast, slow);
@@ -915,10 +911,7 @@ mod tests {
     fn unsafe_value_variable_rejected() {
         let c = ctx();
         let q = Query::parse("RETRIEVE o WHERE o.PRICE <= x").unwrap();
-        assert!(matches!(
-            evaluate_query(&c, &q),
-            Err(FtlError::Unsafe(_))
-        ));
+        assert!(matches!(evaluate_query(&c, &q), Err(FtlError::Unsafe(_))));
     }
 
     #[test]
@@ -953,11 +946,27 @@ mod tests {
             .is_some_and(|s| s.last_tick() == Some(55)));
     }
 
-    /// [`ctx`] behind a position "index" that prunes nothing and counts
-    /// how often it is probed.
+    /// [`ctx`] behind a position "index" that answers every probe with
+    /// `candidates` (`None`: no index), counting its probes, its domain
+    /// reads and the objects whose attributes it serves.
     struct CountingIndex {
         inner: MemoryContext,
+        candidates: Option<Vec<u64>>,
         probes: std::cell::Cell<u32>,
+        domain_reads: std::cell::Cell<u32>,
+        attr_reads: std::cell::RefCell<BTreeSet<u64>>,
+    }
+
+    impl CountingIndex {
+        fn new(candidates: Option<Vec<u64>>) -> Self {
+            CountingIndex {
+                inner: ctx(),
+                candidates,
+                probes: Default::default(),
+                domain_reads: Default::default(),
+                attr_reads: Default::default(),
+            }
+        }
     }
 
     impl EvalContext for CountingIndex {
@@ -965,12 +974,17 @@ mod tests {
             self.inner.horizon()
         }
         fn object_ids(&self) -> Vec<u64> {
+            self.domain_reads.set(self.domain_reads.get() + 1);
             self.inner.object_ids()
+        }
+        fn object_count(&self) -> usize {
+            self.inner.object_count()
         }
         fn trajectory(&self, id: u64) -> Option<Trajectory> {
             self.inner.trajectory(id)
         }
         fn attr_series(&self, id: u64, name: &str) -> Vec<(Value, Interval)> {
+            self.attr_reads.borrow_mut().insert(id);
             self.inner.attr_series(id, name)
         }
         fn region(&self, name: &str) -> Option<Polygon> {
@@ -978,7 +992,34 @@ mod tests {
         }
         fn inside_candidates(&self, _region: &Polygon) -> Option<Vec<u64>> {
             self.probes.set(self.probes.get() + 1);
-            Some(self.inner.object_ids())
+            self.candidates.clone()
+        }
+    }
+
+    #[test]
+    fn a_conjunction_reads_its_second_operand_only_for_the_first_ones_survivors() {
+        // Only car 1 ever enters Q, so only car 1's PRICE is read.
+        let src = "RETRIEVE o WHERE INSIDE(o, Q) AND o.PRICE <= 100";
+        let q = Query::parse(src).unwrap();
+        let plain = CountingIndex::new(None);
+        assert_eq!(evaluate_query(&plain, &q).unwrap().ids(), vec![1]);
+        assert_eq!(*plain.attr_reads.borrow(), BTreeSet::from([1]));
+        check_against_oracle(src);
+    }
+
+    #[test]
+    fn an_index_pruned_operand_drives_the_conjunction_without_reading_the_domain() {
+        for src in [
+            "RETRIEVE o WHERE o.PRICE <= 100 AND INSIDE(o, Q)",
+            "RETRIEVE o WHERE INSIDE(o, Q) AND o.PRICE <= 100",
+        ] {
+            let q = Query::parse(src).unwrap();
+            let indexed = CountingIndex::new(Some(vec![1]));
+            assert_eq!(evaluate_query(&indexed, &q).unwrap(), answer(src), "{src}");
+            // The probe's one candidate drives, whichever side it is on.
+            assert_eq!(*indexed.attr_reads.borrow(), BTreeSet::from([1]), "{src}");
+            assert_eq!(indexed.domain_reads.get(), 0, "{src}");
+            assert_eq!(indexed.probes.get(), 1, "{src}");
         }
     }
 
@@ -986,7 +1027,7 @@ mod tests {
     fn inside_over_a_pinned_object_does_not_probe_the_index() {
         // What the assignment quantifier's `body.pin(..)` produces, once per
         // instantiation: the candidate set could only be discarded.
-        let indexed = CountingIndex { inner: ctx(), probes: std::cell::Cell::new(0) };
+        let indexed = CountingIndex::new(Some(vec![1, 2, 3]));
         let pinned = Query {
             targets: vec![],
             formula: Formula::Inside(Term::Const(Value::Id(1)), "P".into()),
@@ -1030,10 +1071,7 @@ pub struct TraceNode {
 /// Diagnostics only: each subformula is re-evaluated independently, so this
 /// costs more than [`evaluate_query`]; use it to understand a slow query,
 /// not to serve one.
-pub fn explain_query(
-    ctx: &dyn EvalContext,
-    q: &Query,
-) -> FtlResult<(Answer, Vec<TraceNode>)> {
+pub fn explain_query(ctx: &dyn EvalContext, q: &Query) -> FtlResult<(Answer, Vec<TraceNode>)> {
     let mut obj_vars = syntactic_object_vars(&q.formula);
     for t in &q.targets {
         obj_vars.insert(t.clone());
@@ -1133,10 +1171,8 @@ mod explain_tests {
     #[test]
     fn trace_is_bottom_up_and_sized() {
         let c = ctx();
-        let q = Query::parse(
-            "RETRIEVE o WHERE o.PRICE <= 100 AND Eventually INSIDE(o, P)",
-        )
-        .unwrap();
+        let q =
+            Query::parse("RETRIEVE o WHERE o.PRICE <= 100 AND Eventually INSIDE(o, P)").unwrap();
         let (answer, trace) = explain_query(&c, &q).unwrap();
         assert_eq!(answer.ids(), vec![1]);
         // Nodes: PRICE atom, INSIDE atom, Eventually, And (bottom-up).
@@ -1149,7 +1185,7 @@ mod explain_tests {
         assert_eq!(trace[1].rows, 1);
         assert_eq!(trace[1].spans, 1);
         assert_eq!(trace[1].ticks, 21); // ticks 40..=60
-        // Eventually expands it back to tick 0.
+                                        // Eventually expands it back to tick 0.
         assert_eq!(trace[2].ticks, 61);
         // The conjunction intersects with the PRICE row.
         assert_eq!(trace[3].rows, 1);
@@ -1158,10 +1194,7 @@ mod explain_tests {
     #[test]
     fn assignment_bodies_flagged_not_failed() {
         let c = ctx();
-        let q = Query::parse(
-            "RETRIEVE o WHERE [x <- o.SPEED] Eventually (o.SPEED >= x)",
-        )
-        .unwrap();
+        let q = Query::parse("RETRIEVE o WHERE [x <- o.SPEED] Eventually (o.SPEED >= x)").unwrap();
         let (_, trace) = explain_query(&c, &q).unwrap();
         let root = trace.last().unwrap();
         assert_eq!(root.depth, 0);

@@ -102,10 +102,7 @@ impl VarRelation {
     pub fn map_sets<F: Fn(&IntervalSet) -> IntervalSet>(&self, f: F) -> VarRelation {
         VarRelation::new(
             self.vars.clone(),
-            self.rows
-                .iter()
-                .map(|(v, s)| (v.clone(), f(s)))
-                .collect(),
+            self.rows.iter().map(|(v, s)| (v.clone(), f(s))).collect(),
         )
     }
 
@@ -155,7 +152,7 @@ impl VarRelation {
             .collect::<FtlResult<_>>()?;
         let mut rows = Vec::new();
         let mut inst = Vec::with_capacity(self.vars.len());
-        self.enumerate_domain(&domains, &mut inst, &mut |values| {
+        enumerate(&domains, &mut inst, &mut |values| {
             let set = self
                 .get(values)
                 .map(|s| s.complement(h))
@@ -207,10 +204,9 @@ impl VarRelation {
         let indices: Vec<usize> = new_vars
             .iter()
             .map(|v| {
-                self.vars
-                    .iter()
-                    .position(|w| w == v)
-                    .ok_or_else(|| FtlError::Unsafe(format!("unknown variable `{v}` in projection")))
+                self.vars.iter().position(|w| w == v).ok_or_else(|| {
+                    FtlError::Unsafe(format!("unknown variable `{v}` in projection"))
+                })
             })
             .collect::<FtlResult<_>>()?;
         let rows = self
@@ -224,15 +220,6 @@ impl VarRelation {
             })
             .collect();
         Ok(VarRelation::new(new_vars.to_vec(), rows))
-    }
-
-    fn enumerate_domain(
-        &self,
-        domains: &[Vec<Value>],
-        inst: &mut Vec<Value>,
-        f: &mut impl FnMut(&[Value]),
-    ) {
-        enumerate(domains, inst, f)
     }
 
     fn join(
@@ -273,13 +260,6 @@ impl VarRelation {
         // condition under which a right row with no left partner can still
         // be emitted (all output columns determined).
         let left_subsumed = self.vars.iter().all(|v| other.vars.contains(v));
-        let left_extra_idx: Vec<usize> = self
-            .vars
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| !other.vars.contains(v))
-            .map(|(i, _)| i)
-            .collect();
 
         // Index the left side by common-variable key.
         let mut left_index: HashMap<Vec<&Value>, Vec<usize>> = HashMap::new();
@@ -335,7 +315,6 @@ impl VarRelation {
                 None => {}
             }
         }
-        let _ = left_extra_idx;
         VarRelation::new(vars, rows)
     }
 }
@@ -376,12 +355,7 @@ mod tests {
         VarRelation::new(
             vars.iter().map(|s| s.to_string()).collect(),
             rows.iter()
-                .map(|(ids, ivs)| {
-                    (
-                        ids.iter().map(|&i| Value::Id(i)).collect(),
-                        set(ivs),
-                    )
-                })
+                .map(|(ids, ivs)| (ids.iter().map(|&i| Value::Id(i)).collect(), set(ivs)))
                 .collect(),
         )
     }
@@ -417,10 +391,7 @@ mod tests {
         let j = a.and_join(&b);
         assert_eq!(j.vars(), &["o".to_string(), "n".to_string()]);
         assert_eq!(j.len(), 1); // (1,8) intersects empty
-        assert_eq!(
-            j.get(&[Value::Id(1), Value::Id(7)]),
-            Some(&set(&[(5, 10)]))
-        );
+        assert_eq!(j.get(&[Value::Id(1), Value::Id(7)]), Some(&set(&[(5, 10)])));
     }
 
     #[test]
@@ -443,10 +414,7 @@ mod tests {
         let g = rel(&["n"], &[(&[7], &[(5, 6)]), (&[9], &[(0, 1)])]);
         let j = f.until_join(&g);
         assert_eq!(j.len(), 1);
-        assert_eq!(
-            j.get(&[Value::Id(1), Value::Id(7)]),
-            Some(&set(&[(0, 6)]))
-        );
+        assert_eq!(j.get(&[Value::Id(1), Value::Id(7)]), Some(&set(&[(0, 6)])));
     }
 
     #[test]
@@ -495,10 +463,7 @@ mod tests {
 
     #[test]
     fn reorder_projects_and_merges() {
-        let a = rel(
-            &["o", "n"],
-            &[(&[1, 7], &[(0, 2)]), (&[1, 8], &[(4, 6)])],
-        );
+        let a = rel(&["o", "n"], &[(&[1, 7], &[(0, 2)]), (&[1, 8], &[(4, 6)])]);
         let p = a.reorder(&["o".to_string()]).unwrap();
         assert_eq!(p.len(), 1);
         assert_eq!(p.get(&[Value::Id(1)]), Some(&set(&[(0, 2), (4, 6)])));

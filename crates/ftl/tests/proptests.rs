@@ -2,13 +2,63 @@
 //! naive per-tick Section 3.3 oracle on random scenarios and random
 //! formulas.
 
-use most_ftl::context::MemoryContext;
+use most_dbms::value::Value;
+use most_ftl::context::{EvalContext, MemoryContext};
 use most_ftl::semantics::naive_answer;
 use most_ftl::{evaluate_query, Query};
-use most_spatial::{Point, Polygon, Trajectory, Velocity};
+use most_spatial::{Point, Polygon, Rect, Trajectory, Velocity};
+use most_temporal::{Horizon, Interval};
 use most_testkit::check::{ints, just, one_of, tuple2, tuple3, tuple4, vecs, Check, Gen};
 
 const H_END: u64 = 60;
+
+/// A [`MemoryContext`] behind the two Section 4 probes, answering with
+/// supersets the way an index does: every object whose motion's bounding
+/// box meets the region's, every object whose attribute lies within 25 of
+/// the range.  Evaluating through it drives the index-pruned atoms, the
+/// probe ∩ restriction path and the conjunction side rule.
+struct PruningContext(MemoryContext);
+
+impl EvalContext for PruningContext {
+    fn horizon(&self) -> Horizon {
+        self.0.horizon()
+    }
+    fn object_ids(&self) -> Vec<u64> {
+        self.0.object_ids()
+    }
+    fn trajectory(&self, id: u64) -> Option<Trajectory> {
+        self.0.trajectory(id)
+    }
+    fn attr_series(&self, id: u64, name: &str) -> Vec<(Value, Interval)> {
+        self.0.attr_series(id, name)
+    }
+    fn region(&self, name: &str) -> Option<Polygon> {
+        self.0.region(name)
+    }
+    fn inside_candidates(&self, region: &Polygon) -> Option<Vec<u64>> {
+        let target = region.bounding_box();
+        let ids = self.0.object_ids().into_iter().filter(|&id| {
+            let traj = self.0.trajectory(id).expect("listed object");
+            let corners = traj.legs().iter().map(|leg| leg.since).chain([0, H_END]);
+            let bbox = corners
+                .map(|t| traj.position_at_tick(t.min(H_END)))
+                .map(|p| Rect::new(p.x, p.y, p.x, p.y))
+                .reduce(|a, b| a.union(&b))
+                .expect("two corners at least");
+            bbox.intersects(&target)
+        });
+        Some(ids.collect())
+    }
+    fn attr_range_candidates(&self, attr: &str, lo: f64, hi: f64) -> Option<Vec<u64>> {
+        let near = |v: &Value| v.as_f64().is_some_and(|x| lo - 25.0 <= x && x <= hi + 25.0);
+        let ids = self
+            .0
+            .object_ids()
+            .into_iter()
+            .filter(|&id| self.0.attr_series(id, attr).iter().any(|(v, _)| near(v)));
+        Some(ids.collect())
+    }
+}
 
 #[derive(Debug, Clone)]
 #[allow(clippy::type_complexity)]
@@ -99,21 +149,51 @@ const TEMPLATES: &[&str] = &[
     "RETRIEVE o, n WHERE o <> n AND Eventually INSIDE(o, P, n)",
     "RETRIEVE o, n WHERE o <> n AND (DIST(o, n) <= 40 Until INSIDE(o, P))",
     "RETRIEVE o, n WHERE o <> n AND Always OUTSIDE(o, Q, n)",
+    // Conjunctions over one object variable, which evaluate their second
+    // operand only over the first one's survivors: both operand orders,
+    // then negated, disjunctive, temporal, assignment and nullary partners.
+    "RETRIEVE o WHERE o.PRICE <= {c}0 AND INSIDE(o, P)",
+    "RETRIEVE o WHERE INSIDE(o, P) AND o.PRICE <= {c}0",
+    "RETRIEVE o WHERE INSIDE(o, P) AND INSIDE(o, Q)",
+    "RETRIEVE o WHERE INSIDE(o, P) AND NOT INSIDE(o, Q)",
+    "RETRIEVE o WHERE o.PRICE >= {c}0 AND NOT Eventually INSIDE(o, P)",
+    "RETRIEVE o WHERE INSIDE(o, Q) AND (o.PRICE <= {c}0 OR INSIDE(o, P))",
+    "RETRIEVE o WHERE o.PRICE <= {c}0 AND Eventually within {c} INSIDE(o, P)",
+    "RETRIEVE o WHERE INSIDE(o, P) AND (OUTSIDE(o, Q) Until INSIDE(o, Q))",
+    "RETRIEVE o WHERE INSIDE(o, P) AND ([x <- o.SPEED] Eventually (o.SPEED >= 2 * x))",
+    "RETRIEVE o WHERE INSIDE(o, P) AND o.PRICE <= {c}0 AND Always for {c} OUTSIDE(o, Q)",
+    "RETRIEVE o WHERE time <= {c} AND INSIDE(o, P)",
+    "RETRIEVE o WHERE INSIDE(o, Q) AND time >= {c}",
+    "RETRIEVE o, n WHERE INSIDE(o, P) AND o.PRICE <= {c}0",
+    // Two-variable conjunctions keep the unrestricted path.
+    "RETRIEVE o, n WHERE INSIDE(o, P) AND DIST(o, n) <= {c}",
+    "RETRIEVE o, n WHERE DIST(o, n) <= {c} AND INSIDE(n, Q)",
+    "RETRIEVE o, n WHERE INSIDE(o, P) AND INSIDE(n, Q)",
+    "RETRIEVE o, n WHERE o.PRICE <= {c}0 AND NOT INSIDE(n, P)",
 ];
 
 #[test]
 fn interval_algorithm_matches_oracle() {
-    Check::new("ftl::interval_algorithm_matches_oracle").cases(48).run(
-        &tuple3(arb_scenario(), ints(0..TEMPLATES.len()), ints(1u64..30)),
-        |(s, template_idx, c)| {
-            let ctx = build_context(s);
-            let src = TEMPLATES[*template_idx].replace("{c}", &c.to_string());
-            let q = Query::parse(&src).expect("template parses");
-            let fast = evaluate_query(&ctx, &q).expect("interval evaluation succeeds");
-            let slow = naive_answer(&ctx, &q).expect("oracle evaluation succeeds");
-            assert_eq!(fast, slow, "query: {src}");
-        },
-    );
+    Check::new("ftl::interval_algorithm_matches_oracle")
+        .cases(96)
+        .regressions(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/proptests.seeds"
+        ))
+        .run(
+            &tuple3(arb_scenario(), ints(0..TEMPLATES.len()), ints(1u64..30)),
+            |(s, template_idx, c)| {
+                let ctx = build_context(s);
+                let src = TEMPLATES[*template_idx].replace("{c}", &c.to_string());
+                let q = Query::parse(&src).expect("template parses");
+                let fast = evaluate_query(&ctx, &q).expect("interval evaluation succeeds");
+                let slow = naive_answer(&ctx, &q).expect("oracle evaluation succeeds");
+                assert_eq!(fast, slow, "query: {src}");
+                let pruned = PruningContext(ctx);
+                let indexed = evaluate_query(&pruned, &q).expect("pruned evaluation succeeds");
+                assert_eq!(indexed, slow, "query through the probes: {src}");
+            },
+        );
 }
 
 #[test]

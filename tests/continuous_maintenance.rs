@@ -12,9 +12,12 @@
 //!    runs on an unindexed copy of the state whose horizon ends where the
 //!    materialized one does, because a temporal operator evaluated at a
 //!    later tick would otherwise look further ahead than the materialized
-//!    answer could.  A query the dependency filter skipped keeps the
-//!    window of its last evaluation (ROADMAP item 4 records the gap past
-//!    it), so an unsound skip shows up here as a divergence.
+//!    answer could.  The window always holds `now`: a query the dependency
+//!    filter skips keeps the window of its last evaluation only until the
+//!    clock outruns it, and is then evaluated again, on the update or on
+//!    the clock tick that outruns it (the horizon rule).  The oracle tracks
+//!    last evaluations itself, so an unsound skip and a missed renewal both
+//!    show up here as a divergence.
 //! 2. **Past.**  A display served at a tick the clock has left never
 //!    changes.
 //! 3. **Accounting.**  Every write either skips or evaluates each query.
@@ -143,6 +146,12 @@ impl World {
             let shown = (0..self.cqs.len()).map(|cq| self.display(cq)).collect();
             self.served.push((self.db.now(), shown));
             self.db.advance_clock(1);
+            let (now, expiration) = (self.db.now(), self.db.expiration());
+            for cq in &mut self.cqs {
+                if now > cq.last_eval + expiration {
+                    cq.last_eval = now;
+                }
+            }
         }
         self.after_step();
     }
@@ -191,9 +200,11 @@ impl World {
         let mut copies: BTreeMap<Tick, Database> = BTreeMap::new();
         for cq in &self.cqs {
             let end = cq.last_eval + self.db.expiration();
-            if now > end {
-                continue; // nothing materialized from here on
-            }
+            assert!(
+                now <= end,
+                "tick {now}: query {} ran out at {end}",
+                cq.query
+            );
             let copy = copies
                 .entry(end)
                 .or_insert_with(|| copy_with_horizon_end(&self.db, end));
@@ -362,10 +373,10 @@ fn maintained_answer_matches_fresh_evaluation() {
         });
 }
 
-/// The horizon extension served traffic relies on: two relevant updates
-/// further apart than `expiration`.  Between them the materialized answer
-/// runs out (nothing is displayed); the second update materializes a full
-/// window again.
+/// Two relevant updates further apart than `expiration`.  Between them the
+/// clock outruns the materialized window, which is renewed rather than left
+/// to run out (the parked car stays displayed); the second update
+/// materializes a full window again.
 #[test]
 fn an_update_past_expiration_materializes_a_full_window_again() {
     let mut world = build_world();
@@ -375,12 +386,33 @@ fn an_update_past_expiration_materializes_a_full_window_again() {
         db.update_position(parked, here).unwrap()
     });
     world.advance(EXPIRATION + 130);
-    assert_eq!(world.display(0), Display::new(), "past the last evaluation's window");
+    assert_eq!(world.display(0), vec![vec![Value::Id(parked)]], "past the first window");
     let other = world.ids[1];
     world.write(|db| db.update_motion(other, Velocity::new(0.0, 1.0)).unwrap());
     assert_eq!(world.display(0), vec![vec![Value::Id(parked)]]);
     world.advance(EXPIRATION);
     assert_eq!(world.display(0), vec![vec![Value::Id(parked)]]);
+    world.check_past();
+}
+
+/// The filter-horizon gap: a query no update in the script can affect
+/// (motion never changes a price) is skipped by every write, yet its window
+/// must not run out.  Before the horizon rule it displayed nothing from
+/// tick 51 on, while a fresh evaluation displays the car.
+#[test]
+fn a_skipped_query_is_renewed_when_the_clock_outruns_its_window() {
+    let mut db = Database::new(50);
+    let car = db.insert_moving_object("cars", Point::origin(), Velocity::new(1.0, 0.0));
+    db.set_static(car, "PRICE", Value::from(30.0)).unwrap();
+    let mut world = World::new(db, vec![car], &["RETRIEVE o WHERE o.PRICE <= 40"]);
+    for _ in 0..7 {
+        world.advance(10);
+        world.write(|db| db.update_motion(car, Velocity::new(0.0, 1.0)).unwrap());
+    }
+    assert_eq!(world.db.now(), 70);
+    assert_eq!(world.display(0), vec![vec![Value::Id(car)]]);
+    let fresh = world.db.instantaneous_readonly(&world.cqs[0].query).unwrap();
+    assert_eq!(fresh.ids(), vec![car]);
     world.check_past();
 }
 
