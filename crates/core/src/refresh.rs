@@ -45,8 +45,10 @@ impl Database {
 
     /// The clock's half of the horizon rule, run by
     /// [`Database::advance_clock`]: renews every query whose window no
-    /// longer covers the clock.  A failed renewal keeps its query's answer;
-    /// the next update evaluates it again and reports the error.
+    /// longer covers the clock.  A failed renewal keeps its query's answer
+    /// and counts `refresh.renewal_errors`.  Its window still does not
+    /// cover the clock, so every later `advance_clock` evaluates it once
+    /// more until one succeeds; the next update pass reports the error.
     pub(crate) fn renew_horizons(&mut self) {
         let (now, expiration) = (self.now(), self.expiration());
         if self.continuous.iter().any(|(_, e)| !e.covers(now, expiration)) {
@@ -64,7 +66,8 @@ impl Database {
         let mut first_err: Option<CoreError> = None;
         for id in self.continuous.ids() {
             let entry = self.continuous.get(id).expect("id from ids() snapshot");
-            if !changes.iter().any(|(_, kind)| entry.deps.affected_by(kind)) {
+            let renewal = !changes.iter().any(|(_, kind)| entry.deps.affected_by(kind));
+            if renewal {
                 // A query no change affects is skippable only while its
                 // window still covers the clock.
                 if entry.covers(boundary, self.expiration()) {
@@ -80,6 +83,9 @@ impl Database {
             match timed_eval(|| self.evaluate_global(&entry.query)) {
                 (Ok(fresh), nanos) => self.continuous.refresh(id, boundary, fresh, nanos),
                 (Err(e), _) => {
+                    if renewal {
+                        most_obs::inc("refresh.renewal_errors");
+                    }
                     first_err.get_or_insert(e);
                 }
             }

@@ -133,6 +133,30 @@ fn faulty_query_catches_up_on_the_next_clean_batch() {
 }
 
 #[test]
+fn a_failing_renewal_is_retried_once_per_clock_advance() {
+    let (mut db, faulty, _healthy) = armed_db(4);
+    let stale = db.continuous_answer(faulty).unwrap().clone();
+    let before = most_obs::counter_value("refresh.renewal_errors");
+    // Past the registration window (expiration 300), then four more ticks:
+    // each advance evaluates the faulty query once and keeps its answer.
+    db.advance_clock(301);
+    for _ in 0..4 {
+        db.advance_clock(1);
+    }
+    assert_eq!(*db.continuous_answer(faulty).unwrap(), stale);
+    if cfg!(feature = "obs") {
+        assert_eq!(most_obs::counter_value("refresh.renewal_errors") - before, 5);
+    }
+    // Once the fault clears, the next advance renews it.
+    db.set_eval_fault(None);
+    db.advance_clock(1);
+    assert_eq!(
+        db.continuous_display(faulty, db.now()).unwrap(),
+        fresh_display(&db)
+    );
+}
+
+#[test]
 fn panicking_evaluation_is_counted() {
     let (mut db, _faulty, _healthy) = armed_db(4);
     let before = most_obs::counter_value("refresh.worker_panics");

@@ -182,7 +182,7 @@ pub(crate) struct Restricted<'a> {
 
 impl Restricted<'_> {
     /// `probe` ∩ the restriction.
-    pub(crate) fn restrict(&self, mut probe: Vec<u64>) -> Vec<u64> {
+    fn restrict(&self, mut probe: Vec<u64>) -> Vec<u64> {
         probe.retain(|id| self.ids.binary_search(id).is_ok());
         probe
     }

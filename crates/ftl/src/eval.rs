@@ -164,22 +164,13 @@ fn eval_formula(
     f: &Formula,
     obj_vars: &BTreeSet<String>,
 ) -> FtlResult<VarRelation> {
-    eval_probed(ctx, f, obj_vars, index_probe(ctx, f, obj_vars))
-}
-
-/// [`eval_formula`] with `f`'s [`index_probe`] already taken.
-fn eval_probed(
-    ctx: &dyn EvalContext,
-    f: &Formula,
-    obj_vars: &BTreeSet<String>,
-    probe: Option<Vec<u64>>,
-) -> FtlResult<VarRelation> {
     let h = ctx.horizon();
     match f {
         Formula::Bool(true) => Ok(VarRelation::nullary(IntervalSet::full(h))),
         Formula::Bool(false) => Ok(VarRelation::nullary(IntervalSet::empty())),
         Formula::Cmp(op, lhs, rhs) => {
             let vars = atom_object_vars(&[lhs, rhs], obj_vars);
+            let probe = attr_range_prune(ctx, *op, lhs, rhs, &vars);
             atom_relation(ctx, &vars, probe, |env| {
                 compare_terms(ctx, env, *op, lhs, rhs)
             })
@@ -189,6 +180,12 @@ fn eval_probed(
                 .region(region)
                 .ok_or_else(|| FtlError::UnknownRegion(region.clone()))?;
             let vars = atom_object_vars(&[term], obj_vars);
+            // Only a bare variable probes: a pinned constant is one object,
+            // its candidate set could only be discarded.
+            let probe = match term {
+                Term::Var(_) => ctx.inside_candidates(&poly),
+                _ => None,
+            };
             atom_relation(ctx, &vars, probe, |env| {
                 Ok(match point_motion(ctx, env, term)? {
                     Some(traj) => piecewise(&traj, h, |leg, h| inside_polygon(leg, &poly, h)),
@@ -265,29 +262,17 @@ fn eval_probed(
             })
         }
         Formula::And(a, b) => {
-            let (pa, pb) = (index_probe(ctx, a, obj_vars), index_probe(ctx, b, obj_vars));
+            let ra = eval_formula(ctx, a, obj_vars)?;
             let free = f.free_vars();
-            if free.len() != 1 || !obj_vars.contains(&free[0]) {
-                return Ok(eval_probed(ctx, a, obj_vars, pa)?
-                    .and_join(&eval_probed(ctx, b, obj_vars, pb)?));
+            if free.len() != 1 || !obj_vars.contains(&free[0]) || ra.vars().is_empty() {
+                return Ok(ra.and_join(&eval_formula(ctx, b, obj_vars)?));
             }
-            // Both operands range over one object variable: the side with
-            // the smaller known candidate bound drives, and the other is
-            // evaluated only over the ids it kept (DESIGN.md §11).
-            let bound = |p: &Option<Vec<u64>>| p.as_ref().map_or(usize::MAX, Vec::len);
-            let ((first, p1), (second, p2)) = if bound(&pb) < bound(&pa) {
-                ((b, pb), (a, pa))
-            } else {
-                ((a, pa), (b, pb))
-            };
-            let r1 = eval_probed(ctx, first, obj_vars, p1)?;
-            if r1.vars().is_empty() {
-                return Ok(r1.and_join(&eval_probed(ctx, second, obj_vars, p2)?));
-            }
-            let ids = r1.rows().iter().filter_map(|(v, _)| v[0].as_id()).collect();
+            // Both operands range over one object variable: the right one
+            // is evaluated only over the ids the left one kept (DESIGN.md
+            // §11).
+            let ids = ra.rows().iter().filter_map(|(v, _)| v[0].as_id()).collect();
             let view = Restricted { inner: ctx, ids };
-            let p2 = p2.map(|p| view.restrict(p));
-            Ok(r1.and_join(&eval_probed(&view, second, obj_vars, p2)?))
+            Ok(ra.and_join(&eval_formula(&view, b, obj_vars)?))
         }
         Formula::Or(a, b) => {
             let ra = eval_formula(ctx, a, obj_vars)?;
@@ -479,26 +464,6 @@ fn merge_disjunctive(a: VarRelation, b: VarRelation) -> FtlResult<VarRelation> {
     }
 }
 
-/// Section 4 integration: the candidate superset a context index yields for
-/// an atom over one bare object variable, `INSIDE(o, P)` or
-/// [`attr_range_prune`]'s range comparison.  Non-candidates would produce
-/// empty interval sets and be dropped anyway.  `None` means "enumerate the
-/// domain": another shape (a pinned constant is one object, its probe could
-/// only be discarded) or no index.
-fn index_probe(
-    ctx: &dyn EvalContext,
-    f: &Formula,
-    obj_vars: &BTreeSet<String>,
-) -> Option<Vec<u64>> {
-    match f {
-        Formula::Cmp(op, lhs, rhs) => {
-            attr_range_prune(ctx, *op, lhs, rhs, &atom_object_vars(&[lhs, rhs], obj_vars))
-        }
-        Formula::Inside(Term::Var(_), region) => ctx.inside_candidates(&ctx.region(region)?),
-        _ => None,
-    }
-}
-
 /// Detects a range comparison of the shape `x.NAME op const` (either
 /// orientation) over a single object variable and a **non-motion**
 /// attribute, and asks the context's dynamic-attribute index for a
@@ -553,8 +518,9 @@ fn atom_object_vars(terms: &[&Term], obj_vars: &BTreeSet<String>) -> Vec<String>
 }
 
 /// Builds an atom's relation by enumerating instantiations of its object
-/// variables over the active domain, or over its [`index_probe`] when it
-/// has one.  Each binding is evaluated independently of every other (the
+/// variables over the active domain, or over the candidate superset a
+/// Section 4 index probe yielded (non-candidates would produce empty
+/// interval sets and be dropped anyway).  Each binding is evaluated independently of every other (the
 /// atom routines read only the environment and the context), which removes
 /// per-binding allocation churn: one reused [`Env`], rows built in place.
 fn atom_relation(
@@ -1008,19 +974,23 @@ mod tests {
     }
 
     #[test]
-    fn an_index_pruned_operand_drives_the_conjunction_without_reading_the_domain() {
-        for src in [
-            "RETRIEVE o WHERE o.PRICE <= 100 AND INSIDE(o, Q)",
-            "RETRIEVE o WHERE INSIDE(o, Q) AND o.PRICE <= 100",
-        ] {
-            let q = Query::parse(src).unwrap();
-            let indexed = CountingIndex::new(Some(vec![1]));
-            assert_eq!(evaluate_query(&indexed, &q).unwrap(), answer(src), "{src}");
-            // The probe's one candidate drives, whichever side it is on.
-            assert_eq!(*indexed.attr_reads.borrow(), BTreeSet::from([1]), "{src}");
-            assert_eq!(indexed.domain_reads.get(), 0, "{src}");
-            assert_eq!(indexed.probes.get(), 1, "{src}");
-        }
+    fn the_left_operand_drives_the_conjunction_and_a_pruned_one_never_reads_the_domain() {
+        let src = "RETRIEVE o WHERE INSIDE(o, Q) AND o.PRICE <= 100";
+        let q = Query::parse(src).unwrap();
+        let indexed = CountingIndex::new(Some(vec![1]));
+        assert_eq!(evaluate_query(&indexed, &q).unwrap(), answer(src));
+        assert_eq!(*indexed.attr_reads.borrow(), BTreeSet::from([1]));
+        assert_eq!(indexed.domain_reads.get(), 0);
+        assert_eq!(indexed.probes.get(), 1);
+        // A smaller probe on the right does not swap the order: a candidate
+        // bound says nothing about how many survive.  PRICE reads every
+        // object, and INSIDE enumerates only its probe ∩ PRICE's survivors.
+        let src = "RETRIEVE o WHERE o.PRICE <= 100 AND INSIDE(o, Q)";
+        let q = Query::parse(src).unwrap();
+        let indexed = CountingIndex::new(Some(vec![1]));
+        assert_eq!(evaluate_query(&indexed, &q).unwrap(), answer(src));
+        assert_eq!(*indexed.attr_reads.borrow(), BTreeSet::from([1, 2, 3]));
+        assert_eq!(indexed.probes.get(), 1);
     }
 
     #[test]

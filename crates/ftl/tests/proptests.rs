@@ -15,8 +15,8 @@ const H_END: u64 = 60;
 /// A [`MemoryContext`] behind the two Section 4 probes, answering with
 /// supersets the way an index does: every object whose motion's bounding
 /// box meets the region's, every object whose attribute lies within 25 of
-/// the range.  Evaluating through it drives the index-pruned atoms, the
-/// probe ∩ restriction path and the conjunction side rule.
+/// the range.  Evaluating through it drives the index-pruned atoms and the
+/// probe ∩ restriction path.
 struct PruningContext(MemoryContext);
 
 impl EvalContext for PruningContext {
