@@ -13,6 +13,7 @@ use crate::table::fmt_duration;
 use crate::timing::bench;
 use crate::{Scale, Table};
 use most_core::rewrite::{MostDbmsLayer, MovingTableDef};
+use most_core::snapshot::{ContextMode, DbContext};
 use most_core::Database;
 use most_dbms::expr::{CmpOp, Expr};
 use most_dbms::query::SelectQuery;
@@ -25,7 +26,7 @@ use most_mobile::strategy::{
     object_query_data_shipping, object_query_query_shipping, ObjectPredicate,
 };
 use most_mobile::{FleetSim, Network};
-use most_spatial::{Point, Polygon, Trajectory, Velocity};
+use most_spatial::{Point, Polygon, Rect, Trajectory, Velocity};
 use most_testkit::rng::Rng;
 use most_workload::cars::CarScenario;
 use most_workload::update_process::update_schedule;
@@ -139,6 +140,30 @@ pub fn run(scale: Scale) -> Table {
         add(&mut table, "ftl_eval", format!("interval_algo/{name}"), s);
         let s = bench(warmup, samples, || naive_answer(&ctx, &q).expect("eval"));
         add(&mut table, "ftl_eval", format!("per_tick_oracle/{name}"), s);
+    }
+
+    // -- one atom over a whole indexed fleet, shaped like query_static's:
+    //    `PRICE` keeps ~1% of the cars and reads them all, `INSIDE` reads
+    //    only the index's candidates (a few dozen) -----------------------
+    let n = scale.pick(2_000usize, 20_000usize);
+    let fleet_db = {
+        let scenario = CarScenario::fleet(11, n);
+        let plans = scenario.generate();
+        let mut db = Database::new(100);
+        let (a, pad) = (scenario.area, 300.0);
+        db.enable_spatial_index(Rect::new(-a - pad, -a - pad, a + pad, a + pad));
+        db.add_region("P", Polygon::rectangle(-600.0, -600.0, 600.0, 600.0));
+        scenario.populate(&mut db, &plans);
+        db
+    };
+    let ctx = DbContext::new(&fleet_db, fleet_db.now(), ContextMode::Current);
+    for (name, src) in [
+        ("attr_cmp", "RETRIEVE o WHERE o.PRICE <= 41"),
+        ("inside", "RETRIEVE o WHERE INSIDE(o, P)"),
+    ] {
+        let q = Query::parse(src).expect("parses");
+        let s = bench(warmup, samples, || evaluate_query(&ctx, &q).expect("eval"));
+        add(&mut table, "ftl_eval", format!("{name}/n{n}"), s);
     }
 
     // -- 2^k rewrite blow-up (former e5 bench) ---------------------------

@@ -231,8 +231,7 @@ enum AttrLine {
 
 fn attr_line(obj: &MovingObject, attr: &str, now: Tick) -> AttrLine {
     // A scalar dynamic attribute takes precedence over a static one of the
-    // same name, matching evaluation order (`EvalContext::dynamic_series`
-    // is consulted before `attr_series`).
+    // same name, as in evaluation (`EvalContext::attr` answers `Dynamic`).
     if let Some(state) = obj.dynamic_at(attr, now) {
         return match state.function {
             AttrFunction::Linear(slope) => {

@@ -26,6 +26,7 @@ use most_dbms::schema::{ColumnDef, ColumnType, Schema};
 use most_dbms::tuple::Tuple;
 use most_dbms::value::Value;
 use most_dbms::Catalog;
+use most_ftl::context::StoredAttr;
 use most_temporal::Tick;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -474,64 +475,30 @@ impl most_ftl::EvalContext for LayerContext<'_> {
         ))
     }
 
-    fn attr_series(
-        &self,
-        id: u64,
-        name: &str,
-    ) -> Vec<(Value, most_temporal::Interval)> {
-        let Some(row) = self.row_of(id) else { return Vec::new() };
-        let Ok(t) = self.layer.catalog.table(&self.table) else {
-            return Vec::new();
-        };
-        // Dynamic sub-attribute columns are not static attributes.
-        if self
-            .layer
-            .dynamic
-            .get(&self.table)
-            .is_some_and(|set| set.contains(name))
-        {
-            return Vec::new();
+    fn attr(&self, id: u64, name: &str) -> StoredAttr {
+        let Some(row) = self.row_of(id) else { return StoredAttr::Missing };
+        let horizon = most_temporal::Interval::new(0, self.horizon);
+        // A dynamic attribute's columns are its sub-attributes, never a
+        // static value.
+        let dynamic = self.layer.dynamic.get(&self.table);
+        if dynamic.is_some_and(|set| set.contains(name)) {
+            return match self.dynamic_triple(row, name) {
+                // Local τ: value = v + s·((τ + now) − t)
+                Some((v, t, s)) => {
+                    StoredAttr::Dynamic(vec![(horizon, [0.0, s, v + s * (self.now as f64 - t)])])
+                }
+                None => StoredAttr::Missing,
+            };
         }
-        match t.schema().index_of(name).and_then(|i| row.get(i)) {
-            Some(v) => vec![(
-                v.clone(),
-                most_temporal::Interval::new(0, self.horizon),
-            )],
-            None => Vec::new(),
+        let schema = self.layer.catalog.table(&self.table).map(|t| t.schema());
+        match schema.ok().and_then(|s| s.index_of(name)).and_then(|i| row.get(i)) {
+            Some(v) => StoredAttr::Static(vec![(v.clone(), horizon)]),
+            None => StoredAttr::Missing,
         }
     }
 
     fn region(&self, name: &str) -> Option<most_spatial::Polygon> {
         self.regions.get(name).cloned()
-    }
-
-    fn dynamic_series(
-        &self,
-        id: u64,
-        name: &str,
-    ) -> Vec<(most_temporal::Interval, [f64; 3])> {
-        // Scalar dynamic attributes other than the positional X/Y.
-        if name == "X" || name == "Y" {
-            return Vec::new();
-        }
-        if !self
-            .layer
-            .dynamic
-            .get(&self.table)
-            .is_some_and(|set| set.contains(name))
-        {
-            return Vec::new();
-        }
-        let Some(row) = self.row_of(id) else { return Vec::new() };
-        let Some((v, t, s)) = self.dynamic_triple(row, name) else {
-            return Vec::new();
-        };
-        // Local τ: value = v + s·((τ + now) − t)
-        let c = v + s * (self.now as f64 - t);
-        vec![(
-            most_temporal::Interval::new(0, self.horizon),
-            [0.0, s, c],
-        )]
     }
 }
 

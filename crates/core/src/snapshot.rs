@@ -18,7 +18,9 @@
 
 use crate::database::Database;
 use crate::dynamic::AttrFunction;
+use crate::object::MovingObject;
 use most_dbms::value::Value;
+use most_ftl::context::StoredAttr;
 use most_ftl::EvalContext;
 use most_spatial::{MovingPoint, Polygon, Trajectory};
 use most_temporal::{Horizon, Interval, Tick};
@@ -43,7 +45,12 @@ pub struct DbContext<'a> {
 impl<'a> DbContext<'a> {
     /// Creates a context whose local tick 0 is global tick `origin`.
     pub fn new(db: &'a Database, origin: Tick, mode: ContextMode) -> Self {
-        DbContext { db, origin, horizon: Horizon::new(db.expiration()), mode }
+        DbContext {
+            db,
+            origin,
+            horizon: Horizon::new(db.expiration()),
+            mode,
+        }
     }
 
     /// The global tick corresponding to local tick 0.
@@ -53,6 +60,79 @@ impl<'a> DbContext<'a> {
 
     fn global_end(&self) -> Tick {
         self.origin + self.horizon.end()
+    }
+
+    /// A static attribute's `(value, interval)` series in local ticks.
+    fn static_series(&self, obj: &MovingObject, name: &str) -> Vec<(Value, Interval)> {
+        match self.mode {
+            ContextMode::Current => match obj.static_at(name, self.origin) {
+                Some(v) => vec![(v.clone(), Interval::new(0, self.horizon.end()))],
+                None => Vec::new(),
+            },
+            ContextMode::Recorded => {
+                // Clip each entry to [origin, global_end] and shift to local
+                // ticks; an entry in force *at* the origin clips to start at
+                // local 0.
+                let mut out = Vec::new();
+                for (value, iv) in obj.static_series(name, self.global_end()) {
+                    let lo = iv.begin().max(self.origin);
+                    let hi = iv.end();
+                    if hi < self.origin {
+                        continue;
+                    }
+                    out.push((value, Interval::new(lo - self.origin, hi - self.origin)));
+                }
+                out
+            }
+        }
+    }
+
+    /// A scalar dynamic attribute's polynomial pieces in local ticks.
+    fn dynamic_series(&self, obj: &MovingObject, name: &str) -> Vec<(Interval, [f64; 3])> {
+        let coeffs = |state: &crate::dynamic::DynamicAttribute| -> [f64; 3] {
+            // value(τ) for local τ:  v + f((τ + origin) − updatetime)
+            let delta = self.origin as f64 - state.updatetime as f64;
+            match state.function {
+                AttrFunction::Linear(s) => [0.0, s, state.value + s * delta],
+                AttrFunction::Quadratic { accel, slope } => [
+                    accel,
+                    2.0 * accel * delta + slope,
+                    state.value + accel * delta * delta + slope * delta,
+                ],
+            }
+        };
+        match self.mode {
+            ContextMode::Current => match obj.dynamic_at(name, self.origin) {
+                Some(state) => {
+                    vec![(Interval::new(0, self.horizon.end()), coeffs(&state))]
+                }
+                None => Vec::new(),
+            },
+            ContextMode::Recorded => {
+                let Some(history) = obj.dynamic_history(name) else {
+                    return Vec::new();
+                };
+                let mut out = Vec::new();
+                for (i, state) in history.iter().enumerate() {
+                    let from_global = state.updatetime.max(self.origin);
+                    let until_global = history
+                        .get(i + 1)
+                        .map(|n| n.updatetime.saturating_sub(1))
+                        .unwrap_or(self.global_end())
+                        .min(self.global_end());
+                    if until_global < self.origin || from_global > until_global {
+                        continue;
+                    }
+                    // A state set before the origin is in force from local 0.
+                    let lo = from_global - self.origin;
+                    let hi = until_global - self.origin;
+                    out.push((Interval::new(lo, hi), coeffs(state)));
+                }
+                // Before its first explicit set the attribute is undefined
+                // (no piece), matching the static-attribute convention.
+                out
+            }
+        }
     }
 }
 
@@ -101,33 +181,19 @@ impl EvalContext for DbContext<'_> {
         }
     }
 
-    fn attr_series(&self, id: u64, name: &str) -> Vec<(Value, Interval)> {
+    fn attr(&self, id: u64, name: &str) -> StoredAttr {
         let Ok(obj) = self.db.object(id) else {
-            return Vec::new();
+            return StoredAttr::Missing;
         };
-        match self.mode {
-            ContextMode::Current => match obj.static_at(name, self.origin) {
-                Some(v) => vec![(v.clone(), Interval::new(0, self.horizon.end()))],
-                None => Vec::new(),
-            },
-            ContextMode::Recorded => {
-                // Clip each entry to [origin, global_end] and shift to local
-                // ticks; an entry in force *at* the origin clips to start at
-                // local 0.
-                let mut out = Vec::new();
-                for (value, iv) in obj.static_series(name, self.global_end()) {
-                    let lo = iv.begin().max(self.origin);
-                    let hi = iv.end();
-                    if hi < self.origin {
-                        continue;
-                    }
-                    out.push((
-                        value,
-                        Interval::new(lo - self.origin, hi - self.origin),
-                    ));
-                }
-                out
-            }
+        let dynamic = self.dynamic_series(obj, name);
+        if !dynamic.is_empty() {
+            return StoredAttr::Dynamic(dynamic);
+        }
+        let series = self.static_series(obj, name);
+        if series.is_empty() {
+            StoredAttr::Missing
+        } else {
+            StoredAttr::Static(series)
         }
     }
 
@@ -160,56 +226,6 @@ impl EvalContext for DbContext<'_> {
         self.db
             .attr_index_range_candidates(attr, self.origin, self.global_end(), lo, hi)
     }
-
-    fn dynamic_series(&self, id: u64, name: &str) -> Vec<(Interval, [f64; 3])> {
-        let Ok(obj) = self.db.object(id) else {
-            return Vec::new();
-        };
-        let coeffs = |state: &crate::dynamic::DynamicAttribute| -> [f64; 3] {
-            // value(τ) for local τ:  v + f((τ + origin) − updatetime)
-            let delta = self.origin as f64 - state.updatetime as f64;
-            match state.function {
-                AttrFunction::Linear(s) => [0.0, s, state.value + s * delta],
-                AttrFunction::Quadratic { accel, slope } => [
-                    accel,
-                    2.0 * accel * delta + slope,
-                    state.value + accel * delta * delta + slope * delta,
-                ],
-            }
-        };
-        match self.mode {
-            ContextMode::Current => match obj.dynamic_at(name, self.origin) {
-                Some(state) => {
-                    vec![(Interval::new(0, self.horizon.end()), coeffs(&state))]
-                }
-                None => Vec::new(),
-            },
-            ContextMode::Recorded => {
-                let Some(history) = obj.dynamic_history(name) else {
-                    return Vec::new();
-                };
-                let mut out = Vec::new();
-                for (i, state) in history.iter().enumerate() {
-                    let from_global = state.updatetime.max(self.origin);
-                    let until_global = history
-                        .get(i + 1)
-                        .map(|n| n.updatetime.saturating_sub(1))
-                        .unwrap_or(self.global_end())
-                        .min(self.global_end());
-                    if until_global < self.origin || from_global > until_global {
-                        continue;
-                    }
-                    // A state set before the origin is in force from local 0.
-                    let lo = from_global - self.origin;
-                    let hi = until_global - self.origin;
-                    out.push((Interval::new(lo, hi), coeffs(state)));
-                }
-                // Before its first explicit set the attribute is undefined
-                // (no piece), matching the static-attribute convention.
-                out
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -239,14 +255,15 @@ mod tests {
         assert_eq!(traj.position_at_tick(5), Point::new(10.0, 20.0));
         assert_eq!(traj.legs().len(), 1);
         // Static attr spans the horizon.
-        let series = ctx.attr_series(1, "PRICE");
-        assert_eq!(series.len(), 1);
-        assert_eq!(series[0].1, Interval::new(0, 100));
+        assert_eq!(
+            ctx.attr(1, "PRICE"),
+            StoredAttr::Static(vec![(Value::from(80.0), Interval::new(0, 100))])
+        );
         // Fuel: 100 - t_global = 85 at origin, draining.
-        let dynamic = ctx.dynamic_series(1, "FUEL");
-        assert_eq!(dynamic.len(), 1);
-        let [a, b, c] = dynamic[0].1;
-        assert_eq!((a, b, c), (0.0, -1.0, 85.0));
+        assert_eq!(
+            ctx.attr(1, "FUEL"),
+            StoredAttr::Dynamic(vec![(Interval::new(0, 100), [0.0, -1.0, 85.0])])
+        );
     }
 
     #[test]
@@ -281,7 +298,9 @@ mod tests {
         database.advance_clock(10);
         database.set_static(1, "PRICE", Value::from(95.0)).unwrap();
         let ctx = DbContext::new(&database, 0, ContextMode::Recorded);
-        let series = ctx.attr_series(1, "PRICE");
+        let StoredAttr::Static(series) = ctx.attr(1, "PRICE") else {
+            panic!("a static series");
+        };
         assert_eq!(series.len(), 2);
         assert_eq!(series[0], (Value::from(80.0), Interval::new(0, 9)));
         assert_eq!(series[1].0, Value::from(95.0));
@@ -297,7 +316,9 @@ mod tests {
             .set_dynamic_scalar(1, "FUEL", Some(100.0), Some(AttrFunction::Linear(-2.0)))
             .unwrap();
         let ctx = DbContext::new(&database, 0, ContextMode::Recorded);
-        let series = ctx.dynamic_series(1, "FUEL");
+        let StoredAttr::Dynamic(series) = ctx.attr(1, "FUEL") else {
+            panic!("dynamic pieces");
+        };
         assert_eq!(series.len(), 2);
         // First piece: 100 - t over [0, 19].
         assert_eq!(series[0].0, Interval::new(0, 19));
@@ -312,7 +333,8 @@ mod tests {
         let database = db();
         let ctx = DbContext::new(&database, 0, ContextMode::Current);
         assert!(ctx.trajectory(99).is_none());
-        assert!(ctx.attr_series(99, "PRICE").is_empty());
-        assert!(ctx.dynamic_series(99, "FUEL").is_empty());
+        assert_eq!(ctx.attr(99, "PRICE"), StoredAttr::Missing);
+        assert_eq!(ctx.attr(99, "FUEL"), StoredAttr::Missing);
+        assert_eq!(ctx.attr(1, "NOPE"), StoredAttr::Missing);
     }
 }

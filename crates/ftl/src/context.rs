@@ -38,11 +38,10 @@ pub trait EvalContext {
     /// instantaneous/continuous evaluation).
     fn trajectory(&self, id: u64) -> Option<Trajectory>;
 
-    /// A static attribute's value series over the horizon: pairs of
-    /// `(value, interval)` with disjoint intervals in order.  For
-    /// instantaneous evaluation this is a single pair covering the horizon;
-    /// persistent contexts return the recorded piecewise history.
-    fn attr_series(&self, id: u64, name: &str) -> Vec<(Value, Interval)>;
+    /// What object `id` stores under the non-motion attribute `name`, read
+    /// once: the evaluator's numeric analysis and its per-tick semantics
+    /// both take their answer from this one call.
+    fn attr(&self, id: u64, name: &str) -> StoredAttr;
 
     /// A named region (polygon) referenced by `INSIDE` / `OUTSIDE`.
     fn region(&self, name: &str) -> Option<Polygon>;
@@ -69,17 +68,26 @@ pub trait EvalContext {
     fn attr_range_candidates(&self, _attr: &str, _lo: f64, _hi: f64) -> Option<Vec<u64>> {
         None
     }
+}
 
+/// An object's stored attribute over the horizon, as [`EvalContext::attr`]
+/// returns it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum StoredAttr {
+    /// No such object, or no piece of the attribute on the horizon.
+    Missing,
+    /// A static attribute's value series: `(value, interval)` pairs with
+    /// disjoint intervals in order.  For instantaneous evaluation this is a
+    /// single pair covering the horizon; persistent contexts return the
+    /// recorded piecewise history.
+    Static(Vec<(Value, Interval)>),
     /// A *scalar dynamic attribute*'s piecewise-polynomial series: for each
     /// validity interval, coefficients `[a, b, c]` of `a·t² + b·t + c`
     /// (local evaluation time).  The paper's model covers "dynamic
     /// attributes \[that\] represent, for example, temperature, or fuel
-    /// consumption"; this hook feeds them to the evaluator.  Defaults to
-    /// empty (no such attribute), in which case the evaluator falls back to
-    /// [`EvalContext::attr_series`].
-    fn dynamic_series(&self, _id: u64, _name: &str) -> Vec<(Interval, [f64; 3])> {
-        Vec::new()
-    }
+    /// consumption".  A dynamic attribute shadows a static one of the same
+    /// name; ticks outside its pieces are undefined.
+    Dynamic(Vec<(Interval, [f64; 3])>),
 }
 
 /// A self-contained in-memory context: the simplest possible MOST "database"
@@ -111,13 +119,21 @@ impl MemoryContext {
     pub fn add_object(&mut self, id: u64, trajectory: Trajectory) -> &mut Self {
         self.objects.insert(
             id,
-            MemoryObject { trajectory, attrs: BTreeMap::new() },
+            MemoryObject {
+                trajectory,
+                attrs: BTreeMap::new(),
+            },
         );
         self
     }
 
     /// Sets a static attribute constant over the horizon.
-    pub fn set_attr(&mut self, id: u64, name: impl Into<String>, value: impl Into<Value>) -> &mut Self {
+    pub fn set_attr(
+        &mut self,
+        id: u64,
+        name: impl Into<String>,
+        value: impl Into<Value>,
+    ) -> &mut Self {
         let iv = Interval::new(0, self.horizon.end());
         if let Some(o) = self.objects.get_mut(&id) {
             o.attrs.insert(name.into(), vec![(value.into(), iv)]);
@@ -159,12 +175,11 @@ impl EvalContext for MemoryContext {
         self.objects.get(&id).map(|o| o.trajectory.clone())
     }
 
-    fn attr_series(&self, id: u64, name: &str) -> Vec<(Value, Interval)> {
-        self.objects
-            .get(&id)
-            .and_then(|o| o.attrs.get(name))
-            .cloned()
-            .unwrap_or_default()
+    fn attr(&self, id: u64, name: &str) -> StoredAttr {
+        match self.objects.get(&id).and_then(|o| o.attrs.get(name)) {
+            Some(series) => StoredAttr::Static(series.clone()),
+            None => StoredAttr::Missing,
+        }
     }
 
     fn region(&self, name: &str) -> Option<Polygon> {
@@ -205,8 +220,8 @@ impl EvalContext for Restricted<'_> {
         self.inner.trajectory(id)
     }
 
-    fn attr_series(&self, id: u64, name: &str) -> Vec<(Value, Interval)> {
-        self.inner.attr_series(id, name)
+    fn attr(&self, id: u64, name: &str) -> StoredAttr {
+        self.inner.attr(id, name)
     }
 
     fn region(&self, name: &str) -> Option<Polygon> {
@@ -219,10 +234,6 @@ impl EvalContext for Restricted<'_> {
 
     fn attr_range_candidates(&self, attr: &str, lo: f64, hi: f64) -> Option<Vec<u64>> {
         Some(self.restrict(self.inner.attr_range_candidates(attr, lo, hi)?))
-    }
-
-    fn dynamic_series(&self, id: u64, name: &str) -> Vec<(Interval, [f64; 3])> {
-        self.inner.dynamic_series(id, name)
     }
 }
 
@@ -245,10 +256,12 @@ mod tests {
         assert_eq!(ctx.object_ids(), vec![1]);
         assert!(ctx.trajectory(1).is_some());
         assert!(ctx.trajectory(2).is_none());
-        let series = ctx.attr_series(1, "PRICE");
-        assert_eq!(series.len(), 1);
-        assert_eq!(series[0].0, Value::from(80.0));
-        assert!(ctx.attr_series(1, "NOPE").is_empty());
+        assert_eq!(
+            ctx.attr(1, "PRICE"),
+            StoredAttr::Static(vec![(Value::from(80.0), Interval::new(0, 100))])
+        );
+        assert_eq!(ctx.attr(1, "NOPE"), StoredAttr::Missing);
+        assert_eq!(ctx.attr(2, "PRICE"), StoredAttr::Missing);
         assert!(ctx.region("P").is_some());
         assert!(ctx.region("Q").is_none());
     }
@@ -268,7 +281,9 @@ mod tests {
                 (Value::Int(2), Interval::new(5, 10)),
             ],
         );
-        let s = ctx.attr_series(1, "SPEED_CLASS");
+        let StoredAttr::Static(s) = ctx.attr(1, "SPEED_CLASS") else {
+            panic!("a static series");
+        };
         assert_eq!(s.len(), 2);
         assert_eq!(s[1].0, Value::Int(2));
     }

@@ -711,8 +711,9 @@ fn object_domain<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::MemoryContext;
+    use crate::context::{MemoryContext, StoredAttr};
     use most_spatial::{Polygon, Velocity};
+    use std::collections::BTreeMap;
 
     /// The running scenario: two cars on a highway and a parked one, with a
     /// polygon "downtown" and prices.
@@ -914,13 +915,13 @@ mod tests {
 
     /// [`ctx`] behind a position "index" that answers every probe with
     /// `candidates` (`None`: no index), counting its probes, its domain
-    /// reads and the objects whose attributes it serves.
+    /// reads and its attribute reads per `(object, attribute)`.
     struct CountingIndex {
         inner: MemoryContext,
         candidates: Option<Vec<u64>>,
         probes: std::cell::Cell<u32>,
         domain_reads: std::cell::Cell<u32>,
-        attr_reads: std::cell::RefCell<BTreeSet<u64>>,
+        attr_reads: std::cell::RefCell<BTreeMap<(u64, String), u32>>,
     }
 
     impl CountingIndex {
@@ -932,6 +933,16 @@ mod tests {
                 domain_reads: Default::default(),
                 attr_reads: Default::default(),
             }
+        }
+
+        /// How many times each object's `attr` has been read so far.
+        fn reads_of(&self, attr: &str) -> BTreeMap<u64, u32> {
+            let reads = self.attr_reads.borrow();
+            reads
+                .iter()
+                .filter(|((_, a), _)| a == attr)
+                .map(|((id, _), n)| (*id, *n))
+                .collect()
         }
     }
 
@@ -949,9 +960,13 @@ mod tests {
         fn trajectory(&self, id: u64) -> Option<Trajectory> {
             self.inner.trajectory(id)
         }
-        fn attr_series(&self, id: u64, name: &str) -> Vec<(Value, Interval)> {
-            self.attr_reads.borrow_mut().insert(id);
-            self.inner.attr_series(id, name)
+        fn attr(&self, id: u64, name: &str) -> StoredAttr {
+            *self
+                .attr_reads
+                .borrow_mut()
+                .entry((id, name.to_owned()))
+                .or_default() += 1;
+            self.inner.attr(id, name)
         }
         fn region(&self, name: &str) -> Option<Polygon> {
             self.inner.region(name)
@@ -969,8 +984,38 @@ mod tests {
         let q = Query::parse(src).unwrap();
         let plain = CountingIndex::new(None);
         assert_eq!(evaluate_query(&plain, &q).unwrap().ids(), vec![1]);
-        assert_eq!(*plain.attr_reads.borrow(), BTreeSet::from([1]));
+        assert_eq!(plain.reads_of("PRICE"), BTreeMap::from([(1, 1)]));
         check_against_oracle(src);
+    }
+
+    #[test]
+    fn a_static_comparison_reads_each_candidates_attribute_once() {
+        // Cars 1 and 3 satisfy the comparison and car 2 does not; each is
+        // read once either way, in both orientations.
+        for src in [
+            "RETRIEVE o WHERE o.PRICE <= 100",
+            "RETRIEVE o WHERE 100 >= o.PRICE",
+        ] {
+            let q = Query::parse(src).unwrap();
+            let plain = CountingIndex::new(None);
+            assert_eq!(evaluate_query(&plain, &q).unwrap().ids(), vec![1, 3]);
+            assert_eq!(
+                plain.reads_of("PRICE"),
+                BTreeMap::from([(1, 1), (2, 1), (3, 1)])
+            );
+            check_against_oracle(src);
+        }
+    }
+
+    #[test]
+    fn a_stored_value_and_a_constant_of_another_kind_compare_like_the_oracle() {
+        // Numbers order before strings, so every priced car qualifies; the
+        // numeric analysis used to reject the string as "non-numeric".
+        let src = "RETRIEVE o WHERE o.PRICE <= 'abc'";
+        assert_eq!(answer(src).ids(), vec![1, 2, 3]);
+        check_against_oracle(src);
+        check_against_oracle("RETRIEVE o WHERE o.PRICE > 'abc'");
+        check_against_oracle("RETRIEVE o WHERE 'abc' = o.PRICE");
     }
 
     #[test]
@@ -979,7 +1024,7 @@ mod tests {
         let q = Query::parse(src).unwrap();
         let indexed = CountingIndex::new(Some(vec![1]));
         assert_eq!(evaluate_query(&indexed, &q).unwrap(), answer(src));
-        assert_eq!(*indexed.attr_reads.borrow(), BTreeSet::from([1]));
+        assert_eq!(indexed.reads_of("PRICE"), BTreeMap::from([(1, 1)]));
         assert_eq!(indexed.domain_reads.get(), 0);
         assert_eq!(indexed.probes.get(), 1);
         // A smaller probe on the right does not swap the order: a candidate
@@ -989,7 +1034,10 @@ mod tests {
         let q = Query::parse(src).unwrap();
         let indexed = CountingIndex::new(Some(vec![1]));
         assert_eq!(evaluate_query(&indexed, &q).unwrap(), answer(src));
-        assert_eq!(*indexed.attr_reads.borrow(), BTreeSet::from([1, 2, 3]));
+        assert_eq!(
+            indexed.reads_of("PRICE"),
+            BTreeMap::from([(1, 1), (2, 1), (3, 1)])
+        );
         assert_eq!(indexed.probes.get(), 1);
     }
 

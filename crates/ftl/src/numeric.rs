@@ -19,9 +19,9 @@
 //! degree ≤ 1 or against another `DIST`.
 
 use crate::ast::{ArithOp, CmpOp, Term};
-use crate::context::EvalContext;
+use crate::context::{EvalContext, StoredAttr};
 use crate::error::{FtlError, FtlResult};
-use crate::semantics::{eval_term, Env};
+use crate::semantics::{cmp_defined, eval_term, Env};
 use most_dbms::value::Value;
 use most_spatial::predicates::exact_ticks;
 use most_spatial::roots::{solve_quadratic_le, RealIntervals};
@@ -43,7 +43,12 @@ pub struct QuadPiece {
 
 impl QuadPiece {
     fn constant(iv: Interval, c: f64) -> Self {
-        QuadPiece { iv, a: 0.0, b: 0.0, c }
+        QuadPiece {
+            iv,
+            a: 0.0,
+            b: 0.0,
+            c,
+        }
     }
 
     fn degree(&self) -> u8 {
@@ -70,8 +75,16 @@ pub enum TermForm {
     Quad(Vec<QuadPiece>),
     /// `sqrt` of a piecewise polynomial (distances; always ≥ 0).
     SqrtQuad(Vec<QuadPiece>),
-    /// Piecewise-constant non-numeric values (e.g. string attributes).
-    Values(Vec<(Interval, Value)>),
+    /// A stored static attribute's piecewise-constant values, of any kind.
+    Values(Vec<(Value, Interval)>),
+}
+
+impl TermForm {
+    /// Whether the form changes only at stored values: comparing two such
+    /// forms value by value is exactly the per-tick comparison.
+    fn is_stepwise(&self) -> bool {
+        matches!(self, TermForm::Invariant(_) | TermForm::Values(_))
+    }
 }
 
 /// Whether `name` is one of the motion sub-attributes (`X`, `Y`, `VX`,
@@ -96,7 +109,12 @@ pub fn build_form(ctx: &dyn EvalContext, env: &Env, term: &Term) -> FtlResult<Te
             .cloned()
             .map(TermForm::Invariant)
             .ok_or_else(|| FtlError::Unsafe(format!("unbound variable `{name}`"))),
-        Term::Time => Ok(TermForm::Quad(vec![QuadPiece { iv: full, a: 0.0, b: 1.0, c: 0.0 }])),
+        Term::Time => Ok(TermForm::Quad(vec![QuadPiece {
+            iv: full,
+            a: 0.0,
+            b: 1.0,
+            c: 0.0,
+        }])),
         Term::Point(..) => Err(FtlError::Type(
             "a POINT literal has no scalar value; use it inside DIST".into(),
         )),
@@ -128,12 +146,7 @@ pub fn build_form(ctx: &dyn EvalContext, env: &Env, term: &Term) -> FtlResult<Te
     }
 }
 
-fn build_attr_form(
-    ctx: &dyn EvalContext,
-    id: u64,
-    attr: &str,
-    h: Horizon,
-) -> FtlResult<TermForm> {
+fn build_attr_form(ctx: &dyn EvalContext, id: u64, attr: &str, h: Horizon) -> FtlResult<TermForm> {
     match attr {
         _ if is_motion_attr(attr) => {
             let Some(traj) = ctx.trajectory(id) else {
@@ -164,47 +177,22 @@ fn build_attr_form(
             }
             Ok(TermForm::Quad(pieces))
         }
-        _ => {
-            // Scalar dynamic attributes (fuel, temperature, ...) take
-            // precedence over static series.
-            let dynamic = ctx.dynamic_series(id, attr);
-            if !dynamic.is_empty() {
-                return Ok(TermForm::Quad(
-                    dynamic
-                        .into_iter()
-                        .map(|(iv, [a, b, c])| QuadPiece { iv, a, b, c })
-                        .collect(),
-                ));
-            }
-            let series = ctx.attr_series(id, attr);
-            if series.is_empty() {
-                return Ok(TermForm::Invariant(Value::Null));
-            }
-            if series.iter().all(|(v, _)| v.as_f64().is_some()) {
-                Ok(TermForm::Quad(
-                    series
-                        .into_iter()
-                        .map(|(v, iv)| {
-                            QuadPiece::constant(iv, v.as_f64().expect("checked numeric"))
-                        })
-                        .collect(),
-                ))
-            } else {
-                Ok(TermForm::Values(
-                    series.into_iter().map(|(v, iv)| (iv, v)).collect(),
-                ))
-            }
-        }
+        _ => Ok(match ctx.attr(id, attr) {
+            StoredAttr::Dynamic(pieces) if !pieces.is_empty() => TermForm::Quad(
+                pieces
+                    .into_iter()
+                    .map(|(iv, [a, b, c])| QuadPiece { iv, a, b, c })
+                    .collect(),
+            ),
+            StoredAttr::Static(series) if !series.is_empty() => TermForm::Values(series),
+            _ => TermForm::Invariant(Value::Null),
+        }),
     }
 }
 
 /// Resolves a point-valued term to its motion (trajectory or stationary
 /// literal); `None` when undefined.
-fn resolve_motion(
-    ctx: &dyn EvalContext,
-    env: &Env,
-    term: &Term,
-) -> FtlResult<Option<Trajectory>> {
+fn resolve_motion(ctx: &dyn EvalContext, env: &Env, term: &Term) -> FtlResult<Option<Trajectory>> {
     match term {
         Term::Point(x, y) => Ok(Some(Trajectory::new(MovingPoint::stationary(Point::new(
             *x, *y,
@@ -254,8 +242,18 @@ fn arith_forms(op: ArithOp, fa: TermForm, fb: TermForm, h: Horizon) -> FtlResult
     let mut pieces = Vec::new();
     for (iv, x, y) in align(&qa, &qb) {
         let p = match op {
-            ArithOp::Add => QuadPiece { iv, a: x.a + y.a, b: x.b + y.b, c: x.c + y.c },
-            ArithOp::Sub => QuadPiece { iv, a: x.a - y.a, b: x.b - y.b, c: x.c - y.c },
+            ArithOp::Add => QuadPiece {
+                iv,
+                a: x.a + y.a,
+                b: x.b + y.b,
+                c: x.c + y.c,
+            },
+            ArithOp::Sub => QuadPiece {
+                iv,
+                a: x.a - y.a,
+                b: x.b - y.b,
+                c: x.c - y.c,
+            },
             ArithOp::Mul => {
                 if x.degree() + y.degree() > 2 {
                     return Err(FtlError::Unsupported(
@@ -278,7 +276,12 @@ fn arith_forms(op: ArithOp, fa: TermForm, fb: TermForm, h: Horizon) -> FtlResult
                 if y.c == 0.0 {
                     return Err(FtlError::Type("division by zero".into()));
                 }
-                QuadPiece { iv, a: x.a / y.c, b: x.b / y.c, c: x.c / y.c }
+                QuadPiece {
+                    iv,
+                    a: x.a / y.c,
+                    b: x.b / y.c,
+                    c: x.c / y.c,
+                }
             }
         };
         pieces.push(p);
@@ -298,9 +301,13 @@ fn to_quad(f: TermForm, h: Horizon) -> FtlResult<Vec<QuadPiece>> {
                 "non-numeric value {v} used in arithmetic"
             ))),
         },
-        TermForm::Values(_) => Err(FtlError::Type(
-            "non-numeric attribute series used in arithmetic".into(),
-        )),
+        TermForm::Values(series) => series
+            .into_iter()
+            .map(|(v, iv)| v.as_f64().map(|x| QuadPiece::constant(iv, x)))
+            .collect::<Option<_>>()
+            .ok_or_else(|| {
+                FtlError::Type("non-numeric attribute series used in arithmetic".into())
+            }),
         TermForm::SqrtQuad(_) => Err(FtlError::Unsupported(
             "DIST may not appear inside arithmetic; compare it directly".into(),
         )),
@@ -322,8 +329,10 @@ fn align(a: &[QuadPiece], b: &[QuadPiece]) -> Vec<(Interval, QuadPiece, QuadPiec
 
 /// The tick set on which `lhs op rhs` holds, for one instantiation.
 ///
-/// Exact at integer ticks: the assembled solution is reconciled against
-/// per-tick evaluation of the original terms.
+/// Exact at integer ticks.  Stored static values and constants are compared
+/// value by value, which is the per-tick comparison itself; every other
+/// solution is root-solved and then reconciled against per-tick evaluation
+/// of the original terms.
 pub fn compare_terms(
     ctx: &dyn EvalContext,
     env: &Env,
@@ -335,6 +344,9 @@ pub fn compare_terms(
     let fa = build_form(ctx, env, lhs)?;
     let fb = build_form(ctx, env, rhs)?;
     let candidate = compare_forms(op, &fa, &fb, h)?;
+    if fa.is_stepwise() && fb.is_stepwise() {
+        return Ok(candidate);
+    }
     // Reconcile against the exact per-tick truth.
     let exact = |t: Tick| -> bool {
         let (a, b) = match (eval_term(ctx, env, lhs, t), eval_term(ctx, env, rhs, t)) {
@@ -359,12 +371,7 @@ pub fn compare_terms(
     Ok(exact_ticks(&real, h, exact))
 }
 
-fn compare_forms(
-    op: CmpOp,
-    fa: &TermForm,
-    fb: &TermForm,
-    h: Horizon,
-) -> FtlResult<IntervalSet> {
+fn compare_forms(op: CmpOp, fa: &TermForm, fb: &TermForm, h: Horizon) -> FtlResult<IntervalSet> {
     use TermForm::*;
     match (fa, fb) {
         // Undefined on either side: unsatisfied.
@@ -376,25 +383,20 @@ fn compare_forms(
         } else {
             IntervalSet::empty()
         }),
-        // Piecewise non-numeric values vs a constant.
-        (Values(series), Invariant(v)) => Ok(values_vs_const(op, series, v)),
-        (Invariant(v), Values(series)) => Ok(values_vs_const(op.flipped(), series, v)),
+        // Stored values vs a constant: the per-value kernel.
+        (Values(series), Invariant(v)) => Ok(values_vs_const(op, series, v, h)),
+        (Invariant(v), Values(series)) => Ok(values_vs_const(op.flipped(), series, v, h)),
         (Values(sa), Values(sb)) => {
-            let mut out = IntervalSet::empty();
-            for (ia, va) in sa {
-                for (ib, vb) in sb {
-                    if let Some(iv) = ia.intersect(*ib) {
-                        if op.apply(va, vb) {
-                            out = out.union(&IntervalSet::singleton(iv));
-                        }
-                    }
-                }
-            }
-            Ok(out)
+            let pairs = sa.iter().flat_map(|(va, ia)| {
+                sb.iter()
+                    .filter(move |(vb, _)| cmp_defined(op, va, vb))
+                    .filter_map(move |(_, ib)| ia.intersect(*ib))
+            });
+            Ok(within(h, pairs))
         }
-        (Values(_), _) | (_, Values(_)) => Err(FtlError::Type(
-            "comparison between a non-numeric series and a numeric term".into(),
-        )),
+        (Values(s), _) | (_, Values(s)) if s.iter().any(|(v, _)| v.as_f64().is_none()) => Err(
+            FtlError::Type("comparison between a non-numeric series and a numeric term".into()),
+        ),
         // sqrt vs sqrt: both sides non-negative, compare the radicands.
         (SqrtQuad(pa), SqrtQuad(pb)) => {
             solve_aligned(op, pa, pb, |op, iv, x, y| quad_cmp(op, iv, x, y, h))
@@ -419,13 +421,17 @@ fn compare_forms(
     }
 }
 
-fn values_vs_const(op: CmpOp, series: &[(Interval, Value)], v: &Value) -> IntervalSet {
-    IntervalSet::from_intervals(
-        series
-            .iter()
-            .filter(|(_, sv)| *sv != Value::Null && op.apply(sv, v))
-            .map(|(iv, _)| *iv),
-    )
+/// The per-value kernel: the intervals whose stored value satisfies `op`
+/// against the constant `v`.
+fn values_vs_const(op: CmpOp, series: &[(Value, Interval)], v: &Value, h: Horizon) -> IntervalSet {
+    let kept = series.iter().filter(|(sv, _)| cmp_defined(op, sv, v));
+    within(h, kept.map(|(_, iv)| *iv))
+}
+
+/// The ticks of `intervals` that lie on the horizon.
+fn within(h: Horizon, intervals: impl Iterator<Item = Interval>) -> IntervalSet {
+    let full = Interval::new(0, h.end());
+    IntervalSet::from_intervals(intervals.filter_map(|iv| iv.intersect(full)))
 }
 
 fn solve_aligned(
@@ -459,8 +465,7 @@ fn quad_cmp(
         })
     };
     let ge = || {
-        let sol =
-            solve_quadratic_le(-da, -db, -dc).clipped(iv.begin() as f64, iv.end() as f64);
+        let sol = solve_quadratic_le(-da, -db, -dc).clipped(iv.begin() as f64, iv.end() as f64);
         exact_ticks(&sol, h, |t| {
             let tf = t as f64;
             x.eval(tf) >= y.eval(tf)
@@ -549,9 +554,7 @@ pub fn value_series(
     let h = ctx.horizon();
     match build_form(ctx, env, term)? {
         TermForm::Invariant(v) => Ok(vec![(v, IntervalSet::full(h))]),
-        TermForm::Values(series) => Ok(group_series(
-            series.into_iter().map(|(iv, v)| (v, iv)).collect(),
-        )),
+        TermForm::Values(series) => Ok(group_series(series)),
         TermForm::Quad(pieces) => {
             if pieces.iter().any(|p| p.degree() > 0) {
                 return Err(FtlError::Unsupported(
@@ -628,7 +631,14 @@ mod tests {
         // o.X >= 30 from tick 30 onwards.
         let l = Term::attr(Term::var("o"), "X");
         let r = Term::val(30.0);
-        for op in [CmpOp::Le, CmpOp::Lt, CmpOp::Ge, CmpOp::Gt, CmpOp::Eq, CmpOp::Ne] {
+        for op in [
+            CmpOp::Le,
+            CmpOp::Lt,
+            CmpOp::Ge,
+            CmpOp::Gt,
+            CmpOp::Eq,
+            CmpOp::Ne,
+        ] {
             let got = compare_terms(&c, &env, op, &l, &r).unwrap();
             assert_eq!(got, brute(&c, &env, op, &l, &r), "{op:?}");
         }
@@ -761,11 +771,9 @@ mod tests {
         );
         let env = env2();
         let l = Term::attr(Term::var("o"), "STATUS");
-        let got =
-            compare_terms(&c, &env, CmpOp::Eq, &l, &Term::val("parked")).unwrap();
+        let got = compare_terms(&c, &env, CmpOp::Eq, &l, &Term::val("parked")).unwrap();
         assert_eq!(got, IntervalSet::singleton(Interval::new(50, 100)));
-        let got =
-            compare_terms(&c, &env, CmpOp::Ne, &l, &Term::val("parked")).unwrap();
+        let got = compare_terms(&c, &env, CmpOp::Ne, &l, &Term::val("parked")).unwrap();
         assert_eq!(got, IntervalSet::singleton(Interval::new(0, 49)));
     }
 

@@ -14,7 +14,7 @@
 //!    [`eval_atom`] to verify interval boundaries.
 
 use crate::ast::{CmpOp, Formula, Query, Term};
-use crate::context::EvalContext;
+use crate::context::{EvalContext, StoredAttr};
 use crate::error::{FtlError, FtlResult};
 use most_dbms::value::Value;
 use most_spatial::predicates::min_enclosing_circle;
@@ -78,12 +78,7 @@ impl Env {
 /// [`Value::Null`]; comparisons involving `Null` are unsatisfied, matching
 /// the convention that a predicate over undefined data simply does not
 /// hold.
-pub fn eval_term(
-    ctx: &dyn EvalContext,
-    env: &Env,
-    term: &Term,
-    t: Tick,
-) -> FtlResult<Value> {
+pub fn eval_term(ctx: &dyn EvalContext, env: &Env, term: &Term, t: Tick) -> FtlResult<Value> {
     match term {
         Term::Const(v) => Ok(v.clone()),
         Term::Time => Ok(Value::Time(t)),
@@ -107,7 +102,10 @@ pub fn eval_term(
             eval_attr(ctx, id, attr, t)
         }
         Term::Dist(a, b) => {
-            match (resolve_point(ctx, env, a, t)?, resolve_point(ctx, env, b, t)?) {
+            match (
+                resolve_point(ctx, env, a, t)?,
+                resolve_point(ctx, env, b, t)?,
+            ) {
                 (Some(pa), Some(pb)) => Ok(Value::from(pa.dist(pb))),
                 _ => Ok(Value::Null),
             }
@@ -153,20 +151,23 @@ pub fn eval_attr(ctx: &dyn EvalContext, id: u64, attr: &str, t: Tick) -> FtlResu
             };
             Ok(Value::from(v))
         }
-        _ => {
-            for (iv, [a, b, c]) in ctx.dynamic_series(id, attr) {
-                if iv.contains(t) {
-                    let tf = t as f64;
-                    return Ok(Value::from((a * tf + b) * tf + c));
-                }
+        _ => Ok(match ctx.attr(id, attr) {
+            StoredAttr::Missing => None,
+            StoredAttr::Static(series) => series
+                .into_iter()
+                .find(|(_, iv)| iv.contains(t))
+                .map(|(v, _)| v),
+            StoredAttr::Dynamic(pieces) => {
+                pieces
+                    .iter()
+                    .find(|(iv, _)| iv.contains(t))
+                    .map(|(_, [a, b, c])| {
+                        let tf = t as f64;
+                        Value::from((a * tf + b) * tf + c)
+                    })
             }
-            for (value, iv) in ctx.attr_series(id, attr) {
-                if iv.contains(t) {
-                    return Ok(value);
-                }
-            }
-            Ok(Value::Null)
         }
+        .unwrap_or(Value::Null)),
     }
 }
 
@@ -191,7 +192,7 @@ pub fn resolve_point(
 }
 
 /// Comparison with the Null-is-undefined convention.
-fn cmp_defined(op: CmpOp, a: &Value, b: &Value) -> bool {
+pub(crate) fn cmp_defined(op: CmpOp, a: &Value, b: &Value) -> bool {
     if *a == Value::Null || *b == Value::Null {
         return false;
     }
@@ -200,12 +201,7 @@ fn cmp_defined(op: CmpOp, a: &Value, b: &Value) -> bool {
 
 /// Evaluates an atomic formula at state `t` (shared with the numeric
 /// analysis for boundary verification).
-pub fn eval_atom(
-    ctx: &dyn EvalContext,
-    env: &Env,
-    f: &Formula,
-    t: Tick,
-) -> FtlResult<bool> {
+pub fn eval_atom(ctx: &dyn EvalContext, env: &Env, f: &Formula, t: Tick) -> FtlResult<bool> {
     match f {
         Formula::Bool(b) => Ok(*b),
         Formula::Cmp(op, a, b) => Ok(cmp_defined(
@@ -269,12 +265,7 @@ pub fn eval_atom(
 
 /// The Section 3.3 satisfaction relation: does `f` hold at state `t` of the
 /// (implicit, horizon-truncated) history, under evaluation `env`?
-pub fn satisfies(
-    ctx: &dyn EvalContext,
-    f: &Formula,
-    env: &mut Env,
-    t: Tick,
-) -> FtlResult<bool> {
+pub fn satisfies(ctx: &dyn EvalContext, f: &Formula, env: &mut Env, t: Tick) -> FtlResult<bool> {
     let h_end = ctx.horizon().end();
     match f {
         Formula::Bool(_)

@@ -3,12 +3,14 @@
 //! formulas.
 
 use most_dbms::value::Value;
-use most_ftl::context::{EvalContext, MemoryContext};
+use most_ftl::context::{EvalContext, MemoryContext, StoredAttr};
 use most_ftl::semantics::naive_answer;
+use most_ftl::FtlError;
 use most_ftl::{evaluate_query, Query};
 use most_spatial::{Point, Polygon, Rect, Trajectory, Velocity};
 use most_temporal::{Horizon, Interval};
-use most_testkit::check::{ints, just, one_of, tuple2, tuple3, tuple4, vecs, Check, Gen};
+use most_testkit::check::{ints, just, one_of, select, tuple2, tuple3, tuple4, vecs, Check, Gen};
+use std::collections::BTreeMap;
 
 const H_END: u64 = 60;
 
@@ -29,8 +31,8 @@ impl EvalContext for PruningContext {
     fn trajectory(&self, id: u64) -> Option<Trajectory> {
         self.0.trajectory(id)
     }
-    fn attr_series(&self, id: u64, name: &str) -> Vec<(Value, Interval)> {
-        self.0.attr_series(id, name)
+    fn attr(&self, id: u64, name: &str) -> StoredAttr {
+        self.0.attr(id, name)
     }
     fn region(&self, name: &str) -> Option<Polygon> {
         self.0.region(name)
@@ -55,7 +57,10 @@ impl EvalContext for PruningContext {
             .0
             .object_ids()
             .into_iter()
-            .filter(|&id| self.0.attr_series(id, attr).iter().any(|(v, _)| near(v)));
+            .filter(|&id| match self.0.attr(id, attr) {
+                StoredAttr::Static(series) => series.iter().any(|(v, _)| near(v)),
+                _ => false,
+            });
         Some(ids.collect())
     }
 }
@@ -97,7 +102,11 @@ fn arb_rect_tuple() -> Gen<(f64, f64, f64, f64)> {
 
 fn arb_scenario() -> Gen<Scenario> {
     tuple3(vecs(arb_object(), 1..5), arb_rect_tuple(), arb_rect_tuple()).map(
-        |(objects, region_p, region_q)| Scenario { objects, region_p, region_q },
+        |(objects, region_p, region_q)| Scenario {
+            objects,
+            region_p,
+            region_q,
+        },
     )
 }
 
@@ -212,4 +221,176 @@ fn answers_are_normalized() {
             }
         },
     );
+}
+
+/// A stored value of every kind a static attribute may hold.
+fn arb_value() -> Gen<Value> {
+    one_of(vec![
+        ints(0i64..200).map(Value::Int),
+        ints(0u32..400).map(|v| Value::from(v as f64 * 0.5)),
+        select(&["abc", "m", "zz"]).map(Value::from),
+        just(Value::Null),
+    ])
+}
+
+/// A piecewise series: consecutive pieces from a start tick, which may
+/// leave gaps at either end of the horizon or run past it.
+fn arb_series(value: Gen<Value>) -> Gen<Vec<(Value, Interval)>> {
+    tuple2(ints(0u64..8), vecs(tuple2(ints(1u64..45), value), 1..4)).map(|(start, pieces)| {
+        let mut begin = start;
+        let mut out = Vec::new();
+        for (len, v) in pieces {
+            out.push((v, Interval::new(begin, begin + len - 1)));
+            begin += len;
+        }
+        out
+    })
+}
+
+/// Parked objects `1..`: object `i` stands at `(10·i, 0)`, so region `P`
+/// (x ∈ [0, 25]) holds objects 1 and 2.
+fn static_context(series: &[Vec<(Value, Interval)>]) -> MemoryContext {
+    let mut ctx = MemoryContext::new(H_END);
+    for (i, s) in series.iter().enumerate() {
+        let id = i as u64 + 1;
+        let at = Point::new(10.0 * id as f64, 0.0);
+        ctx.add_object(id, Trajectory::starting_at(at, Velocity::zero()));
+        ctx.set_attr_series(id, "PRICE", s.clone());
+    }
+    ctx.add_region("P", Polygon::rectangle(0.0, -5.0, 25.0, 5.0));
+    ctx
+}
+
+const OPS: &[&str] = &["<=", "<", ">=", ">", "=", "<>"];
+
+/// Comparisons between the stored `PRICE` and a constant or another stored
+/// value, in both orientations; `{op}` is one of [`OPS`], `{c}` a constant.
+const STATIC_TEMPLATES: &[&str] = &[
+    "RETRIEVE o WHERE o.PRICE {op} {c}",
+    "RETRIEVE o WHERE {c} {op} o.PRICE",
+    "RETRIEVE o WHERE NOT (o.PRICE {op} {c})",
+    "RETRIEVE o WHERE Eventually (o.PRICE {op} {c})",
+    "RETRIEVE o WHERE Always ({c} {op} o.PRICE)",
+    "RETRIEVE o WHERE INSIDE(o, P) AND o.PRICE {op} {c}",
+    "RETRIEVE o WHERE o.PRICE {op} {c} AND Eventually after 10 o.PRICE {op} {c}",
+    "RETRIEVE o, n WHERE o.PRICE {op} n.PRICE",
+    "RETRIEVE o WHERE [x <- o.PRICE] Eventually (o.PRICE {op} x)",
+    "RETRIEVE o WHERE [x <- o.PRICE] Always (x {op} o.PRICE OR o.PRICE {op} {c})",
+];
+
+/// A template instantiated with an operator and a constant of some kind.
+fn arb_static_query(templates: &'static [&'static str], constants: Gen<String>) -> Gen<String> {
+    tuple3(ints(0..templates.len()), select(OPS), constants)
+        .map(move |(t, op, c)| templates[t].replace("{op}", op).replace("{c}", &c))
+}
+
+#[test]
+fn stored_value_comparisons_match_oracle() {
+    // Int, Float, Str and Null values, mixed within one series, against
+    // constants of every kind: the per-value path must agree with the
+    // per-tick reference semantics, including across kinds.
+    let constants = one_of(vec![
+        ints(0u32..200).map(|c| c.to_string()),
+        ints(0u32..200).map(|c| format!("{c}.5")),
+        select(&["'abc'", "'b'", "'zz'"]).map(str::to_owned),
+    ]);
+    Check::new("ftl::stored_value_comparisons_match_oracle")
+        .cases(96)
+        .regressions(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/proptests.seeds"
+        ))
+        .run(
+            &tuple2(
+                vecs(arb_series(arb_value()), 1..5),
+                arb_static_query(STATIC_TEMPLATES, constants),
+            ),
+            |(series, src)| {
+                let ctx = static_context(series);
+                let q = Query::parse(src).expect("template parses");
+                let fast = evaluate_query(&ctx, &q).expect("interval evaluation succeeds");
+                let slow = naive_answer(&ctx, &q).expect("oracle evaluation succeeds");
+                assert_eq!(fast, slow, "query: {src}");
+            },
+        );
+}
+
+/// [`MemoryContext`] with a scalar dynamic `PRICE` laid over the static one
+/// on some objects: `(first tick, [a, b, c])` pieces running to the horizon.
+struct Shadowing(MemoryContext, BTreeMap<u64, (u64, [f64; 3])>);
+
+impl EvalContext for Shadowing {
+    fn horizon(&self) -> Horizon {
+        self.0.horizon()
+    }
+    fn object_ids(&self) -> Vec<u64> {
+        self.0.object_ids()
+    }
+    fn trajectory(&self, id: u64) -> Option<Trajectory> {
+        self.0.trajectory(id)
+    }
+    fn attr(&self, id: u64, name: &str) -> StoredAttr {
+        match self.1.get(&id) {
+            Some(&(from, coeffs)) if name == "PRICE" => {
+                StoredAttr::Dynamic(vec![(Interval::new(from, H_END), coeffs)])
+            }
+            _ => self.0.attr(id, name),
+        }
+    }
+    fn region(&self, name: &str) -> Option<Polygon> {
+        self.0.region(name)
+    }
+}
+
+#[test]
+fn a_dynamic_attribute_shadows_a_static_one() {
+    // Where a dynamic PRICE exists it is the attribute, on both evaluators:
+    // the static value underneath is never read, and ticks before the
+    // dynamic piece starts are undefined.
+    let numeric = one_of(vec![
+        ints(0i64..200).map(Value::Int),
+        ints(0u32..400).map(|v| Value::from(v as f64 * 0.5)),
+    ]);
+    let dynamic = one_of(vec![
+        just(None),
+        tuple3(
+            ints(0u64..20),
+            select(&[0.0, 0.5, -1.0, 2.0]),
+            ints(0u32..150),
+        )
+        .map(|(from, slope, c)| Some((from, [0.0, slope, c as f64]))),
+    ]);
+    let constants = ints(0u32..200).map(|c| c.to_string());
+    Check::new("ftl::a_dynamic_attribute_shadows_a_static_one")
+        .cases(96)
+        .regressions(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/proptests.seeds"
+        ))
+        .run(
+            &tuple2(
+                vecs(tuple2(arb_series(numeric), dynamic), 1..5),
+                arb_static_query(STATIC_TEMPLATES, constants),
+            ),
+            |(objects, src)| {
+                let series: Vec<_> = objects.iter().map(|(s, _)| s.clone()).collect();
+                let shadows = objects
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, (_, d))| d.map(|d| (i as u64 + 1, d)))
+                    .collect();
+                let ctx = Shadowing(static_context(&series), shadows);
+                let q = Query::parse(src).expect("template parses");
+                let slow = naive_answer(&ctx, &q).expect("oracle evaluation succeeds");
+                match evaluate_query(&ctx, &q) {
+                    Ok(fast) => assert_eq!(fast, slow, "query: {src}"),
+                    // Binding a time-varying value is outside the fragment.
+                    Err(FtlError::Unsupported(_)) => {
+                        let varying = ctx.1.values().any(|(_, [_, slope, _])| *slope != 0.0);
+                        assert!(src.contains("<-") && varying, "query: {src}");
+                    }
+                    Err(e) => panic!("query: {src}: {e}"),
+                }
+            },
+        );
 }

@@ -90,7 +90,7 @@ fn answers_serve_continuous_displays() {
 
 #[test]
 fn scalar_dynamic_attributes_queryable() {
-    // Fuel drains linearly; FTL sees it through the dynamic_series hook.
+    // Fuel drains linearly; FTL sees it as `StoredAttr::Dynamic`.
     use moving_objects::core::{AttrFunction, Database};
     let mut db = Database::new(200);
     let a = db.insert_moving_object("tanks", Default::default(), Default::default());
