@@ -166,6 +166,18 @@ pub fn run(scale: Scale) -> Table {
         add(&mut table, "ftl_eval", format!("{name}/n{n}"), s);
     }
 
+    // -- `INSIDE` over an unindexed fleet shaped like one `sharded_large`
+    //    shard (a car per 200 square units, 80 × 80 region): all candidates
+    let n = scale.pick(2_000usize, 12_500usize);
+    let scenario = CarScenario { area: (n as f64 * 50.0).sqrt(), ..CarScenario::fleet(11, n) };
+    let mut scan_db = Database::new(100);
+    scan_db.add_region("P", Polygon::rectangle(-40.0, -40.0, 40.0, 40.0));
+    scenario.populate(&mut scan_db, &scenario.generate());
+    let ctx = DbContext::new(&scan_db, scan_db.now(), ContextMode::Current);
+    let q = Query::parse("RETRIEVE o WHERE INSIDE(o, P)").expect("parses");
+    let s = bench(warmup, samples, || evaluate_query(&ctx, &q).expect("eval"));
+    add(&mut table, "ftl_eval", format!("inside_scan/n{n}"), s);
+
     // -- 2^k rewrite blow-up (former e5 bench) ---------------------------
     let layer = {
         let (n, attrs) = (scale.pick(200usize, 500usize), 8usize);

@@ -219,14 +219,17 @@ struct AttrIndexState {
 }
 
 /// How one object's attribute looks to the dynamic-attribute index at a
-/// tick.  `Absent` covers both "no such attribute" and a non-numeric
-/// value: neither can satisfy a numeric range atom while it holds, so the
-/// object may be left out of the index.  `Quadratic` values vary in ways a
-/// line cannot bound and force the index dirty instead.
+/// tick.  `Absent` covers "no such attribute" and `Null`: neither
+/// satisfies a range atom while it holds, so the object may be left out of
+/// the index.  A non-numeric value (`Str`, `Bool`, …) is `NonNumeric`:
+/// `Value::query_cmp` orders it against numbers, so it can satisfy a range
+/// atom no line represents, and it forces the index dirty.  So do
+/// `Quadratic` values, which vary in ways a line cannot bound.
 enum AttrLine {
     Absent,
     Line(f64, f64),
     Quadratic,
+    NonNumeric,
 }
 
 fn attr_line(obj: &MovingObject, attr: &str, now: Tick) -> AttrLine {
@@ -241,9 +244,9 @@ fn attr_line(obj: &MovingObject, attr: &str, now: Tick) -> AttrLine {
             AttrFunction::Quadratic { .. } => AttrLine::Quadratic,
         };
     }
-    match obj.static_at(attr, now).and_then(Value::as_f64) {
-        Some(value) => AttrLine::Line(value, 0.0),
-        None => AttrLine::Absent,
+    match obj.static_at(attr, now) {
+        None | Some(Value::Null) => AttrLine::Absent,
+        Some(value) => value.as_f64().map_or(AttrLine::NonNumeric, |v| AttrLine::Line(v, 0.0)),
     }
 }
 
@@ -686,8 +689,8 @@ impl Database {
                     ix.index.insert(id, rel, value, slope);
                 }
             }
-            // A value no numeric line represents: sound to leave the object
-            // unindexed, but an already-indexed line would go stale.
+            // No value: sound to leave the object unindexed, but an
+            // already-indexed line would go stale.
             Some(AttrLine::Absent) if !ix.index.contains(id) => {}
             _ => ix.dirty = true,
         }
@@ -1030,7 +1033,7 @@ impl Database {
                         dirty = true;
                     }
                 }
-                AttrLine::Quadratic => dirty = true,
+                AttrLine::Quadratic | AttrLine::NonNumeric => dirty = true,
             }
         }
         AttrIndexState { attr, kind, index, epoch: now, dirty }
@@ -1491,13 +1494,50 @@ mod tests {
         // A non-numeric write dirties the index: lookups fall back...
         db.set_static(1, "PRICE", Value::Str("n/a".into())).unwrap();
         assert!(db.attr_index_range_candidates("PRICE", 0, 100, 0.0, 25.0).is_none());
-        // ...until the epoch boundary rebuilds it.
+        // ...and a rebuild stays dirty while the value holds ('n/a' passes
+        // `>= 0` under `Value::query_cmp`; no line can stand in for it)...
+        assert!(db.maintain_attr_index());
+        assert!(db.attr_index_range_candidates("PRICE", 0, 100, 0.0, 25.0).is_none());
+        // ...until the price is gone.
+        db.set_static(1, "PRICE", Value::Null).unwrap();
         assert!(db.maintain_attr_index());
         let pruned = db
             .attr_index_range_candidates("PRICE", 0, 100, f64::NEG_INFINITY, 25.0)
             .expect("rebuilt index must serve lookups again");
-        assert_eq!(pruned, vec![2, 3], "object 1 no longer has a numeric price");
+        assert_eq!(pruned, vec![2, 3], "object 1 no longer has a price");
         assert!(!db.maintain_attr_index(), "clean index within its epoch stays put");
+    }
+
+    #[test]
+    fn the_attr_index_answers_non_numeric_values_like_a_scan() {
+        // `Value::query_cmp` orders a string above every number and a
+        // boolean below: 'abc' passes `>= 50`, `true` passes `<= 100`.
+        let cases = [
+            (Value::from("abc"), "RETRIEVE o WHERE o.PRICE >= 50"),
+            (Value::Bool(true), "RETRIEVE o WHERE o.PRICE <= 100"),
+        ];
+        for (value, text) in cases {
+            let q = Query::parse(text).unwrap();
+            // The value is there when the index is built, or written after.
+            for on_write in [false, true] {
+                let mut dbs = [highway_db(), highway_db()];
+                for db in &mut dbs {
+                    let id = db.insert_moving_object("cars", Point::origin(), Velocity::zero());
+                    if !on_write {
+                        db.set_static(id, "PRICE", value.clone()).unwrap();
+                    }
+                }
+                dbs[1].enable_attr_index("PRICE", IndexKind::RTree, (0.0, 1000.0));
+                for db in &mut dbs {
+                    if on_write {
+                        db.set_static(3, "PRICE", value.clone()).unwrap();
+                    }
+                }
+                let [scan, indexed] = dbs.map(|mut db| db.instantaneous_now(&q).unwrap());
+                assert!(scan.contains(&vec![Value::Id(3)]), "{text}: the scan answers car 3");
+                assert_eq!(indexed, scan, "{text} (on write: {on_write})");
+            }
+        }
     }
 
     #[test]

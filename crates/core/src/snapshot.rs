@@ -156,9 +156,9 @@ impl EvalContext for DbContext<'_> {
             ContextMode::Current => {
                 // Single leg: the motion in force at the origin, rebased to
                 // local tick 0.
-                let p = traj.position_at_tick(self.origin);
-                let v = traj.velocity_at_tick(self.origin);
-                Some(Trajectory::new(MovingPoint::new(p, 0, v)))
+                let leg = traj.leg_at(self.origin);
+                let p = leg.position_at_tick(self.origin);
+                Some(Trajectory::new(MovingPoint::new(p, 0, leg.velocity)))
             }
             ContextMode::Recorded => {
                 let mut local: Option<Trajectory> = None;

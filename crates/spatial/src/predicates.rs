@@ -33,11 +33,7 @@ const MAX_BOUNDARY_NUDGE: u64 = 8;
 /// the boundaries (a bounded number of steps) until they match `pred`, which
 /// absorbs floating-point error in root finding.  Exposed publicly because
 /// the FTL numeric-term analysis assembles its own real solution sets.
-pub fn exact_ticks<F: Fn(Tick) -> bool>(
-    sol: &RealIntervals,
-    h: Horizon,
-    pred: F,
-) -> IntervalSet {
+pub fn exact_ticks<F: Fn(Tick) -> bool>(sol: &RealIntervals, h: Horizon, pred: F) -> IntervalSet {
     let mut out: Vec<Interval> = Vec::with_capacity(sol.intervals().len());
     for riv in sol.intervals() {
         let lo = riv.lo.max(0.0);
@@ -112,9 +108,48 @@ pub fn dist_at_least(a: MovingPoint, b: MovingPoint, r: f64, h: Horizon) -> Inte
     exact_ticks(&sol, h, |t| a.dist_at(b, t as f64) >= r)
 }
 
+/// Whether no tick of `h` can find `m` inside `poly`: the box spanned by
+/// its positions at ticks `0` and `h.end()` misses `poly`'s bounding box
+/// by more than `contains` reaches past it.  Exact, because:
+/// - every tick `inside_polygon` returns is confirmed by `contains` (the
+///   event-tick check, or an interval end `exact_ticks` verified), so when
+///   no tick is inside it answers empty anyway;
+/// - each coordinate of `anchor + velocity·(t − since)` is a chain of
+///   correctly rounded operations monotone in `t`, so every tick's
+///   position lies in the swept box (a NaN or infinite coordinate makes
+///   `s` below non-finite, and then no comparison holds);
+/// - `contains` is false outside the polygon's box widened by `margin`.
+///   Let `u = ε/2`; `s` bounds every coordinate in play.  The ray cast
+///   counts no edge above or below the box, and left or right of it all
+///   or none of an even number (a crossing abscissa lies within `4u·s` of
+///   its edge's x-range).  `on_boundary` accepts within 1e-9 of an edge's
+///   line and ends; its cross and dot products err by at most
+///   `γ4·|ab|·|ap|` (γk = ku/(1 − ku)), its lengths by `γ4` relative, its
+///   own product or quotient by `u`, so with `|ab|, |ap| ≤ 2√2·s` it
+///   accepts only within `√2·(1e-9·(1 + γ6) + 9u·2√2·s) ≤ 1.5e-9 + 36u·s`
+///   of an edge.  Rounding the comparison adds `2u·s`; the margin
+///   `2e-9 + 32ε·s` covers the `1.5e-9 + 38u·s` needed.
+fn swept_box_misses(m: MovingPoint, poly: &Polygon, h: Horizon) -> bool {
+    let (a, b, r) = (
+        m.position_at_tick(0),
+        m.position_at_tick(h.end()),
+        poly.bounding_box(),
+    );
+    let corners = [a.x, a.y, b.x, b.y, r.min_x, r.min_y, r.max_x, r.max_y];
+    let s: f64 = corners.iter().map(|c| c.abs()).sum();
+    let margin = 2e-9 + 32.0 * f64::EPSILON * s;
+    a.x.max(b.x) < r.min_x - margin
+        || a.x.min(b.x) > r.max_x + margin
+        || a.y.max(b.y) < r.min_y - margin
+        || a.y.min(b.y) > r.max_y + margin
+}
+
 /// `INSIDE(o, P)` for a linearly moving point and a static simple polygon
 /// (boundary counts as inside).
 pub fn inside_polygon(m: MovingPoint, poly: &Polygon, h: Horizon) -> IntervalSet {
+    if swept_box_misses(m, poly, h) {
+        return IntervalSet::empty();
+    }
     if m.is_stationary() {
         return if poly.contains(m.anchor) {
             IntervalSet::full(h)
@@ -176,7 +211,10 @@ pub fn inside_polygon(m: MovingPoint, poly: &Polygon, h: Horizon) -> IntervalSet
     // per-tick verification in `exact_ticks` decides.
     let widened = spans
         .into_iter()
-        .map(|(lo, hi)| crate::roots::RealInterval { lo: lo - 0.5, hi: hi + 0.5 });
+        .map(|(lo, hi)| crate::roots::RealInterval {
+            lo: lo - 0.5,
+            hi: hi + 0.5,
+        });
     let real_intervals = RealIntervals::of(widened.collect());
     let pred = |t: Tick| poly.contains(m.position_at_tick(t));
     let mut result = exact_ticks(&real_intervals, h, pred);
@@ -271,20 +309,18 @@ pub fn within_sphere(r: f64, movers: &[MovingPoint], h: Horizon) -> IntervalSet 
             let sqrt3 = 3.0f64.sqrt();
             for i in 0..movers.len() {
                 for j in i + 1..movers.len() {
-                    necessary =
-                        necessary.intersect(&dist_within(movers[i], movers[j], 2.0 * r, h));
+                    necessary = necessary.intersect(&dist_within(movers[i], movers[j], 2.0 * r, h));
                     if necessary.is_empty() {
                         return necessary;
                     }
-                    sufficient = sufficient
-                        .intersect(&dist_within(movers[i], movers[j], sqrt3 * r, h));
+                    sufficient =
+                        sufficient.intersect(&dist_within(movers[i], movers[j], sqrt3 * r, h));
                 }
             }
             let uncertain = necessary.difference(&sufficient, h);
             let mut verified = Vec::new();
             for t in uncertain.ticks() {
-                let pts: Vec<Point> =
-                    movers.iter().map(|m| m.position_at_tick(t)).collect();
+                let pts: Vec<Point> = movers.iter().map(|m| m.position_at_tick(t)).collect();
                 if min_enclosing_circle(&pts).radius <= r + 1e-9 {
                     verified.push(Interval::point(t));
                 }
@@ -327,7 +363,9 @@ pub fn min_enclosing_circle(points: &[Point]) -> Circle {
             }
         }
     }
-    best.expect("some diameter circle always encloses two points; full check succeeds for MEC support")
+    best.expect(
+        "some diameter circle always encloses two points; full check succeeds for MEC support",
+    )
 }
 
 /// The circle having segment `ab` as a diameter.
@@ -361,8 +399,10 @@ where
 {
     let mut acc = IntervalSet::empty();
     for (leg, lo, hi) in traj.legs_between(0, h.end()) {
-        let span = IntervalSet::singleton(Interval::new(lo, hi));
-        acc = acc.union(&leg_fn(leg, h).intersect(&span));
+        let ticks = leg_fn(leg, h);
+        if !ticks.is_empty() {
+            acc = acc.union(&ticks.intersect(&IntervalSet::singleton(Interval::new(lo, hi))));
+        }
     }
     acc
 }
@@ -453,7 +493,10 @@ mod tests {
         let got = inside_polygon(m, &u, H);
         let want = brute(|t| u.contains(m.position_at_tick(t)));
         assert_eq!(got, want);
-        assert!(got.span_count() >= 2, "re-entry must produce 2 spans: {got}");
+        assert!(
+            got.span_count() >= 2,
+            "re-entry must produce 2 spans: {got}"
+        );
     }
 
     #[test]
@@ -502,10 +545,7 @@ mod tests {
     fn within_sphere_pair_reduces_to_distance() {
         let a = MovingPoint::from_origin(Point::new(0.0, 0.0), Velocity::new(1.0, 0.0));
         let b = MovingPoint::from_origin(Point::new(60.0, 0.0), Velocity::new(-1.0, 0.0));
-        assert_eq!(
-            within_sphere(5.0, &[a, b], H),
-            dist_within(a, b, 10.0, H)
-        );
+        assert_eq!(within_sphere(5.0, &[a, b], H), dist_within(a, b, 10.0, H));
         assert_eq!(within_sphere(5.0, &[a], H), IntervalSet::full(H));
         assert_eq!(within_sphere(5.0, &[], H), IntervalSet::full(H));
     }
@@ -541,7 +581,11 @@ mod tests {
             Point::new(4.0, 0.0),
             Point::new(2.0, 3.0),
         ]);
-        for p in [Point::new(0.0, 0.0), Point::new(4.0, 0.0), Point::new(2.0, 3.0)] {
+        for p in [
+            Point::new(0.0, 0.0),
+            Point::new(4.0, 0.0),
+            Point::new(2.0, 3.0),
+        ] {
             assert!(c.center.dist(p) <= c.radius + 1e-9);
         }
         // Obtuse triangle: MEC is the diameter circle of the long side.
