@@ -133,7 +133,10 @@ pub struct Database {
     eval_fault: Option<String>,
 }
 
-most_testkit::json_struct!(DbStats { updates, instantaneous_queries });
+most_testkit::json_struct!(DbStats {
+    updates,
+    instantaneous_queries
+});
 most_testkit::json_struct!(MotionUpdate { position, velocity });
 most_testkit::json_enum!(UpdateOp {
     Motion { id, velocity },
@@ -246,7 +249,9 @@ fn attr_line(obj: &MovingObject, attr: &str, now: Tick) -> AttrLine {
     }
     match obj.static_at(attr, now) {
         None | Some(Value::Null) => AttrLine::Absent,
-        Some(value) => value.as_f64().map_or(AttrLine::NonNumeric, |v| AttrLine::Line(v, 0.0)),
+        Some(value) => value
+            .as_f64()
+            .map_or(AttrLine::NonNumeric, |v| AttrLine::Line(v, 0.0)),
     }
 }
 
@@ -357,12 +362,14 @@ impl Database {
         self.check_finite_motion(id, position, velocity)?;
         let class = class.into();
         if !self.classes.contains_key(&class) {
-            Arc::make_mut(&mut self.classes).insert(class.clone(), ClassDef::spatial(class.clone()));
+            Arc::make_mut(&mut self.classes)
+                .insert(class.clone(), ClassDef::spatial(class.clone()));
         }
         self.next_id = self.next_id.max(id + 1);
         let obj = MovingObject::spatial(id, class, self.clock, position, velocity);
         if let Some(ix) = &mut self.derived.spatial_index {
-            ix.index.insert(id, self.clock - ix.epoch, position, velocity);
+            ix.index
+                .insert(id, self.clock - ix.epoch, position, velocity);
         }
         // The newcomer may acquire the indexed attribute later; rebuild at
         // the next epoch boundary rather than tracking it piecemeal.
@@ -422,7 +429,10 @@ impl Database {
     /// `(chunks that are the same allocation in both, chunks here)` — the
     /// memory two epochs hold once rather than twice.
     pub fn shared_object_chunks(&self, other: &Database) -> (usize, usize) {
-        (self.objects.chunks_shared_with(&other.objects), self.objects.chunk_count())
+        (
+            self.objects.chunks_shared_with(&other.objects),
+            self.objects.chunk_count(),
+        )
     }
 
     /// Removes an object (e.g. a vehicle leaving the monitored fleet).
@@ -448,19 +458,15 @@ impl Database {
     /// RWW860 from the nearest hospital?": the nearest *other* object to
     /// `from` at the current tick, optionally restricted to a class,
     /// together with its distance.  `None` when no candidate exists.
-    pub fn nearest_object(
-        &self,
-        from: u64,
-        class: Option<&str>,
-    ) -> CoreResult<Option<(u64, f64)>> {
+    pub fn nearest_object(&self, from: u64, class: Option<&str>) -> CoreResult<Option<(u64, f64)>> {
         let now = self.clock;
-        let origin = self
-            .object(from)?
-            .position_at(now)
-            .ok_or_else(|| CoreError::AttributeKind {
-                attr: "POSITION".into(),
-                detail: "nearest_object from a non-spatial object".into(),
-            })?;
+        let origin =
+            self.object(from)?
+                .position_at(now)
+                .ok_or_else(|| CoreError::AttributeKind {
+                    attr: "POSITION".into(),
+                    detail: "nearest_object from a non-spatial object".into(),
+                })?;
         Ok(self
             .objects
             .values()
@@ -477,7 +483,9 @@ impl Database {
 
     /// Iterates all named regions in name order.
     pub fn regions_iter(&self) -> impl Iterator<Item = (&str, &Polygon)> {
-        self.regions.iter().map(|(name, poly)| (name.as_str(), poly))
+        self.regions
+            .iter()
+            .map(|(name, poly)| (name.as_str(), poly))
     }
 
     // ------------------------------------------------------------------
@@ -543,7 +551,12 @@ impl Database {
                 UpdateOp::Static { id, attr, value } => self
                     .apply_static(*id, attr, value.clone())
                     .map(|()| (*id, UpdateKind::Attr(attr.clone()))),
-                UpdateOp::DynamicScalar { id, attr, value, function } => self
+                UpdateOp::DynamicScalar {
+                    id,
+                    attr,
+                    value,
+                    function,
+                } => self
                     .apply_dynamic_scalar(*id, attr, *value, *function)
                     .map(|()| (*id, UpdateKind::Attr(attr.clone()))),
             };
@@ -565,13 +578,13 @@ impl Database {
     /// Motion-vector mutation without the refresh hook.
     fn apply_motion(&mut self, id: u64, velocity: Velocity) -> CoreResult<()> {
         let now = self.clock;
-        let position = self
-            .object(id)?
-            .position_at(now)
-            .ok_or_else(|| CoreError::AttributeKind {
-                attr: "POSITION".into(),
-                detail: "motion update on a non-spatial object".into(),
-            })?;
+        let position =
+            self.object(id)?
+                .position_at(now)
+                .ok_or_else(|| CoreError::AttributeKind {
+                    attr: "POSITION".into(),
+                    detail: "motion update on a non-spatial object".into(),
+                })?;
         self.check_finite_motion(id, position, velocity)?;
         let obj = self.objects.get_mut(id).expect("looked up above");
         obj.update_velocity(now, velocity);
@@ -607,7 +620,10 @@ impl Database {
     fn check_finite_motion(&self, id: u64, position: Point, velocity: Velocity) -> CoreResult<()> {
         let reach = 2.0 * self.expiration as f64;
         // `p + v · reach` is non-finite whenever `p` or `v` is, too.
-        let far = [position.x + velocity.dx * reach, position.y + velocity.dy * reach];
+        let far = [
+            position.x + velocity.dx * reach,
+            position.y + velocity.dy * reach,
+        ];
         if far.iter().all(|c| c.is_finite()) {
             Ok(())
         } else {
@@ -618,7 +634,10 @@ impl Database {
     /// Static-attribute mutation without the refresh hook.
     fn apply_static(&mut self, id: u64, name: &str, value: Value) -> CoreResult<()> {
         let now = self.clock;
-        let obj = self.objects.get_mut(id).ok_or(CoreError::UnknownObject(id))?;
+        let obj = self
+            .objects
+            .get_mut(id)
+            .ok_or(CoreError::UnknownObject(id))?;
         let class = self
             .classes
             .get(&obj.class)
@@ -643,7 +662,10 @@ impl Database {
         function: Option<AttrFunction>,
     ) -> CoreResult<()> {
         let now = self.clock;
-        let obj = self.objects.get_mut(id).ok_or(CoreError::UnknownObject(id))?;
+        let obj = self
+            .objects
+            .get_mut(id)
+            .ok_or(CoreError::UnknownObject(id))?;
         let class = self
             .classes
             .get(&obj.class)
@@ -862,9 +884,7 @@ impl Database {
         use most_testkit::ser::Json;
         fn field_mut<'a>(j: &'a mut Json, name: &str) -> Option<&'a mut Json> {
             match j {
-                Json::Obj(fields) => {
-                    fields.iter_mut().find(|(n, _)| n == name).map(|(_, v)| v)
-                }
+                Json::Obj(fields) => fields.iter_mut().find(|(n, _)| n == name).map(|(_, v)| v),
                 _ => None,
             }
         }
@@ -939,7 +959,11 @@ impl Database {
                 index.insert(id, 0, p, v);
             }
         }
-        self.derived.spatial_index = Some(SpatialIndexState { index, space, epoch: now });
+        self.derived.spatial_index = Some(SpatialIndexState {
+            index,
+            space,
+            epoch: now,
+        });
     }
 
     /// Whether the position index is maintained.
@@ -1036,7 +1060,13 @@ impl Database {
                 AttrLine::Quadratic | AttrLine::NonNumeric => dirty = true,
             }
         }
-        AttrIndexState { attr, kind, index, epoch: now, dirty }
+        AttrIndexState {
+            attr,
+            kind,
+            index,
+            epoch: now,
+            dirty,
+        }
     }
 
     /// Index-assisted candidate lookup for attribute range atoms: ids whose
@@ -1059,7 +1089,10 @@ impl Database {
         if from < ix.epoch || to - ix.epoch > ix.index.lifetime() {
             return None;
         }
-        Some(ix.index.range_candidates(from - ix.epoch, to - ix.epoch, lo, hi))
+        Some(
+            ix.index
+                .range_candidates(from - ix.epoch, to - ix.epoch, lo, hi),
+        )
     }
 
     /// Rolls the dynamic-attribute index to a fresh epoch when a write
@@ -1104,9 +1137,7 @@ impl Database {
                 let ids = self
                     .objects
                     .iter()
-                    .filter(|(_, o)| {
-                        o.position_at(now).is_some_and(|p| rect.contains(p))
-                    })
+                    .filter(|(_, o)| o.position_at(now).is_some_and(|p| rect.contains(p)))
                     .map(|(id, _)| id)
                     .collect();
                 (ids, false)
@@ -1150,9 +1181,7 @@ pub(crate) fn formula_mentions_fixed_objects(f: &most_ftl::Formula) -> bool {
         | Formula::EventuallyWithin(_, a)
         | Formula::EventuallyAfter(_, a)
         | Formula::AlwaysFor(_, a) => formula_mentions_fixed_objects(a),
-        Formula::Assign(_, term, body) => {
-            term_has_id(term) || formula_mentions_fixed_objects(body)
-        }
+        Formula::Assign(_, term, body) => term_has_id(term) || formula_mentions_fixed_objects(body),
     }
 }
 
@@ -1283,7 +1312,13 @@ mod tests {
         let m = db.insert_plain_object("motels");
         assert!(db.update_motion(m, Velocity::zero()).is_err());
         assert!(db
-            .update_position(m, MotionUpdate { position: Point::origin(), velocity: Velocity::zero() })
+            .update_position(
+                m,
+                MotionUpdate {
+                    position: Point::origin(),
+                    velocity: Velocity::zero()
+                }
+            )
             .is_err());
         assert!(db.update_motion(99, Velocity::zero()).is_err());
     }
@@ -1293,7 +1328,10 @@ mod tests {
         let mut db = highway_db();
         db.enable_spatial_index(Rect::new(-500.0, -500.0, 500.0, 500.0));
         db.advance_clock(10);
-        let motion = |id, dx| UpdateOp::Motion { id, velocity: Velocity::new(dx, 0.0) };
+        let motion = |id, dx| UpdateOp::Motion {
+            id,
+            velocity: Velocity::new(dx, 0.0),
+        };
         let hostile = [
             motion(2, f64::NAN),
             UpdateOp::Position {
@@ -1307,10 +1345,15 @@ mod tests {
         for (k, bad) in hostile.into_iter().enumerate() {
             let before = format!("{:?}", db.object(2).unwrap());
             let speed = 2.0 + k as f64;
-            let err = db.apply_updates(&[motion(1, speed), bad, motion(2, 3.0)]).unwrap_err();
+            let err = db
+                .apply_updates(&[motion(1, speed), bad, motion(2, 3.0)])
+                .unwrap_err();
             assert_eq!(err, CoreError::NonFiniteMotion { id: 2 });
             // The op before the bad one applied; the bad one and the rest did not.
-            assert_eq!(db.object(1).unwrap().velocity_at(10), Some(Velocity::new(speed, 0.0)));
+            assert_eq!(
+                db.object(1).unwrap().velocity_at(10),
+                Some(Velocity::new(speed, 0.0))
+            );
             assert_eq!(format!("{:?}", db.object(2).unwrap()), before);
             for t in [10, 50, 1_000] {
                 let p = db.object(2).unwrap().position_at(t).unwrap();
@@ -1443,11 +1486,21 @@ mod tests {
         }
         type Step<'a> = (u64, &'a dyn Fn(&mut Database));
         let steps: &[Step] = &[
-            (10, &|db| db.set_static(1, "PRICE", Value::from(60.0)).unwrap()),
-            (5, &|db| db.update_motion(2, Velocity::new(-2.0, 0.0)).unwrap()),
-            (0, &|db| db.set_static(2, "PRICE", Value::from(90.0)).unwrap()),
-            (20, &|db| db.set_static(1, "PRICE", Value::from(140.0)).unwrap()),
-            (1, &|db| db.update_motion(1, Velocity::new(2.0, 0.0)).unwrap()),
+            (10, &|db| {
+                db.set_static(1, "PRICE", Value::from(60.0)).unwrap()
+            }),
+            (5, &|db| {
+                db.update_motion(2, Velocity::new(-2.0, 0.0)).unwrap()
+            }),
+            (0, &|db| {
+                db.set_static(2, "PRICE", Value::from(90.0)).unwrap()
+            }),
+            (20, &|db| {
+                db.set_static(1, "PRICE", Value::from(140.0)).unwrap()
+            }),
+            (1, &|db| {
+                db.update_motion(1, Velocity::new(2.0, 0.0)).unwrap()
+            }),
         ];
         for (ticks, step) in steps {
             fast.advance_clock(*ticks);
@@ -1479,7 +1532,8 @@ mod tests {
         let mut db = Database::new(100);
         for i in 0..10 {
             let id = db.insert_moving_object("cars", Point::origin(), Velocity::zero());
-            db.set_static(id, "PRICE", Value::from(i as f64 * 10.0)).unwrap();
+            db.set_static(id, "PRICE", Value::from(i as f64 * 10.0))
+                .unwrap();
         }
         db.enable_attr_index("PRICE", IndexKind::RTree, (0.0, 1000.0));
         let pruned = db
@@ -1487,17 +1541,23 @@ mod tests {
             .expect("fresh index must serve lookups");
         assert_eq!(pruned, vec![1, 2, 3], "static prices 0/10/20 pass <= 25");
         // Other attributes and out-of-epoch windows are not served.
-        assert!(db.attr_index_range_candidates("SPEED", 0, 100, 0.0, 1.0).is_none());
+        assert!(db
+            .attr_index_range_candidates("SPEED", 0, 100, 0.0, 1.0)
+            .is_none());
         assert!(db
             .attr_index_range_candidates("PRICE", 0, 10_000, 0.0, 1.0)
             .is_none());
         // A non-numeric write dirties the index: lookups fall back...
         db.set_static(1, "PRICE", Value::Str("n/a".into())).unwrap();
-        assert!(db.attr_index_range_candidates("PRICE", 0, 100, 0.0, 25.0).is_none());
+        assert!(db
+            .attr_index_range_candidates("PRICE", 0, 100, 0.0, 25.0)
+            .is_none());
         // ...and a rebuild stays dirty while the value holds ('n/a' passes
         // `>= 0` under `Value::query_cmp`; no line can stand in for it)...
         assert!(db.maintain_attr_index());
-        assert!(db.attr_index_range_candidates("PRICE", 0, 100, 0.0, 25.0).is_none());
+        assert!(db
+            .attr_index_range_candidates("PRICE", 0, 100, 0.0, 25.0)
+            .is_none());
         // ...until the price is gone.
         db.set_static(1, "PRICE", Value::Null).unwrap();
         assert!(db.maintain_attr_index());
@@ -1505,7 +1565,10 @@ mod tests {
             .attr_index_range_candidates("PRICE", 0, 100, f64::NEG_INFINITY, 25.0)
             .expect("rebuilt index must serve lookups again");
         assert_eq!(pruned, vec![2, 3], "object 1 no longer has a price");
-        assert!(!db.maintain_attr_index(), "clean index within its epoch stays put");
+        assert!(
+            !db.maintain_attr_index(),
+            "clean index within its epoch stays put"
+        );
     }
 
     #[test]
@@ -1534,7 +1597,10 @@ mod tests {
                     }
                 }
                 let [scan, indexed] = dbs.map(|mut db| db.instantaneous_now(&q).unwrap());
-                assert!(scan.contains(&vec![Value::Id(3)]), "{text}: the scan answers car 3");
+                assert!(
+                    scan.contains(&vec![Value::Id(3)]),
+                    "{text}: the scan answers car 3"
+                );
                 assert_eq!(indexed, scan, "{text} (on write: {on_write})");
             }
         }
@@ -1571,9 +1637,14 @@ mod tests {
             id,
             "FUEL",
             Some(30.0),
-            Some(AttrFunction::Quadratic { accel: -0.1, slope: 0.0 }),
+            Some(AttrFunction::Quadratic {
+                accel: -0.1,
+                slope: 0.0,
+            }),
         )
         .unwrap();
-        assert!(db.attr_index_range_candidates("FUEL", 20, 90, 0.0, 10.0).is_none());
+        assert!(db
+            .attr_index_range_candidates("FUEL", 20, 90, 0.0, 10.0)
+            .is_none());
     }
 }
