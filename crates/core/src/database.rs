@@ -410,6 +410,11 @@ impl Database {
         self.objects.get(id).ok_or(CoreError::UnknownObject(id))
     }
 
+    /// Every object in ascending id order, read in place.
+    pub(crate) fn objects(&self) -> impl Iterator<Item = (u64, &MovingObject)> {
+        self.objects.iter()
+    }
+
     /// All object ids, ascending.
     pub fn object_ids(&self) -> Vec<u64> {
         self.objects.keys().collect()

@@ -21,7 +21,7 @@ use crate::dynamic::AttrFunction;
 use crate::object::MovingObject;
 use most_dbms::value::Value;
 use most_ftl::context::StoredAttr;
-use most_ftl::EvalContext;
+use most_ftl::{EvalContext, FtlResult};
 use most_spatial::{MovingPoint, Polygon, Trajectory};
 use most_temporal::{Horizon, Interval, Tick};
 
@@ -134,23 +134,9 @@ impl<'a> DbContext<'a> {
             }
         }
     }
-}
 
-impl EvalContext for DbContext<'_> {
-    fn horizon(&self) -> Horizon {
-        self.horizon
-    }
-
-    fn object_ids(&self) -> Vec<u64> {
-        self.db.object_ids()
-    }
-
-    fn object_count(&self) -> usize {
-        self.db.len()
-    }
-
-    fn trajectory(&self, id: u64) -> Option<Trajectory> {
-        let obj = self.db.object(id).ok()?;
+    /// [`EvalContext::trajectory`] of an object already in hand.
+    fn trajectory_of(&self, obj: &MovingObject) -> Option<Trajectory> {
         let traj = obj.trajectory()?;
         match self.mode {
             ContextMode::Current => {
@@ -181,10 +167,8 @@ impl EvalContext for DbContext<'_> {
         }
     }
 
-    fn attr(&self, id: u64, name: &str) -> StoredAttr {
-        let Ok(obj) = self.db.object(id) else {
-            return StoredAttr::Missing;
-        };
+    /// [`EvalContext::attr`] of an object already in hand.
+    fn attr_of(&self, obj: &MovingObject, name: &str) -> StoredAttr {
         let dynamic = self.dynamic_series(obj, name);
         if !dynamic.is_empty() {
             return StoredAttr::Dynamic(dynamic);
@@ -194,6 +178,71 @@ impl EvalContext for DbContext<'_> {
             StoredAttr::Missing
         } else {
             StoredAttr::Static(series)
+        }
+    }
+}
+
+/// What [`DbContext::for_each_candidate`] hands the atom for one object of
+/// a whole-domain walk: `trajectory` / `attr` of that object read the
+/// object the walk already holds, every other read goes to the context.
+/// An atom never probes, so the probes keep their "no index" defaults.
+struct ObjectView<'c, 'a> {
+    ctx: &'c DbContext<'a>,
+    id: u64,
+    obj: &'a MovingObject,
+}
+
+impl EvalContext for ObjectView<'_, '_> {
+    fn horizon(&self) -> Horizon {
+        self.ctx.horizon()
+    }
+
+    fn object_ids(&self) -> Vec<u64> {
+        self.ctx.object_ids()
+    }
+
+    fn trajectory(&self, id: u64) -> Option<Trajectory> {
+        if id == self.id {
+            self.ctx.trajectory_of(self.obj)
+        } else {
+            self.ctx.trajectory(id)
+        }
+    }
+
+    fn attr(&self, id: u64, name: &str) -> StoredAttr {
+        if id == self.id {
+            self.ctx.attr_of(self.obj, name)
+        } else {
+            self.ctx.attr(id, name)
+        }
+    }
+
+    fn region(&self, name: &str) -> Option<Polygon> {
+        self.ctx.region(name)
+    }
+}
+
+impl EvalContext for DbContext<'_> {
+    fn horizon(&self) -> Horizon {
+        self.horizon
+    }
+
+    fn object_ids(&self) -> Vec<u64> {
+        self.db.object_ids()
+    }
+
+    fn object_count(&self) -> usize {
+        self.db.len()
+    }
+
+    fn trajectory(&self, id: u64) -> Option<Trajectory> {
+        self.trajectory_of(self.db.object(id).ok()?)
+    }
+
+    fn attr(&self, id: u64, name: &str) -> StoredAttr {
+        match self.db.object(id) {
+            Ok(obj) => self.attr_of(obj, name),
+            Err(_) => StoredAttr::Missing,
         }
     }
 
@@ -225,6 +274,21 @@ impl EvalContext for DbContext<'_> {
         }
         self.db
             .attr_index_range_candidates(attr, self.origin, self.global_end(), lo, hi)
+    }
+
+    fn for_each_candidate(
+        &self,
+        probe: Option<&[u64]>,
+        visit: &mut dyn FnMut(u64, &dyn EvalContext) -> FtlResult<()>,
+    ) -> FtlResult<()> {
+        // A probe's ids are few: each is looked up.  The whole domain is
+        // walked in id order, every object handed over in place.
+        if let Some(ids) = probe {
+            return ids.iter().try_for_each(|&id| visit(id, self));
+        }
+        self.db
+            .objects()
+            .try_for_each(|(id, obj)| visit(id, &ObjectView { ctx: self, id, obj }))
     }
 }
 

@@ -15,6 +15,7 @@
 //! information about the way the database is updated over time"
 //! (Section 2.3).
 
+use crate::error::FtlResult;
 use most_dbms::value::Value;
 use most_spatial::{Polygon, Trajectory};
 use most_temporal::{Horizon, Interval};
@@ -22,7 +23,7 @@ use std::collections::BTreeMap;
 
 /// The evaluator's read-only view of a MOST database history starting at
 /// tick 0 (= the query entry time, per the appendix convention).
-pub trait EvalContext {
+pub trait EvalContext: AsEvalContext {
     /// The finite evaluation horizon (query expiration time).
     fn horizon(&self) -> Horizon;
 
@@ -67,6 +68,41 @@ pub trait EvalContext {
     /// may be pruned freely).
     fn attr_range_candidates(&self, _attr: &str, _lo: f64, _hi: f64) -> Option<Vec<u64>> {
         None
+    }
+
+    /// Calls `visit(id, view)` for each of an atom's candidates in
+    /// ascending id order: the ids of `probe`, or the whole active domain
+    /// when no probe applies.  `view` reads the same domain, motions,
+    /// attributes and regions as this context; a context that can reach an
+    /// object without looking it up may hand out a view that serves that
+    /// object's `trajectory` / `attr` directly.  The default looks each id
+    /// up through `self`.
+    fn for_each_candidate(
+        &self,
+        probe: Option<&[u64]>,
+        visit: &mut dyn FnMut(u64, &dyn EvalContext) -> FtlResult<()>,
+    ) -> FtlResult<()> {
+        let view = self.as_eval_context();
+        match probe {
+            Some(ids) => ids.iter().try_for_each(|&id| visit(id, view)),
+            None => self
+                .object_ids()
+                .into_iter()
+                .try_for_each(|id| visit(id, view)),
+        }
+    }
+}
+
+/// `self` as a trait object, for [`EvalContext`]'s default methods (which
+/// cannot unsize `Self` themselves).  Implemented for every sized context.
+pub trait AsEvalContext {
+    /// `self` as `&dyn EvalContext`.
+    fn as_eval_context(&self) -> &dyn EvalContext;
+}
+
+impl<T: EvalContext> AsEvalContext for T {
+    fn as_eval_context(&self) -> &dyn EvalContext {
+        self
     }
 }
 

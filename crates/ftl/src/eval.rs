@@ -171,7 +171,7 @@ fn eval_formula(
         Formula::Cmp(op, lhs, rhs) => {
             let vars = atom_object_vars(&[lhs, rhs], obj_vars);
             let probe = attr_range_prune(ctx, *op, lhs, rhs, &vars);
-            atom_relation(ctx, &vars, probe, |env| {
+            atom_relation(ctx, &vars, probe, |ctx, env| {
                 compare_terms(ctx, env, *op, lhs, rhs)
             })
         }
@@ -186,7 +186,7 @@ fn eval_formula(
                 Term::Var(_) => ctx.inside_candidates(&poly),
                 _ => None,
             };
-            atom_relation(ctx, &vars, probe, |env| {
+            atom_relation(ctx, &vars, probe, |ctx, env| {
                 Ok(match point_motion(ctx, env, term)? {
                     Some(traj) => piecewise(&traj, h, |leg, h| inside_polygon(leg, &poly, h)),
                     None => IntervalSet::empty(),
@@ -198,7 +198,7 @@ fn eval_formula(
                 .region(region)
                 .ok_or_else(|| FtlError::UnknownRegion(region.clone()))?;
             let vars = atom_object_vars(&[term], obj_vars);
-            atom_relation(ctx, &vars, None, |env| {
+            atom_relation(ctx, &vars, None, |ctx, env| {
                 Ok(match point_motion(ctx, env, term)? {
                     Some(traj) => {
                         piecewise(&traj, h, |leg, h| inside_polygon(leg, &poly, h)).complement(h)
@@ -214,7 +214,7 @@ fn eval_formula(
                 .ok_or_else(|| FtlError::UnknownRegion(region.clone()))?;
             let negated = matches!(f, Formula::OutsideMoving(..));
             let vars = atom_object_vars(&[term, anchor], obj_vars);
-            atom_relation(ctx, &vars, None, |env| {
+            atom_relation(ctx, &vars, None, |ctx, env| {
                 let (point, anch) = match (
                     point_motion(ctx, env, term)?,
                     point_motion(ctx, env, anchor)?,
@@ -250,7 +250,7 @@ fn eval_formula(
         Formula::WithinSphere(r, terms) => {
             let refs: Vec<&Term> = terms.iter().collect();
             let vars = atom_object_vars(&refs, obj_vars);
-            atom_relation(ctx, &vars, None, |env| {
+            atom_relation(ctx, &vars, None, |ctx, env| {
                 let mut trajs = Vec::with_capacity(terms.len());
                 for t in terms {
                     match point_motion(ctx, env, t)? {
@@ -520,40 +520,38 @@ fn atom_object_vars(terms: &[&Term], obj_vars: &BTreeSet<String>) -> Vec<String>
 /// Builds an atom's relation by enumerating instantiations of its object
 /// variables over the active domain, or over the candidate superset a
 /// Section 4 index probe yielded (non-candidates would produce empty
-/// interval sets and be dropped anyway).  Each binding is evaluated independently of every other (the
-/// atom routines read only the environment and the context), which removes
-/// per-binding allocation churn: one reused [`Env`], rows built in place.
+/// interval sets and be dropped anyway).  Each binding is evaluated
+/// independently of every other: `eval_one` reads only the environment and
+/// the context it is handed, which for a single variable is the view
+/// [`EvalContext::for_each_candidate`] gives for that candidate.  One
+/// [`Env`] is rebound in place, rows are built in place.
 fn atom_relation(
     ctx: &dyn EvalContext,
     vars: &[String],
     probe: Option<Vec<u64>>,
-    eval_one: impl Fn(&Env) -> FtlResult<IntervalSet>,
+    eval_one: impl Fn(&dyn EvalContext, &Env) -> FtlResult<IntervalSet>,
 ) -> FtlResult<VarRelation> {
     most_obs::inc("ftl.atoms");
-    let ids = match probe {
-        Some(ids) => {
-            most_obs::inc("ftl.pruned");
-            // Pruned = domain minus candidates: what the index saved this atom.
-            let domain = ctx.object_count() as u64;
-            most_obs::add(
-                "ftl.candidates_pruned",
-                domain.saturating_sub(ids.len() as u64),
-            );
-            ids
-        }
-        None if vars.is_empty() => Vec::new(),
-        None => ctx.object_ids(),
-    };
+    if let Some(ids) = &probe {
+        most_obs::inc("ftl.pruned");
+        // Pruned = domain minus candidates: what the index saved this atom.
+        let domain = ctx.object_count() as u64;
+        most_obs::add(
+            "ftl.candidates_pruned",
+            domain.saturating_sub(ids.len() as u64),
+        );
+    }
     match vars.len() {
         0 => {
-            let set = eval_one(&Env::new())?;
+            let set = eval_one(ctx, &Env::new())?;
             Ok(VarRelation::nullary(set))
         }
         1 => {
-            let rows = single_var_rows(&vars[0], &ids, &eval_one)?;
+            let rows = single_var_rows(ctx, &vars[0], probe.as_deref(), &eval_one)?;
             Ok(VarRelation::new(vars.to_vec(), rows))
         }
         k => {
+            let ids = probe.unwrap_or_else(|| ctx.object_ids());
             // The k-fold product is one atom's candidate load: a log2
             // histogram observation keeps the per-atom distribution visible
             // (a single saturating counter add flattened it).
@@ -573,7 +571,7 @@ fn atom_relation(
                 for (name, &i) in vars.iter().zip(idx.iter()) {
                     env.set(name, Value::Id(ids[i]));
                 }
-                let set = eval_one(&env)?;
+                let set = eval_one(ctx, &env)?;
                 if !set.is_empty() {
                     rows.push((idx.iter().map(|&i| Value::Id(ids[i])).collect(), set));
                 }
@@ -596,25 +594,28 @@ fn atom_relation(
 
 type Rows = Vec<(Vec<Value>, IntervalSet)>;
 
-/// The single-variable candidate loop: one row per object with a non-empty
-/// interval set.
+/// The single-variable candidate loop, fed by the context: one row per
+/// candidate with a non-empty interval set.
 fn single_var_rows(
+    ctx: &dyn EvalContext,
     var: &str,
-    ids: &[u64],
-    eval_one: &impl Fn(&Env) -> FtlResult<IntervalSet>,
+    probe: Option<&[u64]>,
+    eval_one: &impl Fn(&dyn EvalContext, &Env) -> FtlResult<IntervalSet>,
 ) -> FtlResult<Rows> {
     // One registry batch per atom's candidate loop, never per candidate.
-    most_obs::observe("ftl.candidates", ids.len() as u64);
-    most_obs::add("ftl.candidates_evaluated", ids.len() as u64);
+    let candidates = probe.map_or_else(|| ctx.object_count(), <[u64]>::len) as u64;
+    most_obs::observe("ftl.candidates", candidates);
+    most_obs::add("ftl.candidates_evaluated", candidates);
     let mut env = Env::new();
     let mut rows = Vec::new();
-    for &id in ids {
+    ctx.for_each_candidate(probe, &mut |id, view| {
         env.set(var, Value::Id(id));
-        let set = eval_one(&env)?;
+        let set = eval_one(view, &env)?;
         if !set.is_empty() {
             rows.push((vec![Value::Id(id)], set));
         }
-    }
+        Ok(())
+    })?;
     Ok(rows)
 }
 

@@ -20,13 +20,14 @@ use most_dbms::value::Value;
 use most_spatial::predicates::min_enclosing_circle;
 use most_spatial::Point;
 use most_temporal::{IntervalSet, Tick};
-use std::collections::HashMap;
 
 /// A variable evaluation ρ: "a mapping that associates a value with each
-/// variable".
+/// variable".  A formula binds a handful of variables, so the mapping is a
+/// short list searched by name: rebinding one per candidate object hashes
+/// nothing.
 #[derive(Debug, Clone, Default)]
 pub struct Env {
-    bindings: HashMap<String, Value>,
+    bindings: Vec<(String, Value)>,
 }
 
 impl Env {
@@ -35,40 +36,51 @@ impl Env {
         Env::default()
     }
 
-    /// Binds `var` to `value`, returning the previous binding.
-    pub fn bind(&mut self, var: impl Into<String>, value: Value) -> Option<Value> {
-        self.bindings.insert(var.into(), value)
+    fn slot(&mut self, var: &str) -> Option<&mut Value> {
+        self.bindings
+            .iter_mut()
+            .find(|(name, _)| name == var)
+            .map(|(_, v)| v)
     }
 
-    /// Rebinds `var` in place, reusing the existing key allocation when the
+    /// Binds `var` to `value`, returning the previous binding.
+    pub fn bind(&mut self, var: impl Into<String>, value: Value) -> Option<Value> {
+        let var = var.into();
+        match self.slot(&var) {
+            Some(slot) => Some(std::mem::replace(slot, value)),
+            None => {
+                self.bindings.push((var, value));
+                None
+            }
+        }
+    }
+
+    /// Rebinds `var` in place, reusing the existing name allocation when the
     /// variable is already bound.  The atom evaluator rebinds the same
     /// handful of variables once per candidate object, so avoiding a fresh
     /// `String` per binding removes the dominant allocation of the
     /// enumeration loop.
     pub fn set(&mut self, var: &str, value: Value) {
-        match self.bindings.get_mut(var) {
+        match self.slot(var) {
             Some(slot) => *slot = value,
-            None => {
-                self.bindings.insert(var.to_owned(), value);
-            }
+            None => self.bindings.push((var.to_owned(), value)),
         }
     }
 
     /// Restores `var` to `previous` (or unbinds when `None`).
     pub fn restore(&mut self, var: &str, previous: Option<Value>) {
         match previous {
-            Some(v) => {
-                self.bindings.insert(var.to_owned(), v);
-            }
-            None => {
-                self.bindings.remove(var);
-            }
+            Some(v) => self.set(var, v),
+            None => self.bindings.retain(|(name, _)| name != var),
         }
     }
 
     /// Looks up a binding.
     pub fn get(&self, var: &str) -> Option<&Value> {
-        self.bindings.get(var)
+        self.bindings
+            .iter()
+            .find(|(name, _)| name == var)
+            .map(|(_, v)| v)
     }
 }
 
@@ -605,5 +617,55 @@ mod tests {
             ),
         };
         assert!(matches!(naive_answer(&c, &q), Err(FtlError::Unsafe(_))));
+    }
+
+    #[test]
+    fn env_bind_returns_the_previous_value() {
+        let mut env = Env::new();
+        assert_eq!(env.bind("o", Value::Id(1)), None);
+        assert_eq!(env.bind("n", Value::Id(2)), None);
+        assert_eq!(env.bind("o", Value::Id(3)), Some(Value::Id(1)));
+        assert_eq!(env.get("o"), Some(&Value::Id(3)));
+        assert_eq!(env.get("n"), Some(&Value::Id(2)));
+        assert_eq!(env.get("x"), None);
+        env.set("n", Value::Id(4));
+        env.set("x", Value::from(1.5));
+        assert_eq!(env.get("n"), Some(&Value::Id(4)));
+        assert_eq!(env.get("x"), Some(&Value::from(1.5)));
+    }
+
+    #[test]
+    fn env_restore_brings_back_or_unbinds() {
+        let mut env = Env::new();
+        env.bind("o", Value::Id(1));
+        // Shadow, then restore the shadowed binding.
+        let previous = env.bind("o", Value::Id(2));
+        env.restore("o", previous);
+        assert_eq!(env.get("o"), Some(&Value::Id(1)));
+        // A fresh binding restored to `None` is gone; others stay.
+        let previous = env.bind("n", Value::Id(5));
+        env.restore("n", previous);
+        assert_eq!(env.get("n"), None);
+        assert_eq!(env.get("o"), Some(&Value::Id(1)));
+        env.restore("o", None);
+        assert_eq!(env.get("o"), None);
+    }
+
+    #[test]
+    fn two_variable_assignment_matches_the_oracle() {
+        let mut c = ctx();
+        c.add_object(
+            3,
+            Trajectory::starting_at(Point::new(30.0, 0.0), Velocity::new(-2.0, 0.0)),
+        );
+        let q =
+            Query::parse("RETRIEVE o, n WHERE [x <- o.SPEED] Eventually DIST(o, n) <= x").unwrap();
+        let fast = crate::evaluate_query(&c, &q).unwrap();
+        assert_eq!(fast, naive_answer(&c, &q).unwrap());
+        // Object 1 (speed 1) and object 3 pass each other at tick 10.
+        assert!(fast
+            .tuples
+            .iter()
+            .any(|t| t.values == [Value::Id(1), Value::Id(3)]));
     }
 }
