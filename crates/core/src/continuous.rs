@@ -569,8 +569,7 @@ mod tests {
                     answer(&borrowed)
                 })
                 .collect();
-            let reference =
-                to_json_string(&combine_shard_answers(&shards).unwrap()).unwrap();
+            let reference = to_json_string(&combine_shard_answers(&shards).unwrap()).unwrap();
             // Exercise several permutations, including the reverse.
             let mut perm = shards.clone();
             perm.reverse();

@@ -129,11 +129,19 @@ impl ToJson for DepSet {
             ("position".to_owned(), self.position.to_json()),
             (
                 "attrs".to_owned(),
-                self.attrs.iter().cloned().collect::<Vec<String>>().to_json(),
+                self.attrs
+                    .iter()
+                    .cloned()
+                    .collect::<Vec<String>>()
+                    .to_json(),
             ),
             (
                 "regions".to_owned(),
-                self.regions.iter().cloned().collect::<Vec<String>>().to_json(),
+                self.regions
+                    .iter()
+                    .cloned()
+                    .collect::<Vec<String>>()
+                    .to_json(),
             ),
         ])
     }
@@ -198,9 +206,7 @@ mod tests {
 
     #[test]
     fn mixed_query_collects_everything() {
-        let d = deps(
-            "RETRIEVE o WHERE o.PRICE <= 100 AND (INSIDE(o, P) OR OUTSIDE(o, Q))",
-        );
+        let d = deps("RETRIEVE o WHERE o.PRICE <= 100 AND (INSIDE(o, P) OR OUTSIDE(o, Q))");
         assert!(d.position);
         assert_eq!(d.regions.iter().collect::<Vec<_>>(), vec!["P", "Q"]);
         assert_eq!(d.attrs.iter().collect::<Vec<_>>(), vec!["PRICE"]);

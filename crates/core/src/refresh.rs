@@ -51,7 +51,11 @@ impl Database {
     /// more until one succeeds; the next update pass reports the error.
     pub(crate) fn renew_horizons(&mut self) {
         let (now, expiration) = (self.now(), self.expiration());
-        if self.continuous.iter().any(|(_, e)| !e.covers(now, expiration)) {
+        if self
+            .continuous
+            .iter()
+            .any(|(_, e)| !e.covers(now, expiration))
+        {
             let _ = self.refresh_pass(&[]);
         }
     }

@@ -117,9 +117,16 @@ impl World {
         };
         for src in queries {
             let query = Query::parse(src).expect("query parses");
-            let id = world.db.register_continuous(query.clone()).expect("registers");
+            let id = world
+                .db
+                .register_continuous(query.clone())
+                .expect("registers");
             let last_eval = world.db.now();
-            world.cqs.push(Cq { id, query, last_eval });
+            world.cqs.push(Cq {
+                id,
+                query,
+                last_eval,
+            });
         }
         world.check_future();
         world
@@ -237,15 +244,37 @@ impl World {
 #[derive(Debug, Clone)]
 enum Step {
     Advance(u64),
-    Motion { obj: usize, vx: i32, vy: i32 },
+    Motion {
+        obj: usize,
+        vx: i32,
+        vy: i32,
+    },
     /// A static write; `None` writes a non-numeric price.
-    Price { obj: usize, price: Option<u32> },
-    Fuel { obj: usize, level: u32, rate: i32 },
+    Price {
+        obj: usize,
+        price: Option<u32>,
+    },
+    Fuel {
+        obj: usize,
+        level: u32,
+        rate: i32,
+    },
     /// One `apply_updates` batch: a position report and a price for one
     /// object, a fuel reading for another.
-    Batch { obj: usize, other: usize, x: i32, price: u32, level: u32 },
-    Insert { x: i32, y: i32 },
-    Remove { obj: usize },
+    Batch {
+        obj: usize,
+        other: usize,
+        x: i32,
+        price: u32,
+        level: u32,
+    },
+    Insert {
+        x: i32,
+        y: i32,
+    },
+    Remove {
+        obj: usize,
+    },
 }
 
 fn arb_steps() -> Gen<Vec<Step>> {
@@ -255,12 +284,27 @@ fn arb_steps() -> Gen<Vec<Step>> {
         one_of(vec![
             ints(1..40u64).map(Step::Advance),
             tuple3(obj(), half(), half()).map(|(obj, vx, vy)| Step::Motion { obj, vx, vy }),
-            tuple2(obj(), ints(40..220u32))
-                .map(|(obj, p)| Step::Price { obj, price: (p < 200).then_some(p) }),
-            tuple3(obj(), ints(20..150u32), ints(-4i32..=0))
-                .map(|(obj, level, rate)| Step::Fuel { obj, level, rate }),
-            tuple3(tuple2(obj(), obj()), ints(-50i32..=50), tuple2(ints(40..200u32), ints(20..150u32)))
-                .map(|((obj, other), x, (price, level))| Step::Batch { obj, other, x, price, level }),
+            tuple2(obj(), ints(40..220u32)).map(|(obj, p)| Step::Price {
+                obj,
+                price: (p < 200).then_some(p),
+            }),
+            tuple3(obj(), ints(20..150u32), ints(-4i32..=0)).map(|(obj, level, rate)| Step::Fuel {
+                obj,
+                level,
+                rate,
+            }),
+            tuple3(
+                tuple2(obj(), obj()),
+                ints(-50i32..=50),
+                tuple2(ints(40..200u32), ints(20..150u32)),
+            )
+            .map(|((obj, other), x, (price, level))| Step::Batch {
+                obj,
+                other,
+                x,
+                price,
+                level,
+            }),
             tuple2(ints(-50i32..=50), ints(-50i32..=50)).map(|(x, y)| Step::Insert { x, y }),
             obj().map(|obj| Step::Remove { obj }),
         ]),
@@ -285,7 +329,8 @@ fn build_world() -> World {
         .collect();
     db.add_region("P", Polygon::rectangle(-20.0, -20.0, 20.0, 20.0));
     for (i, &id) in ids.iter().enumerate() {
-        db.set_static(id, "PRICE", (80.0 + 20.0 * i as f64).into()).unwrap();
+        db.set_static(id, "PRICE", (80.0 + 20.0 * i as f64).into())
+            .unwrap();
         db.set_dynamic_scalar(id, "FUEL", Some(100.0), Some(AttrFunction::Linear(-1.0)))
             .unwrap();
     }
@@ -299,7 +344,8 @@ fn apply(world: &mut World, step: &Step) {
         Step::Motion { obj, vx, vy } => {
             let id = pick(obj);
             world.write(|db| {
-                db.update_motion(id, Velocity::new(vx as f64 * 0.5, vy as f64 * 0.5)).unwrap()
+                db.update_motion(id, Velocity::new(vx as f64 * 0.5, vy as f64 * 0.5))
+                    .unwrap()
             });
         }
         Step::Price { obj, price } => {
@@ -314,10 +360,17 @@ fn apply(world: &mut World, step: &Step) {
             let id = pick(obj);
             let drain = AttrFunction::Linear(rate as f64 * 0.5);
             world.write(|db| {
-                db.set_dynamic_scalar(id, "FUEL", Some(level as f64), Some(drain)).unwrap()
+                db.set_dynamic_scalar(id, "FUEL", Some(level as f64), Some(drain))
+                    .unwrap()
             });
         }
-        Step::Batch { obj, other, x, price, level } => {
+        Step::Batch {
+            obj,
+            other,
+            x,
+            price,
+            level,
+        } => {
             let (id, other) = (pick(obj), pick(other));
             let report = MotionUpdate {
                 position: Point::new(x as f64, 5.0),
@@ -326,7 +379,11 @@ fn apply(world: &mut World, step: &Step) {
             world.write(|db| {
                 db.apply_updates(&[
                     UpdateOp::Position { id, update: report },
-                    UpdateOp::Static { id, attr: "PRICE".into(), value: Value::from(price as f64) },
+                    UpdateOp::Static {
+                        id,
+                        attr: "PRICE".into(),
+                        value: Value::from(price as f64),
+                    },
                     UpdateOp::DynamicScalar {
                         id: other,
                         attr: "FUEL".into(),
@@ -382,11 +439,18 @@ fn an_update_past_expiration_materializes_a_full_window_again() {
     let mut world = build_world();
     let parked = world.ids[0];
     world.write(|db| {
-        let here = MotionUpdate { position: Point::origin(), velocity: Velocity::zero() };
+        let here = MotionUpdate {
+            position: Point::origin(),
+            velocity: Velocity::zero(),
+        };
         db.update_position(parked, here).unwrap()
     });
     world.advance(EXPIRATION + 130);
-    assert_eq!(world.display(0), vec![vec![Value::Id(parked)]], "past the first window");
+    assert_eq!(
+        world.display(0),
+        vec![vec![Value::Id(parked)]],
+        "past the first window"
+    );
     let other = world.ids[1];
     world.write(|db| db.update_motion(other, Velocity::new(0.0, 1.0)).unwrap());
     assert_eq!(world.display(0), vec![vec![Value::Id(parked)]]);
@@ -411,7 +475,10 @@ fn a_skipped_query_is_renewed_when_the_clock_outruns_its_window() {
     }
     assert_eq!(world.db.now(), 70);
     assert_eq!(world.display(0), vec![vec![Value::Id(car)]]);
-    let fresh = world.db.instantaneous_readonly(&world.cqs[0].query).unwrap();
+    let fresh = world
+        .db
+        .instantaneous_readonly(&world.cqs[0].query)
+        .unwrap();
     assert_eq!(fresh.ids(), vec![car]);
     world.check_past();
 }
@@ -423,7 +490,9 @@ fn a_skipped_query_is_renewed_when_the_clock_outruns_its_window() {
 fn rows_of_objects_outside_the_batch_keep_a_full_horizon() {
     let mut db = Database::new(100);
     let ids: Vec<u64> = (0..40)
-        .map(|i| db.insert_moving_object("cars", Point::new(i as f64 * 10.0, 0.0), Velocity::zero()))
+        .map(|i| {
+            db.insert_moving_object("cars", Point::new(i as f64 * 10.0, 0.0), Velocity::zero())
+        })
         .collect();
     db.add_region("R", Polygon::rectangle(95.0, -5.0, 145.0, 5.0));
     let inside: Display = ids[10..15].iter().map(|&id| vec![Value::Id(id)]).collect();
@@ -452,14 +521,23 @@ fn a_row_follows_the_object_bound_to_a_projected_variable() {
         .map(|&x| db.insert_moving_object("cars", Point::new(x, 0.0), Velocity::zero()))
         .collect();
     let mut world = World::new(db, ids, &["RETRIEVE o WHERE o <> n AND DIST(o, n) <= 40"]);
-    assert_eq!(world.display(0), vec![vec![Value::Id(1)], vec![Value::Id(2)]]);
+    assert_eq!(
+        world.display(0),
+        vec![vec![Value::Id(1)], vec![Value::Id(2)]]
+    );
     world.advance(1);
     // Car 2 leaves car 1's neighbourhood for car 3's.
     world.write(|db| {
-        let there = MotionUpdate { position: Point::new(70.0, 0.0), velocity: Velocity::zero() };
+        let there = MotionUpdate {
+            position: Point::new(70.0, 0.0),
+            velocity: Velocity::zero(),
+        };
         db.update_position(2, there).unwrap()
     });
-    assert_eq!(world.display(0), vec![vec![Value::Id(2)], vec![Value::Id(3)]]);
+    assert_eq!(
+        world.display(0),
+        vec![vec![Value::Id(2)], vec![Value::Id(3)]]
+    );
     world.check_past();
 }
 
@@ -475,7 +553,10 @@ fn a_removed_object_leaves_a_negated_answer() {
         .collect();
     db.add_region("P", Polygon::rectangle(-10.0, -10.0, 10.0, 10.0));
     let mut world = World::new(db, ids, &["RETRIEVE o WHERE NOT INSIDE(o, P)"]);
-    assert_eq!(world.display(0), vec![vec![Value::Id(2)], vec![Value::Id(3)]]);
+    assert_eq!(
+        world.display(0),
+        vec![vec![Value::Id(2)], vec![Value::Id(3)]]
+    );
     world.advance(1);
     world.ids.remove(1);
     world.write(|db| db.remove_object(2).unwrap());
@@ -498,7 +579,10 @@ mod merge_props {
     /// into one row via interval-set union, as real answers are keyed).
     fn arb_answer() -> Gen<Answer> {
         vecs(
-            tuple2(ints(1..6u64), vecs(tuple2(ints(0..60u64), ints(0..15u64)), 0..4)),
+            tuple2(
+                ints(1..6u64),
+                vecs(tuple2(ints(0..60u64), ints(0..15u64)), 0..4),
+            ),
             0..5,
         )
         .map(|rows| {
@@ -514,7 +598,10 @@ mod merge_props {
                 vec!["o".to_owned()],
                 by_id
                     .into_iter()
-                    .map(|(id, intervals)| AnswerTuple { values: vec![Value::Id(id)], intervals })
+                    .map(|(id, intervals)| AnswerTuple {
+                        values: vec![Value::Id(id)],
+                        intervals,
+                    })
                     .collect(),
             )
         })
