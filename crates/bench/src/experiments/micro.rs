@@ -14,7 +14,7 @@ use crate::timing::bench;
 use crate::{Scale, Table};
 use most_core::rewrite::{MostDbmsLayer, MovingTableDef};
 use most_core::snapshot::{ContextMode, DbContext};
-use most_core::Database;
+use most_core::{Database, UpdateOp};
 use most_dbms::expr::{CmpOp, Expr};
 use most_dbms::query::SelectQuery;
 use most_dbms::schema::ColumnType;
@@ -184,6 +184,30 @@ pub fn run(scale: Scale) -> Table {
         let s = bench(warmup, samples, || evaluate_query(&ctx, &q).expect("eval"));
         add(&mut table, "ftl_eval", format!("{name}/n{n}"), s);
     }
+
+    // -- one `sharded_large` shard write on the same fleet: 64 motions and
+    //    the beacon toggle under the shard's two continuous queries, at the
+    //    tick their answers were evaluated, on a fresh clone per sample ---
+    let mut cq_db = scan_db.clone();
+    for src in ["RETRIEVE o WHERE INSIDE(o, P)", "RETRIEVE o WHERE o.PRICE >= 1000"] {
+        let q = Query::parse(src).expect("parses");
+        cq_db.register_continuous(q).expect("registers");
+    }
+    let ids = cq_db.object_ids();
+    let mut rng = Rng::seed_from_u64(5);
+    let mut batch: Vec<UpdateOp> = (0..64)
+        .map(|_| UpdateOp::Motion {
+            id: ids[rng.below(ids.len() as u64) as usize],
+            velocity: Velocity::new(rng.random_range(-2.0..2.0), rng.random_range(-2.0..2.0)),
+        })
+        .collect();
+    batch.push(UpdateOp::Static { id: ids[0], attr: "PRICE".into(), value: 1000.0.into() });
+    let s = bench(warmup, samples, || {
+        let mut db = cq_db.clone();
+        db.apply_updates(&batch).expect("applies");
+        db
+    });
+    add(&mut table, "continuous", format!("same_tick_batch/n{n}"), s);
 
     // -- 2^k rewrite blow-up (former e5 bench) ---------------------------
     let layer = {

@@ -61,4 +61,8 @@ fn instrumentation_is_observationally_inert_and_counters_conserve() {
         get("refresh.evaluated"),
         "every evaluated refresh contributes one latency sample"
     );
+    assert!(
+        get("refresh.delta") <= get("refresh.evaluated"),
+        "a same-tick delta refresh is an evaluated refresh"
+    );
 }

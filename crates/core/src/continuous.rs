@@ -44,12 +44,28 @@ pub struct CqEntry {
     pub skipped: u64,
     /// Cumulative wall-clock nanoseconds spent re-evaluating this entry.
     pub refresh_nanos: u64,
+    /// Whether each row depends on its own object alone
+    /// ([`most_ftl::is_per_object`]).  Derived from `query`, not persisted.
+    pub(crate) per_object: bool,
+    /// Whether `answer` is known to be a fresh evaluation at `evaluated_at`
+    /// for every object: set by registration and each successful refresh,
+    /// cleared by a failed one.  Not persisted, so a decoded entry is not
+    /// vouched for until its next refresh.
+    pub(crate) exact: bool,
 }
 
 impl CqEntry {
     /// The horizon rule: whether the materialized window still covers `now`.
     pub(crate) fn covers(&self, now: Tick, expiration: Duration) -> bool {
         now <= self.evaluated_at.saturating_add(expiration)
+    }
+
+    /// Whether a refresh at `boundary` may re-evaluate only the objects
+    /// the batch touched and keep every other row (DESIGN.md §6): the
+    /// query is per-object and its answer is exact at this very tick, so
+    /// the window has not moved.
+    pub(crate) fn same_tick_delta(&self, boundary: Tick) -> bool {
+        self.per_object && self.exact && self.evaluated_at == boundary
     }
 }
 
@@ -83,6 +99,7 @@ impl ContinuousRegistry {
         let id = self.next;
         self.next += 1;
         let deps = DepSet::of_query(&query);
+        let per_object = most_ftl::is_per_object(&query);
         self.entries.insert(
             id,
             CqEntry {
@@ -94,6 +111,8 @@ impl ContinuousRegistry {
                 refreshes: 0,
                 skipped: 0,
                 refresh_nanos: 0,
+                per_object,
+                exact: true,
             },
         );
         self.evaluations += 1;
@@ -138,6 +157,7 @@ impl ContinuousRegistry {
             let merged = merge_answers(&entry.answer, &new_answer, boundary);
             entry.refresh_nanos += nanos;
             entry.evaluated_at = boundary;
+            entry.exact = true;
             if merged == *entry.answer {
                 self.noop_refreshes += 1;
             } else {
@@ -145,6 +165,14 @@ impl ContinuousRegistry {
                 entry.refreshes += 1;
                 self.evaluations += 1;
             }
+        }
+    }
+
+    /// Records that a refresh evaluation of `id` failed: its answer keeps
+    /// rows the failed pass should have replaced.
+    pub(crate) fn note_failed(&mut self, id: u64) {
+        if let Some(entry) = self.entries.get_mut(&id) {
+            entry.exact = false;
         }
     }
 
@@ -304,8 +332,11 @@ impl ToJson for CqEntry {
 impl FromJson for CqEntry {
     fn from_json(j: &Json) -> Result<Self, JsonError> {
         let entered_at = Tick::from_json(j.field("entered_at")?)?;
+        let query: Query = FromJson::from_json(j.field("query")?)?;
         Ok(CqEntry {
-            query: FromJson::from_json(j.field("query")?)?,
+            per_object: most_ftl::is_per_object(&query),
+            exact: false,
+            query,
             entered_at,
             evaluated_at: j
                 .field("evaluated_at")

@@ -11,7 +11,7 @@ use crate::snapshot::{ContextMode, DbContext};
 use crate::trigger::{TriggerEvent, TriggerRegistry};
 use most_dbms::value::Value;
 use most_ftl::answer::{Answer, AnswerTuple};
-use most_ftl::{evaluate_query, Query};
+use most_ftl::{evaluate_query, evaluate_query_over, Query};
 use most_index::{CowMap, DynamicAttributeIndex, IndexKind, MovingObjectIndex2D};
 use most_spatial::{Point, Polygon, Rect, Velocity};
 use most_temporal::{Duration, IntervalSet, Tick};
@@ -455,8 +455,16 @@ impl Database {
     }
 
     /// Registers a named region (polygon) for `INSIDE` / `OUTSIDE`.
+    /// Replacing a region refreshes the continuous queries that name it; it
+    /// does not count as an update.  A failed refresh keeps its query's
+    /// answer for the next refresh to repair, as a failed renewal does.
     pub fn add_region(&mut self, name: impl Into<String>, poly: Polygon) {
-        Arc::make_mut(&mut self.regions).insert(name.into(), poly);
+        let name = name.into();
+        Arc::make_mut(&mut self.regions).insert(name.clone(), poly);
+        if !self.continuous.is_empty() {
+            // A region write names no object: its id is never read.
+            let _ = self.refresh_pass(&[(0, UpdateKind::Region(name))]);
+        }
     }
 
     /// The paper's opening query — "How far is the car with license plate
@@ -749,12 +757,22 @@ impl Database {
     /// Evaluates a query on the implicit future history starting now and
     /// returns the answer in **global** clock ticks.
     pub(crate) fn evaluate_global(&self, q: &Query) -> CoreResult<Answer> {
+        self.evaluate_over(q, None)
+    }
+
+    /// [`Database::evaluate_global`] with the active domain cut to the
+    /// sorted ids `ids` when given ([`most_ftl::evaluate_query_over`]).
+    pub(crate) fn evaluate_over(&self, q: &Query, ids: Option<Vec<u64>>) -> CoreResult<Answer> {
         if let Some(marker) = &self.eval_fault {
             if DepSet::of_query(q).attrs.contains(marker) {
                 panic!("injected evaluation fault: attribute `{marker}`");
             }
         }
-        let local = evaluate_query(&self.current_context(), q)?;
+        let ctx = self.current_context();
+        let local = match ids {
+            Some(ids) => evaluate_query_over(&ctx, q, ids)?,
+            None => evaluate_query(&ctx, q)?,
+        };
         Ok(shift_answer(local, self.clock))
     }
 
@@ -1148,45 +1166,6 @@ impl Database {
                 (ids, false)
             }
         }
-    }
-}
-
-/// Whether a formula references a fixed object id through a constant term
-/// (only constructible programmatically; the FTL grammar has no id
-/// literals).  A row of such a query depends on an object it does not
-/// bind, so per-shard evaluation cannot answer it.
-pub(crate) fn formula_mentions_fixed_objects(f: &most_ftl::Formula) -> bool {
-    use most_ftl::ast::{Formula, Term};
-    fn term_has_id(t: &Term) -> bool {
-        match t {
-            Term::Const(Value::Id(_)) => true,
-            Term::Var(_) | Term::Const(_) | Term::Time | Term::Point(..) => false,
-            Term::Attr(b, _) => term_has_id(b),
-            Term::Dist(a, b) | Term::Arith(_, a, b) => term_has_id(a) || term_has_id(b),
-        }
-    }
-    match f {
-        Formula::Bool(_) => false,
-        Formula::Cmp(_, a, b) => term_has_id(a) || term_has_id(b),
-        Formula::Inside(t, _) | Formula::Outside(t, _) => term_has_id(t),
-        Formula::InsideMoving(t, _, a) | Formula::OutsideMoving(t, _, a) => {
-            term_has_id(t) || term_has_id(a)
-        }
-        Formula::WithinSphere(_, ts) => ts.iter().any(term_has_id),
-        Formula::And(a, b)
-        | Formula::Or(a, b)
-        | Formula::Until(a, b)
-        | Formula::UntilWithin(_, a, b) => {
-            formula_mentions_fixed_objects(a) || formula_mentions_fixed_objects(b)
-        }
-        Formula::Not(a)
-        | Formula::Nexttime(a)
-        | Formula::Eventually(a)
-        | Formula::Always(a)
-        | Formula::EventuallyWithin(_, a)
-        | Formula::EventuallyAfter(_, a)
-        | Formula::AlwaysFor(_, a) => formula_mentions_fixed_objects(a),
-        Formula::Assign(_, term, body) => term_has_id(term) || formula_mentions_fixed_objects(body),
     }
 }
 

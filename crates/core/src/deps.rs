@@ -18,7 +18,8 @@
 //!
 //! An update is then tested with [`DepSet::affected_by`]: a motion-vector
 //! or position report is relevant only to position-dependent queries, an
-//! attribute write only to queries mentioning that attribute name, and a
+//! attribute write only to queries mentioning that attribute name, a
+//! region write only to queries naming that region, and a
 //! domain change (insert/remove) is conservatively relevant to everything —
 //! FTL variables range over the whole active domain (the grammar has no
 //! class predicate, so object classes never narrow a dependency set; class
@@ -52,6 +53,8 @@ pub enum UpdateKind {
     /// The active domain changed (object inserted or removed).  Always
     /// refresh-relevant.
     Domain,
+    /// The named region's polygon was (re)placed.  Names no object.
+    Region(String),
 }
 
 /// The statically-extracted dependency set of a registered query.
@@ -105,12 +108,14 @@ impl DepSet {
 
     /// Whether an update of the given kind can change this query's answer.
     /// `Domain` is always relevant; `Motion` only when the query reads
-    /// positions; `Attr(name)` only when the query mentions `name`.
+    /// positions; `Attr(name)` only when the query mentions `name`;
+    /// `Region(name)` only when it names that region.
     pub fn affected_by(&self, kind: &UpdateKind) -> bool {
         match kind {
             UpdateKind::Domain => true,
             UpdateKind::Motion => self.position,
             UpdateKind::Attr(name) => self.attrs.contains(name),
+            UpdateKind::Region(name) => self.regions.contains(name),
         }
     }
 
@@ -176,6 +181,8 @@ mod tests {
         assert!(d.affected_by(&UpdateKind::Motion));
         assert!(d.affected_by(&UpdateKind::Domain));
         assert!(!d.affected_by(&UpdateKind::Attr("PRICE".into())));
+        assert!(d.affected_by(&UpdateKind::Region("P".into())));
+        assert!(!d.affected_by(&UpdateKind::Region("Q".into())));
     }
 
     #[test]

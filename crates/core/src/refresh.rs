@@ -8,20 +8,26 @@
 //! 1. **filter** — a query whose [`DepSet`](crate::deps::DepSet) no change
 //!    in the batch can affect is skipped outright, while its materialized
 //!    window still covers the clock (the horizon rule, DESIGN.md §6);
-//! 2. **evaluate** — each surviving query is re-evaluated in full against
-//!    the final batch state, by the evaluator instantaneous queries use, so
-//!    a refreshed display equals a fresh query by construction;
+//! 2. **evaluate** — each surviving query is re-evaluated against the
+//!    final batch state, by the evaluator instantaneous queries use, so a
+//!    refreshed display equals a fresh query by construction.  A per-object
+//!    query whose answer was evaluated at this very tick re-evaluates only
+//!    the objects the batch touched and keeps every other row (DESIGN.md
+//!    §6, "A same-tick refresh re-evaluates the objects the batch
+//!    touched"); every other query is re-evaluated in full;
 //! 3. **merge** — the fresh answer replaces the materialized one from the
 //!    current tick onwards.
 //!
 //! The pass is serial, one query at a time.  Parallelism in this engine
 //! lives one level up, per shard (`crate::sharded`): work partitioned by
 //! object scales, fan-out inside one batch was a knob no served workload
-//! turned (EXPERIMENTS.md, E10).  Per-object refresh and a per-atom result
-//! cache were tried, measured and removed (EXPERIMENTS.md, E3 and E14).
+//! turned (EXPERIMENTS.md, E10).  A per-object refresh across clock ticks
+//! and a per-atom result cache were tried, measured and removed
+//! (EXPERIMENTS.md, E3 and E14).
 
+use crate::continuous::CqEntry;
 use crate::database::Database;
-use crate::deps::UpdateKind;
+use crate::deps::{DepSet, UpdateKind};
 use crate::error::{CoreError, CoreResult};
 use most_ftl::answer::Answer;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -63,10 +69,10 @@ impl Database {
     /// One filter → evaluate → merge pass over every query.  With no
     /// changes (the clock's pass) only renewals evaluate, and nothing
     /// counts as skipped.
-    fn refresh_pass(&mut self, changes: &[(u64, UpdateKind)]) -> CoreResult<()> {
+    pub(crate) fn refresh_pass(&mut self, changes: &[(u64, UpdateKind)]) -> CoreResult<()> {
         let boundary = self.now();
         most_obs::span!("refresh.eval");
-        let (mut evaluated, mut skipped, mut renewals) = (0u64, 0u64, 0u64);
+        let (mut evaluated, mut skipped, mut renewals, mut delta) = (0u64, 0u64, 0u64, 0u64);
         let mut first_err: Option<CoreError> = None;
         for id in self.continuous.ids() {
             let entry = self.continuous.get(id).expect("id from ids() snapshot");
@@ -84,9 +90,21 @@ impl Database {
                 renewals += 1;
             }
             evaluated += 1;
-            match timed_eval(|| self.evaluate_global(&entry.query)) {
+            // A renewal's window has moved, so it never takes this path.
+            let touched = if entry.same_tick_delta(boundary) {
+                touched_ids(changes, &entry.deps)
+            } else {
+                None
+            };
+            delta += u64::from(touched.is_some());
+            let result = timed_eval(|| match &touched {
+                Some(ids) => self.evaluate_touched(entry, ids),
+                None => self.evaluate_global(&entry.query),
+            });
+            match result {
                 (Ok(fresh), nanos) => self.continuous.refresh(id, boundary, fresh, nanos),
                 (Err(e), _) => {
+                    self.continuous.note_failed(id);
                     if renewal {
                         most_obs::inc("refresh.renewal_errors");
                     }
@@ -98,8 +116,44 @@ impl Database {
         most_obs::add("refresh.skipped", skipped);
         most_obs::add("refresh.evaluated", evaluated);
         most_obs::add("refresh.horizon_renewals", renewals);
+        most_obs::add("refresh.delta", delta);
         first_err.map_or(Ok(()), Err)
     }
+
+    /// A same-tick refresh's fresh answer: the touched objects that are
+    /// still live re-evaluated, and every untouched object's materialized
+    /// rows kept.  A removed object's rows go with it, and the complement
+    /// of a negation ranges over live objects only.
+    fn evaluate_touched(&self, entry: &CqEntry, touched: &[u64]) -> CoreResult<Answer> {
+        let live = touched
+            .iter()
+            .copied()
+            .filter(|&id| self.object(id).is_ok());
+        let fresh = self.evaluate_over(&entry.query, Some(live.collect()))?;
+        let kept = entry.answer.tuples.iter().filter(|t| {
+            t.values[0]
+                .as_id()
+                .is_none_or(|id| touched.binary_search(&id).is_err())
+        });
+        let mut tuples = fresh.tuples;
+        tuples.extend(kept.cloned());
+        Ok(Answer::new(fresh.vars, tuples))
+    }
+}
+
+/// The sorted ids of the objects whose changes affect `deps`, or `None`
+/// when an affecting change names no object (a region write).
+fn touched_ids(changes: &[(u64, UpdateKind)], deps: &DepSet) -> Option<Vec<u64>> {
+    let mut ids = Vec::new();
+    for (id, kind) in changes.iter().filter(|(_, kind)| deps.affected_by(kind)) {
+        if matches!(kind, UpdateKind::Region(_)) {
+            return None;
+        }
+        ids.push(*id);
+    }
+    ids.sort_unstable();
+    ids.dedup();
+    Some(ids)
 }
 
 /// Runs one refresh evaluation, returning its result and wall-clock cost

@@ -46,7 +46,7 @@
 //! the global CQ id is that common id.
 
 use crate::continuous::combine_shard_answers;
-use crate::database::{formula_mentions_fixed_objects, Database, UpdateOp};
+use crate::database::{Database, UpdateOp};
 use crate::epoch::{EpochDb, EpochPin, EpochStats};
 use crate::error::{CoreError, CoreResult};
 use most_dbms::value::Value;
@@ -629,7 +629,7 @@ pub fn ensure_shardable(q: &Query) -> CoreResult<()> {
             "free variable `{v}` is not the target"
         )));
     }
-    if formula_mentions_fixed_objects(&q.formula) {
+    if q.formula.mentions_object_constant() {
         return Err(CoreError::Unshardable(
             "formula references a fixed object id, which may live on another shard".into(),
         ));

@@ -132,6 +132,28 @@ fn faulty_query_catches_up_on_the_next_clean_batch() {
     );
 }
 
+/// The repair at the tick of the failure, by a batch that touches another
+/// object only: a per-object query there re-evaluates just the touched
+/// objects, unless its answer is stale, as a failed refresh leaves it.
+#[test]
+fn a_failed_refresh_is_repaired_at_its_own_tick() {
+    let (mut db, faulty, _healthy) = armed_db(6);
+    let err = db.apply_updates(&batch_with_boom(6, 500.0)).unwrap_err();
+    assert!(matches!(err, CoreError::EvalPanic(_)), "{err:?}");
+    db.set_eval_fault(None);
+    db.apply_updates(&[UpdateOp::Static {
+        id: 2,
+        attr: BOOM.into(),
+        value: most_dbms::value::Value::from(3.0),
+    }])
+    .unwrap();
+    assert_eq!(
+        db.continuous_display(faulty, db.now()).unwrap(),
+        fresh_display(&db),
+        "object 1's stale row must be re-evaluated too"
+    );
+}
+
 #[test]
 fn a_failing_renewal_is_retried_once_per_clock_advance() {
     let (mut db, faulty, _healthy) = armed_db(4);

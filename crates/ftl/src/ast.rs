@@ -337,6 +337,17 @@ impl Formula {
         });
     }
 
+    /// Whether some term is an object constant (`Term::Const(Value::Id(_))`,
+    /// only constructible programmatically: the grammar has no id
+    /// literals).  Such a term reads an object no variable binds.
+    pub fn mentions_object_constant(&self) -> bool {
+        let mut found = false;
+        self.visit_terms(&mut |t| {
+            t.visit(&mut |s| found |= matches!(s, Term::Const(Value::Id(_))))
+        });
+        found
+    }
+
     /// Whether the formula is conjunctive (no negation / disjunction) — the
     /// fragment for which the paper states its algorithm.
     pub fn is_conjunctive(&self) -> bool {

@@ -60,6 +60,28 @@ pub fn evaluate_query(ctx: &dyn EvalContext, q: &Query) -> FtlResult<Answer> {
     Ok(Answer::new(q.targets.clone(), tuples))
 }
 
+/// [`evaluate_query`] over the active domain cut to the sorted ids `ids`
+/// (index probes are cut too).  For a [per-object](is_per_object) query
+/// these are exactly the full answer's rows of the objects in `ids`.
+pub fn evaluate_query_over(ctx: &dyn EvalContext, q: &Query, ids: Vec<u64>) -> FtlResult<Answer> {
+    evaluate_query(&Restricted { inner: ctx, ids }, q)
+}
+
+/// Whether each row of `q`'s answer depends on the object it names alone:
+/// one target, which is the only free variable and the only variable in
+/// an object position, and no object constant.  Every operator then works
+/// per object, over any domain the object is in (DESIGN.md §6).
+pub fn is_per_object(q: &Query) -> bool {
+    let [target] = q.targets.as_slice() else {
+        return false;
+    };
+    q.formula.free_vars().iter().all(|v| v == target)
+        && syntactic_object_vars(&q.formula)
+            .iter()
+            .all(|v| v == target)
+        && !q.formula.mentions_object_constant()
+}
+
 /// Evaluates a bare formula to its relation `R_f`.  `extra_object_vars`
 /// names variables that must be treated as ranging over objects even if
 /// they never occur in an object position inside `f`.
@@ -987,6 +1009,67 @@ mod tests {
         assert_eq!(evaluate_query(&plain, &q).unwrap().ids(), vec![1]);
         assert_eq!(plain.reads_of("PRICE"), BTreeMap::from([(1, 1)]));
         check_against_oracle(src);
+    }
+
+    #[test]
+    fn a_subset_evaluation_reads_only_its_ids_and_answers_their_rows() {
+        for src in [
+            "RETRIEVE o WHERE o.PRICE <= 100",
+            "RETRIEVE o WHERE NOT o.PRICE <= 100",
+            "RETRIEVE o WHERE o.PRICE <= 100 OR Eventually INSIDE(o, P)",
+        ] {
+            let q = Query::parse(src).unwrap();
+            let full = answer(src);
+            for ids in [vec![], vec![2], vec![1, 3]] {
+                let plain = CountingIndex::new(None);
+                let part = evaluate_query_over(&plain, &q, ids.clone()).unwrap();
+                let expected: Vec<u64> = full
+                    .ids()
+                    .into_iter()
+                    .filter(|id| ids.contains(id))
+                    .collect();
+                assert_eq!(part.ids(), expected, "{src} over {ids:?}");
+                for t in &part.tuples {
+                    assert_eq!(Some(&t.intervals), full.intervals_for(&t.values), "{src}");
+                }
+                let read: Vec<u64> = plain.reads_of("PRICE").into_keys().collect();
+                assert_eq!(read, ids, "{src} reads only its ids");
+            }
+        }
+    }
+
+    #[test]
+    fn per_object_queries_are_recognised_by_their_shape() {
+        let parsed = |src: &str| Query::parse(src).unwrap();
+        for src in [
+            "RETRIEVE o WHERE INSIDE(o, R0)",
+            "RETRIEVE o WHERE o.PRICE >= 1000",
+            "RETRIEVE o WHERE INSIDE(o, P) AND o.PRICE <= 100",
+            "RETRIEVE o WHERE Eventually within 60 (INSIDE(o, P) AND o.PRICE <= 100)",
+            "RETRIEVE o WHERE o.SPEED >= 1.0 OR OUTSIDE(o, P)",
+            "RETRIEVE o WHERE NOT INSIDE(o, P)",
+            "RETRIEVE o WHERE true",
+            "RETRIEVE o WHERE [x <- o.SPEED] Always (o.SPEED = x)",
+            "RETRIEVE o WHERE INSIDE(o, P) Until o.PRICE <= 5",
+        ] {
+            assert!(is_per_object(&parsed(src)), "{src}");
+        }
+        for src in [
+            "RETRIEVE o, n WHERE o <> n AND DIST(o, n) <= 40",
+            "RETRIEVE o WHERE o <> n AND DIST(o, n) <= 40",
+            "RETRIEVE o WHERE WITHIN_SPHERE(10, o, n)",
+        ] {
+            assert!(!is_per_object(&parsed(src)), "{src}");
+        }
+        let constant = Query {
+            targets: vec!["o".into()],
+            formula: Formula::Cmp(
+                CmpOp::Le,
+                Term::Dist(Box::new(Term::var("o")), Box::new(Term::val(Value::Id(1)))),
+                Term::val(40.0),
+            ),
+        };
+        assert!(!is_per_object(&constant));
     }
 
     #[test]

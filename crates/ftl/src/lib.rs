@@ -51,4 +51,4 @@ pub use answer::Answer;
 pub use ast::{Formula, Query, Term};
 pub use context::EvalContext;
 pub use error::{FtlError, FtlResult};
-pub use eval::{evaluate_query, explain_query, TraceNode};
+pub use eval::{evaluate_query, evaluate_query_over, explain_query, is_per_object, TraceNode};

@@ -28,7 +28,11 @@
 //!
 //! The named cases at the bottom are the counterexamples that separated
 //! the deleted per-object refresh from full re-evaluation (EXPERIMENTS.md,
-//! E3), with their expected displays.
+//! E3), with their expected displays.  Counterexamples 2 and 3 also run
+//! with the write at the tick the answer was evaluated, where a per-object
+//! query re-evaluates only the objects a write touched (DESIGN.md §6), as
+//! does an insert under `OUTSIDE` and `true`.  A region write refreshes the
+//! queries that name the region.
 
 use most_testkit::check::{bools, ints, one_of, tuple2, tuple3, vecs, Check, Gen};
 use most_testkit::ser::{FromJson, Json, ToJson};
@@ -275,6 +279,10 @@ enum Step {
     Remove {
         obj: usize,
     },
+    /// `add_region` replaces P with one of two rectangles.
+    Region {
+        wide: bool,
+    },
 }
 
 fn arb_steps() -> Gen<Vec<Step>> {
@@ -307,6 +315,7 @@ fn arb_steps() -> Gen<Vec<Step>> {
             }),
             tuple2(ints(-50i32..=50), ints(-50i32..=50)).map(|(x, y)| Step::Insert { x, y }),
             obj().map(|obj| Step::Remove { obj }),
+            bools().map(|wide| Step::Region { wide }),
         ]),
         1..25,
     )
@@ -410,6 +419,14 @@ fn apply(world: &mut World, step: &Step) {
                 let id = world.ids.remove(obj % world.ids.len());
                 world.write(|db| db.remove_object(id).unwrap());
             }
+        }
+        Step::Region { wide } => {
+            let p = if wide {
+                Polygon::rectangle(-40.0, -10.0, 30.0, 10.0)
+            } else {
+                Polygon::rectangle(-20.0, -20.0, 20.0, 20.0)
+            };
+            world.write(|db| db.add_region("P", p));
         }
     }
 }
@@ -515,6 +532,18 @@ fn rows_of_objects_outside_the_batch_keep_a_full_horizon() {
 /// pinned target variables only and kept the stale `[1]`.
 #[test]
 fn a_row_follows_the_object_bound_to_a_projected_variable() {
+    projected_variable_case(1);
+}
+
+/// Counterexample 2 at the tick the answer was evaluated: the query is not
+/// per-object, so it is re-evaluated in full there too.
+#[test]
+fn a_row_follows_a_projected_variable_at_the_same_tick() {
+    projected_variable_case(0);
+}
+
+/// Counterexample 2's script, writing `ticks` after registration.
+fn projected_variable_case(ticks: u64) {
     let mut db = Database::new(100);
     let ids: Vec<u64> = [0.0, 30.0, 100.0]
         .iter()
@@ -525,7 +554,7 @@ fn a_row_follows_the_object_bound_to_a_projected_variable() {
         world.display(0),
         vec![vec![Value::Id(1)], vec![Value::Id(2)]]
     );
-    world.advance(1);
+    world.advance(ticks);
     // Car 2 leaves car 1's neighbourhood for car 3's.
     world.write(|db| {
         let there = MotionUpdate {
@@ -546,6 +575,19 @@ fn a_row_follows_the_object_bound_to_a_projected_variable() {
 /// empty relation for the object that no longer exists and kept `[2]`.
 #[test]
 fn a_removed_object_leaves_a_negated_answer() {
+    removal_under_negation_case(1);
+}
+
+/// Counterexample 3 at the tick the answer was evaluated, where only the
+/// touched objects are re-evaluated: the removed one's row is dropped, not
+/// complemented back in.
+#[test]
+fn a_removed_object_leaves_a_negated_answer_at_the_same_tick() {
+    removal_under_negation_case(0);
+}
+
+/// Counterexample 3's script, writing `ticks` after registration.
+fn removal_under_negation_case(ticks: u64) {
     let mut db = Database::new(100);
     let ids: Vec<u64> = [0.0, 50.0, 80.0]
         .iter()
@@ -557,11 +599,56 @@ fn a_removed_object_leaves_a_negated_answer() {
         world.display(0),
         vec![vec![Value::Id(2)], vec![Value::Id(3)]]
     );
-    world.advance(1);
+    world.advance(ticks);
     world.ids.remove(1);
     world.write(|db| db.remove_object(2).unwrap());
     assert_eq!(world.display(0), vec![vec![Value::Id(3)]]);
     world.check_past();
+}
+
+/// An object inserted at the tick the answers were evaluated joins the
+/// complement-shaped answers by its own evaluation, beside the kept rows.
+#[test]
+fn an_insert_at_the_same_tick_joins_outside_and_true() {
+    let mut db = Database::new(100);
+    let ids: Vec<u64> = [0.0, 50.0]
+        .iter()
+        .map(|&x| db.insert_moving_object("cars", Point::new(x, 0.0), Velocity::zero()))
+        .collect();
+    db.add_region("P", Polygon::rectangle(-10.0, -10.0, 10.0, 10.0));
+    let queries = ["RETRIEVE o WHERE OUTSIDE(o, P)", "RETRIEVE o WHERE true"];
+    let mut world = World::new(db, ids, &queries);
+    assert_eq!(world.display(0), vec![vec![Value::Id(2)]]);
+    let mut id = 0;
+    world.write(|db| id = db.insert_moving_object("cars", Point::new(80.0, 0.0), Velocity::zero()));
+    world.ids.push(id);
+    assert_eq!(
+        world.display(0),
+        vec![vec![Value::Id(2)], vec![Value::Id(3)]]
+    );
+    let all: Display = world.ids.iter().map(|&id| vec![Value::Id(id)]).collect();
+    assert_eq!(world.display(1), all);
+    world.check_past();
+}
+
+/// Replacing a region's polygon refreshes the queries that name it.  They
+/// used to keep their rows on the old polygon: `[1]` here, where a fresh
+/// evaluation gives `[2]`.
+#[test]
+fn replacing_a_region_refreshes_the_queries_that_name_it() {
+    let mut db = Database::new(100);
+    let ids: Vec<u64> = [0.0, 100.0]
+        .iter()
+        .map(|&x| db.insert_moving_object("cars", Point::new(x, 0.0), Velocity::zero()))
+        .collect();
+    db.add_region("P", Polygon::rectangle(-10.0, -10.0, 10.0, 10.0));
+    let mut world = World::new(db, ids, &["RETRIEVE o WHERE INSIDE(o, P)"]);
+    assert_eq!(world.display(0), vec![vec![Value::Id(1)]]);
+    world
+        .db
+        .add_region("P", Polygon::rectangle(90.0, -10.0, 110.0, 10.0));
+    assert_eq!(world.display(0), vec![vec![Value::Id(2)]]);
+    world.check_future();
 }
 
 // ---------------------------------------------------------------------
