@@ -201,7 +201,11 @@ impl EpochDb {
         counters.created.store(1, Ordering::Release);
         most_obs::gauge_set("epoch.current", 0);
         most_obs::gauge_set("epoch.pinned", 1);
-        let snapshot = EpochSnapshot { epoch: 0, db, counters: Arc::clone(&counters) };
+        let snapshot = EpochSnapshot {
+            epoch: 0,
+            db,
+            counters: Arc::clone(&counters),
+        };
         EpochDb {
             inner: Arc::new(EpochInner {
                 published: RwLock::new(Arc::new(snapshot)),
@@ -219,8 +223,14 @@ impl EpochDb {
     /// briefly-held read lock; the returned pin is then evaluated against
     /// with no lock at all, concurrently with writers.
     pub fn pin(&self) -> EpochPin {
-        let guard = self.inner.published.read().expect("epoch pointer lock poisoned");
-        EpochPin { snap: Arc::clone(&guard) }
+        let guard = self
+            .inner
+            .published
+            .read()
+            .expect("epoch pointer lock poisoned");
+        EpochPin {
+            snap: Arc::clone(&guard),
+        }
     }
 
     /// Number of the currently published epoch.
@@ -238,7 +248,10 @@ impl EpochDb {
     }
 
     fn lock_writer(&self) -> MutexGuard<'_, WriterState> {
-        self.inner.writer.lock().expect("epoch writer lock poisoned")
+        self.inner
+            .writer
+            .lock()
+            .expect("epoch writer lock poisoned")
     }
 
     /// The unpublished next epoch, materialized on first use as a clone of
@@ -274,11 +287,17 @@ impl EpochDb {
         counters.created.fetch_add(1, Ordering::AcqRel);
         counters.current.store(epoch, Ordering::Release);
         counters.batches.fetch_add(batches, Ordering::AcqRel);
-        let snapshot =
-            Arc::new(EpochSnapshot { epoch, db, counters: Arc::clone(counters) });
+        let snapshot = Arc::new(EpochSnapshot {
+            epoch,
+            db,
+            counters: Arc::clone(counters),
+        });
         let old = {
-            let mut slot =
-                self.inner.published.write().expect("epoch pointer lock poisoned");
+            let mut slot = self
+                .inner
+                .published
+                .write()
+                .expect("epoch pointer lock poisoned");
             std::mem::replace(&mut *slot, snapshot)
         };
         // Release the pointer lock before the old epoch drops.  That frees
@@ -387,12 +406,18 @@ mod tests {
         });
         // The old pin still reads epoch 0's state, byte for byte.
         assert_eq!(before.db().now(), 0);
-        assert_eq!(before.db().object(car).unwrap().velocity_at(0), Some(Velocity::new(1.0, 0.0)));
+        assert_eq!(
+            before.db().object(car).unwrap().velocity_at(0),
+            Some(Velocity::new(1.0, 0.0))
+        );
         // A fresh pin sees epoch 1.
         let after = edb.pin();
         assert_eq!(after.epoch(), 1);
         assert_eq!(after.db().now(), 5);
-        assert_eq!(after.db().object(car).unwrap().velocity_at(5), Some(Velocity::new(2.0, 0.0)));
+        assert_eq!(
+            after.db().object(car).unwrap().velocity_at(5),
+            Some(Velocity::new(2.0, 0.0))
+        );
     }
 
     #[test]
@@ -428,7 +453,11 @@ mod tests {
             assert_eq!(s.created, i + 1);
             // No pins held: only the published epoch is alive.
             assert_eq!(s.live, 1, "old epochs not retiring: {s:?}");
-            assert_eq!(s.created, s.retired + s.live, "conservation violated: {s:?}");
+            assert_eq!(
+                s.created,
+                s.retired + s.live,
+                "conservation violated: {s:?}"
+            );
         }
     }
 
@@ -438,9 +467,18 @@ mod tests {
         let edb = EpochDb::new(db);
         let err = edb
             .apply_updates(&[
-                UpdateOp::Motion { id: car, velocity: Velocity::new(3.0, 0.0) },
-                UpdateOp::Motion { id: 999, velocity: Velocity::zero() },
-                UpdateOp::Motion { id: car, velocity: Velocity::new(9.0, 9.0) },
+                UpdateOp::Motion {
+                    id: car,
+                    velocity: Velocity::new(3.0, 0.0),
+                },
+                UpdateOp::Motion {
+                    id: 999,
+                    velocity: Velocity::zero(),
+                },
+                UpdateOp::Motion {
+                    id: car,
+                    velocity: Velocity::new(9.0, 9.0),
+                },
             ])
             .unwrap_err();
         assert!(matches!(err, crate::error::CoreError::UnknownObject(999)));
@@ -451,7 +489,10 @@ mod tests {
         assert_eq!(s.pending_batches, 0);
         let pin = edb.pin();
         assert_eq!(pin.epoch(), 1);
-        assert_eq!(pin.db().object(car).unwrap().velocity_at(0), Some(Velocity::new(3.0, 0.0)));
+        assert_eq!(
+            pin.db().object(car).unwrap().velocity_at(0),
+            Some(Velocity::new(3.0, 0.0))
+        );
     }
 
     #[test]
@@ -466,8 +507,11 @@ mod tests {
         edb.commit(|d| d.advance_clock(3));
         // A publish with nothing buffered must not fire the observer.
         edb.advance_epoch();
-        edb.apply_updates(&[UpdateOp::Motion { id: car, velocity: Velocity::new(2.0, 0.0) }])
-            .unwrap();
+        edb.apply_updates(&[UpdateOp::Motion {
+            id: car,
+            velocity: Velocity::new(2.0, 0.0),
+        }])
+        .unwrap();
         edb.commit(|d| d.advance_clock(4));
         assert_eq!(*seen.lock().unwrap(), vec![(1, 3), (2, 3), (3, 7)]);
         // Clearing the observer stops the stream.
@@ -484,8 +528,11 @@ mod tests {
         let cq = edb.commit(|d| d.register_continuous(q)).unwrap();
         let reader = edb.pin();
         let evals_before = reader.db().continuous_evaluations();
-        edb.apply_updates(&[UpdateOp::Motion { id: car, velocity: Velocity::new(5.0, 0.0) }])
-            .unwrap();
+        edb.apply_updates(&[UpdateOp::Motion {
+            id: car,
+            velocity: Velocity::new(5.0, 0.0),
+        }])
+        .unwrap();
         // The pinned epoch's counters are frozen: refresh happened on the
         // next epoch's copy, not under the reader.
         assert_eq!(reader.db().continuous_evaluations(), evals_before);

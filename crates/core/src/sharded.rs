@@ -242,9 +242,9 @@ impl CutPin {
                 .into_iter()
                 .map(|h| match h.join() {
                     Ok(r) => r,
-                    Err(payload) => Err(CoreError::EvalPanic(
-                        crate::refresh::panic_message(&payload),
-                    )),
+                    Err(payload) => Err(CoreError::EvalPanic(crate::refresh::panic_message(
+                        &payload,
+                    ))),
                 })
                 .collect()
         });
@@ -331,9 +331,9 @@ impl ShardedDbBuilder {
 
     fn shard_of(&self, id: u64) -> CoreResult<usize> {
         let shard = match &self.routing {
-            ShardRouting::HashId => {
-                self.routing.route_insert(id, Point::origin(), self.dbs.len())
-            }
+            ShardRouting::HashId => self
+                .routing
+                .route_insert(id, Point::origin(), self.dbs.len()),
             ShardRouting::SpatialBands { .. } => *self
                 .assignment
                 .get(&id)
@@ -398,11 +398,10 @@ impl ShardedDb {
     /// Pins the currently published cut.  Cost: one `Arc` clone under a
     /// briefly-held read lock, exactly like [`EpochDb::pin`].
     pub fn pin(&self) -> CutPin {
-        let guard = self
-            .cut
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        CutPin { cut: Arc::clone(&guard) }
+        let guard = self.cut.read().unwrap_or_else(PoisonError::into_inner);
+        CutPin {
+            cut: Arc::clone(&guard),
+        }
     }
 
     /// Per-shard epoch accounting.
@@ -483,11 +482,8 @@ impl ShardedDb {
     /// Cancels a continuous query on every shard and publishes a cut.
     pub fn cancel_continuous(&self, cq: u64) -> CoreResult<()> {
         let writer = lock_clean(&self.writer);
-        let results = self.parallel_shards_collect(|_, shard| {
-            shard.commit(|db| {
-                db.cancel_continuous(cq)
-            })
-        });
+        let results =
+            self.parallel_shards_collect(|_, shard| shard.commit(|db| db.cancel_continuous(cq)));
         self.publish_cut(writer);
         results.into_iter().collect::<CoreResult<Vec<()>>>()?;
         Ok(())
@@ -496,12 +492,7 @@ impl ShardedDb {
     /// Inserts a moving object at runtime, routed by policy, under a
     /// globally-unique id; publishes a cut.  Panics on non-finite motion,
     /// like [`Database::insert_moving_object`].
-    pub fn insert_moving_object(
-        &self,
-        class: &str,
-        position: Point,
-        velocity: Velocity,
-    ) -> u64 {
+    pub fn insert_moving_object(&self, class: &str, position: Point, velocity: Velocity) -> u64 {
         let mut writer = lock_clean(&self.writer);
         let id = writer.next_id;
         writer.next_id += 1;
@@ -535,11 +526,10 @@ impl ShardedDb {
     fn shard_of_locked(&self, writer: &ShardWriter, id: u64) -> usize {
         match &self.routing {
             ShardRouting::HashId => {
-                self.routing.route_insert(id, Point::origin(), self.shards.len())
+                self.routing
+                    .route_insert(id, Point::origin(), self.shards.len())
             }
-            ShardRouting::SpatialBands { .. } => {
-                writer.assignment.get(&id).copied().unwrap_or(0)
-            }
+            ShardRouting::SpatialBands { .. } => writer.assignment.get(&id).copied().unwrap_or(0),
         }
     }
 
@@ -565,7 +555,9 @@ impl ShardedDb {
         &self,
         f: impl Fn(usize, &EpochDb) -> CoreResult<()> + Sync,
     ) -> CoreResult<()> {
-        self.parallel_shards_collect(f).into_iter().collect::<CoreResult<Vec<()>>>()?;
+        self.parallel_shards_collect(f)
+            .into_iter()
+            .collect::<CoreResult<Vec<()>>>()?;
         Ok(())
     }
 
@@ -592,9 +584,9 @@ impl ShardedDb {
                 .into_iter()
                 .map(|h| match h.join() {
                     Ok(r) => r,
-                    Err(payload) => Err(CoreError::EvalPanic(
-                        crate::refresh::panic_message(&payload),
-                    )),
+                    Err(payload) => Err(CoreError::EvalPanic(crate::refresh::panic_message(
+                        &payload,
+                    ))),
                 })
                 .collect()
         })
@@ -660,10 +652,14 @@ mod tests {
             let price = rng.random_range(10.0..200.0);
             let id = reference.insert_moving_object("cars", pos, vel);
             assert_eq!(id, i + 1);
-            reference.set_static(id, "PRICE", Value::from(price)).unwrap();
+            reference
+                .set_static(id, "PRICE", Value::from(price))
+                .unwrap();
             let sid = builder.insert_moving_object("cars", pos, vel);
             assert_eq!(sid, id, "sharded ids must mirror the reference");
-            builder.set_static(sid, "PRICE", Value::from(price)).unwrap();
+            builder
+                .set_static(sid, "PRICE", Value::from(price))
+                .unwrap();
         }
         (reference, builder.finish())
     }
@@ -702,13 +698,18 @@ mod tests {
         for shards in [1, 2, 4] {
             for routing in [
                 ShardRouting::HashId,
-                ShardRouting::SpatialBands { min_x: 0.0, max_x: 200.0 },
+                ShardRouting::SpatialBands {
+                    min_x: 0.0,
+                    max_x: 200.0,
+                },
             ] {
                 let (mut reference, sharded) = twin_worlds(shards, routing.clone());
-                let cq_r =
-                    reference.register_continuous(Query::parse(cq_src).unwrap()).unwrap();
-                let cq_s =
-                    sharded.register_continuous(&Query::parse(cq_src).unwrap()).unwrap();
+                let cq_r = reference
+                    .register_continuous(Query::parse(cq_src).unwrap())
+                    .unwrap();
+                let cq_s = sharded
+                    .register_continuous(&Query::parse(cq_src).unwrap())
+                    .unwrap();
                 assert_eq!(cq_r, cq_s, "global CQ ids must mirror the reference");
                 observe(&reference, &sharded, cq_s);
                 let mut rng = Rng::seed_from_u64(0xD1CE ^ shards as u64);
@@ -752,7 +753,10 @@ mod tests {
         let now0 = before.now();
         sharded.advance_clock(5);
         sharded
-            .apply_updates(&[UpdateOp::Motion { id: 1, velocity: Velocity::new(9.0, 0.0) }])
+            .apply_updates(&[UpdateOp::Motion {
+                id: 1,
+                velocity: Velocity::new(9.0, 0.0),
+            }])
             .unwrap();
         // The old cut still reads the old state on every shard.
         assert_eq!(before.now(), now0);
@@ -787,7 +791,10 @@ mod tests {
     fn updates_for_unknown_objects_error_without_wedging() {
         for routing in [
             ShardRouting::HashId,
-            ShardRouting::SpatialBands { min_x: 0.0, max_x: 200.0 },
+            ShardRouting::SpatialBands {
+                min_x: 0.0,
+                max_x: 200.0,
+            },
         ] {
             let (_, sharded) = twin_worlds(2, routing.clone());
             let seq0 = sharded.pin().cut().seq();
@@ -795,13 +802,26 @@ mod tests {
             // and the cut publishes either way.
             let err = sharded
                 .apply_updates(&[
-                    UpdateOp::Motion { id: 1, velocity: Velocity::new(7.0, 7.0) },
-                    UpdateOp::Motion { id: 9_999, velocity: Velocity::zero() },
+                    UpdateOp::Motion {
+                        id: 1,
+                        velocity: Velocity::new(7.0, 7.0),
+                    },
+                    UpdateOp::Motion {
+                        id: 9_999,
+                        velocity: Velocity::zero(),
+                    },
                 ])
                 .unwrap_err();
-            assert!(matches!(err, CoreError::UnknownObject(9_999)), "{routing:?}: {err:?}");
+            assert!(
+                matches!(err, CoreError::UnknownObject(9_999)),
+                "{routing:?}: {err:?}"
+            );
             let pin = sharded.pin();
-            assert_eq!(pin.cut().seq(), seq0 + 1, "{routing:?}: the cut must publish");
+            assert_eq!(
+                pin.cut().seq(),
+                seq0 + 1,
+                "{routing:?}: the cut must publish"
+            );
             let db = pin.object_shard(1).unwrap();
             assert_eq!(
                 db.object(1).unwrap().velocity_at(db.now()),
@@ -810,7 +830,10 @@ mod tests {
             );
             // The engine still serves and mutates.
             sharded
-                .apply_updates(&[UpdateOp::Motion { id: 1, velocity: Velocity::new(1.0, 1.0) }])
+                .apply_updates(&[UpdateOp::Motion {
+                    id: 1,
+                    velocity: Velocity::new(1.0, 1.0),
+                }])
                 .unwrap();
             assert!(sharded.pin().object_shard(1).is_ok());
         }
@@ -853,7 +876,10 @@ mod tests {
     fn runtime_insert_routes_and_serves() {
         for routing in [
             ShardRouting::HashId,
-            ShardRouting::SpatialBands { min_x: 0.0, max_x: 200.0 },
+            ShardRouting::SpatialBands {
+                min_x: 0.0,
+                max_x: 200.0,
+            },
         ] {
             let (_, sharded) = twin_worlds(3, routing);
             let id = sharded.insert_moving_object(
@@ -867,7 +893,10 @@ mod tests {
             assert!(pin.object_shard(id).is_ok());
             // Updates reach the owning shard.
             sharded
-                .apply_updates(&[UpdateOp::Motion { id, velocity: Velocity::new(0.0, 2.0) }])
+                .apply_updates(&[UpdateOp::Motion {
+                    id,
+                    velocity: Velocity::new(0.0, 2.0),
+                }])
                 .unwrap();
             let pin = sharded.pin();
             let db = pin.object_shard(id).unwrap();
@@ -881,7 +910,10 @@ mod tests {
 
     #[test]
     fn spatial_bands_route_by_position() {
-        let routing = ShardRouting::SpatialBands { min_x: 0.0, max_x: 100.0 };
+        let routing = ShardRouting::SpatialBands {
+            min_x: 0.0,
+            max_x: 100.0,
+        };
         assert_eq!(routing.route_insert(1, Point::new(-50.0, 0.0), 4), 0);
         assert_eq!(routing.route_insert(1, Point::new(10.0, 0.0), 4), 0);
         assert_eq!(routing.route_insert(1, Point::new(30.0, 0.0), 4), 1);

@@ -169,7 +169,12 @@ impl DynamicAttributeIndex {
         let mut objects = HashMap::new();
         let mut entries = Vec::new();
         for (id, value, slope) in items {
-            let piece = Piece { from: 0, until: lifetime, v0: value, slope };
+            let piece = Piece {
+                from: 0,
+                until: lifetime,
+                v0: value,
+                slope,
+            };
             let prev = objects.insert(id, vec![piece]);
             assert!(prev.is_none(), "duplicate id #{id} in bulk load");
             entries.push((id, piece.segment()));
@@ -177,8 +182,7 @@ impl DynamicAttributeIndex {
         let structure = match kind {
             IndexKind::RTree => Structure::R(RTree::bulk_load(entries)),
             IndexKind::QuadTree => {
-                let bounds =
-                    Rect::new(0.0, value_range.0, lifetime as f64, value_range.1);
+                let bounds = Rect::new(0.0, value_range.0, lifetime as f64, value_range.1);
                 let mut tree = QuadTree::new(bounds);
                 for (id, seg) in entries {
                     tree.insert(id, seg);
@@ -186,7 +190,12 @@ impl DynamicAttributeIndex {
                 Structure::Quad(tree)
             }
         };
-        DynamicAttributeIndex { structure, objects, lifetime, value_range }
+        DynamicAttributeIndex {
+            structure,
+            objects,
+            lifetime,
+            value_range,
+        }
     }
 
     /// The index lifetime `T`.
@@ -214,7 +223,12 @@ impl DynamicAttributeIndex {
             !self.objects.contains_key(&id),
             "object #{id} already indexed; use update()"
         );
-        let piece = Piece { from: at, until: self.lifetime, v0: value, slope };
+        let piece = Piece {
+            from: at,
+            until: self.lifetime,
+            v0: value,
+            slope,
+        };
         self.structure.insert(id, piece.segment());
         self.objects.insert(id, vec![piece]);
     }
@@ -235,12 +249,22 @@ impl DynamicAttributeIndex {
             prefix.until = t - 1;
             *last = prefix;
             self.structure.insert(id, prefix.segment());
-            let tail = Piece { from: t, until: self.lifetime, v0: value, slope };
+            let tail = Piece {
+                from: t,
+                until: self.lifetime,
+                v0: value,
+                slope,
+            };
             self.structure.insert(id, tail.segment());
             pieces.push(tail);
         } else {
             // Same-tick replacement.
-            *last = Piece { from: t, until: self.lifetime, v0: value, slope };
+            *last = Piece {
+                from: t,
+                until: self.lifetime,
+                v0: value,
+                slope,
+            };
             let seg = last.segment();
             self.structure.insert(id, seg);
         }
@@ -306,10 +330,7 @@ impl DynamicAttributeIndex {
         };
         let out: Vec<u64> = candidates
             .into_iter()
-            .filter(|&id| {
-                self.value_of(id, now)
-                    .is_some_and(|v| lo <= v && v <= hi)
-            })
+            .filter(|&id| self.value_of(id, now).is_some_and(|v| lo <= v && v <= hi))
             .collect();
         stats.results = out.len() as u64;
         record_query_stats(&stats);
@@ -323,12 +344,7 @@ impl DynamicAttributeIndex {
     /// that intersect the rectangle `4 < A < 5` and `1 < t < T`.  We
     /// construct the set Answer(CQ) by examining each object id in these
     /// records, and determining the time intervals when `4 < o.A < 5`."
-    pub fn continuous(
-        &self,
-        now: Tick,
-        lo: f64,
-        hi: f64,
-    ) -> (Vec<(u64, IntervalSet)>, QueryStats) {
+    pub fn continuous(&self, now: Tick, lo: f64, hi: f64) -> (Vec<(u64, IntervalSet)>, QueryStats) {
         let rect = Rect::new(now as f64, lo, self.lifetime as f64, hi);
         let (candidates, nodes_visited) = self.structure.query(&rect);
         let mut stats = QueryStats {
@@ -340,9 +356,10 @@ impl DynamicAttributeIndex {
         let mut out = Vec::new();
         for id in candidates {
             let set = self.in_range_intervals(id, lo, hi, h);
-            let clipped = set.intersect(&IntervalSet::singleton(
-                most_temporal::Interval::new(now, self.lifetime),
-            ));
+            let clipped = set.intersect(&IntervalSet::singleton(most_temporal::Interval::new(
+                now,
+                self.lifetime,
+            )));
             if !clipped.is_empty() {
                 out.push((id, clipped));
             }
@@ -362,12 +379,14 @@ impl DynamicAttributeIndex {
             // lo <= v0 + slope·(t - from) <= hi, t in [p.from, p.until]
             let b = p.slope;
             let c0 = p.v0 - p.slope * p.from as f64;
-            let le_hi = solve_quadratic_le(0.0, b, c0 - hi)
-                .clipped(p.from as f64, p.until as f64);
-            let ge_lo = solve_quadratic_le(0.0, -b, lo - c0)
-                .clipped(p.from as f64, p.until as f64);
-            let s1 = exact_ticks(&le_hi, h, |t| p.value_at(t) <= hi && p.from <= t && t <= p.until);
-            let s2 = exact_ticks(&ge_lo, h, |t| p.value_at(t) >= lo && p.from <= t && t <= p.until);
+            let le_hi = solve_quadratic_le(0.0, b, c0 - hi).clipped(p.from as f64, p.until as f64);
+            let ge_lo = solve_quadratic_le(0.0, -b, lo - c0).clipped(p.from as f64, p.until as f64);
+            let s1 = exact_ticks(&le_hi, h, |t| {
+                p.value_at(t) <= hi && p.from <= t && t <= p.until
+            });
+            let s2 = exact_ticks(&ge_lo, h, |t| {
+                p.value_at(t) >= lo && p.from <= t && t <= p.until
+            });
             acc = acc.union(&s1.intersect(&s2));
         }
         acc
@@ -437,7 +456,11 @@ impl ScanIndex {
         let n = self.objects.len() as u64;
         (
             out.clone(),
-            QueryStats { nodes_visited: n, candidates: n, results: out.len() as u64 },
+            QueryStats {
+                nodes_visited: n,
+                candidates: n,
+                results: out.len() as u64,
+            },
         )
     }
 }
@@ -494,7 +517,7 @@ mod tests {
         for mut idx in both_kinds() {
             idx.insert(1, 0, 0.0, 1.0); // value = t
             idx.update(1, 100, 100.0, -1.0); // from 100: value = 200 - t
-            // Past is preserved.
+                                             // Past is preserved.
             assert_eq!(idx.value_of(1, 50), Some(50.0));
             // Future follows the new vector.
             assert_eq!(idx.value_of(1, 150), Some(50.0));
@@ -555,10 +578,15 @@ mod tests {
     fn bulk_load_matches_incremental_build() {
         for kind in [IndexKind::QuadTree, IndexKind::RTree] {
             let items: Vec<(u64, f64, f64)> = (0..300)
-                .map(|i| (i, (i as f64 * 7.0) % 400.0 - 100.0, ((i % 9) as f64 - 4.0) * 0.25))
+                .map(|i| {
+                    (
+                        i,
+                        (i as f64 * 7.0) % 400.0 - 100.0,
+                        ((i % 9) as f64 - 4.0) * 0.25,
+                    )
+                })
                 .collect();
-            let bulk =
-                DynamicAttributeIndex::bulk(kind, 1000, (-2000.0, 2000.0), items.clone());
+            let bulk = DynamicAttributeIndex::bulk(kind, 1000, (-2000.0, 2000.0), items.clone());
             let mut inc = DynamicAttributeIndex::new(kind, 1000, (-2000.0, 2000.0));
             for &(id, v, s) in &items {
                 inc.insert(id, 0, v, s);
