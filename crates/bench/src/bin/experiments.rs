@@ -1,14 +1,14 @@
 //! The experiment runner: regenerates every table of EXPERIMENTS.md.
 //!
 //! ```text
-//! experiments [all|fig1|e1|e2|e3|e4|e4b|e5|e6|e6b|e7|e8|e9|e10|e11|e12|e13|e14|e15|e16|e17|micro] [--quick]
+//! experiments [all|fig1|e1|e2|e3|e4|e4b|e5|e6|e6b|e7|e8|e9|e10|e11|e12|e13|e15|e16|e17|micro] [--quick]
 //! ```
 //!
 //! Under `--quick` the wall-clock columns are replaced by a placeholder so
 //! the full report is byte-identical across runs (every other cell is
 //! derived from seeded deterministic workloads); CI diffs the output.
 //!
-//! The perf-tracked tables (E3, E4, E9, E10–E17, MICRO) are additionally written as
+//! The perf-tracked tables (E3, E4, E9, E10–E13, E15–E17, MICRO) are additionally written as
 //! machine-readable `BENCH_<id>.json` files in the working directory, so
 //! the performance trajectory can be compared across PRs without scraping
 //! markdown.
@@ -18,8 +18,9 @@ use most_bench::{Scale, Table};
 use most_testkit::ser::to_json_string;
 
 /// Experiment ids whose tables are persisted as `BENCH_<id>.json`.
-const TRACKED: &[&str] =
-    &["E3", "E4", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "MICRO"];
+const TRACKED: &[&str] = &[
+    "E3", "E4", "E9", "E10", "E11", "E12", "E13", "E15", "E16", "E17", "MICRO",
+];
 
 fn write_tracked_json(t: &Table) {
     if !TRACKED.contains(&t.id.as_str()) {

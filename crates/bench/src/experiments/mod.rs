@@ -14,7 +14,6 @@ pub mod e10_refresh;
 pub mod e11_reliability;
 pub mod e12_server;
 pub mod e13_epochs;
-pub mod e14_plans;
 pub mod e15_durability;
 pub mod e16_sharding;
 pub mod e17_history;
@@ -25,10 +24,9 @@ use crate::{Scale, Table};
 use std::sync::{Mutex, PoisonError};
 
 /// One experiment at a time per process.  The `most_obs` registry is
-/// process-global: a second thread's `reset()` zeroes counters under a
-/// running experiment's `counter_value` deltas (E14) and its adds leak into
-/// the other's snapshot, so concurrent `run_all`/`run_one` callers (the
-/// root `experiments_smoke` tests) must not interleave.
+/// process-global: a running experiment's adds would leak into another's
+/// snapshot, so concurrent `run_all`/`run_one` callers (the root
+/// `experiments_smoke` tests) must not interleave.
 static EXPERIMENT_LOCK: Mutex<()> = Mutex::new(());
 
 /// Runs an experiment with a clean observability registry and snapshots
@@ -80,7 +78,6 @@ pub fn run_all(scale: Scale) -> Vec<Table> {
         with_metrics(|| e11_reliability::run(scale)),
         with_filtered_metrics(|| e12_server::run(scale)),
         with_filtered_metrics(|| e13_epochs::run(scale)),
-        with_metrics(|| e14_plans::run(scale)),
         with_filtered_metrics(|| e15_durability::run(scale)),
         with_filtered_metrics(|| e16_sharding::run(scale)),
         with_filtered_metrics(|| e17_history::run(scale)),
@@ -108,7 +105,6 @@ pub fn run_one(id: &str, scale: Scale) -> Option<Table> {
         "e11" => with_metrics(|| e11_reliability::run(scale)),
         "e12" => with_filtered_metrics(|| e12_server::run(scale)),
         "e13" => with_filtered_metrics(|| e13_epochs::run(scale)),
-        "e14" => with_metrics(|| e14_plans::run(scale)),
         "e15" => with_filtered_metrics(|| e15_durability::run(scale)),
         "e16" => with_filtered_metrics(|| e16_sharding::run(scale)),
         "e17" => with_filtered_metrics(|| e17_history::run(scale)),

@@ -12,7 +12,7 @@ use crate::trigger::{TriggerEvent, TriggerRegistry};
 use most_dbms::value::Value;
 use most_ftl::answer::{Answer, AnswerTuple};
 use most_ftl::{evaluate_query, evaluate_query_over, Query};
-use most_index::{CowMap, DynamicAttributeIndex, IndexKind, MovingObjectIndex2D};
+use most_index::{CowMap, MovingObjectIndex2D};
 use most_spatial::{Point, Polygon, Rect, Velocity};
 use most_temporal::{Duration, IntervalSet, Tick};
 use std::collections::BTreeMap;
@@ -124,9 +124,10 @@ pub struct Database {
     triggers: Arc<TriggerRegistry>,
     /// Cost counters.
     pub stats: DbStats,
-    // Derived acceleration: rebuilt from the persisted state on demand,
-    // never serialized, never allowed to change an answer.
-    derived: Derived,
+    // The Section 4 position index, when enabled: derived acceleration,
+    // rebuilt from the persisted state on demand, never serialized, never
+    // allowed to change an answer.
+    spatial_index: Option<SpatialIndexState>,
     // Fault injection for panic-safety tests (not persisted): when set,
     // evaluating any query that reads this attribute panics at evaluation
     // entry.  See `set_eval_fault`.
@@ -178,7 +179,7 @@ impl most_testkit::ser::FromJson for Database {
             continuous: most_testkit::ser::FromJson::from_json(j.field("continuous")?)?,
             triggers: most_testkit::ser::FromJson::from_json(j.field("triggers")?)?,
             stats: most_testkit::ser::FromJson::from_json(j.field("stats")?)?,
-            derived: Derived::default(),
+            spatial_index: None,
             eval_fault: None,
         })
     }
@@ -188,79 +189,13 @@ impl most_testkit::ser::FromJson for Database {
 /// them — the per-batch cost of copy-on-write, by count.
 const CHUNKS_COPIED: &str = "epoch.chunks_copied";
 
-/// The two Section 4 indexes.  Cloning shares them: the octree and its leg
-/// table are path-copied inside `most-index`; the attribute index is one
-/// `Arc`, copied whole by the first batch that writes the indexed
-/// attribute and shared by every batch that does not.
-#[derive(Debug, Clone, Default)]
-struct Derived {
-    spatial_index: Option<SpatialIndexState>,
-    attr_index: Option<Arc<AttrIndexState>>,
-}
-
+/// The Section 4 position index over (time × x × y).  Cloning shares it:
+/// the octree and its leg table are path-copied inside `most-index`.
 #[derive(Debug, Clone)]
 struct SpatialIndexState {
     index: MovingObjectIndex2D,
     space: Rect,
     epoch: Tick,
-}
-
-/// The Section 4 dynamic-attribute index wired into the refresh engine:
-/// one attribute's value lines, so range atoms over that attribute fetch
-/// index-pruned candidate sets.  Writes the line model cannot absorb
-/// exactly (non-numeric values, quadratic functions, lines leaving the
-/// declared value range, domain changes) set `dirty`: lookups return
-/// `None` — falling back to full enumeration, so answers never depend on
-/// index health — until the next epoch-boundary rebuild.
-#[derive(Debug, Clone)]
-struct AttrIndexState {
-    attr: String,
-    kind: IndexKind,
-    index: DynamicAttributeIndex,
-    epoch: Tick,
-    dirty: bool,
-}
-
-/// How one object's attribute looks to the dynamic-attribute index at a
-/// tick.  `Absent` covers "no such attribute" and `Null`: neither
-/// satisfies a range atom while it holds, so the object may be left out of
-/// the index.  A non-numeric value (`Str`, `Bool`, …) is `NonNumeric`:
-/// `Value::query_cmp` orders it against numbers, so it can satisfy a range
-/// atom no line represents, and it forces the index dirty.  So do
-/// `Quadratic` values, which vary in ways a line cannot bound.
-enum AttrLine {
-    Absent,
-    Line(f64, f64),
-    Quadratic,
-    NonNumeric,
-}
-
-fn attr_line(obj: &MovingObject, attr: &str, now: Tick) -> AttrLine {
-    // A scalar dynamic attribute takes precedence over a static one of the
-    // same name, as in evaluation (`EvalContext::attr` answers `Dynamic`).
-    if let Some(state) = obj.dynamic_at(attr, now) {
-        return match state.function {
-            AttrFunction::Linear(slope) => {
-                let value = state.value + slope * (now as f64 - state.updatetime as f64);
-                AttrLine::Line(value, slope)
-            }
-            AttrFunction::Quadratic { .. } => AttrLine::Quadratic,
-        };
-    }
-    match obj.static_at(attr, now) {
-        None | Some(Value::Null) => AttrLine::Absent,
-        Some(value) => value
-            .as_f64()
-            .map_or(AttrLine::NonNumeric, |v| AttrLine::Line(v, 0.0)),
-    }
-}
-
-/// Whether a line starting at `value` with `slope` stays inside the
-/// declared value range for `span` ticks (linear, so the extremes are at
-/// the endpoints) — the structure's bounds only cover that range.
-fn line_in_range(value: f64, slope: f64, span: Tick, range: (f64, f64)) -> bool {
-    let end = value + slope * span as f64;
-    range.0 <= value && value <= range.1 && range.0 <= end && end <= range.1
 }
 
 impl Database {
@@ -278,7 +213,7 @@ impl Database {
             continuous: ContinuousRegistry::new(),
             triggers: Arc::default(),
             stats: DbStats::default(),
-            derived: Derived::default(),
+            spatial_index: None,
             eval_fault: None,
         }
     }
@@ -367,13 +302,10 @@ impl Database {
         }
         self.next_id = self.next_id.max(id + 1);
         let obj = MovingObject::spatial(id, class, self.clock, position, velocity);
-        if let Some(ix) = &mut self.derived.spatial_index {
+        if let Some(ix) = &mut self.spatial_index {
             ix.index
                 .insert(id, self.clock - ix.epoch, position, velocity);
         }
-        // The newcomer may acquire the indexed attribute later; rebuild at
-        // the next epoch boundary rather than tracking it piecemeal.
-        self.mark_attr_index_dirty();
         self.objects.insert(id, obj);
         if !self.continuous.is_empty() {
             // An insertion is an explicit update: refresh materialized
@@ -396,7 +328,6 @@ impl Database {
         let id = self.next_id;
         self.next_id += 1;
         self.objects.insert(id, MovingObject::plain(id, class));
-        self.mark_attr_index_dirty();
         if !self.continuous.is_empty() {
             self.after_updates(&[(id, UpdateKind::Domain)])
                 .expect("continuous refresh after insert");
@@ -447,10 +378,9 @@ impl Database {
         if self.objects.remove(id).is_none() {
             return Err(CoreError::UnknownObject(id));
         }
-        if let Some(ix) = &mut self.derived.spatial_index {
+        if let Some(ix) = &mut self.spatial_index {
             ix.index.remove(id);
         }
-        self.mark_attr_index_dirty();
         self.after_updates(&[(id, UpdateKind::Domain)])
     }
 
@@ -601,7 +531,7 @@ impl Database {
         self.check_finite_motion(id, position, velocity)?;
         let obj = self.objects.get_mut(id).expect("looked up above");
         obj.update_velocity(now, velocity);
-        if let Some(ix) = &mut self.derived.spatial_index {
+        if let Some(ix) = &mut self.spatial_index {
             ix.index.update(id, now - ix.epoch, position, velocity);
         }
         Ok(())
@@ -619,7 +549,7 @@ impl Database {
         self.check_finite_motion(id, update.position, update.velocity)?;
         let obj = self.objects.get_mut(id).expect("looked up above");
         obj.update_position(now, update.position, update.velocity);
-        if let Some(ix) = &mut self.derived.spatial_index {
+        if let Some(ix) = &mut self.spatial_index {
             ix.index
                 .update(id, now - ix.epoch, update.position, update.velocity);
         }
@@ -662,7 +592,6 @@ impl Database {
             });
         }
         obj.set_static(now, name, value);
-        self.attr_index_on_write(id, name);
         Ok(())
     }
 
@@ -690,53 +619,7 @@ impl Database {
             });
         }
         obj.set_dynamic(now, name, value, function);
-        self.attr_index_on_write(id, name);
         Ok(())
-    }
-
-    /// Absorbs one attribute write into the dynamic-attribute index — the
-    /// paper's model: an update replaces the tail of the object's value
-    /// line from the current tick onwards — or marks the index dirty when
-    /// the new state cannot be represented as an in-range line.
-    fn attr_index_on_write(&mut self, id: u64, name: &str) {
-        let now = self.clock;
-        let (rel, lifetime, range) = match &self.derived.attr_index {
-            Some(ix) if ix.attr == name && !ix.dirty && now - ix.epoch <= ix.index.lifetime() => {
-                (now - ix.epoch, ix.index.lifetime(), ix.index.value_range())
-            }
-            Some(ix) if ix.attr == name => {
-                // The clock has outrun the index lifetime; leave the rebuild
-                // to the next epoch boundary.
-                self.mark_attr_index_dirty();
-                return;
-            }
-            _ => return,
-        };
-        let line = self.objects.get(id).map(|o| attr_line(o, name, now));
-        let ix = Arc::make_mut(self.derived.attr_index.as_mut().expect("checked above"));
-        match line {
-            Some(AttrLine::Line(value, slope))
-                if line_in_range(value, slope, lifetime - rel, range) =>
-            {
-                if ix.index.contains(id) {
-                    ix.index.update(id, rel, value, slope);
-                } else {
-                    ix.index.insert(id, rel, value, slope);
-                }
-            }
-            // No value: sound to leave the object unindexed, but an
-            // already-indexed line would go stale.
-            Some(AttrLine::Absent) if !ix.index.contains(id) => {}
-            _ => ix.dirty = true,
-        }
-    }
-
-    /// Marks the dynamic-attribute index (if any) for rebuild at the next
-    /// epoch boundary.  An already-dirty index stays shared.
-    fn mark_attr_index_dirty(&mut self) {
-        if let Some(ix) = self.derived.attr_index.as_mut().filter(|ix| !ix.dirty) {
-            Arc::make_mut(ix).dirty = true;
-        }
     }
 
     // ------------------------------------------------------------------
@@ -890,10 +773,9 @@ impl Database {
     /// regions, continuous-query answers, triggers, counters.  Two
     /// things are deliberately excluded:
     ///
-    /// * derived acceleration structures (spatial/attr indexes), exactly
-    ///   as in [`ToJson`](most_testkit::ser::ToJson) — a recovered or
-    ///   replicated copy that rebuilds them on demand still fingerprints
-    ///   equal;
+    /// * the derived spatial index, exactly as in
+    ///   [`ToJson`](most_testkit::ser::ToJson) — a recovered or replicated
+    ///   copy that rebuilds it on demand still fingerprints equal;
     /// * wall-clock performance accounting (the per-CQ `refresh_nanos`
     ///   timing, zeroed at its one known location
     ///   `continuous.entries.<id>.refresh_nanos`), which is measured,
@@ -982,7 +864,7 @@ impl Database {
                 index.insert(id, 0, p, v);
             }
         }
-        self.derived.spatial_index = Some(SpatialIndexState {
+        self.spatial_index = Some(SpatialIndexState {
             index,
             space,
             epoch: now,
@@ -991,7 +873,7 @@ impl Database {
 
     /// Whether the position index is maintained.
     pub fn has_spatial_index(&self) -> bool {
-        self.derived.spatial_index.is_some()
+        self.spatial_index.is_some()
     }
 
     /// Index-assisted candidate lookup: ids of objects whose indexed motion
@@ -1004,7 +886,7 @@ impl Database {
         to: Tick,
         bbox: &Rect,
     ) -> Option<Vec<u64>> {
-        let ix = self.derived.spatial_index.as_ref()?;
+        let ix = self.spatial_index.as_ref()?;
         if from < ix.epoch || to - ix.epoch > ix.index.lifetime() {
             return None;
         }
@@ -1021,116 +903,10 @@ impl Database {
     /// paid at epoch boundaries and a published snapshot's index is
     /// always fresh enough for [`Database::objects_in_rect_at`].
     pub fn maintain_spatial_index(&mut self) -> bool {
-        if let Some(ix) = &self.derived.spatial_index {
+        if let Some(ix) = &self.spatial_index {
             if self.clock - ix.epoch > self.expiration {
                 let space = ix.space;
                 self.enable_spatial_index(space);
-                return true;
-            }
-        }
-        false
-    }
-
-    // ------------------------------------------------------------------
-    // Dynamic-attribute index (Section 4 integration for range atoms)
-    // ------------------------------------------------------------------
-
-    /// Enables maintenance of the Section 4 dynamic-attribute index over
-    /// `attr` with the given value range.  Existing objects' current states
-    /// are bulk-indexed; attribute range atoms over `attr` (`o.PRICE <= c`
-    /// and friends) then fetch index-pruned candidate sets instead of
-    /// enumerating the whole domain.  Writes the index cannot absorb
-    /// exactly mark it dirty — lookups fall back to full enumeration until
-    /// [`Database::maintain_attr_index`] rebuilds it at the next epoch
-    /// boundary — so answers never depend on index health.
-    pub fn enable_attr_index(
-        &mut self,
-        attr: impl Into<String>,
-        kind: IndexKind,
-        value_range: (f64, f64),
-    ) {
-        let attr = attr.into();
-        self.derived.attr_index = Some(Arc::new(self.build_attr_index(attr, kind, value_range)));
-    }
-
-    /// Whether a dynamic-attribute index is maintained (dirty or not).
-    pub fn has_attr_index(&self) -> bool {
-        self.derived.attr_index.is_some()
-    }
-
-    fn build_attr_index(
-        &self,
-        attr: String,
-        kind: IndexKind,
-        value_range: (f64, f64),
-    ) -> AttrIndexState {
-        // Lifetime 2× the query horizon, mirroring the position index: a
-        // query window [now, now + H] always fits until the epoch rolls.
-        let lifetime = self.expiration * 2;
-        let now = self.clock;
-        let mut index = DynamicAttributeIndex::new(kind, lifetime, value_range);
-        let mut dirty = false;
-        for (id, obj) in self.objects.iter() {
-            match attr_line(obj, &attr, now) {
-                AttrLine::Absent => {}
-                AttrLine::Line(value, slope) => {
-                    if line_in_range(value, slope, lifetime, value_range) {
-                        index.insert(id, 0, value, slope);
-                    } else {
-                        dirty = true;
-                    }
-                }
-                AttrLine::Quadratic | AttrLine::NonNumeric => dirty = true,
-            }
-        }
-        AttrIndexState {
-            attr,
-            kind,
-            index,
-            epoch: now,
-            dirty,
-        }
-    }
-
-    /// Index-assisted candidate lookup for attribute range atoms: ids whose
-    /// indexed `attr` line can pass through `[lo, hi]` during the *global*
-    /// tick window `[from, to]`.  `None` when no usable index covers the
-    /// window (none enabled, different attribute, dirty, or the window
-    /// leaves the current epoch).
-    pub(crate) fn attr_index_range_candidates(
-        &self,
-        attr: &str,
-        from: Tick,
-        to: Tick,
-        lo: f64,
-        hi: f64,
-    ) -> Option<Vec<u64>> {
-        let ix = self.derived.attr_index.as_ref()?;
-        if ix.dirty || ix.attr != attr {
-            return None;
-        }
-        if from < ix.epoch || to - ix.epoch > ix.index.lifetime() {
-            return None;
-        }
-        Some(
-            ix.index
-                .range_candidates(from - ix.epoch, to - ix.epoch, lo, hi),
-        )
-    }
-
-    /// Rolls the dynamic-attribute index to a fresh epoch when a write
-    /// marked it dirty or the clock has outrun it — same cadence and
-    /// caller ([`crate::epoch::EpochDb::advance_epoch`]) as
-    /// [`Database::maintain_spatial_index`].  Returns whether a
-    /// reconstruction happened.
-    pub fn maintain_attr_index(&mut self) -> bool {
-        if let Some(ix) = &self.derived.attr_index {
-            if ix.dirty || self.clock - ix.epoch > self.expiration {
-                let attr = ix.attr.clone();
-                let kind = ix.kind;
-                let range = ix.index.value_range();
-                self.derived.attr_index = Some(Arc::new(self.build_attr_index(attr, kind, range)));
-                most_obs::inc("index.attr_rebuilds");
                 return true;
             }
         }
@@ -1151,7 +927,7 @@ impl Database {
     /// reconstructing in place.
     pub fn objects_in_rect_at(&self, rect: &Rect) -> (Vec<u64>, bool) {
         let now = self.clock;
-        match &self.derived.spatial_index {
+        match &self.spatial_index {
             Some(ix) if now - ix.epoch <= self.expiration => {
                 let (ids, _) = ix.index.query_at(now - ix.epoch, rect);
                 (ids, true)
@@ -1451,184 +1227,5 @@ mod tests {
         assert_eq!(db.stats.updates, 2); // the two PRICE sets
         db.update_motion(1, Velocity::zero()).unwrap();
         assert_eq!(db.stats.updates, 3);
-    }
-
-    /// Runs the same mixed workload against two databases and asserts every
-    /// continuous answer stays identical tick for tick.
-    fn assert_twin_answers(mut fast: Database, mut slow: Database) {
-        let queries = [
-            "RETRIEVE o WHERE INSIDE(o, P)",
-            "RETRIEVE o WHERE o.PRICE <= 100",
-            "RETRIEVE o WHERE Eventually within 200 (INSIDE(o, P) AND o.PRICE <= 100)",
-        ];
-        let mut cqs = Vec::new();
-        for text in queries {
-            let q = Query::parse(text).unwrap();
-            let f = fast.register_continuous(q.clone()).unwrap();
-            let s = slow.register_continuous(q).unwrap();
-            cqs.push((f, s));
-        }
-        type Step<'a> = (u64, &'a dyn Fn(&mut Database));
-        let steps: &[Step] = &[
-            (10, &|db| {
-                db.set_static(1, "PRICE", Value::from(60.0)).unwrap()
-            }),
-            (5, &|db| {
-                db.update_motion(2, Velocity::new(-2.0, 0.0)).unwrap()
-            }),
-            (0, &|db| {
-                db.set_static(2, "PRICE", Value::from(90.0)).unwrap()
-            }),
-            (20, &|db| {
-                db.set_static(1, "PRICE", Value::from(140.0)).unwrap()
-            }),
-            (1, &|db| {
-                db.update_motion(1, Velocity::new(2.0, 0.0)).unwrap()
-            }),
-        ];
-        for (ticks, step) in steps {
-            fast.advance_clock(*ticks);
-            slow.advance_clock(*ticks);
-            step(&mut fast);
-            step(&mut slow);
-            let now = fast.now();
-            for (f, s) in &cqs {
-                assert_eq!(
-                    fast.continuous_answer(*f).unwrap(),
-                    slow.continuous_answer(*s).unwrap(),
-                    "answers diverged at tick {now}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn attr_index_matches_unindexed_refreshes() {
-        let mut fast = highway_db();
-        fast.enable_attr_index("PRICE", IndexKind::RTree, (0.0, 1000.0));
-        assert!(fast.has_attr_index());
-        let slow = highway_db();
-        assert_twin_answers(fast, slow);
-    }
-
-    #[test]
-    fn attr_index_prunes_and_recovers_from_dirt() {
-        let mut db = Database::new(100);
-        for i in 0..10 {
-            let id = db.insert_moving_object("cars", Point::origin(), Velocity::zero());
-            db.set_static(id, "PRICE", Value::from(i as f64 * 10.0))
-                .unwrap();
-        }
-        db.enable_attr_index("PRICE", IndexKind::RTree, (0.0, 1000.0));
-        let pruned = db
-            .attr_index_range_candidates("PRICE", 0, 100, f64::NEG_INFINITY, 25.0)
-            .expect("fresh index must serve lookups");
-        assert_eq!(pruned, vec![1, 2, 3], "static prices 0/10/20 pass <= 25");
-        // Other attributes and out-of-epoch windows are not served.
-        assert!(db
-            .attr_index_range_candidates("SPEED", 0, 100, 0.0, 1.0)
-            .is_none());
-        assert!(db
-            .attr_index_range_candidates("PRICE", 0, 10_000, 0.0, 1.0)
-            .is_none());
-        // A non-numeric write dirties the index: lookups fall back...
-        db.set_static(1, "PRICE", Value::Str("n/a".into())).unwrap();
-        assert!(db
-            .attr_index_range_candidates("PRICE", 0, 100, 0.0, 25.0)
-            .is_none());
-        // ...and a rebuild stays dirty while the value holds ('n/a' passes
-        // `>= 0` under `Value::query_cmp`; no line can stand in for it)...
-        assert!(db.maintain_attr_index());
-        assert!(db
-            .attr_index_range_candidates("PRICE", 0, 100, 0.0, 25.0)
-            .is_none());
-        // ...until the price is gone.
-        db.set_static(1, "PRICE", Value::Null).unwrap();
-        assert!(db.maintain_attr_index());
-        let pruned = db
-            .attr_index_range_candidates("PRICE", 0, 100, f64::NEG_INFINITY, 25.0)
-            .expect("rebuilt index must serve lookups again");
-        assert_eq!(pruned, vec![2, 3], "object 1 no longer has a price");
-        assert!(
-            !db.maintain_attr_index(),
-            "clean index within its epoch stays put"
-        );
-    }
-
-    #[test]
-    fn the_attr_index_answers_non_numeric_values_like_a_scan() {
-        // `Value::query_cmp` orders a string above every number and a
-        // boolean below: 'abc' passes `>= 50`, `true` passes `<= 100`.
-        let cases = [
-            (Value::from("abc"), "RETRIEVE o WHERE o.PRICE >= 50"),
-            (Value::Bool(true), "RETRIEVE o WHERE o.PRICE <= 100"),
-        ];
-        for (value, text) in cases {
-            let q = Query::parse(text).unwrap();
-            // The value is there when the index is built, or written after.
-            for on_write in [false, true] {
-                let mut dbs = [highway_db(), highway_db()];
-                for db in &mut dbs {
-                    let id = db.insert_moving_object("cars", Point::origin(), Velocity::zero());
-                    if !on_write {
-                        db.set_static(id, "PRICE", value.clone()).unwrap();
-                    }
-                }
-                dbs[1].enable_attr_index("PRICE", IndexKind::RTree, (0.0, 1000.0));
-                for db in &mut dbs {
-                    if on_write {
-                        db.set_static(3, "PRICE", value.clone()).unwrap();
-                    }
-                }
-                let [scan, indexed] = dbs.map(|mut db| db.instantaneous_now(&q).unwrap());
-                assert!(
-                    scan.contains(&vec![Value::Id(3)]),
-                    "{text}: the scan answers car 3"
-                );
-                assert_eq!(indexed, scan, "{text} (on write: {on_write})");
-            }
-        }
-    }
-
-    #[test]
-    fn attr_index_tracks_linear_dynamic_attributes() {
-        let mut db = Database::new(100);
-        let id = db.insert_moving_object("cars", Point::origin(), Velocity::zero());
-        db.set_dynamic_scalar(id, "FUEL", Some(50.0), Some(AttrFunction::Linear(-1.0)))
-            .unwrap();
-        db.enable_attr_index("FUEL", IndexKind::RTree, (-1000.0, 1000.0));
-        // FUEL hits 10 at tick 40: a window before that must prune the car
-        // out, a later one must keep it.
-        assert_eq!(
-            db.attr_index_range_candidates("FUEL", 0, 30, f64::NEG_INFINITY, 10.0),
-            Some(vec![])
-        );
-        assert_eq!(
-            db.attr_index_range_candidates("FUEL", 0, 60, f64::NEG_INFINITY, 10.0),
-            Some(vec![id])
-        );
-        // An update at a later tick replaces the line's tail exactly.
-        db.advance_clock(20); // FUEL = 30 now
-        db.set_dynamic_scalar(id, "FUEL", Some(30.0), Some(AttrFunction::Linear(0.0)))
-            .unwrap();
-        assert_eq!(
-            db.attr_index_range_candidates("FUEL", 20, 90, f64::NEG_INFINITY, 10.0),
-            Some(vec![]),
-            "refuelled-flat line never reaches 10"
-        );
-        // A quadratic function cannot be a line: the index goes dirty.
-        db.set_dynamic_scalar(
-            id,
-            "FUEL",
-            Some(30.0),
-            Some(AttrFunction::Quadratic {
-                accel: -0.1,
-                slope: 0.0,
-            }),
-        )
-        .unwrap();
-        assert!(db
-            .attr_index_range_candidates("FUEL", 20, 90, 0.0, 10.0)
-            .is_none());
     }
 }

@@ -278,7 +278,6 @@ impl EpochDb {
         // Index maintenance belongs to the epoch boundary: readers must
         // never pay (or trigger) a reconstruction.
         db.maintain_spatial_index();
-        db.maintain_attr_index();
         let epoch = self.current_epoch() + 1;
         if let Some(observer) = w.observer.as_ref() {
             observer(&db, epoch);

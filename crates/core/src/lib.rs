@@ -47,7 +47,6 @@ pub use deps::{DepSet, UpdateKind};
 pub use dynamic::{AttrFunction, DynamicAttribute};
 pub use epoch::{EpochDb, EpochPin, EpochSnapshot, EpochStats, PublishObserver};
 pub use error::{CoreError, CoreResult};
-pub use most_index::IndexKind;
 pub use object::MovingObject;
 pub use persistent::PersistentQuery;
 pub use rewrite::MostDbmsLayer;

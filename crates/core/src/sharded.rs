@@ -346,7 +346,6 @@ impl ShardedDbBuilder {
     pub fn finish(mut self) -> ShardedDb {
         for db in &mut self.dbs {
             db.maintain_spatial_index();
-            db.maintain_attr_index();
         }
         let shards: Vec<EpochDb> = self.dbs.into_iter().map(EpochDb::new).collect();
         let pins = shards.iter().map(|s| s.pin()).collect();

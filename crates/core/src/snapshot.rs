@@ -185,7 +185,7 @@ impl<'a> DbContext<'a> {
 /// What [`DbContext::for_each_candidate`] hands the atom for one object of
 /// a whole-domain walk: `trajectory` / `attr` of that object read the
 /// object the walk already holds, every other read goes to the context.
-/// An atom never probes, so the probes keep their "no index" defaults.
+/// An atom never probes, so the probe keeps its "no index" default.
 struct ObjectView<'c, 'a> {
     ctx: &'c DbContext<'a>,
     id: u64,
@@ -262,18 +262,6 @@ impl EvalContext for DbContext<'_> {
         let bbox = region.bounding_box();
         self.db
             .index_window_candidates(self.origin, self.global_end(), &bbox)
-    }
-
-    fn attr_range_candidates(&self, attr: &str, lo: f64, hi: f64) -> Option<Vec<u64>> {
-        // Same soundness argument as `inside_candidates`: the
-        // dynamic-attribute index covers the recorded value lines and the
-        // currently extrapolated future, which is exactly what Current-mode
-        // evaluation sees.  Recorded replays fall back to enumeration.
-        if self.mode != ContextMode::Current {
-            return None;
-        }
-        self.db
-            .attr_index_range_candidates(attr, self.origin, self.global_end(), lo, hi)
     }
 
     fn for_each_candidate(

@@ -46,9 +46,6 @@ impl EvalContext for Seek<'_> {
     fn inside_candidates(&self, region: &Polygon) -> Option<Vec<u64>> {
         self.0.inside_candidates(region)
     }
-    fn attr_range_candidates(&self, attr: &str, lo: f64, hi: f64) -> Option<Vec<u64>> {
-        self.0.attr_range_candidates(attr, lo, hi)
-    }
 }
 
 const QUERIES: &[&str] = &[

@@ -57,19 +57,6 @@ pub trait EvalContext: AsEvalContext {
         None
     }
 
-    /// Index-assisted candidate pruning for attribute range atoms
-    /// (`o.NAME <= c` and friends): ids of every object whose attribute
-    /// `attr` *could* take a value in `[lo, hi]` somewhere on the horizon —
-    /// a superset of the true answer; the evaluator still computes exact
-    /// interval sets per candidate.  `None` (the default) means "no index;
-    /// enumerate the whole domain".  Implementations must only return
-    /// `Some` when every object carrying `attr` is covered by the index
-    /// (objects without the attribute never satisfy a range comparison and
-    /// may be pruned freely).
-    fn attr_range_candidates(&self, _attr: &str, _lo: f64, _hi: f64) -> Option<Vec<u64>> {
-        None
-    }
-
     /// Calls `visit(id, view)` for each of an atom's candidates in
     /// ascending id order: the ids of `probe`, or the whole active domain
     /// when no probe applies.  `view` reads the same domain, motions,
@@ -224,8 +211,8 @@ impl EvalContext for MemoryContext {
 }
 
 /// A view of `inner` whose active domain is the sorted id set `ids`: the
-/// restriction a conjunction passes to its second operand.  Index probes
-/// are cut to `ids` too, so an atom enumerates its probe ∩ `ids`.
+/// restriction a conjunction passes to its second operand.  The index
+/// probe is cut to `ids` too, so an atom enumerates its probe ∩ `ids`.
 pub(crate) struct Restricted<'a> {
     pub(crate) inner: &'a dyn EvalContext,
     pub(crate) ids: Vec<u64>,
@@ -266,10 +253,6 @@ impl EvalContext for Restricted<'_> {
 
     fn inside_candidates(&self, region: &Polygon) -> Option<Vec<u64>> {
         Some(self.restrict(self.inner.inside_candidates(region)?))
-    }
-
-    fn attr_range_candidates(&self, attr: &str, lo: f64, hi: f64) -> Option<Vec<u64>> {
-        Some(self.restrict(self.inner.attr_range_candidates(attr, lo, hi)?))
     }
 }
 

@@ -20,10 +20,10 @@
 //! * `∨` / `¬` (extensions) evaluate under active-domain semantics.
 
 use crate::answer::{Answer, AnswerTuple};
-use crate::ast::{CmpOp, Formula, Query, Term};
+use crate::ast::{Formula, Query, Term};
 use crate::context::{EvalContext, Restricted};
 use crate::error::{FtlError, FtlResult};
-use crate::numeric::{compare_terms, is_motion_attr, value_series};
+use crate::numeric::{compare_terms, value_series};
 use crate::relation::VarRelation;
 use crate::semantics::Env;
 use most_dbms::value::Value;
@@ -192,8 +192,7 @@ fn eval_formula(
         Formula::Bool(false) => Ok(VarRelation::nullary(IntervalSet::empty())),
         Formula::Cmp(op, lhs, rhs) => {
             let vars = atom_object_vars(&[lhs, rhs], obj_vars);
-            let probe = attr_range_prune(ctx, *op, lhs, rhs, &vars);
-            atom_relation(ctx, &vars, probe, |ctx, env| {
+            atom_relation(ctx, &vars, None, |ctx, env| {
                 compare_terms(ctx, env, *op, lhs, rhs)
             })
         }
@@ -486,45 +485,6 @@ fn merge_disjunctive(a: VarRelation, b: VarRelation) -> FtlResult<VarRelation> {
     }
 }
 
-/// Detects a range comparison of the shape `x.NAME op const` (either
-/// orientation) over a single object variable and a **non-motion**
-/// attribute, and asks the context's dynamic-attribute index for a
-/// candidate superset.  `None` means "no pruning": the shape didn't match,
-/// the attribute is served from the trajectory, or no index is available.
-fn attr_range_prune(
-    ctx: &dyn EvalContext,
-    op: CmpOp,
-    lhs: &Term,
-    rhs: &Term,
-    vars: &[String],
-) -> Option<Vec<u64>> {
-    if vars.len() != 1 {
-        return None;
-    }
-    let (attr, op, bound) = match (lhs, rhs) {
-        (Term::Attr(base, name), Term::Const(c)) if matches!(base.as_ref(), Term::Var(_)) => {
-            (name, op, c.as_f64()?)
-        }
-        (Term::Const(c), Term::Attr(base, name)) if matches!(base.as_ref(), Term::Var(_)) => {
-            (name, op.flipped(), c.as_f64()?)
-        }
-        _ => return None,
-    };
-    if is_motion_attr(attr) {
-        return None;
-    }
-    // Candidate windows are closed supersets: strict bounds keep the
-    // boundary value (exact per-candidate evaluation discards it).
-    let (lo, hi) = match op {
-        CmpOp::Le | CmpOp::Lt => (f64::NEG_INFINITY, bound),
-        CmpOp::Ge | CmpOp::Gt => (bound, f64::INFINITY),
-        CmpOp::Eq => (bound, bound),
-        // `!=` holds almost everywhere; pruning cannot help.
-        CmpOp::Ne => return None,
-    };
-    ctx.attr_range_candidates(attr, lo, hi)
-}
-
 /// The object variables (in first-appearance order) among the free
 /// variables of the given terms.
 fn atom_object_vars(terms: &[&Term], obj_vars: &BTreeSet<String>) -> Vec<String> {
@@ -734,6 +694,7 @@ fn object_domain<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::CmpOp;
     use crate::context::{MemoryContext, StoredAttr};
     use most_spatial::{Polygon, Velocity};
     use std::collections::BTreeMap;
@@ -1100,6 +1061,13 @@ mod tests {
         check_against_oracle(src);
         check_against_oracle("RETRIEVE o WHERE o.PRICE > 'abc'");
         check_against_oracle("RETRIEVE o WHERE 'abc' = o.PRICE");
+        // And a stored boolean against a number: booleans order first.
+        let mut c = ctx();
+        c.set_attr(3, "PRICE", true);
+        let q = Query::parse("RETRIEVE o WHERE o.PRICE <= 100").unwrap();
+        let fast = evaluate_query(&c, &q).unwrap();
+        assert_eq!(fast.ids(), vec![1, 3]);
+        assert_eq!(fast, crate::semantics::naive_answer(&c, &q).unwrap());
     }
 
     #[test]

@@ -14,11 +14,10 @@ use std::collections::BTreeMap;
 
 const H_END: u64 = 60;
 
-/// A [`MemoryContext`] behind the two Section 4 probes, answering with
-/// supersets the way an index does: every object whose motion's bounding
-/// box meets the region's, every object whose attribute lies within 25 of
-/// the range.  Evaluating through it drives the index-pruned atoms and the
-/// probe ∩ restriction path.
+/// A [`MemoryContext`] behind the Section 4 probe, answering with a
+/// superset the way an index does: every object whose motion's bounding
+/// box meets the region's.  Evaluating through it drives the index-pruned
+/// atoms and the probe ∩ restriction path.
 struct PruningContext(MemoryContext);
 
 impl EvalContext for PruningContext {
@@ -49,18 +48,6 @@ impl EvalContext for PruningContext {
                 .expect("two corners at least");
             bbox.intersects(&target)
         });
-        Some(ids.collect())
-    }
-    fn attr_range_candidates(&self, attr: &str, lo: f64, hi: f64) -> Option<Vec<u64>> {
-        let near = |v: &Value| v.as_f64().is_some_and(|x| lo - 25.0 <= x && x <= hi + 25.0);
-        let ids = self
-            .0
-            .object_ids()
-            .into_iter()
-            .filter(|&id| match self.0.attr(id, attr) {
-                StoredAttr::Static(series) => series.iter().any(|(v, _)| near(v)),
-                _ => false,
-            });
         Some(ids.collect())
     }
 }
@@ -200,7 +187,7 @@ fn interval_algorithm_matches_oracle() {
                 assert_eq!(fast, slow, "query: {src}");
                 let pruned = PruningContext(ctx);
                 let indexed = evaluate_query(&pruned, &q).expect("pruned evaluation succeeds");
-                assert_eq!(indexed, slow, "query through the probes: {src}");
+                assert_eq!(indexed, slow, "query through the probe: {src}");
             },
         );
 }

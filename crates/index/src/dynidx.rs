@@ -21,6 +21,11 @@
 //!   time intervals when 4 < o.A < 5", assembled into `Answer(CQ)` rows.
 //!
 //! [`ScanIndex`] is the no-index baseline (experiment E2).
+//!
+//! These structures are a standalone reproduction of the paper's scheme,
+//! measured by experiments E2, E7 and E8 and the MICRO table.  The database
+//! does not maintain them: its one Section 4 index is the position octree
+//! of [`crate::index2d`].
 
 use crate::quadtree::QuadTree;
 use crate::rtree::RTree;
@@ -59,7 +64,7 @@ pub(crate) fn record_query_stats(stats: &QueryStats) {
     most_obs::add("index.results", stats.results);
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Structure {
     Quad(QuadTree),
     R(RTree),
@@ -127,13 +132,12 @@ impl Piece {
 /// let (rows, _) = idx.continuous(0, 495.0, 505.0);
 /// assert_eq!(rows.len(), 2);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DynamicAttributeIndex {
     structure: Structure,
     /// Piecewise function-line per object, pieces in time order.
     objects: HashMap<u64, Vec<Piece>>,
     lifetime: Tick,
-    value_range: (f64, f64),
 }
 
 impl DynamicAttributeIndex {
@@ -149,7 +153,6 @@ impl DynamicAttributeIndex {
             structure,
             objects: HashMap::new(),
             lifetime,
-            value_range,
         }
     }
 
@@ -194,13 +197,7 @@ impl DynamicAttributeIndex {
             structure,
             objects,
             lifetime,
-            value_range,
         }
-    }
-
-    /// The index lifetime `T`.
-    pub fn lifetime(&self) -> Tick {
-        self.lifetime
     }
 
     /// Number of indexed objects.
@@ -268,37 +265,6 @@ impl DynamicAttributeIndex {
             let seg = last.segment();
             self.structure.insert(id, seg);
         }
-    }
-
-    /// Whether `id` is indexed.
-    pub fn contains(&self, id: u64) -> bool {
-        self.objects.contains_key(&id)
-    }
-
-    /// Unverified candidate superset for a range query: ids whose
-    /// function-line rectangles intersect `lo <= A <= hi` during
-    /// `[from, to]` ticks.  Unlike [`Self::instantaneous`] /
-    /// [`Self::continuous`] no exact verification is performed — callers
-    /// (the FTL evaluator's candidate pruning) evaluate each candidate
-    /// exactly themselves.  Bounds are clamped to the declared value range
-    /// (owners guarantee indexed lines stay inside it), so infinite bounds
-    /// express one-sided ranges.
-    pub fn range_candidates(&self, from: Tick, to: Tick, lo: f64, hi: f64) -> Vec<u64> {
-        let lo = lo.max(self.value_range.0);
-        let hi = hi.min(self.value_range.1);
-        if lo > hi {
-            return Vec::new();
-        }
-        let rect = Rect::new(from as f64, lo, to.min(self.lifetime) as f64, hi);
-        let (mut candidates, nodes_visited) = self.structure.query(&rect);
-        candidates.sort_unstable();
-        candidates.dedup();
-        record_query_stats(&QueryStats {
-            nodes_visited,
-            candidates: candidates.len() as u64,
-            results: candidates.len() as u64,
-        });
-        candidates
     }
 
     /// The exact attribute value of `id` at tick `t` (from the recorded
@@ -390,11 +356,6 @@ impl DynamicAttributeIndex {
             acc = acc.union(&s1.intersect(&s2));
         }
         acc
-    }
-
-    /// The declared value range.
-    pub fn value_range(&self) -> (f64, f64) {
-        self.value_range
     }
 
     /// Snapshot of each object's final piece — used by

@@ -27,6 +27,11 @@
 //! * [`rebuild`] — horizon management: "the index needs to be reconstructed
 //!   every T time units", with counters supporting the E8 sweep of the
 //!   paper's open question ("choosing an appropriate value for T").
+//!
+//! The attribute structures ([`segment`], [`quadtree`], [`rtree`],
+//! [`dynidx`], [`rebuild`]) back the E2, E7, E8 and MICRO reproductions of
+//! Section 4.  The database maintains one index, [`index2d`]'s octree, and
+//! keeps its objects in a [`cowmap`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

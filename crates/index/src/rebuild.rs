@@ -21,7 +21,7 @@ use most_temporal::{IntervalSet, Tick};
 
 /// A [`DynamicAttributeIndex`] that transparently reconstructs itself every
 /// `period` ticks, rebasing global ticks onto the current epoch.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RebuildingIndex {
     inner: DynamicAttributeIndex,
     kind: IndexKind,
@@ -165,7 +165,8 @@ impl RebuildingIndex {
         self.advance_to(t);
         let epoch = self.epoch;
         if t < epoch {
-            if let Some((pe, prev)) = self.prev.clone() {
+            if let Some((pe, prev)) = &self.prev {
+                let pe = *pe;
                 let (past_rows, past_stats) = prev.continuous(t.saturating_sub(pe), lo, hi);
                 let (cur_rows, cur_stats) = self.inner.continuous(0, lo, hi);
                 let mut merged: std::collections::BTreeMap<u64, IntervalSet> =

@@ -22,9 +22,9 @@
 //!    changes.
 //! 3. **Accounting.**  Every write either skips or evaluates each query.
 //!
-//! Half of the random worlds maintain the spatial and attribute indexes;
-//! the reference copy never has them, so index pruning is checked against
-//! full enumeration by the same comparison.
+//! Half of the random worlds maintain the spatial index; the reference
+//! copy never has it, so index pruning is checked against full
+//! enumeration by the same comparison.
 //!
 //! The named cases at the bottom are the counterexamples that separated
 //! the deleted per-object refresh from full re-evaluation (EXPERIMENTS.md,
@@ -36,7 +36,7 @@
 
 use most_testkit::check::{bools, ints, one_of, tuple2, tuple3, vecs, Check, Gen};
 use most_testkit::ser::{FromJson, Json, ToJson};
-use moving_objects::core::{AttrFunction, Database, IndexKind, MotionUpdate, UpdateOp};
+use moving_objects::core::{AttrFunction, Database, MotionUpdate, UpdateOp};
 use moving_objects::dbms::value::Value;
 use moving_objects::ftl::answer::Answer;
 use moving_objects::ftl::Query;
@@ -136,11 +136,9 @@ impl World {
         world
     }
 
-    fn with_indexes(mut self) -> World {
+    fn with_index(mut self) -> World {
         self.db
             .enable_spatial_index(Rect::new(-20_000.0, -20_000.0, 20_000.0, 20_000.0));
-        self.db
-            .enable_attr_index("PRICE", IndexKind::RTree, (-10_000.0, 10_000.0));
         self.indexed = true;
         self
     }
@@ -200,7 +198,6 @@ impl World {
         if self.indexed {
             // As the epoch engine does at its boundaries.
             self.db.maintain_spatial_index();
-            self.db.maintain_attr_index();
         }
         self.check_future();
     }
@@ -438,7 +435,7 @@ fn maintained_answer_matches_fresh_evaluation() {
         .run(&tuple2(arb_steps(), bools()), |(steps, indexed)| {
             let mut world = build_world();
             if *indexed {
-                world = world.with_indexes();
+                world = world.with_index();
             }
             for step in steps {
                 apply(&mut world, step);

@@ -9,7 +9,7 @@ use most_bench::Scale;
 #[test]
 fn full_suite_runs_and_every_table_has_rows() {
     let tables = run_all(Scale::Quick);
-    assert_eq!(tables.len(), 21);
+    assert_eq!(tables.len(), 20);
     for t in &tables {
         assert!(!t.rows.is_empty(), "{} has no rows", t.id);
         assert!(!t.headers.is_empty(), "{} has no headers", t.id);
@@ -25,8 +25,8 @@ fn full_suite_runs_and_every_table_has_rows() {
     assert_eq!(
         ids,
         vec![
-            "F1", "E1", "E2", "E3", "E4", "E4b", "E5", "E6", "E6b", "E7", "E8", "E9", "E10",
-            "E11", "E12", "E13", "E14", "E15", "E16", "E17", "MICRO"
+            "F1", "E1", "E2", "E3", "E4", "E4b", "E5", "E6", "E6b", "E7", "E8", "E9", "E10", "E11",
+            "E12", "E13", "E15", "E16", "E17", "MICRO"
         ]
     );
 }
