@@ -39,7 +39,11 @@ fn unshare<'a, V: Clone>(chunk: &'a mut Arc<Chunk<V>>, copy_counter: &str) -> &'
 impl<V: Clone> CowMap<V> {
     /// An empty map whose chunk copies are counted under `copy_counter`.
     pub fn new(copy_counter: &'static str) -> Self {
-        CowMap { chunks: BTreeMap::new(), len: 0, copy_counter }
+        CowMap {
+            chunks: BTreeMap::new(),
+            len: 0,
+            copy_counter,
+        }
     }
 
     /// A map holding `entries` (a later duplicate id replaces an earlier one).
@@ -85,7 +89,10 @@ impl<V: Clone> CowMap<V> {
 
     /// Stores `value` under `id`, returning the value it replaced.
     pub fn insert(&mut self, id: u64, value: V) -> Option<V> {
-        let chunk = unshare(self.chunks.entry(id >> CHUNK_BITS).or_default(), self.copy_counter);
+        let chunk = unshare(
+            self.chunks.entry(id >> CHUNK_BITS).or_default(),
+            self.copy_counter,
+        );
         match chunk.binary_search_by_key(&id, |e| e.0) {
             Ok(at) => Some(std::mem::replace(&mut chunk[at].1, value)),
             Err(at) => {
@@ -112,7 +119,9 @@ impl<V: Clone> CowMap<V> {
 
     /// Entries in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
-        self.chunks.values().flat_map(|chunk| chunk.iter().map(|(id, value)| (*id, value)))
+        self.chunks
+            .values()
+            .flat_map(|chunk| chunk.iter().map(|(id, value)| (*id, value)))
     }
 
     /// Ids in ascending order.
@@ -142,7 +151,11 @@ impl<V: Clone> CowMap<V> {
 
 impl<V: Clone + ToJson> ToJson for CowMap<V> {
     fn to_json(&self) -> Json {
-        Json::Obj(self.iter().map(|(id, value)| (id.to_key(), value.to_json())).collect())
+        Json::Obj(
+            self.iter()
+                .map(|(id, value)| (id.to_key(), value.to_json()))
+                .collect(),
+        )
     }
 }
 
@@ -154,7 +167,10 @@ mod tests {
         let mut map = CowMap::new("test.chunks_copied");
         let mut reference = BTreeMap::new();
         for id in [700u64, 3, 64, 65, 1, 63, 4096, 2, 640] {
-            assert_eq!(map.insert(id, format!("v{id}")), reference.insert(id, format!("v{id}")));
+            assert_eq!(
+                map.insert(id, format!("v{id}")),
+                reference.insert(id, format!("v{id}"))
+            );
         }
         (map, reference)
     }
@@ -163,9 +179,18 @@ mod tests {
     fn iterates_ascending_and_encodes_like_a_btreemap() {
         let (map, reference) = sample();
         assert_eq!(map.len(), reference.len());
-        assert_eq!(map.keys().collect::<Vec<_>>(), reference.keys().copied().collect::<Vec<_>>());
-        assert_eq!(map.values().collect::<Vec<_>>(), reference.values().collect::<Vec<_>>());
-        assert_eq!(map.to_json().render().unwrap(), reference.to_json().render().unwrap());
+        assert_eq!(
+            map.keys().collect::<Vec<_>>(),
+            reference.keys().copied().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            map.values().collect::<Vec<_>>(),
+            reference.values().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            map.to_json().render().unwrap(),
+            reference.to_json().render().unwrap()
+        );
         assert_eq!(map.get(64), Some(&"v64".to_string()));
         assert_eq!(map.get(66), None);
         assert!(map.contains_key(4096) && !map.contains_key(4097));
@@ -174,7 +199,10 @@ mod tests {
     #[test]
     fn insert_replaces_and_remove_of_a_last_element_drops_the_chunk() {
         let (mut map, mut reference) = sample();
-        assert_eq!(map.insert(3, "again".into()), reference.insert(3, "again".into()));
+        assert_eq!(
+            map.insert(3, "again".into()),
+            reference.insert(3, "again".into())
+        );
         assert_eq!(map.len(), reference.len());
         let chunks = map.chunk_count();
         // 4096 is alone in its chunk; 64 shares one with 65.
@@ -201,7 +229,10 @@ mod tests {
         assert!(copy.remove(66).is_none());
         assert_eq!(copy.chunks_shared_with(&original), original.chunk_count());
         copy.get_mut(65).unwrap().push('!');
-        assert_eq!(copy.chunks_shared_with(&original), original.chunk_count() - 1);
+        assert_eq!(
+            copy.chunks_shared_with(&original),
+            original.chunk_count() - 1
+        );
         assert_eq!(original.get(65), Some(&"v65".to_string()));
         assert_eq!(copy.get(65), Some(&"v65!".to_string()));
         // The sibling in the copied chunk came along unchanged.

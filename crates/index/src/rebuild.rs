@@ -79,8 +79,7 @@ impl RebuildingIndex {
         while t.saturating_sub(self.epoch) > self.period {
             let new_epoch = self.epoch + self.period;
             let states = self.inner.current_states(self.period);
-            let mut fresh =
-                DynamicAttributeIndex::new(self.kind, self.period, self.value_range);
+            let mut fresh = DynamicAttributeIndex::new(self.kind, self.period, self.value_range);
             most_obs::add("index.reinserted", states.len() as u64);
             for (id, value, slope) in states {
                 fresh.insert(id, 0, value, slope);
@@ -212,7 +211,7 @@ mod tests {
     fn queries_work_across_epochs() {
         let mut idx = RebuildingIndex::new(IndexKind::QuadTree, 100, (-10_000.0, 10_000.0));
         idx.insert(1, 0, 0.0, 1.0); // value = global t
-        // Inside the first epoch.
+                                    // Inside the first epoch.
         let (ids, _) = idx.instantaneous(50, 45.0, 55.0);
         assert_eq!(ids, vec![1]);
         assert_eq!(idx.rebuilds, 0);
@@ -272,7 +271,10 @@ mod tests {
         // Roll the epoch forward (epoch becomes 300), then query at a tick
         // inside the *previous* epoch [200, 300].
         idx.instantaneous(350, -1e4, 1e4);
-        assert!(idx.epoch() > 250, "epoch must have rolled past the query tick");
+        assert!(
+            idx.epoch() > 250,
+            "epoch must have rolled past the query tick"
+        );
         for (lo, hi) in [(240.0, 260.0), (-50.0, 0.0), (400.0, 600.0), (-1e4, 1e4)] {
             let (got, _) = idx.instantaneous(250, lo, hi);
             let (want, _) = oracle.instantaneous(250, lo, hi);
@@ -296,7 +298,11 @@ mod tests {
         // unioned into one seamless global answer.
         assert_eq!(set.first_tick(), Some(250), "pre-rebuild portion truncated");
         assert_eq!(set.last_tick(), Some(400));
-        assert_eq!(set.span_count(), 1, "answer must be seamless across the boundary");
+        assert_eq!(
+            set.span_count(),
+            1,
+            "answer must be seamless across the boundary"
+        );
 
         // Oracle: the same trajectory in a single long-lifetime index.
         let mut plain = DynamicAttributeIndex::new(IndexKind::QuadTree, 1_000, (-1e4, 1e4));
@@ -309,7 +315,10 @@ mod tests {
                 .iter()
                 .filter_map(|iv| iv.intersect(most_temporal::Interval::new(250, 400))),
         );
-        assert_eq!(set, &clipped, "straddling answer must match the unrebuilt oracle");
+        assert_eq!(
+            set, &clipped,
+            "straddling answer must match the unrebuilt oracle"
+        );
     }
 
     /// Epoch-boundary maintenance: rolling ahead of queries means the
@@ -328,7 +337,11 @@ mod tests {
         let (ids, _) = idx.instantaneous(350, 345.0, 355.0);
         assert_eq!(ids, vec![1]);
         let (rows, _) = idx.continuous(250, 0.0, 10_000.0);
-        assert_eq!(rows[0].1.first_tick(), Some(250), "prev history lost by roll_to");
+        assert_eq!(
+            rows[0].1.first_tick(),
+            Some(250),
+            "prev history lost by roll_to"
+        );
         assert_eq!(idx.rebuilds, before, "query path paid a rebuild");
         // Rolling within the current lifetime is a no-op.
         assert_eq!(idx.roll_to(360), 0);
@@ -341,7 +354,7 @@ mod tests {
         let mut idx = RebuildingIndex::new(IndexKind::QuadTree, 100, (-10_000.0, 10_000.0));
         idx.insert(1, 0, 0.0, 1.0);
         idx.instantaneous(350, -1e4, 1e4); // epoch 300, history covers [200, 300]
-        // t=50 predates the retained epoch: answered at its start (t=200).
+                                           // t=50 predates the retained epoch: answered at its start (t=200).
         let (got, _) = idx.instantaneous(50, 150.0, 250.0);
         assert_eq!(got, vec![1]);
         // Straggler updates clamp to the current epoch start.

@@ -45,7 +45,10 @@ impl RTree {
     /// An empty tree.
     pub fn new() -> Self {
         RTree {
-            root: Node { bbox: empty_rect(), kind: NodeKind::Leaf(Vec::new()) },
+            root: Node {
+                bbox: empty_rect(),
+                kind: NodeKind::Leaf(Vec::new()),
+            },
             len: 0,
         }
     }
@@ -80,7 +83,10 @@ impl RTree {
                     .map(|(_, s)| s.bounding_box())
                     .reduce(|a, b| a.union(&b))
                     .expect("non-empty group");
-                leaves.push(Node { bbox, kind: NodeKind::Leaf(items) });
+                leaves.push(Node {
+                    bbox,
+                    kind: NodeKind::Leaf(items),
+                });
             }
         }
         // Pack upwards.
@@ -95,11 +101,17 @@ impl RTree {
                     .map(|c| c.bbox)
                     .reduce(|a, b| a.union(&b))
                     .expect("non-empty group");
-                next.push(Node { bbox, kind: NodeKind::Internal(children) });
+                next.push(Node {
+                    bbox,
+                    kind: NodeKind::Internal(children),
+                });
             }
             level = next;
         }
-        RTree { root: level.pop().expect("at least one node"), len }
+        RTree {
+            root: level.pop().expect("at least one node"),
+            len,
+        }
     }
 
     /// Number of stored segments.
@@ -117,14 +129,20 @@ impl RTree {
     pub fn insert(&mut self, id: u64, seg: Segment) {
         let bbox = seg.bounding_box();
         if self.len == 0 {
-            self.root = Node { bbox, kind: NodeKind::Leaf(vec![(id, seg)]) };
+            self.root = Node {
+                bbox,
+                kind: NodeKind::Leaf(vec![(id, seg)]),
+            };
             self.len = 1;
             return;
         }
         if let Some((a, b)) = insert_rec(&mut self.root, id, seg) {
             // Root split.
             let bbox = a.bbox.union(&b.bbox);
-            self.root = Node { bbox, kind: NodeKind::Internal(vec![a, b]) };
+            self.root = Node {
+                bbox,
+                kind: NodeKind::Internal(vec![a, b]),
+            };
         }
         self.len += 1;
     }
@@ -212,8 +230,14 @@ fn split_leaf(items: Vec<(u64, Segment)>) -> (Node, Node) {
         assign(&mut g1, &mut b1, &mut g2, &mut b2, item, bb);
     }
     (
-        Node { bbox: b1, kind: NodeKind::Leaf(g1) },
-        Node { bbox: b2, kind: NodeKind::Leaf(g2) },
+        Node {
+            bbox: b1,
+            kind: NodeKind::Leaf(g1),
+        },
+        Node {
+            bbox: b2,
+            kind: NodeKind::Leaf(g2),
+        },
     )
 }
 
@@ -237,8 +261,14 @@ fn split_internal(children: Vec<Node>) -> (Node, Node) {
         assign(&mut g1, &mut b1, &mut g2, &mut b2, child, bb);
     }
     (
-        Node { bbox: b1, kind: NodeKind::Internal(g1) },
-        Node { bbox: b2, kind: NodeKind::Internal(g2) },
+        Node {
+            bbox: b1,
+            kind: NodeKind::Internal(g1),
+        },
+        Node {
+            bbox: b2,
+            kind: NodeKind::Internal(g2),
+        },
     )
 }
 
@@ -257,14 +287,7 @@ fn pick_seeds(boxes: &[Rect]) -> (usize, usize) {
     best
 }
 
-fn assign<T>(
-    g1: &mut Vec<T>,
-    b1: &mut Rect,
-    g2: &mut Vec<T>,
-    b2: &mut Rect,
-    item: T,
-    bb: Rect,
-) {
+fn assign<T>(g1: &mut Vec<T>, b1: &mut Rect, g2: &mut Vec<T>, b2: &mut Rect, item: T, bb: Rect) {
     // Honour minimum fill.
     let remaining_cap = |g: &Vec<T>| g.len() < MAX_ENTRIES + 1 - MIN_ENTRIES;
     let grow1 = b1.enlargement(&bb);

@@ -12,8 +12,17 @@ const LIFETIME: Tick = 200;
 
 #[derive(Debug, Clone)]
 enum Op {
-    Insert { id: u64, value: f64, slope: f64 },
-    Update { id: u64, t: Tick, value: f64, slope: f64 },
+    Insert {
+        id: u64,
+        value: f64,
+        slope: f64,
+    },
+    Update {
+        id: u64,
+        t: Tick,
+        value: f64,
+        slope: f64,
+    },
 }
 
 fn arb_ops() -> Gen<Vec<Op>> {
@@ -22,15 +31,24 @@ fn arb_ops() -> Gen<Vec<Op>> {
     vecs(
         one_of(vec![
             tuple3(ints(0..40u64), ints(-100i32..100), ints(-8i32..8)).map(|(id, v, s)| {
-                Op::Insert { id, value: v as f64, slope: s as f64 * 0.25 }
-            }),
-            tuple4(ints(0..40u64), ints(1..LIFETIME), ints(-100i32..100), ints(-8i32..8))
-                .map(|(id, t, v, s)| Op::Update {
+                Op::Insert {
                     id,
-                    t,
                     value: v as f64,
                     slope: s as f64 * 0.25,
-                }),
+                }
+            }),
+            tuple4(
+                ints(0..40u64),
+                ints(1..LIFETIME),
+                ints(-100i32..100),
+                ints(-8i32..8),
+            )
+            .map(|(id, t, v, s)| Op::Update {
+                id,
+                t,
+                value: v as f64,
+                slope: s as f64 * 0.25,
+            }),
         ]),
         1..30,
     )
@@ -45,16 +63,18 @@ struct Model {
 impl Model {
     fn value_of(&self, id: u64, t: Tick) -> Option<f64> {
         let pieces = self.objects.get(&id)?;
-        let &(from, v, s) = pieces.iter().rev().find(|(f, _, _)| *f <= t).unwrap_or(&pieces[0]);
+        let &(from, v, s) = pieces
+            .iter()
+            .rev()
+            .find(|(f, _, _)| *f <= t)
+            .unwrap_or(&pieces[0]);
         Some(v + s * (t as f64 - from as f64))
     }
 
     fn in_range_at(&self, t: Tick, lo: f64, hi: f64) -> Vec<u64> {
         self.objects
             .keys()
-            .filter(|&&id| {
-                self.value_of(id, t).is_some_and(|v| lo <= v && v <= hi)
-            })
+            .filter(|&&id| self.value_of(id, t).is_some_and(|v| lo <= v && v <= hi))
             .copied()
             .collect()
     }
@@ -80,8 +100,15 @@ fn replay(ops: &[Op], kind: IndexKind) -> (DynamicAttributeIndex, Model) {
                 model.objects.insert(id, vec![(0, value, slope)]);
                 last_update.insert(id, 0);
             }
-            Op::Update { id, t, value, slope } => {
-                let Some(prev) = last_update.get(&id).copied() else { continue };
+            Op::Update {
+                id,
+                t,
+                value,
+                slope,
+            } => {
+                let Some(prev) = last_update.get(&id).copied() else {
+                    continue;
+                };
                 if t < prev {
                     continue;
                 }
@@ -107,18 +134,21 @@ fn instantaneous_matches_model() {
         ints(0..LIFETIME),
         tuple2(ints(-120i32..100), ints(1u32..80)),
     );
-    Check::new("index::instantaneous_matches_model").cases(48).run(
-        &gen,
-        |(ops, kind_r, now, (lo, width))| {
-            let kind = if *kind_r { IndexKind::RTree } else { IndexKind::QuadTree };
+    Check::new("index::instantaneous_matches_model")
+        .cases(48)
+        .run(&gen, |(ops, kind_r, now, (lo, width))| {
+            let kind = if *kind_r {
+                IndexKind::RTree
+            } else {
+                IndexKind::QuadTree
+            };
             let (idx, model) = replay(ops, kind);
             let (lo, hi) = (*lo as f64, *lo as f64 + *width as f64);
             let (got, stats) = idx.instantaneous(*now, lo, hi);
             let want = model.in_range_at(*now, lo, hi);
             assert_eq!(&got, &want, "kind {kind:?} now {now}");
             assert_eq!(stats.results, got.len() as u64);
-        },
-    );
+        });
 }
 
 #[test]
@@ -132,7 +162,11 @@ fn continuous_matches_model() {
     Check::new("index::continuous_matches_model").cases(48).run(
         &gen,
         |(ops, kind_r, now, (lo, width))| {
-            let kind = if *kind_r { IndexKind::RTree } else { IndexKind::QuadTree };
+            let kind = if *kind_r {
+                IndexKind::RTree
+            } else {
+                IndexKind::QuadTree
+            };
             let (idx, model) = replay(ops, kind);
             let (lo, hi) = (*lo as f64, *lo as f64 + *width as f64);
             let (rows, _) = idx.continuous(*now, lo, hi);
@@ -157,9 +191,9 @@ fn quadtree_and_rtree_agree() {
         ints(-120i32..100),
         ints(1u32..80),
     );
-    Check::new("index::quadtree_and_rtree_agree").cases(48).run(
-        &gen,
-        |(ops, now, lo, width)| {
+    Check::new("index::quadtree_and_rtree_agree")
+        .cases(48)
+        .run(&gen, |(ops, now, lo, width)| {
             let (qi, _) = replay(ops, IndexKind::QuadTree);
             let (ri, _) = replay(ops, IndexKind::RTree);
             let (lo, hi) = (*lo as f64, *lo as f64 + *width as f64);
@@ -167,8 +201,7 @@ fn quadtree_and_rtree_agree() {
                 qi.instantaneous(*now, lo, hi).0,
                 ri.instantaneous(*now, lo, hi).0
             );
-        },
-    );
+        });
 }
 
 /// Where the co-located objects of the trajectory model sit.
@@ -178,8 +211,12 @@ const SPOT: (i32, i32) = (17, -33);
 /// quarter crawling at 1% of that, so the octree's split rule takes both
 /// its branches — time is halved only under fast movers.
 fn arb_velocity() -> Gen<Velocity> {
-    tuple3(ints(-8i32..=8), ints(-8i32..=8), select(&[0.0, 0.5, 0.5, 0.005]))
-        .map(|(vx, vy, scale)| Velocity::new(vx as f64 * scale, vy as f64 * scale))
+    tuple3(
+        ints(-8i32..=8),
+        ints(-8i32..=8),
+        select(&[0.0, 0.5, 0.5, 0.005]),
+    )
+    .map(|(vx, vy, scale)| Velocity::new(vx as f64 * scale, vy as f64 * scale))
 }
 
 /// An object of the trajectory model: its start, its motion vector, and
@@ -197,16 +234,19 @@ fn arb_object() -> Gen<((i32, i32), Velocity, Vec<(Tick, Velocity)>)> {
 
 #[test]
 fn index2d_matches_trajectory_model() {
-    let region = one_of(vec![tuple2(ints(-200i32..150), ints(-200i32..150)), just((0, -60))]);
+    let region = one_of(vec![
+        tuple2(ints(-200i32..150), ints(-200i32..150)),
+        just((0, -60)),
+    ]);
     let gen = tuple4(
         vecs(arb_object(), 1..40),
         ints(0..LIFETIME),
         tuple2(ints(0..LIFETIME), ints(0..LIFETIME)),
         region,
     );
-    Check::new("index::index2d_matches_trajectory_model").cases(64).run(
-        &gen,
-        |(objs, t, (from, len), (rx, ry))| {
+    Check::new("index::index2d_matches_trajectory_model")
+        .cases(64)
+        .run(&gen, |(objs, t, (from, len), (rx, ry))| {
             let mut idx =
                 MovingObjectIndex2D::new(LIFETIME, Rect::new(-1500.0, -1500.0, 1500.0, 1500.0));
             let trajs: Vec<Trajectory> = objs
@@ -232,8 +272,10 @@ fn index2d_matches_trajectory_model() {
             let inside = |id: usize, tick: Tick| region.contains(trajs[id].position_at_tick(tick));
 
             let (got, stats) = idx.query_at(*t, &region);
-            let want: Vec<u64> =
-                (0..trajs.len()).filter(|&id| inside(id, *t)).map(|id| id as u64).collect();
+            let want: Vec<u64> = (0..trajs.len())
+                .filter(|&id| inside(id, *t))
+                .map(|id| id as u64)
+                .collect();
             assert_eq!(got, want, "query_at {t}");
             assert_eq!(stats.results, got.len() as u64);
 
@@ -248,8 +290,7 @@ fn index2d_matches_trajectory_model() {
                 })
                 .collect();
             assert_eq!(got, want, "query_window {from}..={to}");
-        },
-    );
+        });
 }
 
 // ---------------------------------------------------------------------------
@@ -258,10 +299,23 @@ fn index2d_matches_trajectory_model() {
 
 #[derive(Debug, Clone)]
 enum Op2 {
-    Insert { id: u64, x: i32, y: i32, vx: i32, vy: i32 },
+    Insert {
+        id: u64,
+        x: i32,
+        y: i32,
+        vx: i32,
+        vy: i32,
+    },
     /// `dt` ticks after the object's previous update.
-    Update { id: u64, dt: Tick, vx: i32, vy: i32 },
-    Remove { id: u64 },
+    Update {
+        id: u64,
+        dt: Tick,
+        vx: i32,
+        vy: i32,
+    },
+    Remove {
+        id: u64,
+    },
 }
 
 fn arb_ops2() -> Gen<Vec<Op2>> {
@@ -270,10 +324,16 @@ fn arb_ops2() -> Gen<Vec<Op2>> {
     let vel = || ints(-4i32..4);
     vecs(
         one_of(vec![
-            tuple2(ints(0..32u64), tuple4(ints(-200i32..200), ints(-200i32..200), vel(), vel()))
-                .map(|(id, (x, y, vx, vy))| Op2::Insert { id, x, y, vx, vy }),
-            tuple2(ints(0..32u64), tuple4(ints(-200i32..200), ints(-200i32..200), vel(), vel()))
-                .map(|(id, (x, y, vx, vy))| Op2::Insert { id, x, y, vx, vy }),
+            tuple2(
+                ints(0..32u64),
+                tuple4(ints(-200i32..200), ints(-200i32..200), vel(), vel()),
+            )
+            .map(|(id, (x, y, vx, vy))| Op2::Insert { id, x, y, vx, vy }),
+            tuple2(
+                ints(0..32u64),
+                tuple4(ints(-200i32..200), ints(-200i32..200), vel(), vel()),
+            )
+            .map(|(id, (x, y, vx, vy))| Op2::Insert { id, x, y, vx, vy }),
             tuple4(ints(0..32u64), ints(0..40 as Tick), vel(), vel())
                 .map(|(id, dt, vx, vy)| Op2::Update { id, dt, vx, vy }),
             ints(0..32u64).map(|id| Op2::Remove { id }),
@@ -299,12 +359,16 @@ fn apply2(
                 }
             }
             Op2::Update { id, dt, vx, vy } => {
-                let Some(at) = last.get_mut(&id) else { continue };
+                let Some(at) = last.get_mut(&id) else {
+                    continue;
+                };
                 if *at + dt >= LIFETIME {
                     continue;
                 }
                 *at += dt;
-                let p = idx.position_of(id, *at).expect("live object has a position");
+                let p = idx
+                    .position_of(id, *at)
+                    .expect("live object has a position");
                 idx.update(id, *at, p, vel(vx, vy));
             }
             Op2::Remove { id } => {
@@ -340,7 +404,10 @@ fn index2d_clone_is_a_snapshot_and_its_mutations_match_a_fresh_build() {
         || MovingObjectIndex2D::new(LIFETIME, Rect::new(-1500.0, -1500.0, 1500.0, 1500.0));
     Check::new("index::index2d_clone_is_a_snapshot")
         .cases(64)
-        .regressions(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/proptests.seeds"))
+        .regressions(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/proptests.seeds"
+        ))
         .run(&tuple2(arb_ops2(), ints(0usize..60)), |(ops, cut)| {
             let cut = (*cut).min(ops.len());
             let mut last = Default::default();
@@ -353,7 +420,15 @@ fn index2d_clone_is_a_snapshot_and_its_mutations_match_a_fresh_build() {
 
             let mut fresh = new_index();
             apply2(&mut fresh, &mut Default::default(), ops);
-            assert_eq!(answers2(&after), answers2(&fresh), "clone-then-mutate diverged from a fresh build");
-            assert_eq!(answers2(&before), frozen, "mutating the clone changed the original");
+            assert_eq!(
+                answers2(&after),
+                answers2(&fresh),
+                "clone-then-mutate diverged from a fresh build"
+            );
+            assert_eq!(
+                answers2(&before),
+                frozen,
+                "mutating the clone changed the original"
+            );
         });
 }
