@@ -714,9 +714,11 @@ impl Database {
     }
 
     /// Registers a **continuous query**: evaluated once, materialized, and
-    /// refreshed only on explicit updates.  Returns the query id.
+    /// refreshed only on explicit updates.  Returns the query id.  An
+    /// evaluation that panics registers nothing and fails with
+    /// [`CoreError::EvalPanic`], as a refresh does.
     pub fn register_continuous(&mut self, q: Query) -> CoreResult<u64> {
-        let answer = self.evaluate_global(&q)?;
+        let answer = crate::refresh::guarded_eval(|| self.evaluate_global(&q))?;
         Ok(self.continuous.register(q, self.clock, answer))
     }
 

@@ -158,20 +158,27 @@ fn touched_ids(changes: &[(u64, UpdateKind)], deps: &DepSet) -> Option<Vec<u64>>
 
 /// Runs one refresh evaluation, returning its result and wall-clock cost
 /// in nanoseconds.
-///
-/// Evaluation runs arbitrary FTL over arbitrary trajectories; a panic in
-/// one query must fail only that query's refresh, not abort the whole pass
-/// — which would unwind through the epoch writer and wedge the server.
-/// The `AssertUnwindSafe` is justified: evaluation only reads the database.
 fn timed_eval(eval: impl FnOnce() -> CoreResult<Answer>) -> (CoreResult<Answer>, u64) {
     let start = std::time::Instant::now();
-    let result = catch_unwind(AssertUnwindSafe(eval)).unwrap_or_else(|payload| {
-        most_obs::inc("refresh.worker_panics");
-        Err(CoreError::EvalPanic(panic_message(&payload)))
-    });
+    let result = guarded_eval(eval);
     let nanos = start.elapsed().as_nanos() as u64;
     most_obs::observe("refresh.query_nanos", nanos);
     (result, nanos)
+}
+
+/// Runs one evaluation behind the panic boundary: a panic becomes
+/// [`CoreError::EvalPanic`] and counts `refresh.worker_panics`.
+///
+/// Evaluation runs arbitrary FTL over arbitrary trajectories; a panic in
+/// one query must fail only that query's refresh (or registration), not
+/// abort the whole pass — which would unwind through the epoch writer and
+/// wedge the server.  The `AssertUnwindSafe` is justified: evaluation only
+/// reads the database.
+pub(crate) fn guarded_eval(eval: impl FnOnce() -> CoreResult<Answer>) -> CoreResult<Answer> {
+    catch_unwind(AssertUnwindSafe(eval)).unwrap_or_else(|payload| {
+        most_obs::inc("refresh.worker_panics");
+        Err(CoreError::EvalPanic(panic_message(&payload)))
+    })
 }
 
 /// Renders a `catch_unwind`/`join` payload: `&str` and `String` payloads

@@ -1,5 +1,5 @@
 //! Regression tests: a panicking query evaluation must not terminate the
-//! refresh pass (PR 9 satellite bugfix).
+//! refresh pass, nor wedge the writer when it happens at registration.
 //!
 //! Before the fix, one panicking evaluation aborted the entire refresh,
 //! unwound through `SharedDatabase::write`, poisoned the epoch writer
@@ -217,4 +217,28 @@ fn shared_database_survives_panicking_refresh() {
     shared.write(|db| db.set_eval_fault(None));
     shared.apply_updates(&motion_batch(6)).unwrap();
     shared.advance_clock(1);
+}
+
+#[test]
+fn a_panicking_registration_registers_nothing_and_wedges_no_writer() {
+    // Registration evaluates once before it materializes; before the fix
+    // that evaluation ran outside the panic boundary, so an armed fault
+    // unwound through `EpochDb::commit`, poisoned the writer lock, and
+    // every later mutation panicked.
+    let (mut db, _faulty, _healthy) = armed_db(6);
+    let err = db.register_continuous(faulty_query()).unwrap_err();
+    assert!(matches!(err, CoreError::EvalPanic(_)), "{err:?}");
+    assert_eq!(db.continuous_registry().len(), 2, "nothing registered");
+
+    let shared = SharedDatabase::new(db);
+    let err = shared
+        .write(|db| db.register_continuous(faulty_query()))
+        .unwrap_err();
+    assert!(matches!(err, CoreError::EvalPanic(_)), "{err:?}");
+    assert_eq!(shared.pin().continuous_registry().len(), 2);
+
+    // The writer lock is not poisoned: disarm and keep mutating.
+    shared.write(|db| db.set_eval_fault(None));
+    shared.apply_updates(&motion_batch(6)).unwrap();
+    shared.write(|db| db.register_continuous(faulty_query())).unwrap();
 }

@@ -27,9 +27,8 @@
 //! does not maintain them: its one Section 4 index is the position octree
 //! of [`crate::index2d`].
 
-use crate::quadtree::QuadTree;
 use crate::rtree::RTree;
-use crate::segment::Segment;
+use crate::tree::{Bounds, Seg, Tree};
 use most_spatial::roots::solve_quadratic_le;
 use most_spatial::{predicates::exact_ticks, Rect};
 use most_temporal::{Horizon, IntervalSet, Tick};
@@ -38,7 +37,8 @@ use std::collections::HashMap;
 /// Which spatial structure backs the index (ablation E7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexKind {
-    /// Region quadtree decomposition.
+    /// Region quadtree decomposition over (time × value): the tree the
+    /// position index runs, halving value and, where the lines move, time.
     QuadTree,
     /// R-tree with quadratic split.
     RTree,
@@ -66,28 +66,30 @@ pub(crate) fn record_query_stats(stats: &QueryStats) {
 
 #[derive(Debug)]
 enum Structure {
-    Quad(QuadTree),
+    Quad(Tree<2>),
     R(RTree),
 }
 
 impl Structure {
-    fn insert(&mut self, id: u64, seg: Segment) {
+    fn insert(&mut self, id: u64, seg: Seg<2>) {
         match self {
-            Structure::Quad(t) => t.insert(id, seg),
+            Structure::Quad(t) => t.replace(id, [], [seg]),
             Structure::R(t) => t.insert(id, seg),
         }
     }
 
-    fn remove(&mut self, id: u64, seg: Segment) -> bool {
+    fn remove(&mut self, id: u64, seg: Seg<2>) {
         match self {
-            Structure::Quad(t) => t.remove(id, seg),
-            Structure::R(t) => t.remove(id, seg),
+            Structure::Quad(t) => t.replace(id, [seg], []),
+            Structure::R(t) => {
+                t.remove(id, seg);
+            }
         }
     }
 
     fn query(&self, rect: &Rect) -> (Vec<u64>, u64) {
         match self {
-            Structure::Quad(t) => t.query(rect),
+            Structure::Quad(t) => t.query(&Bounds::from_rect(rect)),
             Structure::R(t) => t.query(rect),
         }
     }
@@ -104,8 +106,12 @@ struct Piece {
 }
 
 impl Piece {
-    fn segment(&self) -> Segment {
-        Segment::from_function(self.from as f64, self.v0, self.slope, self.until as f64)
+    fn segment(&self) -> Seg<2> {
+        let (t0, t1) = (self.from as f64, self.until as f64);
+        Seg {
+            p0: [t0, self.v0],
+            p1: [t1, self.v0 + self.slope * (t1 - t0)],
+        }
     }
 
     fn value_at(&self, t: Tick) -> f64 {
@@ -146,7 +152,7 @@ impl DynamicAttributeIndex {
     pub fn new(kind: IndexKind, lifetime: Tick, value_range: (f64, f64)) -> Self {
         let bounds = Rect::new(0.0, value_range.0, lifetime as f64, value_range.1);
         let structure = match kind {
-            IndexKind::QuadTree => Structure::Quad(QuadTree::new(bounds)),
+            IndexKind::QuadTree => Structure::Quad(Tree::new(Bounds::from_rect(&bounds))),
             IndexKind::RTree => Structure::R(RTree::new()),
         };
         DynamicAttributeIndex {
@@ -158,11 +164,10 @@ impl DynamicAttributeIndex {
 
     /// Bulk-loads an index from `(id, value at tick 0, slope)` triples.
     ///
-    /// With the R-tree structure this uses STR packing
-    /// ([`crate::rtree::RTree::bulk_load`]), which builds a tighter tree
-    /// far faster than repeated insertion; the quadtree falls back to
-    /// sequential insertion (its decomposition is position-determined, so
-    /// packing gains nothing).
+    /// With the R-tree structure this uses STR packing, which builds a
+    /// tighter tree far faster than repeated insertion; the quadtree falls
+    /// back to sequential insertion (its decomposition is
+    /// position-determined, so packing gains nothing).
     pub fn bulk(
         kind: IndexKind,
         lifetime: Tick,
@@ -186,9 +191,9 @@ impl DynamicAttributeIndex {
             IndexKind::RTree => Structure::R(RTree::bulk_load(entries)),
             IndexKind::QuadTree => {
                 let bounds = Rect::new(0.0, value_range.0, lifetime as f64, value_range.1);
-                let mut tree = QuadTree::new(bounds);
+                let mut tree = Tree::new(Bounds::from_rect(&bounds));
                 for (id, seg) in entries {
-                    tree.insert(id, seg);
+                    tree.replace(id, [], [seg]);
                 }
                 Structure::Quad(tree)
             }

@@ -1,12 +1,12 @@
 //! An R-tree over function-line segments: the ablation alternative to the
-//! quadtree (DESIGN.md D4 / experiment E7).
+//! Section 4 tree (DESIGN.md D4 / experiment E7).
 //!
 //! Supports STR (sort-tile-recursive) bulk loading from a segment set and
 //! incremental insertion with quadratic split.  Queries first prune by
-//! bounding boxes, then re-test candidate segments exactly, so results
-//! match the quadtree's.
+//! bounding boxes, then re-test candidate segments with the tree's own
+//! clipper, so results match the tree's.
 
-use crate::segment::Segment;
+use crate::tree::{Bounds, Seg};
 use most_spatial::Rect;
 
 const MAX_ENTRIES: usize = 8;
@@ -27,18 +27,17 @@ struct Node {
 
 #[derive(Debug, Clone)]
 enum NodeKind {
-    Leaf(Vec<(u64, Segment)>),
+    Leaf(Vec<(u64, Seg<2>)>),
     Internal(Vec<Node>),
-}
-
-impl Default for RTree {
-    fn default() -> Self {
-        RTree::new()
-    }
 }
 
 fn empty_rect() -> Rect {
     Rect::new(0.0, 0.0, 0.0, 0.0)
+}
+
+/// A segment's bounding box in (time × value).
+fn bbox(seg: &Seg<2>) -> Rect {
+    Rect::new(seg.p0[0], seg.p0[1], seg.p1[0], seg.p1[1])
 }
 
 impl RTree {
@@ -55,7 +54,7 @@ impl RTree {
 
     /// STR bulk load: sort by x-center into vertical slices, then by
     /// y-center within each slice.
-    pub fn bulk_load(mut entries: Vec<(u64, Segment)>) -> Self {
+    pub fn bulk_load(mut entries: Vec<(u64, Seg<2>)>) -> Self {
         let len = entries.len();
         if len == 0 {
             return RTree::new();
@@ -64,23 +63,23 @@ impl RTree {
         let slices = (leaf_count as f64).sqrt().ceil() as usize;
         let per_slice = len.div_ceil(slices);
         entries.sort_by(|a, b| {
-            let ca = (a.1.x0 + a.1.x1) / 2.0;
-            let cb = (b.1.x0 + b.1.x1) / 2.0;
+            let ca = (a.1.p0[0] + a.1.p1[0]) / 2.0;
+            let cb = (b.1.p0[0] + b.1.p1[0]) / 2.0;
             ca.total_cmp(&cb)
         });
         let mut leaves: Vec<Node> = Vec::with_capacity(leaf_count);
         for slice in entries.chunks(per_slice.max(1)) {
             let mut slice = slice.to_vec();
             slice.sort_by(|a, b| {
-                let ca = (a.1.y0 + a.1.y1) / 2.0;
-                let cb = (b.1.y0 + b.1.y1) / 2.0;
+                let ca = (a.1.p0[1] + a.1.p1[1]) / 2.0;
+                let cb = (b.1.p0[1] + b.1.p1[1]) / 2.0;
                 ca.total_cmp(&cb)
             });
             for group in slice.chunks(MAX_ENTRIES) {
                 let items = group.to_vec();
                 let bbox = items
                     .iter()
-                    .map(|(_, s)| s.bounding_box())
+                    .map(|(_, s)| bbox(s))
                     .reduce(|a, b| a.union(&b))
                     .expect("non-empty group");
                 leaves.push(Node {
@@ -114,20 +113,10 @@ impl RTree {
         }
     }
 
-    /// Number of stored segments.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the tree is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Inserts an entry (choose-subtree by least enlargement; quadratic
     /// split on overflow).
-    pub fn insert(&mut self, id: u64, seg: Segment) {
-        let bbox = seg.bounding_box();
+    pub fn insert(&mut self, id: u64, seg: Seg<2>) {
+        let bbox = bbox(&seg);
         if self.len == 0 {
             self.root = Node {
                 bbox,
@@ -148,7 +137,7 @@ impl RTree {
     }
 
     /// Removes an exact `(id, segment)` entry.
-    pub fn remove(&mut self, id: u64, seg: Segment) -> bool {
+    pub fn remove(&mut self, id: u64, seg: Seg<2>) -> bool {
         let removed = remove_rec(&mut self.root, id, seg);
         if removed {
             self.len -= 1;
@@ -162,7 +151,13 @@ impl RTree {
         let mut out = Vec::new();
         let mut visited = 0u64;
         if self.len > 0 {
-            query_rec(&self.root, rect, &mut out, &mut visited);
+            query_rec(
+                &self.root,
+                rect,
+                &Bounds::from_rect(rect),
+                &mut out,
+                &mut visited,
+            );
         }
         out.sort_unstable();
         out.dedup();
@@ -170,8 +165,8 @@ impl RTree {
     }
 }
 
-fn insert_rec(node: &mut Node, id: u64, seg: Segment) -> Option<(Node, Node)> {
-    let seg_box = seg.bounding_box();
+fn insert_rec(node: &mut Node, id: u64, seg: Seg<2>) -> Option<(Node, Node)> {
+    let seg_box = bbox(&seg);
     node.bbox = if matches!(&node.kind, NodeKind::Leaf(v) if v.is_empty()) {
         seg_box
     } else {
@@ -215,8 +210,8 @@ fn insert_rec(node: &mut Node, id: u64, seg: Segment) -> Option<(Node, Node)> {
 
 /// Quadratic split: pick the pair of seeds wasting the most area, then
 /// assign each entry to the group whose bbox grows least.
-fn split_leaf(items: Vec<(u64, Segment)>) -> (Node, Node) {
-    let boxes: Vec<Rect> = items.iter().map(|(_, s)| s.bounding_box()).collect();
+fn split_leaf(items: Vec<(u64, Seg<2>)>) -> (Node, Node) {
+    let boxes: Vec<Rect> = items.iter().map(|(_, s)| bbox(s)).collect();
     let (s1, s2) = pick_seeds(&boxes);
     let mut g1 = vec![items[s1]];
     let mut g2 = vec![items[s2]];
@@ -308,7 +303,7 @@ fn assign<T>(g1: &mut Vec<T>, b1: &mut Rect, g2: &mut Vec<T>, b2: &mut Rect, ite
     }
 }
 
-fn remove_rec(node: &mut Node, id: u64, seg: Segment) -> bool {
+fn remove_rec(node: &mut Node, id: u64, seg: Seg<2>) -> bool {
     match &mut node.kind {
         NodeKind::Leaf(items) => {
             let before = items.len();
@@ -317,14 +312,14 @@ fn remove_rec(node: &mut Node, id: u64, seg: Segment) -> bool {
             if removed {
                 node.bbox = items
                     .iter()
-                    .map(|(_, s)| s.bounding_box())
+                    .map(|(_, s)| bbox(s))
                     .reduce(|a, b| a.union(&b))
                     .unwrap_or_else(empty_rect);
             }
             removed
         }
         NodeKind::Internal(children) => {
-            let sb = seg.bounding_box();
+            let sb = bbox(&seg);
             let mut removed = false;
             for c in children.iter_mut() {
                 if c.bbox.intersects(&sb) && remove_rec(c, id, seg) {
@@ -348,12 +343,13 @@ fn remove_rec(node: &mut Node, id: u64, seg: Segment) -> bool {
     }
 }
 
-fn query_rec(node: &Node, rect: &Rect, out: &mut Vec<u64>, visited: &mut u64) {
+/// `probe` is `rect` as a tree box, for the exact segment test.
+fn query_rec(node: &Node, rect: &Rect, probe: &Bounds<2>, out: &mut Vec<u64>, visited: &mut u64) {
     *visited += 1;
     match &node.kind {
         NodeKind::Leaf(items) => {
             for (id, seg) in items {
-                if seg.bounding_box().intersects(rect) && seg.intersects_rect(rect) {
+                if bbox(seg).intersects(rect) && seg.intersects(probe) {
                     out.push(*id);
                 }
             }
@@ -361,7 +357,7 @@ fn query_rec(node: &Node, rect: &Rect, out: &mut Vec<u64>, visited: &mut u64) {
         NodeKind::Internal(children) => {
             for c in children {
                 if c.bbox.intersects(rect) {
-                    query_rec(c, rect, out, visited);
+                    query_rec(c, rect, probe, out, visited);
                 }
             }
         }
@@ -371,22 +367,18 @@ fn query_rec(node: &Node, rect: &Rect, out: &mut Vec<u64>, visited: &mut u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::tests::line;
 
-    fn lines(n: u64) -> Vec<(u64, Segment)> {
+    fn lines(n: u64) -> Vec<(u64, Seg<2>)> {
         (0..n)
-            .map(|i| {
-                (
-                    i,
-                    Segment::from_function(0.0, i as f64, (i % 5) as f64 * 0.1, 100.0),
-                )
-            })
+            .map(|i| (i, line(0.0, i as f64, (i % 5) as f64 * 0.1, 100.0)))
             .collect()
     }
 
     #[test]
     fn bulk_load_and_query() {
         let t = RTree::bulk_load(lines(100));
-        assert_eq!(t.len(), 100);
+        assert_eq!(t.len, 100);
         let (ids, visited) = t.query(&Rect::new(0.0, 0.0, 0.5, 10.0));
         // At t≈0 values are exactly i: lines 0..=10 qualify.
         assert_eq!(ids, (0..=10).collect::<Vec<u64>>());
@@ -413,10 +405,10 @@ mod tests {
     #[test]
     fn remove_entries() {
         let mut t = RTree::bulk_load(lines(20));
-        let seg = Segment::from_function(0.0, 5.0, 0.0, 100.0);
+        let seg = line(0.0, 5.0, 0.0, 100.0);
         assert!(t.remove(5, seg));
         assert!(!t.remove(5, seg));
-        assert_eq!(t.len(), 19);
+        assert_eq!(t.len, 19);
         let (ids, _) = t.query(&Rect::new(0.0, 4.9, 100.0, 5.1));
         assert!(!ids.contains(&5));
     }
@@ -426,7 +418,7 @@ mod tests {
         let t = RTree::new();
         let (ids, _) = t.query(&Rect::new(0.0, 0.0, 1.0, 1.0));
         assert!(ids.is_empty());
-        assert!(t.is_empty());
+        assert_eq!(t.len, 0);
     }
 
     #[test]
@@ -434,8 +426,17 @@ mod tests {
         // A steep diagonal has a huge bbox; querying a corner off the line
         // must return nothing.
         let mut t = RTree::new();
-        t.insert(1, Segment::new(0.0, 0.0, 100.0, 100.0));
+        t.insert(1, line(0.0, 0.0, 1.0, 100.0));
         let (ids, _) = t.query(&Rect::new(0.0, 60.0, 30.0, 100.0));
         assert!(ids.is_empty());
+    }
+
+    #[test]
+    fn bounding_box_handles_descending() {
+        let bb = bbox(&line(0.0, 10.0, -2.0, 4.0));
+        assert_eq!(
+            (bb.min_x, bb.min_y, bb.max_x, bb.max_y),
+            (0.0, 2.0, 4.0, 10.0)
+        );
     }
 }

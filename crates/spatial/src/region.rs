@@ -89,18 +89,6 @@ impl Rect {
     pub fn enlargement(&self, other: &Rect) -> f64 {
         self.union(other).area() - self.area()
     }
-
-    /// Splits into four equal quadrants: `[SW, SE, NW, NE]` (quadtree
-    /// decomposition).
-    pub fn quadrants(&self) -> [Rect; 4] {
-        let c = self.center();
-        [
-            Rect::new(self.min_x, self.min_y, c.x, c.y),
-            Rect::new(c.x, self.min_y, self.max_x, c.y),
-            Rect::new(self.min_x, c.y, c.x, self.max_y),
-            Rect::new(c.x, c.y, self.max_x, self.max_y),
-        ]
-    }
 }
 
 /// A circle (the paper's "within a radius of 5 miles" display region).
@@ -172,16 +160,6 @@ mod tests {
         assert_eq!((u.min_x, u.min_y, u.max_x, u.max_y), (0.0, 0.0, 4.0, 4.0));
         assert_eq!(a.enlargement(&b), 16.0 - 4.0);
         assert_eq!(a.enlargement(&Rect::new(0.5, 0.5, 1.0, 1.0)), 0.0);
-    }
-
-    #[test]
-    fn quadrants_tile_the_rect() {
-        let r = Rect::new(0.0, 0.0, 4.0, 4.0);
-        let qs = r.quadrants();
-        let total: f64 = qs.iter().map(|q| q.area()).sum();
-        assert_eq!(total, r.area());
-        assert!(qs[0].contains(Point::new(1.0, 1.0)));
-        assert!(qs[3].contains(Point::new(3.0, 3.0)));
     }
 
     #[test]
