@@ -20,7 +20,12 @@ fn epochs_share_every_chunk_the_batch_did_not_touch() {
     db.enable_spatial_index(Rect::new(-1_000.0, -1_000.0, 3_000.0, 3_000.0));
     let edb = EpochDb::new(db);
     let epoch0 = edb.pin();
-    let motion = |id: u64| [UpdateOp::Motion { id, velocity: Velocity::new(-1.0, 0.0) }];
+    let motion = |id: u64| {
+        [UpdateOp::Motion {
+            id,
+            velocity: Velocity::new(-1.0, 0.0),
+        }]
+    };
 
     // A 1-op batch copies exactly the one 64-object chunk holding its car.
     let copied = most_obs::counter_value("epoch.chunks_copied");
@@ -30,20 +35,35 @@ fn epochs_share_every_chunk_the_batch_did_not_touch() {
     let (shared, total) = epoch1.shared_object_chunks(&epoch0);
     assert_eq!(total as u64, CARS.div_ceil(64));
     assert_eq!(shared, total - 1);
-    assert!(shared * 100 >= total * 99, "{shared} of {total} chunks shared");
+    assert!(
+        shared * 100 >= total * 99,
+        "{shared} of {total} chunks shared"
+    );
     if most_obs::is_enabled() {
         assert_eq!(most_obs::counter_value("epoch.chunks_copied") - copied, 1);
         // The index pays for the nodes the car's segments cross — time is
         // halved only where the cars cross their cells within its span, so
         // a leg lies in tens of leaves — not for the tree.
         let nodes = most_obs::counter_value("index.nodes_copied") - nodes;
-        assert!((1..400).contains(&nodes), "{nodes} index nodes copied by one update");
+        assert!(
+            (1..400).contains(&nodes),
+            "{nodes} index nodes copied by one update"
+        );
     }
     // The pinned epoch still reads its own state, index included.
-    assert_eq!(epoch0.object(4_242).unwrap().velocity_at(0), Some(Velocity::new(1.0, 0.5)));
-    assert_eq!(epoch1.object(4_242).unwrap().velocity_at(0), Some(Velocity::new(-1.0, 0.0)));
+    assert_eq!(
+        epoch0.object(4_242).unwrap().velocity_at(0),
+        Some(Velocity::new(1.0, 0.5))
+    );
+    assert_eq!(
+        epoch1.object(4_242).unwrap().velocity_at(0),
+        Some(Velocity::new(-1.0, 0.0))
+    );
     let everywhere = Rect::new(-1_000.0, -1_000.0, 3_000.0, 3_000.0);
-    assert_eq!(epoch0.objects_in_rect_at(&everywhere), (epoch0.object_ids(), true));
+    assert_eq!(
+        epoch0.objects_in_rect_at(&everywhere),
+        (epoch0.object_ids(), true)
+    );
     drop(epoch1);
 
     // A reader pinning epoch 0 across 200 more batches keeps the world
@@ -56,7 +76,10 @@ fn epochs_share_every_chunk_the_batch_did_not_touch() {
     }
     let st = edb.stats();
     assert_eq!(st.current, 201);
-    assert_eq!(st.live, 2, "only the pinned and the published epoch are alive: {st:?}");
+    assert_eq!(
+        st.live, 2,
+        "only the pinned and the published epoch are alive: {st:?}"
+    );
     assert_eq!(st.created, st.retired + st.live, "conservation: {st:?}");
     let (shared, total) = edb.pin().shared_object_chunks(&epoch0);
     assert_eq!(shared, total - rewritten.len());
@@ -82,11 +105,17 @@ fn parked_cars_are_not_copied_once_per_time_slice() {
     let edb = EpochDb::new(db);
     let _epoch0 = edb.pin();
     let nodes = most_obs::counter_value("index.nodes_copied");
-    let nudge = UpdateOp::Motion { id: parked[17], velocity: Velocity::new(0.0, 0.25) };
+    let nudge = UpdateOp::Motion {
+        id: parked[17],
+        velocity: Velocity::new(0.0, 0.25),
+    };
     edb.apply_updates(&[nudge]).unwrap();
     if most_obs::is_enabled() {
         let nodes = most_obs::counter_value("index.nodes_copied") - nodes;
-        assert!((1..200).contains(&nodes), "{nodes} index nodes copied by one parked-car update");
+        assert!(
+            (1..200).contains(&nodes),
+            "{nodes} index nodes copied by one parked-car update"
+        );
     }
     let spot = Rect::new(776.0, 332.0, 778.0, 334.0);
     assert_eq!(edb.pin().objects_in_rect_at(&spot), (parked, true));
