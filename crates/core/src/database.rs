@@ -198,6 +198,18 @@ struct SpatialIndexState {
     epoch: Tick,
 }
 
+impl SpatialIndexState {
+    /// Whether the index can answer for `probe`: a motion leg is kept only
+    /// in the cells it crosses, so once the root splits nothing outside
+    /// `space` is indexed, and a probe reaching past it must scan.
+    fn covers(&self, probe: &Rect) -> bool {
+        self.space.min_x <= probe.min_x
+            && probe.max_x <= self.space.max_x
+            && self.space.min_y <= probe.min_y
+            && probe.max_y <= self.space.max_y
+    }
+}
+
 impl Database {
     /// Creates a database whose queries expire `expiration` ticks after
     /// entry (the finite stand-in for the infinite future history; see
@@ -880,8 +892,8 @@ impl Database {
 
     /// Index-assisted candidate lookup: ids of objects whose indexed motion
     /// intersects `bbox` during the *global* tick window `[from, to]`.
-    /// `None` when no index is enabled or the window leaves the current
-    /// epoch.
+    /// `None` when no index is enabled, the window leaves the current
+    /// epoch or `bbox` leaves the indexed space.
     pub(crate) fn index_window_candidates(
         &self,
         from: Tick,
@@ -889,7 +901,7 @@ impl Database {
         bbox: &Rect,
     ) -> Option<Vec<u64>> {
         let ix = self.spatial_index.as_ref()?;
-        if from < ix.epoch || to - ix.epoch > ix.index.lifetime() {
+        if from < ix.epoch || to - ix.epoch > ix.index.lifetime() || !ix.covers(bbox) {
             return None;
         }
         let (rows, _) = ix.index.query_window(from - ix.epoch, to - ix.epoch, bbox);
@@ -916,7 +928,8 @@ impl Database {
     }
 
     /// Objects currently inside the rectangle, answered from the index when
-    /// enabled (O(log n) access), otherwise by scanning all objects.
+    /// enabled and the rectangle lies inside its space (O(log n) access),
+    /// otherwise by scanning all objects.
     /// Returns the ids and whether the index was used.
     pub fn objects_in_rect(&mut self, rect: &Rect) -> (Vec<u64>, bool) {
         self.maintain_spatial_index();
@@ -930,7 +943,7 @@ impl Database {
     pub fn objects_in_rect_at(&self, rect: &Rect) -> (Vec<u64>, bool) {
         let now = self.clock;
         match &self.spatial_index {
-            Some(ix) if now - ix.epoch <= self.expiration => {
+            Some(ix) if now - ix.epoch <= self.expiration && ix.covers(rect) => {
                 let (ids, _) = ix.index.query_at(now - ix.epoch, rect);
                 (ids, true)
             }

@@ -43,7 +43,7 @@ fn epochs_share_every_chunk_the_batch_did_not_touch() {
         assert_eq!(most_obs::counter_value("epoch.chunks_copied") - copied, 1);
         // The index pays for the nodes the car's segments cross — time is
         // halved only where the cars cross their cells within its span, so
-        // a leg lies in tens of leaves — not for the tree.
+        // a leg lies in about ten leaves — not for the tree.
         let nodes = most_obs::counter_value("index.nodes_copied") - nodes;
         assert!(
             (1..400).contains(&nodes),

@@ -49,3 +49,4 @@ pub use cowmap::CowMap;
 pub use dynidx::{DynamicAttributeIndex, IndexKind, QueryStats, ScanIndex};
 pub use index2d::MovingObjectIndex2D;
 pub use rebuild::RebuildingIndex;
+pub use tree::LEAF_CAPACITY;

@@ -28,7 +28,14 @@
 use most_spatial::Rect;
 use std::sync::Arc;
 
-const LEAF_CAPACITY: usize = 8;
+/// Segments a leaf holds before it splits, in both trees.  A segment is
+/// stored in every leaf it crosses and an update rewrites each of them, so
+/// fuller leaves make a write cheaper, while a probe tests every segment
+/// of the leaves it reaches.  At 64, a motion leg among 20 000 cars lands
+/// in about 10 leaves (37 at 8) and a region probe tests as few segments
+/// as at any capacity from 8 to 256; at 256 a write is cheaper still, but
+/// the probe tests 2.5 times as many (EXPERIMENTS.md, PR 34).
+pub const LEAF_CAPACITY: usize = 64;
 const MAX_DEPTH: u32 = 10;
 
 /// Counter of tree nodes and leg-table chunks copied because an older
@@ -666,26 +673,30 @@ pub(crate) mod tests {
 
     #[test]
     fn time_is_split_only_where_the_objects_move() {
+        // Eight leaves' worth of segments per case, so every case splits.
+        let n = 8 * LEAF_CAPACITY as u64;
         // Parked cars never split time, however deep the cluster goes.
         let parked = Seg {
             p0: [0.0, 12.5, -7.0],
             p1: [200.0, 12.5, -7.0],
         };
-        let parked = tree_of(space(), (0..64).map(|i| (i, parked)));
+        let parked = tree_of(space(), (0..n).map(|i| (i, parked)));
         assert_eq!(interior_counts(&parked.root), [0, MAX_DEPTH as usize, 0]);
         let probe = Bounds {
             min: [149.5, 10.0, -10.0],
             max: [150.5, 15.0, -5.0],
         };
-        assert_eq!(parked.query(&probe).0.len(), 64);
+        assert_eq!(parked.query(&probe).0.len(), n as usize);
 
         // Cars crossing their cell within its time span split time too.
+        let side = (n as f64).sqrt().ceil() as u64;
+        let pitch = 800.0 / side as f64;
         let fast = tree_of(
             space(),
-            (0..64u64).map(|i| {
+            (0..n).map(|i| {
                 let (x, y) = (
-                    (i % 8) as f64 * 100.0 - 400.0,
-                    (i / 8) as f64 * 100.0 - 400.0,
+                    (i % side) as f64 * pitch - 400.0,
+                    (i / side) as f64 * pitch - 400.0,
                 );
                 let seg = Seg {
                     p0: [0.0, x, y],
@@ -700,16 +711,79 @@ pub(crate) mod tests {
         );
 
         // So do constant attributes and steep function-lines.
-        let constant = tree_of(space(), (0..64).map(|i| (i, line(0.0, 12.5, 0.0, 200.0))));
+        let constant = tree_of(space(), (0..n).map(|i| (i, line(0.0, 12.5, 0.0, 200.0))));
         assert_eq!(interior_counts(&constant.root), [MAX_DEPTH as usize, 0, 0]);
-        assert_eq!(constant.query(&cell(149.5, 10.0, 150.5, 15.0)).0.len(), 64);
+        assert_eq!(
+            constant.query(&cell(149.5, 10.0, 150.5, 15.0)).0.len(),
+            n as usize
+        );
+        let step = 768.0 / n as f64;
         let steep = tree_of(
             space(),
-            (0..64).map(|i| (i, line(0.0, i as f64 * 12.0 - 400.0, 5.0, 200.0))),
+            (0..n).map(|i| (i, line(0.0, i as f64 * step - 400.0, 5.0, 200.0))),
         );
         assert!(
             interior_counts(&steep.root)[1] > 0,
             "steep lines never split time"
+        );
+    }
+
+    /// Leaves and items stored in them, by walking the tree.
+    fn leaves_and_items<const K: usize>(node: &Node<K>) -> (usize, usize) {
+        let sum = |kids: &[Node<K>]| {
+            kids.iter()
+                .map(leaves_and_items)
+                .fold((0, 0), |a, c| (a.0 + c.0, a.1 + c.1))
+        };
+        match node {
+            Node::Leaf(items) => (1, items.len),
+            Node::Two(kids) => sum(&kids[..]),
+            Node::Four(kids) => sum(&kids[..]),
+            Node::Eight(kids) => sum(&kids[..]),
+        }
+    }
+
+    /// A leg is stored in every leaf it crosses and an update rewrites
+    /// each of them, so the number of leaves a leg lands in is what a
+    /// write costs.  5 000 cars at the serving benchmark's density (one
+    /// per 200 square units, on a jittered lattice), each driving at up to
+    /// 2 units per tick on each axis for the index lifetime of 200 ticks,
+    /// in a space 1 000 units wider than the start square on every side.
+    #[test]
+    fn a_leg_lands_in_a_handful_of_well_filled_leaves() {
+        let (cars, width) = (5_000u64, 1_000.0);
+        let side = (cars as f64).sqrt().ceil() as u64;
+        let pitch = width / side as f64;
+        let mut rng = most_testkit::rng::Rng::seed_from_u64(0x5EED);
+        let legs = (0..cars).map(|i| {
+            let x = ((i % side) as f64 + rng.f64()) * pitch;
+            let y = ((i / side) as f64 + rng.f64()) * pitch;
+            let (vx, vy) = (
+                rng.random_range(-2.0..2.0f64),
+                rng.random_range(-2.0..2.0f64),
+            );
+            let seg = Seg {
+                p0: [0.0, x, y],
+                p1: [200.0, x + 200.0 * vx, y + 200.0 * vy],
+            };
+            (i, seg)
+        });
+        let bounds = Bounds {
+            min: [0.0, -1_000.0, -1_000.0],
+            max: [200.0, width + 1_000.0, width + 1_000.0],
+        };
+        let tree = tree_of(bounds, legs);
+        let (leaves, items) = leaves_and_items(&tree.root);
+        let leaves_per_leg = items as f64 / cars as f64;
+        let items_per_leaf = items as f64 / leaves as f64;
+        // 10.7 and 30.2 at capacity 64; 32.6 and 3.5 at capacity 8.
+        assert!(
+            leaves_per_leg <= 14.0,
+            "a leg lands in {leaves_per_leg:.1} leaves"
+        );
+        assert!(
+            items_per_leaf >= 20.0,
+            "a leaf holds {items_per_leaf:.1} items"
         );
     }
 
@@ -739,9 +813,11 @@ pub(crate) mod tests {
 
     #[test]
     fn split_and_dedup() {
+        // Six leaves' worth of lines, rising from values spread over [0, 50).
+        let n = 6 * LEAF_CAPACITY as u64 + 2;
         let tree = tree_of(
             attr_space(),
-            (0..50).map(|i| (i, line(0.0, i as f64, 0.5, 100.0))),
+            (0..n).map(|i| (i, line(0.0, i as f64 * 50.0 / n as f64, 0.5, 100.0))),
         );
         assert_ne!(
             interior_counts(&tree.root),
@@ -750,7 +826,7 @@ pub(crate) mod tests {
         );
         // A query over the whole space returns each id once.
         let (ids, visited) = tree.query(&attr_space());
-        assert_eq!(ids, (0..50).collect::<Vec<u64>>());
+        assert_eq!(ids, (0..n).collect::<Vec<u64>>());
         assert!(visited > 1);
     }
 
@@ -774,7 +850,7 @@ pub(crate) mod tests {
     fn deep_duplication_does_not_duplicate_results() {
         // Many overlapping steep lines force deep splits and multi-cell
         // storage.
-        let lines: Vec<(u64, Seg<2>)> = (0..30)
+        let lines: Vec<(u64, Seg<2>)> = (0..4 * LEAF_CAPACITY as u64 - 2)
             .map(|i| (i, line(0.0, -50.0 + i as f64 * 0.1, 1.5, 100.0)))
             .collect();
         let tree = tree_of(attr_space(), lines.iter().copied());

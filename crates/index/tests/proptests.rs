@@ -1,7 +1,7 @@
 //! Property tests: both index structures must agree with the linear-scan
 //! ground truth under random insert/update/query workloads.
 
-use most_index::{DynamicAttributeIndex, IndexKind, MovingObjectIndex2D};
+use most_index::{DynamicAttributeIndex, IndexKind, MovingObjectIndex2D, LEAF_CAPACITY};
 use most_spatial::{MovingPoint, Point, Rect, Trajectory, Velocity};
 use most_temporal::{Horizon, IntervalSet, Tick};
 use most_testkit::check::{
@@ -9,6 +9,11 @@ use most_testkit::check::{
 };
 
 const LIFETIME: Tick = 200;
+
+/// The id pools and op counts below were sized for a leaf capacity of 8
+/// and grow with it, so that leaves split and later ops rewrite interior
+/// nodes, not just the root leaf.
+const SCALE: usize = LEAF_CAPACITY / 8;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -28,9 +33,10 @@ enum Op {
 fn arb_ops() -> Gen<Vec<Op>> {
     // Ids from a small pool; updates target previously inserted ids (we
     // filter at replay time).
+    let pool = 40 * SCALE as u64;
     vecs(
         one_of(vec![
-            tuple3(ints(0..40u64), ints(-100i32..100), ints(-8i32..8)).map(|(id, v, s)| {
+            tuple3(ints(0..pool), ints(-100i32..100), ints(-8i32..8)).map(|(id, v, s)| {
                 Op::Insert {
                     id,
                     value: v as f64,
@@ -38,7 +44,7 @@ fn arb_ops() -> Gen<Vec<Op>> {
                 }
             }),
             tuple4(
-                ints(0..40u64),
+                ints(0..pool),
                 ints(1..LIFETIME),
                 ints(-100i32..100),
                 ints(-8i32..8),
@@ -50,7 +56,7 @@ fn arb_ops() -> Gen<Vec<Op>> {
                 slope: s as f64 * 0.25,
             }),
         ]),
-        1..30,
+        1..30 * SCALE,
     )
 }
 
@@ -239,7 +245,7 @@ fn index2d_matches_trajectory_model() {
         just((0, -60)),
     ]);
     let gen = tuple4(
-        vecs(arb_object(), 1..40),
+        vecs(arb_object(), 1..40 * SCALE),
         ints(0..LIFETIME),
         tuple2(ints(0..LIFETIME), ints(0..LIFETIME)),
         region,
@@ -319,26 +325,27 @@ enum Op2 {
 }
 
 fn arb_ops2() -> Gen<Vec<Op2>> {
-    // Enough inserts over a small pool that leaves split (capacity 8) and
-    // later ops rewrite interior nodes, not just the root leaf.
+    // Enough inserts over a small pool that leaves split and later ops
+    // rewrite interior nodes, not just the root leaf.
     let vel = || ints(-4i32..4);
+    let pool = 32 * SCALE as u64;
     vecs(
         one_of(vec![
             tuple2(
-                ints(0..32u64),
+                ints(0..pool),
                 tuple4(ints(-200i32..200), ints(-200i32..200), vel(), vel()),
             )
             .map(|(id, (x, y, vx, vy))| Op2::Insert { id, x, y, vx, vy }),
             tuple2(
-                ints(0..32u64),
+                ints(0..pool),
                 tuple4(ints(-200i32..200), ints(-200i32..200), vel(), vel()),
             )
             .map(|(id, (x, y, vx, vy))| Op2::Insert { id, x, y, vx, vy }),
-            tuple4(ints(0..32u64), ints(0..40 as Tick), vel(), vel())
+            tuple4(ints(0..pool), ints(0..40 as Tick), vel(), vel())
                 .map(|(id, dt, vx, vy)| Op2::Update { id, dt, vx, vy }),
-            ints(0..32u64).map(|id| Op2::Remove { id }),
+            ints(0..pool).map(|id| Op2::Remove { id }),
         ]),
-        1..60,
+        1..60 * SCALE,
     )
 }
 
@@ -354,7 +361,10 @@ fn apply2(
     for op in ops {
         match *op {
             Op2::Insert { id, x, y, vx, vy } => {
-                if last.insert(id, 0).is_none() {
+                // A live id keeps its latest update tick: resetting it to
+                // 0 would replay a later update backwards in time.
+                if let std::collections::btree_map::Entry::Vacant(tick) = last.entry(id) {
+                    tick.insert(0);
                     idx.insert(id, 0, Point::new(x as f64, y as f64), vel(vx, vy));
                 }
             }
@@ -408,7 +418,7 @@ fn index2d_clone_is_a_snapshot_and_its_mutations_match_a_fresh_build() {
             env!("CARGO_MANIFEST_DIR"),
             "/tests/proptests.seeds"
         ))
-        .run(&tuple2(arb_ops2(), ints(0usize..60)), |(ops, cut)| {
+        .run(&tuple2(arb_ops2(), ints(0..60 * SCALE)), |(ops, cut)| {
             let cut = (*cut).min(ops.len());
             let mut last = Default::default();
             let mut before = new_index();

@@ -3,8 +3,9 @@
 
 use moving_objects::core::Database;
 use moving_objects::ftl::Query;
-use moving_objects::index::{DynamicAttributeIndex, IndexKind, RebuildingIndex};
-use moving_objects::spatial::{Point, Rect, Velocity};
+use moving_objects::index::{DynamicAttributeIndex, IndexKind, RebuildingIndex, LEAF_CAPACITY};
+use moving_objects::spatial::{Point, Polygon, Rect, Velocity};
+use moving_objects::temporal::{Interval, IntervalSet};
 use moving_objects::workload::cars::{apply_due_updates, CarScenario};
 
 #[test]
@@ -131,13 +132,14 @@ fn index_pruned_ftl_answers_equal_unpruned() {
     let plain = run(false);
     let pruned = run(true);
     assert_eq!(plain, pruned);
-    // And the pruning is actually engaged: with the index on, a region far
-    // from everything yields an empty candidate set instantly.
+    // And the pruning is actually engaged: with the index on, a region in
+    // its space but far from everything yields an empty candidate set
+    // instantly.
     let mut db = Database::new(600);
     scenario.populate(&mut db, &plans);
     db.add_region(
         "FAR",
-        moving_objects::spatial::Polygon::rectangle(90_000.0, 90_000.0, 90_010.0, 90_010.0),
+        moving_objects::spatial::Polygon::rectangle(4_000.0, 4_000.0, 4_010.0, 4_010.0),
     );
     db.enable_spatial_index(Rect::new(-5_000.0, -5_000.0, 5_000.0, 5_000.0));
     let ctx = db.current_context();
@@ -146,4 +148,51 @@ fn index_pruned_ftl_answers_equal_unpruned() {
         .inside_candidates(db.region("FAR").unwrap())
         .expect("index enabled and window in epoch");
     assert!(cands.is_empty(), "nothing ever reaches FAR: {cands:?}");
+}
+
+/// The index keeps a leg only in the cells it crosses, so once its root
+/// splits nothing outside its space is indexed: a region that leaves the
+/// space must be answered by the scan, never from the tree.
+#[test]
+fn inside_beyond_the_index_space_matches_the_scan() {
+    let world = |indexed: bool| {
+        let mut db = Database::new(100);
+        // Enough cars parked in [0, 10)² to split the root.
+        for i in 0..4 * LEAF_CAPACITY as u64 {
+            let p = Point::new((i % 97) as f64 * 0.1, (i % 89) as f64 * 0.1);
+            db.insert_moving_object("cars", p, Velocity::zero());
+        }
+        let far = db.insert_moving_object("cars", Point::new(500.0, 500.0), Velocity::zero());
+        let mover =
+            db.insert_moving_object("cars", Point::new(5.0, 5.0), Velocity::new(10.0, 10.0));
+        db.add_region("FAR", Polygon::rectangle(490.0, 490.0, 510.0, 510.0));
+        if indexed {
+            db.enable_spatial_index(Rect::new(-20.0, -20.0, 20.0, 20.0));
+        }
+        (db, far, mover)
+    };
+    let q = Query::parse("RETRIEVE o WHERE INSIDE(o, FAR)").unwrap();
+    let (mut scan, far, mover) = world(false);
+    let (mut indexed, _, _) = world(true);
+    let want = scan.instantaneous(&q).unwrap();
+    assert_eq!(want.ids(), vec![far, mover]);
+    let id = |id| [moving_objects::dbms::value::Value::Id(id)];
+    assert_eq!(
+        want.intervals_for(&id(far)),
+        Some(&IntervalSet::singleton(Interval::new(0, 100)))
+    );
+    assert_eq!(
+        want.intervals_for(&id(mover)),
+        Some(&IntervalSet::singleton(Interval::new(49, 50)))
+    );
+    assert_eq!(indexed.instantaneous(&q).unwrap(), want);
+
+    let far_box = Rect::new(490.0, 490.0, 510.0, 510.0);
+    assert_eq!(indexed.objects_in_rect(&far_box), (vec![far], false));
+    assert_eq!(scan.objects_in_rect(&far_box), (vec![far], false));
+    // A box inside the space is still answered from the tree.
+    let home = Rect::new(0.0, 0.0, 10.0, 10.0);
+    let (ids, used) = indexed.objects_in_rect(&home);
+    assert!(used);
+    assert_eq!(ids, scan.objects_in_rect(&home).0);
 }
