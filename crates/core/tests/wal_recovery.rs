@@ -44,7 +44,8 @@ fn build_world(seed: u64) -> (Database, Vec<u64>) {
         let p = Point::new(rng.random_range(-80.0..80.0), rng.random_range(-80.0..80.0));
         let v = Velocity::new(rng.random_range(-2.0..2.0), rng.random_range(-2.0..2.0));
         let id = db.insert_moving_object("cars", p, v);
-        db.set_static(id, "PRICE", (60.0 + 10.0 * i as f64).into()).unwrap();
+        db.set_static(id, "PRICE", (60.0 + 10.0 * i as f64).into())
+            .unwrap();
         ids.push(id);
     }
     db.register_continuous(Query::parse("RETRIEVE o WHERE INSIDE(o, P)").unwrap())
@@ -63,14 +64,18 @@ fn gen_script(seed: u64, ids: &[u64]) -> Vec<WalRecord> {
     for _ in 0..STEPS {
         let roll = rng.f64();
         if roll < 0.30 {
-            steps.push(WalRecord::Advance { ticks: rng.random_range(1..4u64) });
+            steps.push(WalRecord::Advance {
+                ticks: rng.random_range(1..4u64),
+            });
         } else if roll < 0.40 {
             let q = if rng.random_bool(0.5) {
                 "RETRIEVE o WHERE Eventually within 40 INSIDE(o, P)"
             } else {
                 "RETRIEVE o WHERE o.PRICE <= 100"
             };
-            steps.push(WalRecord::Register { query: q.to_owned() });
+            steps.push(WalRecord::Register {
+                query: q.to_owned(),
+            });
             live_cqs.push(next_cq);
             next_cq += 1;
         } else if roll < 0.46 && live_cqs.len() > 1 {
@@ -93,10 +98,8 @@ fn gen_script(seed: u64, ids: &[u64]) -> Vec<WalRecord> {
                     ids[rng.random_range(0..ids.len())]
                 };
                 if rng.random_bool(0.7) {
-                    let velocity = Velocity::new(
-                        rng.random_range(-2.0..2.0),
-                        rng.random_range(-2.0..2.0),
-                    );
+                    let velocity =
+                        Velocity::new(rng.random_range(-2.0..2.0), rng.random_range(-2.0..2.0));
                     ops.push(UpdateOp::Motion { id, velocity });
                 } else {
                     ops.push(UpdateOp::Static {
@@ -280,7 +283,11 @@ fn checkpoint_prunes_segments_and_recovery_resumes_from_it() {
     let durable = DurableDb::create(
         &dir,
         initial.clone(),
-        WalConfig { segment_bytes: 2 * 1024, sync: false, checkpoint_every: 0 },
+        WalConfig {
+            segment_bytes: 2 * 1024,
+            sync: false,
+            checkpoint_every: 0,
+        },
     )
     .unwrap();
     let mut oracle = initial;
@@ -314,7 +321,10 @@ fn checkpoint_prunes_segments_and_recovery_resumes_from_it() {
         recovery.checkpoint_seq, after_checkpoint,
         "recovery must start from the checkpoint, not the beginning"
     );
-    assert_eq!(recovery.records_replayed, 2, "only the post-checkpoint suffix replays");
+    assert_eq!(
+        recovery.records_replayed, 2,
+        "only the post-checkpoint suffix replays"
+    );
     assert_eq!(observe(recovered.pin().db()), observe(&oracle));
     drop(recovered);
     let _ = fs::remove_dir_all(&dir);
@@ -328,8 +338,10 @@ fn fingerprint_counts_user_attributes_named_refresh_nanos() {
     let (db, ids) = build_world(19);
     let mut a = db.clone();
     let mut b = db;
-    a.set_static(ids[0], "refresh_nanos", Value::from(1.0)).unwrap();
-    b.set_static(ids[0], "refresh_nanos", Value::from(2.0)).unwrap();
+    a.set_static(ids[0], "refresh_nanos", Value::from(1.0))
+        .unwrap();
+    b.set_static(ids[0], "refresh_nanos", Value::from(2.0))
+        .unwrap();
     assert_ne!(
         a.fingerprint(),
         b.fingerprint(),
@@ -349,7 +361,11 @@ fn stale_segments_from_an_interrupted_prune_are_skipped() {
     let durable = DurableDb::create(
         &dir,
         initial.clone(),
-        WalConfig { segment_bytes: 2 * 1024, sync: false, checkpoint_every: 0 },
+        WalConfig {
+            segment_bytes: 2 * 1024,
+            sync: false,
+            checkpoint_every: 0,
+        },
     )
     .unwrap();
     let mut oracle = initial;
@@ -397,7 +413,10 @@ fn stale_segments_from_an_interrupted_prune_are_skipped() {
         recovery.records_replayed, 2,
         "exactly the post-checkpoint suffix replays, stale segments notwithstanding"
     );
-    assert!(recovery.stale_skipped > 0, "the stale records were seen and skipped");
+    assert!(
+        recovery.stale_skipped > 0,
+        "the stale records were seen and skipped"
+    );
     assert_eq!(observe(recovered.pin().db()), observe(&oracle));
 
     // Commit more records with the stale segments still on disk, crash
@@ -425,7 +444,11 @@ fn failed_auto_checkpoint_does_not_fail_the_mutation() {
     let durable = DurableDb::create(
         &dir,
         initial,
-        WalConfig { segment_bytes: 256 * 1024, sync: false, checkpoint_every: 1 },
+        WalConfig {
+            segment_bytes: 256 * 1024,
+            sync: false,
+            checkpoint_every: 1,
+        },
     )
     .unwrap();
     // Block the checkpoint temp path with a directory: every
@@ -447,7 +470,10 @@ fn failed_auto_checkpoint_does_not_fail_the_mutation() {
     oracle.advance_clock(2);
     drop(durable);
     let (recovered, recovery) = DurableDb::open(&dir, WalConfig::default()).unwrap();
-    assert_eq!(recovery.checkpoint_seq, 3, "the retried checkpoint covers all three records");
+    assert_eq!(
+        recovery.checkpoint_seq, 3,
+        "the retried checkpoint covers all three records"
+    );
     assert_eq!(recovery.records_replayed, 0);
     assert_eq!(observe(recovered.pin().db()), observe(&oracle));
     drop(recovered);
@@ -468,7 +494,10 @@ fn feed_below_the_checkpoint_horizon_is_an_explicit_error() {
     durable.checkpoint().unwrap();
     durable.advance_clock(4).unwrap();
     match durable.read_from(0) {
-        Err(most_core::CoreError::WalFeedPruned { from_seq: 0, checkpoint_seq: 3 }) => {}
+        Err(most_core::CoreError::WalFeedPruned {
+            from_seq: 0,
+            checkpoint_seq: 3,
+        }) => {}
         other => panic!("expected WalFeedPruned {{ 0, 3 }}, got {other:?}"),
     }
     // From the horizon on, the feed serves normally.
@@ -486,7 +515,10 @@ fn feed_serves_the_committed_suffix() {
     let durable = DurableDb::create(&dir, initial.clone(), WalConfig::default()).unwrap();
     durable.advance_clock(1).unwrap();
     durable
-        .apply_updates(&[UpdateOp::Motion { id: ids[0], velocity: Velocity::new(1.0, 1.0) }])
+        .apply_updates(&[UpdateOp::Motion {
+            id: ids[0],
+            velocity: Velocity::new(1.0, 1.0),
+        }])
         .unwrap();
     durable.advance_clock(2).unwrap();
     let all = durable.read_from(0).unwrap();

@@ -159,7 +159,10 @@ fn mid_epoch_snapshot_restores_last_published_epoch() {
     // a buffered clock advance.
     let epochs = shared.epochs();
     epochs
-        .buffer_updates(&[UpdateOp::Motion { id: ids[0], velocity: Velocity::new(9.0, 9.0) }])
+        .buffer_updates(&[UpdateOp::Motion {
+            id: ids[0],
+            velocity: Velocity::new(9.0, 9.0),
+        }])
         .unwrap();
     epochs.write(|d| d.advance_clock(3));
     assert_eq!(epochs.stats().pending_batches, 1);
@@ -169,7 +172,11 @@ fn mid_epoch_snapshot_restores_last_published_epoch() {
     let json = shared.read(|d| to_json_string(d).expect("snapshot serializes"));
     let restored: Database = from_json_str(&json).expect("snapshot restores");
 
-    assert_eq!(restored.now(), published.db().now(), "buffered clock advance leaked");
+    assert_eq!(
+        restored.now(),
+        published.db().now(),
+        "buffered clock advance leaked"
+    );
     for q in &queries() {
         assert_eq!(
             restored.instantaneous_readonly(q).unwrap(),
@@ -179,7 +186,10 @@ fn mid_epoch_snapshot_restores_last_published_epoch() {
     }
     assert_eq!(
         restored.continuous_display(cq, restored.now()).unwrap(),
-        published.db().continuous_display(cq, published.db().now()).unwrap(),
+        published
+            .db()
+            .continuous_display(cq, published.db().now())
+            .unwrap(),
         "continuous display diverges from published epoch"
     );
     let pq = Query::parse("RETRIEVE o WHERE Eventually within 60 INSIDE(o, P)").unwrap();
@@ -203,7 +213,10 @@ fn mid_epoch_snapshot_restores_last_published_epoch() {
     assert_eq!(after.epoch(), e);
     let mut replayed = restored;
     replayed
-        .apply_updates(&[UpdateOp::Motion { id: ids[0], velocity: Velocity::new(9.0, 9.0) }])
+        .apply_updates(&[UpdateOp::Motion {
+            id: ids[0],
+            velocity: Velocity::new(9.0, 9.0),
+        }])
         .unwrap();
     replayed.advance_clock(3);
     assert_eq!(replayed.now(), after.db().now());
@@ -247,7 +260,11 @@ const PARENT_DISPLAYS: &[(u64, u64, &[u64])] = &[
 fn assert_parent_displays(db: &Database) {
     for &(cq, tick, ids) in PARENT_DISPLAYS {
         let shown: Vec<Vec<Value>> = ids.iter().map(|&id| vec![Value::Id(id)]).collect();
-        assert_eq!(db.continuous_display(cq, tick).unwrap(), shown, "cq {cq} at tick {tick}");
+        assert_eq!(
+            db.continuous_display(cq, tick).unwrap(),
+            shown,
+            "cq {cq} at tick {tick}"
+        );
     }
 }
 
@@ -266,11 +283,27 @@ fn checkpoint_written_before_the_regime_collapse_loads_and_recovers() {
     let rewritten = db.to_json();
     assert_eq!(
         keys(&rewritten),
-        ["expiration", "clock", "next_id", "classes", "objects", "regions", "continuous", "triggers", "stats"]
+        [
+            "expiration",
+            "clock",
+            "next_id",
+            "classes",
+            "objects",
+            "regions",
+            "continuous",
+            "triggers",
+            "stats"
+        ]
     );
     assert_eq!(
         keys(rewritten.field("continuous").unwrap()),
-        ["next", "entries", "evaluations", "skipped_refreshes", "noop_refreshes"]
+        [
+            "next",
+            "entries",
+            "evaluations",
+            "skipped_refreshes",
+            "noop_refreshes"
+        ]
     );
 
     // Those two keys aside, the state re-emits the fixture byte for byte:
@@ -280,7 +313,10 @@ fn checkpoint_written_before_the_regime_collapse_loads_and_recovers() {
         .replace('\n', "")
         .replace(r#""incremental_refreshes":1,"#, "")
         .replace(r#""refresh_mode":"Incremental","#, "");
-    assert_eq!(format!(r#"{{"next_seq":2,"db":{}}}"#, rewritten.render().unwrap()), expected);
+    assert_eq!(
+        format!(r#"{{"next_seq":2,"db":{}}}"#, rewritten.render().unwrap()),
+        expected
+    );
 
     // The same document as a WAL directory, as a checkpoint leaves it:
     // `checkpoint.json` plus the next, still empty, segment.
@@ -296,7 +332,10 @@ fn checkpoint_written_before_the_regime_collapse_loads_and_recovers() {
     // New records replay over the old checkpoint: a reopened copy equals
     // the snapshot driven through the same updates, and the batch extends
     // the parked car's row as every refresh now does.
-    let ops = [UpdateOp::Motion { id: 1, velocity: Velocity::new(1.0, 0.0) }];
+    let ops = [UpdateOp::Motion {
+        id: 1,
+        velocity: Velocity::new(1.0, 0.0),
+    }];
     durable.advance_clock(10).unwrap();
     durable.apply_updates(&ops).unwrap();
     drop(durable);
