@@ -28,9 +28,10 @@ pub struct CqEntry {
     pub query: Query,
     /// Global tick at which the query was entered.
     pub entered_at: Tick,
-    /// Global tick of the evaluation the answer's window starts at (the
-    /// registration, or the last refresh): the answer covers ticks up to
-    /// `evaluated_at + expiration`.
+    /// Global tick the answer's window starts at: the registration, or
+    /// the last renewal.  The answer covers ticks up to `evaluated_at +
+    /// expiration`; a refresh inside that window evaluates on the rest of
+    /// it and leaves this tick alone (the horizon rule, DESIGN.md §6).
     pub evaluated_at: Tick,
     /// Materialized answer, in **global** ticks.  Shared between epochs
     /// until a refresh changes it.
@@ -47,10 +48,13 @@ pub struct CqEntry {
     /// Whether each row depends on its own object alone
     /// ([`most_ftl::is_per_object`]).  Derived from `query`, not persisted.
     pub(crate) per_object: bool,
-    /// Whether `answer` is known to be a fresh evaluation at `evaluated_at`
-    /// for every object: set by registration and each successful refresh,
-    /// cleared by a failed one.  Not persisted, so a decoded entry is not
-    /// vouched for until its next refresh.
+    /// Whether each object's rows of `answer`, from its last evaluation
+    /// to the window end, are known to be a fresh evaluation of that
+    /// object on that window, so a refresh inside the window may
+    /// re-evaluate only the objects a batch touched (DESIGN.md §6): set
+    /// by registration and each successful refresh, cleared by a failed
+    /// one.  Not persisted, so a decoded entry is not vouched for until
+    /// its next refresh.
     pub(crate) exact: bool,
 }
 
@@ -58,14 +62,6 @@ impl CqEntry {
     /// The horizon rule: whether the materialized window still covers `now`.
     pub(crate) fn covers(&self, now: Tick, expiration: Duration) -> bool {
         now <= self.evaluated_at.saturating_add(expiration)
-    }
-
-    /// Whether a refresh at `boundary` may re-evaluate only the objects
-    /// the batch touched and keep every other row (DESIGN.md §6): the
-    /// query is per-object and its answer is exact at this very tick, so
-    /// the window has not moved.
-    pub(crate) fn same_tick_delta(&self, boundary: Tick) -> bool {
-        self.per_object && self.exact && self.evaluated_at == boundary
     }
 }
 
@@ -145,18 +141,20 @@ impl ContinuousRegistry {
         self.entries.iter().map(|(k, v)| (*k, v))
     }
 
-    /// Replaces an entry's answer after a refresh evaluation.  `nanos` is
-    /// the wall-clock cost of the evaluation that produced `new_answer`.
+    /// Replaces an entry's answer after a refresh evaluation at
+    /// `boundary` on the window starting at `start` (the entry's own, or
+    /// `boundary` for a renewal).  `nanos` is the wall-clock cost of the
+    /// evaluation that produced `answer`.
     ///
     /// Bumps `evaluations` only when the merged answer actually differs
     /// from the materialized one; a refresh whose merge is byte-identical
     /// past the boundary counts as a `noop_refreshes` instead, so the E3
     /// metric reports answer-*changing* evaluations.
-    pub fn refresh(&mut self, id: u64, boundary: Tick, new_answer: Answer, nanos: u64) {
+    pub fn refresh(&mut self, id: u64, boundary: Tick, start: Tick, answer: Answer, nanos: u64) {
         if let Some(entry) = self.entries.get_mut(&id) {
-            let merged = merge_answers(&entry.answer, &new_answer, boundary);
+            let merged = merge_answers(&entry.answer, &answer, boundary);
             entry.refresh_nanos += nanos;
-            entry.evaluated_at = boundary;
+            entry.evaluated_at = start;
             entry.exact = true;
             if merged == *entry.answer {
                 self.noop_refreshes += 1;
@@ -423,7 +421,7 @@ mod tests {
         assert_eq!(reg.len(), 1);
         assert_eq!(reg.evaluations, 1);
         assert!(reg.get(id).is_some());
-        reg.refresh(id, 5, answer(&[(1, &[(5, 20)])]), 7);
+        reg.refresh(id, 5, 5, answer(&[(1, &[(5, 20)])]), 7);
         assert_eq!(reg.evaluations, 2);
         assert_eq!(reg.noop_refreshes, 0);
         let entry = reg.get(id).unwrap();
@@ -445,14 +443,14 @@ mod tests {
         let id = reg.register(q, 0, answer(&[(1, &[(0, 10)])]));
         // Re-evaluating at tick 4 yields the same future: merged answer is
         // byte-identical, so this refresh must not count as an evaluation.
-        reg.refresh(id, 4, answer(&[(1, &[(4, 10)])]), 3);
+        reg.refresh(id, 4, 0, answer(&[(1, &[(4, 10)])]), 3);
         assert_eq!(reg.evaluations, 1, "noop refresh must not bump evaluations");
         assert_eq!(reg.noop_refreshes, 1);
         let entry = reg.get(id).unwrap();
         assert_eq!(entry.refreshes, 0);
         assert_eq!(entry.refresh_nanos, 3, "evaluation cost is still recorded");
         // A later, answer-changing refresh counts again.
-        reg.refresh(id, 6, answer(&[(1, &[(6, 15)])]), 2);
+        reg.refresh(id, 6, 6, answer(&[(1, &[(6, 15)])]), 2);
         assert_eq!(reg.evaluations, 2);
         assert_eq!(reg.noop_refreshes, 1);
     }

@@ -652,18 +652,24 @@ impl Database {
     /// Evaluates a query on the implicit future history starting now and
     /// returns the answer in **global** clock ticks.
     pub(crate) fn evaluate_global(&self, q: &Query) -> CoreResult<Answer> {
-        self.evaluate_over(q, None)
+        self.evaluate_over(q, None, self.clock.saturating_add(self.expiration))
     }
 
-    /// [`Database::evaluate_global`] with the active domain cut to the
-    /// sorted ids `ids` when given ([`most_ftl::evaluate_query_over`]).
-    pub(crate) fn evaluate_over(&self, q: &Query, ids: Option<Vec<u64>>) -> CoreResult<Answer> {
+    /// [`Database::evaluate_global`] on the window `now ..= end`, with the
+    /// active domain cut to the sorted ids `ids` when given
+    /// ([`most_ftl::evaluate_query_over`]).
+    pub(crate) fn evaluate_over(
+        &self,
+        q: &Query,
+        ids: Option<Vec<u64>>,
+        end: Tick,
+    ) -> CoreResult<Answer> {
         if let Some(marker) = &self.eval_fault {
             if DepSet::of_query(q).attrs.contains(marker) {
                 panic!("injected evaluation fault: attribute `{marker}`");
             }
         }
-        let ctx = self.current_context();
+        let ctx = self.current_context().until(end);
         let local = match ids {
             Some(ids) => evaluate_query_over(&ctx, q, ids)?,
             None => evaluate_query(&ctx, q)?,

@@ -9,11 +9,13 @@
 //!    in the batch can affect is skipped outright, while its materialized
 //!    window still covers the clock (the horizon rule, DESIGN.md §6);
 //! 2. **evaluate** — each surviving query is re-evaluated against the
-//!    final batch state, by the evaluator instantaneous queries use, so a
-//!    refreshed display equals a fresh query by construction.  A per-object
-//!    query whose answer was evaluated at this very tick re-evaluates only
+//!    final batch state, by the evaluator instantaneous queries use, on
+//!    the window its answer still covers, so a refreshed display equals a
+//!    fresh query on that window by construction.  A refresh never moves
+//!    a window: only a query the clock has outrun is renewed, on a full
+//!    one.  Inside its window an exact per-object query re-evaluates only
 //!    the objects the batch touched and keeps every other row (DESIGN.md
-//!    §6, "A same-tick refresh re-evaluates the objects the batch
+//!    §6, "A refresh inside the window re-evaluates the objects the batch
 //!    touched"); every other query is re-evaluated in full;
 //! 3. **merge** — the fresh answer replaces the materialized one from the
 //!    current tick onwards.
@@ -21,15 +23,18 @@
 //! The pass is serial, one query at a time.  Parallelism in this engine
 //! lives one level up, per shard (`crate::sharded`): work partitioned by
 //! object scales, fan-out inside one batch was a knob no served workload
-//! turned (EXPERIMENTS.md, E10).  A per-object refresh across clock ticks
-//! and a per-atom result cache were tried, measured and removed
-//! (EXPERIMENTS.md, E3 and E14).
+//! turned (EXPERIMENTS.md, E10).  The per-object refresh removed in
+//! EXPERIMENTS.md, E3 moved each refreshed window and so left untouched
+//! rows on a shorter one; the delta path is sound at every tick because
+//! the window stays put until its renewal.  A per-atom result cache was
+//! tried, measured and removed (EXPERIMENTS.md, E14).
 
 use crate::continuous::CqEntry;
 use crate::database::Database;
 use crate::deps::{DepSet, UpdateKind};
 use crate::error::{CoreError, CoreResult};
 use most_ftl::answer::Answer;
+use most_temporal::Tick;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 impl Database {
@@ -68,41 +73,40 @@ impl Database {
 
     /// One filter → evaluate → merge pass over every query.  With no
     /// changes (the clock's pass) only renewals evaluate, and nothing
-    /// counts as skipped.
+    /// counts as skipped.  Only a renewal moves a window.
     pub(crate) fn refresh_pass(&mut self, changes: &[(u64, UpdateKind)]) -> CoreResult<()> {
-        let boundary = self.now();
+        let (boundary, expiration) = (self.now(), self.expiration());
         most_obs::span!("refresh.eval");
         let (mut evaluated, mut skipped, mut renewals, mut delta) = (0u64, 0u64, 0u64, 0u64);
         let mut first_err: Option<CoreError> = None;
         for id in self.continuous.ids() {
             let entry = self.continuous.get(id).expect("id from ids() snapshot");
-            let renewal = !changes.iter().any(|(_, kind)| entry.deps.affected_by(kind));
-            if renewal {
-                // A query no change affects is skippable only while its
-                // window still covers the clock.
-                if entry.covers(boundary, self.expiration()) {
-                    if !changes.is_empty() {
-                        self.continuous.note_skipped(id);
-                        skipped += 1;
-                    }
-                    continue;
+            let renewal = !entry.covers(boundary, expiration);
+            if !renewal && !changes.iter().any(|(_, kind)| entry.deps.affected_by(kind)) {
+                if !changes.is_empty() {
+                    self.continuous.note_skipped(id);
+                    skipped += 1;
                 }
-                renewals += 1;
+                continue;
             }
             evaluated += 1;
+            renewals += u64::from(renewal);
+            let start = entry.evaluated_at;
+            let start = if renewal { boundary } else { start };
+            let end = start.saturating_add(expiration);
             // A renewal's window has moved, so it never takes this path.
-            let touched = if entry.same_tick_delta(boundary) {
+            let touched = if !renewal && entry.per_object && entry.exact {
                 touched_ids(changes, &entry.deps)
             } else {
                 None
             };
             delta += u64::from(touched.is_some());
             let result = timed_eval(|| match &touched {
-                Some(ids) => self.evaluate_touched(entry, ids),
-                None => self.evaluate_global(&entry.query),
+                Some(ids) => self.evaluate_touched(entry, ids, end),
+                None => self.evaluate_over(&entry.query, None, end),
             });
             match result {
-                (Ok(fresh), nanos) => self.continuous.refresh(id, boundary, fresh, nanos),
+                (Ok(fresh), nanos) => self.continuous.refresh(id, boundary, start, fresh, nanos),
                 (Err(e), _) => {
                     self.continuous.note_failed(id);
                     if renewal {
@@ -120,16 +124,17 @@ impl Database {
         first_err.map_or(Ok(()), Err)
     }
 
-    /// A same-tick refresh's fresh answer: the touched objects that are
-    /// still live re-evaluated, and every untouched object's materialized
-    /// rows kept.  A removed object's rows go with it, and the complement
-    /// of a negation ranges over live objects only.
-    fn evaluate_touched(&self, entry: &CqEntry, touched: &[u64]) -> CoreResult<Answer> {
+    /// A delta refresh's fresh answer on the window ending at `end`: the
+    /// touched objects that are still live re-evaluated, and every
+    /// untouched object's materialized rows kept.  A removed object's rows
+    /// go with it, and the complement of a negation ranges over live
+    /// objects only.
+    fn evaluate_touched(&self, entry: &CqEntry, touched: &[u64], end: Tick) -> CoreResult<Answer> {
         let live = touched
             .iter()
             .copied()
             .filter(|&id| self.object(id).is_ok());
-        let fresh = self.evaluate_over(&entry.query, Some(live.collect()))?;
+        let fresh = self.evaluate_over(&entry.query, Some(live.collect()), end)?;
         let kept = entry.answer.tuples.iter().filter(|t| {
             t.values[0]
                 .as_id()

@@ -53,6 +53,13 @@ impl<'a> DbContext<'a> {
         }
     }
 
+    /// This context with its horizon cut to end at global tick `end`, where
+    /// a continuous query's materialized window ends (DESIGN.md §6).
+    pub(crate) fn until(mut self, end: Tick) -> Self {
+        self.horizon = Horizon::new(end.saturating_sub(self.origin));
+        self
+    }
+
     /// The global tick corresponding to local tick 0.
     pub fn origin(&self) -> Tick {
         self.origin

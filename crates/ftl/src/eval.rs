@@ -69,17 +69,23 @@ pub fn evaluate_query_over(ctx: &dyn EvalContext, q: &Query, ids: Vec<u64>) -> F
 
 /// Whether each row of `q`'s answer depends on the object it names alone:
 /// one target, which is the only free variable and the only variable in
-/// an object position, and no object constant.  Every operator then works
-/// per object, over any domain the object is in (DESIGN.md §6).
+/// an object position, no object constant, and no `time`, which counts
+/// from the evaluation's first tick and so ties a row to when it was
+/// evaluated.  Every operator then works per object, over any domain the
+/// object is in (DESIGN.md §6).
 pub fn is_per_object(q: &Query) -> bool {
     let [target] = q.targets.as_slice() else {
         return false;
     };
+    let mut reads_time = false;
+    q.formula
+        .visit_terms(&mut |t| t.visit(&mut |s| reads_time |= matches!(s, Term::Time)));
     q.formula.free_vars().iter().all(|v| v == target)
         && syntactic_object_vars(&q.formula)
             .iter()
             .all(|v| v == target)
         && !q.formula.mentions_object_constant()
+        && !reads_time
 }
 
 /// Evaluates a bare formula to its relation `R_f`.  `extra_object_vars`
@@ -1019,6 +1025,7 @@ mod tests {
             "RETRIEVE o, n WHERE o <> n AND DIST(o, n) <= 40",
             "RETRIEVE o WHERE o <> n AND DIST(o, n) <= 40",
             "RETRIEVE o WHERE WITHIN_SPHERE(10, o, n)",
+            "RETRIEVE o WHERE time <= 10 AND INSIDE(o, P)",
         ] {
             assert!(!is_per_object(&parsed(src)), "{src}");
         }

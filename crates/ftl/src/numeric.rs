@@ -341,8 +341,8 @@ pub fn compare_terms(
     rhs: &Term,
 ) -> FtlResult<IntervalSet> {
     let h = ctx.horizon();
-    let fa = build_form(ctx, env, lhs)?;
-    let fb = build_form(ctx, env, rhs)?;
+    let fa = operand_form(ctx, env, lhs)?;
+    let fb = operand_form(ctx, env, rhs)?;
     let candidate = compare_forms(op, &fa, &fb, h)?;
     if fa.is_stepwise() && fb.is_stepwise() {
         return Ok(candidate);
@@ -369,6 +369,23 @@ pub fn compare_terms(
             .collect(),
     );
     Ok(exact_ticks(&real, h, exact))
+}
+
+/// The form of a comparison operand.  Arithmetic on constants alone (no
+/// variable, attribute, `time` or `DIST`) folds to its value, taken from
+/// [`eval_term`], so `o.PRICE <= -1` (parsed `0 - 1`) meets the per-value
+/// kernel as `o.PRICE <= 0` does instead of root solving.  A fold that
+/// fails or leaves the finite numbers keeps the built form and the error
+/// it reports (a division by zero).
+fn operand_form(ctx: &dyn EvalContext, env: &Env, term: &Term) -> FtlResult<TermForm> {
+    let mut closed = matches!(term, Term::Arith(..));
+    if closed {
+        term.visit(&mut |t| closed &= matches!(t, Term::Const(_) | Term::Arith(..)));
+    }
+    match closed.then(|| eval_term(ctx, env, term, 0)) {
+        Some(Ok(v)) if v.as_f64().is_some_and(f64::is_finite) => Ok(TermForm::Invariant(v)),
+        _ => build_form(ctx, env, term),
+    }
 }
 
 fn compare_forms(op: CmpOp, fa: &TermForm, fb: &TermForm, h: Horizon) -> FtlResult<IntervalSet> {
@@ -818,5 +835,37 @@ mod tests {
         )
         .unwrap();
         assert_eq!(got, IntervalSet::singleton(Interval::new(0, 29)));
+    }
+
+    #[test]
+    fn arithmetic_on_constants_folds_to_one_value() {
+        let c = ctx();
+        let env = env2();
+        let minus_one = Term::Arith(ArithOp::Sub, Box::new(Term::val(0)), Box::new(Term::val(1)));
+        assert_eq!(
+            operand_form(&c, &env, &minus_one).unwrap(),
+            TermForm::Invariant(Value::from(-1.0))
+        );
+        let price = Term::attr(Term::var("o"), "PRICE");
+        let below = Term::Arith(
+            ArithOp::Sub,
+            Box::new(Term::val(90)),
+            Box::new(Term::val(5)),
+        );
+        assert_eq!(
+            compare_terms(&c, &env, CmpOp::Le, &price, &below).unwrap(),
+            brute(&c, &env, CmpOp::Le, &price, &below)
+        );
+        // Anything else keeps its form, and a division by zero its error.
+        let shifted = Term::Arith(ArithOp::Add, Box::new(Term::Time), Box::new(Term::val(1)));
+        assert!(matches!(
+            operand_form(&c, &env, &shifted).unwrap(),
+            TermForm::Quad(_)
+        ));
+        let by_zero = Term::Arith(ArithOp::Div, Box::new(Term::val(1)), Box::new(Term::val(0)));
+        assert!(matches!(
+            compare_terms(&c, &env, CmpOp::Le, &price, &by_zero),
+            Err(FtlError::Type(_))
+        ));
     }
 }

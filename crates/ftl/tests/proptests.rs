@@ -213,7 +213,7 @@ fn answers_are_normalized() {
 /// A stored value of every kind a static attribute may hold.
 fn arb_value() -> Gen<Value> {
     one_of(vec![
-        ints(0i64..200).map(Value::Int),
+        ints(-20i64..200).map(Value::Int),
         ints(0u32..400).map(|v| Value::from(v as f64 * 0.5)),
         select(&["abc", "m", "zz"]).map(Value::from),
         just(Value::Null),
@@ -275,10 +275,16 @@ fn arb_static_query(templates: &'static [&'static str], constants: Gen<String>) 
 fn stored_value_comparisons_match_oracle() {
     // Int, Float, Str and Null values, mixed within one series, against
     // constants of every kind: the per-value path must agree with the
-    // per-tick reference semantics, including across kinds.
+    // per-tick reference semantics, including across kinds.  Negative
+    // literals parse as `0 - c` and, like other arithmetic on constants,
+    // fold to one value before the comparison.
     let constants = one_of(vec![
         ints(0u32..200).map(|c| c.to_string()),
         ints(0u32..200).map(|c| format!("{c}.5")),
+        ints(0u32..30).map(|c| format!("-{c}")),
+        ints(0u32..30).map(|c| format!("-{c}.5")),
+        tuple2(ints(0u32..200), ints(0u32..200)).map(|(a, b)| format!("{a} - {b}")),
+        tuple2(ints(0u32..100), ints(1u32..4)).map(|(a, b)| format!("({a} + 1) * {b} / 2")),
         select(&["'abc'", "'b'", "'zz'"]).map(str::to_owned),
     ]);
     Check::new("ftl::stored_value_comparisons_match_oracle")
@@ -335,7 +341,7 @@ fn a_dynamic_attribute_shadows_a_static_one() {
     // the static value underneath is never read, and ticks before the
     // dynamic piece starts are undefined.
     let numeric = one_of(vec![
-        ints(0i64..200).map(Value::Int),
+        ints(-20i64..200).map(Value::Int),
         ints(0u32..400).map(|v| Value::from(v as f64 * 0.5)),
     ]);
     let dynamic = one_of(vec![

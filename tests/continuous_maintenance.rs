@@ -8,16 +8,16 @@
 //! 1. **Future.**  After every step, each materialized answer from `now`
 //!    onwards equals [`Database::instantaneous_readonly`] of the same
 //!    query on the window the materialized answer covers, `now ..= last
-//!    evaluation + expiration`.  "On the window" is literal: the reference
+//!    renewal + expiration`.  "On the window" is literal: the reference
 //!    runs on an unindexed copy of the state whose horizon ends where the
 //!    materialized one does, because a temporal operator evaluated at a
 //!    later tick would otherwise look further ahead than the materialized
-//!    answer could.  The window always holds `now`: a query the dependency
-//!    filter skips keeps the window of its last evaluation only until the
-//!    clock outruns it, and is then evaluated again, on the update or on
-//!    the clock tick that outruns it (the horizon rule).  The oracle tracks
-//!    last evaluations itself, so an unsound skip and a missed renewal both
-//!    show up here as a divergence.
+//!    answer could.  A window moves only by the horizon rule: a refresh
+//!    evaluates on the window it finds, and a query whose window the clock
+//!    outruns is renewed on the clock tick that outruns it.  The oracle
+//!    tracks renewals itself and checks the engine's `evaluated_at`
+//!    against them after every write, so an unsound skip, a missed
+//!    renewal and a moved window all show up as a divergence.
 //! 2. **Past.**  A display served at a tick the clock has left never
 //!    changes.
 //! 3. **Accounting.**  Every write either skips or evaluates each query.
@@ -28,11 +28,12 @@
 //!
 //! The named cases at the bottom are the counterexamples that separated
 //! the deleted per-object refresh from full re-evaluation (EXPERIMENTS.md,
-//! E3), with their expected displays.  Counterexamples 2 and 3 also run
-//! with the write at the tick the answer was evaluated, where a per-object
-//! query re-evaluates only the objects a write touched (DESIGN.md §6), as
-//! does an insert under `OUTSIDE` and `true`.  A region write refreshes the
-//! queries that name the region.
+//! E3), with their expected displays.  Counterexamples 2 and 3 run with
+//! the write at the tick the answer was evaluated and one tick later; a
+//! per-object query re-evaluates only the objects a write touched at
+//! either (DESIGN.md §6), as does an insert under `OUTSIDE` and `true`.
+//! A touched object is evaluated on the rest of the window, never past
+//! it.  A region write refreshes the queries that name the region.
 
 use most_testkit::check::{bools, ints, one_of, tuple2, tuple3, vecs, Check, Gen};
 use most_testkit::ser::{FromJson, Json, ToJson};
@@ -166,14 +167,9 @@ impl World {
     }
 
     /// One explicit update (a single call that applies at least one
-    /// change): every query is then either skipped or evaluated now.
+    /// change): every query is then either skipped or evaluated now, on
+    /// the window it already covers.
     fn write(&mut self, update: impl FnOnce(&mut Database)) {
-        let registry = self.db.continuous_registry();
-        let skipped: Vec<u64> = self
-            .cqs
-            .iter()
-            .map(|cq| registry.get(cq.id).expect("live query").skipped)
-            .collect();
         let work = |db: &Database| {
             db.skipped_refreshes() + db.continuous_evaluations() + db.noop_refreshes()
         };
@@ -184,12 +180,14 @@ impl World {
             self.cqs.len() as u64,
             "every query is skipped or evaluated exactly once per write"
         );
-        let now = self.db.now();
         let registry = self.db.continuous_registry();
-        for (cq, skipped) in self.cqs.iter_mut().zip(skipped) {
-            if registry.get(cq.id).expect("live query").skipped == skipped {
-                cq.last_eval = now;
-            }
+        for cq in &self.cqs {
+            assert_eq!(
+                registry.get(cq.id).expect("live query").evaluated_at,
+                cq.last_eval,
+                "a write moved the window of query {}",
+                cq.query
+            );
         }
         self.after_step();
     }
@@ -446,10 +444,11 @@ fn maintained_answer_matches_fresh_evaluation() {
 
 /// Two relevant updates further apart than `expiration`.  Between them the
 /// clock outruns the materialized window, which is renewed rather than left
-/// to run out (the parked car stays displayed); the second update
-/// materializes a full window again.
+/// to run out (the parked car stays displayed).  The second update
+/// evaluates on the renewed window and leaves it in place; the clock
+/// renews it again when it runs out.
 #[test]
-fn an_update_past_expiration_materializes_a_full_window_again() {
+fn the_clock_renews_a_window_that_updates_leave_in_place() {
     let mut world = build_world();
     let parked = world.ids[0];
     world.write(|db| {
@@ -498,10 +497,12 @@ fn a_skipped_query_is_renewed_when_the_clock_outruns_its_window() {
 }
 
 /// Counterexample 1 (horizon): rows of objects that are not in the batch
-/// are re-evaluated too, so parked cars stay displayed however long ago
-/// their own last update was.  Per-object refresh let them expire.
+/// share the window of the rows the batch re-evaluates, and the clock
+/// renews them all together, so parked cars stay displayed however long
+/// ago their own last update was.  Per-object refresh moved the window
+/// for the touched rows only and let the others expire.
 #[test]
-fn rows_of_objects_outside_the_batch_keep_a_full_horizon() {
+fn rows_of_objects_outside_the_batch_are_renewed_with_the_window() {
     let mut db = Database::new(100);
     let ids: Vec<u64> = (0..40)
         .map(|i| {
@@ -522,6 +523,62 @@ fn rows_of_objects_outside_the_batch_keep_a_full_horizon() {
         }
     }
     world.check_past();
+}
+
+/// A touched object is evaluated on the rest of the window, not on a
+/// fresh horizon: a car set moving one tick after registration enters `P`
+/// at tick 101, one tick past the window end, and `Eventually within 60`
+/// must not see that entry before the clock renews the window.  Evaluated
+/// on `1 ..= 101`, the car's row would show from tick 41 while the
+/// untouched rows end at tick 100.
+#[test]
+fn a_touched_object_does_not_look_past_the_window_end() {
+    let mut db = Database::new(100);
+    let car = db.insert_moving_object("cars", Point::origin(), Velocity::zero());
+    let parked = db.insert_moving_object("cars", Point::new(110.0, 0.0), Velocity::zero());
+    db.add_region("P", Polygon::rectangle(99.5, -10.0, 120.0, 10.0));
+    let query = "RETRIEVE o WHERE Eventually within 60 INSIDE(o, P)";
+    let mut world = World::new(db, vec![car, parked], &[query]);
+    let just_parked = vec![vec![Value::Id(parked)]];
+    assert_eq!(world.display(0), just_parked);
+    world.advance(1);
+    world.write(|db| db.update_motion(car, Velocity::new(1.0, 0.0)).unwrap());
+    world.advance(99);
+    assert_eq!(world.db.now(), 100);
+    assert_eq!(world.display(0), just_parked, "the window ends at tick 100");
+    world.advance(1);
+    assert_eq!(world.cqs[0].last_eval, 101, "renewed");
+    assert_eq!(
+        world.display(0),
+        vec![vec![Value::Id(car)], vec![Value::Id(parked)]]
+    );
+    world.check_past();
+}
+
+/// `time` counts from an evaluation's first tick, so a query reading it
+/// is not per-object: a write five ticks after registration re-evaluates
+/// every row from the write's tick, where the delta path would keep the
+/// parked car's row counted from registration.  (The oracle's random
+/// worlds leave `time` out: a skipped query keeps the tick it counts
+/// from, so no fresh evaluation at a later tick matches it.)
+#[test]
+fn a_query_reading_time_is_re_evaluated_in_full() {
+    let mut db = Database::new(100);
+    let moving = db.insert_moving_object("cars", Point::origin(), Velocity::zero());
+    let parked = db.insert_moving_object("cars", Point::new(5.0, 0.0), Velocity::zero());
+    let query = Query::parse("RETRIEVE o WHERE time <= 10 AND o.X <= 100").unwrap();
+    let cq = db.register_continuous(query.clone()).unwrap();
+    db.advance_clock(5);
+    db.update_motion(moving, Velocity::new(0.5, 0.0)).unwrap();
+    let fresh = db.instantaneous_readonly(&query).unwrap();
+    assert_eq!(
+        rows_from(db.continuous_answer(cq).unwrap(), 5),
+        rows_from(&fresh, 5)
+    );
+    assert_eq!(
+        db.continuous_display(cq, 12).unwrap(),
+        vec![vec![Value::Id(moving)], vec![Value::Id(parked)]]
+    );
 }
 
 /// Counterexample 2 (non-target variables): `n` is projected away, so a
@@ -575,9 +632,9 @@ fn a_removed_object_leaves_a_negated_answer() {
     removal_under_negation_case(1);
 }
 
-/// Counterexample 3 at the tick the answer was evaluated, where only the
-/// touched objects are re-evaluated: the removed one's row is dropped, not
-/// complemented back in.
+/// Counterexample 3 at the tick the answer was evaluated.  At either tick
+/// only the touched objects are re-evaluated: the removed one's row is
+/// dropped, not complemented back in.
 #[test]
 fn a_removed_object_leaves_a_negated_answer_at_the_same_tick() {
     removal_under_negation_case(0);
