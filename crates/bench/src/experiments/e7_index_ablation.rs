@@ -86,8 +86,7 @@ pub fn run(scale: Scale) -> Table {
                     .iter()
                     .map(|&(at, lo)| {
                         let (ids, stats) = idx.instantaneous(at, lo, lo + window);
-                        nodes += (stats.nodes_visited + stats.candidates) as f64
-                            / queries as f64;
+                        nodes += (stats.nodes_visited + stats.candidates) as f64 / queries as f64;
                         ids
                     })
                     .collect();
@@ -162,7 +161,12 @@ pub fn run(scale: Scale) -> Table {
         "n = {n}; 1% selectivity; both tree structures return identical answers \
          (asserted).  Scan updates are O(1) but every query pays O(n)."
     ));
-    table.mark_measured(&["build", "query (avg)", "update (avg)", "continuous query (avg)"]);
+    table.mark_measured(&[
+        "build",
+        "query (avg)",
+        "update (avg)",
+        "continuous query (avg)",
+    ]);
     table
 }
 

@@ -59,12 +59,17 @@ pub fn run(scale: Scale) -> Table {
         for (t, v) in update_schedule(&mut rng, horizon, 100.0, 0.5, 2.0) {
             traj.update_velocity(t, v);
         }
-        (0..=horizon).map(|t| traj.position_at_tick(t)).collect::<Vec<Point>>()
+        (0..=horizon)
+            .map(|t| traj.position_at_tick(t))
+            .collect::<Vec<Point>>()
     };
     for (name, policy) in [
         ("every_tick", TrackingPolicy::EveryTick),
         ("every_20", TrackingPolicy::EveryK(20)),
-        ("dead_reckoning", TrackingPolicy::DeadReckoning { threshold: 1.0 }),
+        (
+            "dead_reckoning",
+            TrackingPolicy::DeadReckoning { threshold: 1.0 },
+        ),
     ] {
         let s = bench(warmup, samples, || simulate_tracking(&path, policy));
         add(&mut table, "tracking", format!("policy/{name}"), s);
@@ -119,7 +124,12 @@ pub fn run(scale: Scale) -> Table {
             }
             total
         });
-        add(&mut table, "continuous", format!("materialized_once/n{n}"), s);
+        add(
+            &mut table,
+            "continuous",
+            format!("materialized_once/n{n}"),
+            s,
+        );
         let s = bench(warmup, samples, || {
             let mut db = build_db(n);
             let mut total = 0usize;
@@ -129,7 +139,12 @@ pub fn run(scale: Scale) -> Table {
             }
             total
         });
-        add(&mut table, "continuous", format!("reissue_per_tick/n{n}"), s);
+        add(
+            &mut table,
+            "continuous",
+            format!("reissue_per_tick/n{n}"),
+            s,
+        );
     }
 
     // -- FTL interval algorithm vs per-tick oracle (former e4 bench) -----
@@ -169,7 +184,10 @@ pub fn run(scale: Scale) -> Table {
     // -- `INSIDE` over an unindexed fleet shaped like one `sharded_large`
     //    shard (a car per 200 square units, 80 × 80 region): all candidates
     let n = scale.pick(2_000usize, 12_500usize);
-    let scenario = CarScenario { area: (n as f64 * 50.0).sqrt(), ..CarScenario::fleet(11, n) };
+    let scenario = CarScenario {
+        area: (n as f64 * 50.0).sqrt(),
+        ..CarScenario::fleet(11, n)
+    };
     let mut scan_db = Database::new(100);
     scan_db.add_region("P", Polygon::rectangle(-40.0, -40.0, 40.0, 40.0));
     scenario.populate(&mut scan_db, &scenario.generate());
@@ -178,7 +196,10 @@ pub fn run(scale: Scale) -> Table {
     // the whole domain, `PRICE` reads only its survivors.
     for (name, src) in [
         ("inside_scan", "RETRIEVE o WHERE INSIDE(o, P)"),
-        ("conj_scan", "RETRIEVE o WHERE INSIDE(o, P) AND o.PRICE <= 120"),
+        (
+            "conj_scan",
+            "RETRIEVE o WHERE INSIDE(o, P) AND o.PRICE <= 120",
+        ),
     ] {
         let q = Query::parse(src).expect("parses");
         let s = bench(warmup, samples, || evaluate_query(&ctx, &q).expect("eval"));
@@ -189,7 +210,10 @@ pub fn run(scale: Scale) -> Table {
     //    the beacon toggle under the shard's two continuous queries, at the
     //    tick their answers were evaluated, on a fresh clone per sample ---
     let mut cq_db = scan_db.clone();
-    for src in ["RETRIEVE o WHERE INSIDE(o, P)", "RETRIEVE o WHERE o.PRICE >= 1000"] {
+    for src in [
+        "RETRIEVE o WHERE INSIDE(o, P)",
+        "RETRIEVE o WHERE o.PRICE >= 1000",
+    ] {
         let q = Query::parse(src).expect("parses");
         cq_db.register_continuous(q).expect("registers");
     }
@@ -201,7 +225,11 @@ pub fn run(scale: Scale) -> Table {
             velocity: Velocity::new(rng.random_range(-2.0..2.0), rng.random_range(-2.0..2.0)),
         })
         .collect();
-    batch.push(UpdateOp::Static { id: ids[0], attr: "PRICE".into(), value: 1000.0.into() });
+    batch.push(UpdateOp::Static {
+        id: ids[0],
+        attr: "PRICE".into(),
+        value: 1000.0.into(),
+    });
     let s = bench(warmup, samples, || {
         let mut db = cq_db.clone();
         db.apply_updates(&batch).expect("applies");
@@ -226,10 +254,20 @@ pub fn run(scale: Scale) -> Table {
         let mut rng = Rng::seed_from_u64(3);
         for i in 0..n as u64 {
             let dynamics = (0..attrs)
-                .map(|_| (rng.random_range(0.0..1000.0), 0, rng.random_range(-2.0..2.0)))
+                .map(|_| {
+                    (
+                        rng.random_range(0.0..1000.0),
+                        0,
+                        rng.random_range(-2.0..2.0),
+                    )
+                })
                 .collect();
             layer
-                .insert("cars", vec![Value::Id(i), rng.random_range(40.0..200.0).into()], dynamics)
+                .insert(
+                    "cars",
+                    vec![Value::Id(i), rng.random_range(40.0..200.0).into()],
+                    dynamics,
+                )
                 .expect("insert");
         }
         layer
@@ -286,14 +324,25 @@ pub fn run(scale: Scale) -> Table {
     let s = bench(warmup, samples, || {
         super::e6_distributed::continuous_message_ratio(50, 300)
     });
-    add(&mut table, "distributed", "continuous_ratio/n50".to_owned(), s);
+    add(
+        &mut table,
+        "distributed",
+        "continuous_ratio/n50".to_owned(),
+        s,
+    );
 
     // -- index structures: build / bulk build / query (former e7 bench) --
     let n = scale.pick(2_000usize, 10_000usize);
     let objs: Vec<(u64, f64, f64)> = {
         let mut rng = Rng::seed_from_u64(5);
         (0..n as u64)
-            .map(|i| (i, rng.random_range(0.0..n as f64), rng.random_range(-0.5..0.5)))
+            .map(|i| {
+                (
+                    i,
+                    rng.random_range(0.0..n as f64),
+                    rng.random_range(-0.5..0.5),
+                )
+            })
             .collect()
     };
     let value_range = (-(n as f64), 2.0 * n as f64);
@@ -316,14 +365,18 @@ pub fn run(scale: Scale) -> Table {
         for &(id, v, sl) in &objs {
             idx.insert(id, 0, v, sl);
         }
-        let s = bench(warmup, samples, || idx.instantaneous(500, 1000.0, 1000.0 + qwindow));
+        let s = bench(warmup, samples, || {
+            idx.instantaneous(500, 1000.0, 1000.0 + qwindow)
+        });
         add(&mut table, "structures", format!("query/{name}"), s);
     }
     let mut scan = ScanIndex::new();
     for &(id, v, sl) in &objs {
         scan.upsert(id, 0, v, sl);
     }
-    let s = bench(warmup, samples, || scan.instantaneous(500, 1000.0, 1000.0 + qwindow));
+    let s = bench(warmup, samples, || {
+        scan.instantaneous(500, 1000.0, 1000.0 + qwindow)
+    });
     add(&mut table, "structures", "query/scan".to_owned(), s);
 
     table.note(

@@ -24,7 +24,11 @@ pub struct MovingPoint {
 impl MovingPoint {
     /// A point at `anchor` from tick `since`, moving with `velocity`.
     pub fn new(anchor: Point, since: Tick, velocity: Velocity) -> Self {
-        MovingPoint { anchor, since, velocity }
+        MovingPoint {
+            anchor,
+            since,
+            velocity,
+        }
     }
 
     /// A stationary point (zero motion vector).
@@ -100,7 +104,11 @@ impl fmt::Display for MovingPoint {
     }
 }
 
-most_testkit::json_struct!(MovingPoint { anchor, since, velocity });
+most_testkit::json_struct!(MovingPoint {
+    anchor,
+    since,
+    velocity
+});
 
 #[cfg(test)]
 mod tests {
@@ -155,7 +163,8 @@ mod tests {
     #[test]
     fn stationary_detection() {
         assert!(MovingPoint::stationary(Point::new(2.0, 2.0)).is_stationary());
-        assert!(!MovingPoint::from_origin(Point::origin(), Velocity::new(0.1, 0.0))
-            .is_stationary());
+        assert!(
+            !MovingPoint::from_origin(Point::origin(), Velocity::new(0.1, 0.0)).is_stationary()
+        );
     }
 }

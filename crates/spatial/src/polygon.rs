@@ -340,7 +340,10 @@ mod tests {
             Point::new(0.0, 5.0),
         ]);
         let bb = p.bounding_box();
-        assert_eq!((bb.min_x, bb.min_y, bb.max_x, bb.max_y), (-1.0, -4.0, 3.0, 5.0));
+        assert_eq!(
+            (bb.min_x, bb.min_y, bb.max_x, bb.max_y),
+            (-1.0, -4.0, 3.0, 5.0)
+        );
     }
 
     #[test]
@@ -353,7 +356,10 @@ mod tests {
 
     #[test]
     fn edge_contains_point() {
-        let e = Edge { a: Point::new(0.0, 0.0), b: Point::new(4.0, 0.0) };
+        let e = Edge {
+            a: Point::new(0.0, 0.0),
+            b: Point::new(4.0, 0.0),
+        };
         assert!(e.contains_point(Point::new(2.0, 0.0), 1e-9));
         assert!(e.contains_point(Point::new(0.0, 0.0), 1e-9));
         assert!(e.contains_point(Point::new(4.0, 0.0), 1e-9));

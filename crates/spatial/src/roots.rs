@@ -7,8 +7,6 @@
 //! [`RealIntervals`]; [`crate::predicates`] converts them to exact tick
 //! intervals.
 
-
-
 /// A (possibly unbounded) closed real interval `[lo, hi]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RealInterval {
@@ -26,7 +24,10 @@ impl RealInterval {
 
     /// The whole real line.
     pub fn all() -> Self {
-        RealInterval { lo: -f64::INFINITY, hi: f64::INFINITY }
+        RealInterval {
+            lo: -f64::INFINITY,
+            hi: f64::INFINITY,
+        }
     }
 }
 
@@ -45,7 +46,9 @@ impl RealIntervals {
 
     /// All of ℝ.
     pub fn all() -> Self {
-        RealIntervals { intervals: vec![RealInterval::all()] }
+        RealIntervals {
+            intervals: vec![RealInterval::all()],
+        }
     }
 
     /// Constructs from already-sorted, disjoint intervals.
@@ -109,8 +112,14 @@ pub fn solve_quadratic_le(a: f64, b: f64, c: f64) -> RealIntervals {
             let r1 = (-b + s) / (2.0 * a);
             let r2 = (-b - s) / (2.0 * a);
             RealIntervals::of(vec![
-                RealInterval { lo: -f64::INFINITY, hi: r1 },
-                RealInterval { lo: r2, hi: f64::INFINITY },
+                RealInterval {
+                    lo: -f64::INFINITY,
+                    hi: r1,
+                },
+                RealInterval {
+                    lo: r2,
+                    hi: f64::INFINITY,
+                },
             ])
         }
     }
@@ -127,9 +136,15 @@ pub fn solve_linear_le(b: f64, c: f64) -> RealIntervals {
     } else {
         let root = -c / b;
         if b > 0.0 {
-            RealIntervals::of(vec![RealInterval { lo: -f64::INFINITY, hi: root }])
+            RealIntervals::of(vec![RealInterval {
+                lo: -f64::INFINITY,
+                hi: root,
+            }])
         } else {
-            RealIntervals::of(vec![RealInterval { lo: root, hi: f64::INFINITY }])
+            RealIntervals::of(vec![RealInterval {
+                lo: root,
+                hi: f64::INFINITY,
+            }])
         }
     }
 }

@@ -12,11 +12,8 @@ use std::time::Instant;
 #[ignore = "large-scale; run with --release -- --ignored"]
 fn index_handles_two_hundred_thousand_objects() {
     let n = 200_000u64;
-    let mut idx = DynamicAttributeIndex::new(
-        IndexKind::RTree,
-        1_000,
-        (-(n as f64), 2.0 * n as f64),
-    );
+    let mut idx =
+        DynamicAttributeIndex::new(IndexKind::RTree, 1_000, (-(n as f64), 2.0 * n as f64));
     let mut scan = ScanIndex::new();
     for i in 0..n {
         let v0 = (i as f64 * 13.37) % (n as f64);
