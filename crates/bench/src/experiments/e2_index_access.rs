@@ -6,7 +6,7 @@
 
 use crate::table::{fmt_duration, fmt_f64};
 use crate::{Scale, Table};
-use most_index::{DynamicAttributeIndex, IndexKind, ScanIndex};
+use most_index::{DynamicAttributeIndex, ScanIndex};
 use most_testkit::rng::Rng;
 use std::time::Instant;
 
@@ -35,7 +35,7 @@ pub fn run(scale: Scale) -> Table {
     for &n in sizes {
         let mut rng = Rng::seed_from_u64(7);
         let value_range = (-(n as f64), 2.0 * n as f64);
-        let mut idx = DynamicAttributeIndex::new(IndexKind::QuadTree, lifetime, value_range);
+        let mut idx = DynamicAttributeIndex::new(lifetime, value_range);
         let mut scan = ScanIndex::new();
         for i in 0..n as u64 {
             let v0 = rng.random_range(0.0..n as f64);

@@ -21,7 +21,7 @@ use most_dbms::schema::ColumnType;
 use most_dbms::value::Value;
 use most_ftl::semantics::naive_answer;
 use most_ftl::{evaluate_query, Query};
-use most_index::{DynamicAttributeIndex, IndexKind, ScanIndex};
+use most_index::{DynamicAttributeIndex, ScanIndex};
 use most_mobile::strategy::{
     object_query_data_shipping, object_query_query_shipping, ObjectPredicate,
 };
@@ -78,8 +78,7 @@ pub fn run(scale: Scale) -> Table {
     // -- instantaneous range query, index vs scan (former e2 bench) ------
     for &n in scale.pick(&[1_000usize][..], &[1_000usize, 10_000, 100_000][..]) {
         let mut rng = Rng::seed_from_u64(7);
-        let mut idx =
-            DynamicAttributeIndex::new(IndexKind::QuadTree, 1_000, (-(n as f64), 2.0 * n as f64));
+        let mut idx = DynamicAttributeIndex::new(1_000, (-(n as f64), 2.0 * n as f64));
         let mut scan = ScanIndex::new();
         for i in 0..n as u64 {
             let v0 = rng.random_range(0.0..n as f64);
@@ -331,7 +330,7 @@ pub fn run(scale: Scale) -> Table {
         s,
     );
 
-    // -- index structures: build / bulk build / query (former e7 bench) --
+    // -- index structure: build / query (former e7 bench) --------------
     let n = scale.pick(2_000usize, 10_000usize);
     let objs: Vec<(u64, f64, f64)> = {
         let mut rng = Rng::seed_from_u64(5);
@@ -347,29 +346,20 @@ pub fn run(scale: Scale) -> Table {
     };
     let value_range = (-(n as f64), 2.0 * n as f64);
     let qwindow = n as f64 / 100.0;
-    for kind in [IndexKind::QuadTree, IndexKind::RTree] {
-        let name = format!("{kind:?}");
-        let s = bench(warmup, samples, || {
-            let mut idx = DynamicAttributeIndex::new(kind, 1_000, value_range);
-            for &(id, v, sl) in &objs {
-                idx.insert(id, 0, v, sl);
-            }
-            idx.len()
-        });
-        add(&mut table, "structures", format!("build/{name}"), s);
-        let s = bench(warmup, samples, || {
-            DynamicAttributeIndex::bulk(kind, 1_000, value_range, objs.iter().copied()).len()
-        });
-        add(&mut table, "structures", format!("bulk_build/{name}"), s);
-        let mut idx = DynamicAttributeIndex::new(kind, 1_000, value_range);
+    let build = || {
+        let mut idx = DynamicAttributeIndex::new(1_000, value_range);
         for &(id, v, sl) in &objs {
             idx.insert(id, 0, v, sl);
         }
-        let s = bench(warmup, samples, || {
-            idx.instantaneous(500, 1000.0, 1000.0 + qwindow)
-        });
-        add(&mut table, "structures", format!("query/{name}"), s);
-    }
+        idx
+    };
+    let s = bench(warmup, samples, || build().len());
+    add(&mut table, "structures", "build/QuadTree".to_owned(), s);
+    let idx = build();
+    let s = bench(warmup, samples, || {
+        idx.instantaneous(500, 1000.0, 1000.0 + qwindow)
+    });
+    add(&mut table, "structures", "query/QuadTree".to_owned(), s);
     let mut scan = ScanIndex::new();
     for &(id, v, sl) in &objs {
         scan.upsert(id, 0, v, sl);

@@ -127,7 +127,7 @@ pub struct Database {
     // The Section 4 position index, when enabled: derived acceleration,
     // rebuilt from the persisted state on demand, never serialized, never
     // allowed to change an answer.
-    spatial_index: Option<SpatialIndexState>,
+    spatial_index: Option<MovingObjectIndex2D>,
     // Fault injection for panic-safety tests (not persisted): when set,
     // evaluating any query that reads this attribute panics at evaluation
     // entry.  See `set_eval_fault`.
@@ -188,27 +188,6 @@ impl most_testkit::ser::FromJson for Database {
 /// Counter of object chunks copied because a published epoch still shares
 /// them — the per-batch cost of copy-on-write, by count.
 const CHUNKS_COPIED: &str = "epoch.chunks_copied";
-
-/// The Section 4 position index over (time × x × y).  Cloning shares it:
-/// the octree and its leg table are path-copied inside `most-index`.
-#[derive(Debug, Clone)]
-struct SpatialIndexState {
-    index: MovingObjectIndex2D,
-    space: Rect,
-    epoch: Tick,
-}
-
-impl SpatialIndexState {
-    /// Whether the index can answer for `probe`: a motion leg is kept only
-    /// in the cells it crosses, so once the root splits nothing outside
-    /// `space` is indexed, and a probe reaching past it must scan.
-    fn covers(&self, probe: &Rect) -> bool {
-        self.space.min_x <= probe.min_x
-            && probe.max_x <= self.space.max_x
-            && self.space.min_y <= probe.min_y
-            && probe.max_y <= self.space.max_y
-    }
-}
 
 impl Database {
     /// Creates a database whose queries expire `expiration` ticks after
@@ -315,8 +294,7 @@ impl Database {
         self.next_id = self.next_id.max(id + 1);
         let obj = MovingObject::spatial(id, class, self.clock, position, velocity);
         if let Some(ix) = &mut self.spatial_index {
-            ix.index
-                .insert(id, self.clock - ix.epoch, position, velocity);
+            ix.insert(id, self.clock, position, velocity);
         }
         self.objects.insert(id, obj);
         if !self.continuous.is_empty() {
@@ -391,7 +369,7 @@ impl Database {
             return Err(CoreError::UnknownObject(id));
         }
         if let Some(ix) = &mut self.spatial_index {
-            ix.index.remove(id);
+            ix.remove(id);
         }
         self.after_updates(&[(id, UpdateKind::Domain)])
     }
@@ -544,7 +522,7 @@ impl Database {
         let obj = self.objects.get_mut(id).expect("looked up above");
         obj.update_velocity(now, velocity);
         if let Some(ix) = &mut self.spatial_index {
-            ix.index.update(id, now - ix.epoch, position, velocity);
+            ix.update(id, now, position, velocity);
         }
         Ok(())
     }
@@ -562,8 +540,7 @@ impl Database {
         let obj = self.objects.get_mut(id).expect("looked up above");
         obj.update_position(now, update.position, update.velocity);
         if let Some(ix) = &mut self.spatial_index {
-            ix.index
-                .update(id, now - ix.epoch, update.position, update.velocity);
+            ix.update(id, now, update.position, update.velocity);
         }
         Ok(())
     }
@@ -873,22 +850,25 @@ impl Database {
 
     /// Enables maintenance of the Section 4 position index over the given
     /// spatial extent.  Existing objects are bulk-inserted.
+    ///
+    /// The index is a filter: it answers candidate ids, and every caller
+    /// tests them against the object table with the predicate a scan uses,
+    /// so it never changes an answer.  Derived state, it is rebuilt on
+    /// demand and never serialized.
     pub fn enable_spatial_index(&mut self, space: Rect) {
         // Lifetime 2× the query horizon so a query window [now, now + H]
-        // always fits inside the current epoch (the epoch rolls once the
-        // clock is more than H past its start).
-        let mut index = MovingObjectIndex2D::new(self.expiration * 2, space);
-        let now = self.clock;
+        // always fits inside the current epoch: `maintain_spatial_index`
+        // rolls it once the clock is more than H past its start.  A reach
+        // of the whole lifetime starts the epoch at `now`.
+        let (now, lifetime) = (self.clock, self.expiration * 2);
+        let mut index = MovingObjectIndex2D::new(lifetime, space);
+        index.roll_to(now, lifetime);
         for (id, obj) in self.objects.iter() {
             if let (Some(p), Some(v)) = (obj.position_at(now), obj.velocity_at(now)) {
-                index.insert(id, 0, p, v);
+                index.insert(id, now, p, v);
             }
         }
-        self.spatial_index = Some(SpatialIndexState {
-            index,
-            space,
-            epoch: now,
-        });
+        self.spatial_index = Some(index);
     }
 
     /// Whether the position index is maintained.
@@ -897,67 +877,61 @@ impl Database {
     }
 
     /// Index-assisted candidate lookup: ids of objects whose indexed motion
-    /// intersects `bbox` during the *global* tick window `[from, to]`.
-    /// `None` when no index is enabled, the window leaves the current
-    /// epoch or `bbox` leaves the indexed space.
+    /// may touch `bbox` during the tick window `[from, to]`, a superset of
+    /// those that do.  `None` when no index is enabled, the window leaves
+    /// the current epoch or `bbox` leaves the indexed space.
     pub(crate) fn index_window_candidates(
         &self,
         from: Tick,
         to: Tick,
         bbox: &Rect,
     ) -> Option<Vec<u64>> {
-        let ix = self.spatial_index.as_ref()?;
-        if from < ix.epoch || to - ix.epoch > ix.index.lifetime() || !ix.covers(bbox) {
-            return None;
-        }
-        let (rows, _) = ix.index.query_window(from - ix.epoch, to - ix.epoch, bbox);
-        Some(rows.into_iter().map(|(id, _)| id).collect())
+        self.spatial_index.as_ref()?.candidates(from, to, bbox)
     }
 
     /// Rolls the position index to a fresh epoch when the clock has
     /// outrun it ("the index needs to be reconstructed every T time
-    /// units").  Returns whether a reconstruction happened.
+    /// units"): once a query window `[now, now + expiration]` leaves the
+    /// epoch.  Returns whether a reconstruction happened.
     ///
     /// The epoch engine ([`crate::epoch::EpochDb::advance_epoch`]) calls
     /// this on the writer's copy before publishing, so reconstruction is
     /// paid at epoch boundaries and a published snapshot's index is
     /// always fresh enough for [`Database::objects_in_rect_at`].
     pub fn maintain_spatial_index(&mut self) -> bool {
-        if let Some(ix) = &self.spatial_index {
-            if self.clock - ix.epoch > self.expiration {
-                let space = ix.space;
-                self.enable_spatial_index(space);
-                return true;
-            }
-        }
-        false
+        let (now, reach) = (self.clock, self.expiration);
+        self.spatial_index
+            .as_mut()
+            .is_some_and(|ix| ix.roll_to(now, reach))
     }
 
-    /// Objects currently inside the rectangle, answered from the index when
-    /// enabled and the rectangle lies inside its space (O(log n) access),
-    /// otherwise by scanning all objects.
-    /// Returns the ids and whether the index was used.
-    pub fn objects_in_rect(&mut self, rect: &Rect) -> (Vec<u64>, bool) {
-        self.maintain_spatial_index();
-        self.objects_in_rect_at(rect)
-    }
-
-    /// Read-only variant of [`Database::objects_in_rect`] for pinned
-    /// epoch snapshots, which must never mutate: a stale index (clock
-    /// past the epoch's horizon) falls back to the linear scan instead of
+    /// Objects currently inside the rectangle, and whether the index chose
+    /// the candidates.  It does when enabled, when the rectangle lies
+    /// inside its space and the clock inside its epoch; otherwise every
+    /// object is a candidate.  Either way each candidate is tested against
+    /// the object table.  Never mutates, so pinned epoch snapshots can
+    /// call it: a stale index falls back to the scan instead of
     /// reconstructing in place.
     pub fn objects_in_rect_at(&self, rect: &Rect) -> (Vec<u64>, bool) {
         let now = self.clock;
-        match &self.spatial_index {
-            Some(ix) if now - ix.epoch <= self.expiration && ix.covers(rect) => {
-                let (ids, _) = ix.index.query_at(now - ix.epoch, rect);
+        let inside = |obj: &MovingObject| obj.position_at(now).is_some_and(|p| rect.contains(p));
+        match self
+            .spatial_index
+            .as_ref()
+            .and_then(|ix| ix.candidates(now, now, rect))
+        {
+            Some(ids) => {
+                let ids = ids
+                    .into_iter()
+                    .filter(|&id| self.objects.get(id).is_some_and(inside))
+                    .collect();
                 (ids, true)
             }
-            _ => {
+            None => {
                 let ids = self
                     .objects
                     .iter()
-                    .filter(|(_, o)| o.position_at(now).is_some_and(|p| rect.contains(p)))
+                    .filter(|(_, obj)| inside(obj))
                     .map(|(id, _)| id)
                     .collect();
                 (ids, false)
@@ -984,6 +958,12 @@ pub fn shift_answer(answer: Answer, origin: Tick) -> Answer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Rolls the position index as a publish does, then reads through it.
+    fn in_rect(db: &mut Database, rect: &Rect) -> (Vec<u64>, bool) {
+        db.maintain_spatial_index();
+        db.objects_in_rect_at(rect)
+    }
 
     fn highway_db() -> Database {
         let mut db = Database::new(500);
@@ -1143,7 +1123,7 @@ mod tests {
         }
         // The index never saw the bad motion: car 2 is where it was headed.
         db.advance_clock(40);
-        let (ids, used) = db.objects_in_rect(&Rect::new(145.0, -1.0, 155.0, 1.0));
+        let (ids, used) = in_rect(&mut db, &Rect::new(145.0, -1.0, 155.0, 1.0));
         assert!(used);
         assert_eq!(ids, vec![2]);
         let far_away = Point::new(f64::INFINITY, 0.0);
@@ -1166,16 +1146,16 @@ mod tests {
         }
         db.advance_clock(20);
         let rect = Rect::new(100.0, -5.0, 200.0, 5.0);
-        let (scan_ids, used) = db.objects_in_rect(&rect);
+        let (scan_ids, used) = in_rect(&mut db, &rect);
         assert!(!used);
         db.enable_spatial_index(Rect::new(-100.0, -100.0, 2000.0, 100.0));
-        let (idx_ids, used) = db.objects_in_rect(&rect);
+        let (idx_ids, used) = in_rect(&mut db, &rect);
         assert!(used);
         assert_eq!(scan_ids, idx_ids);
         // Updates keep the index in sync.
         db.update_motion(1, Velocity::new(5.0, 0.0)).unwrap();
         db.advance_clock(30);
-        let (idx_ids, _) = db.objects_in_rect(&rect);
+        let (idx_ids, _) = in_rect(&mut db, &rect);
         let expected: Vec<u64> = db
             .object_ids()
             .into_iter()
@@ -1195,7 +1175,8 @@ mod tests {
         db.insert_moving_object("cars", Point::origin(), Velocity::new(1.0, 0.0));
         db.enable_spatial_index(Rect::new(-10.0, -10.0, 10_000.0, 10.0));
         db.advance_clock(250); // well past the lifetime
-        let (ids, used) = db.objects_in_rect(&Rect::new(240.0, -5.0, 260.0, 5.0));
+        assert!(db.maintain_spatial_index());
+        let (ids, used) = db.objects_in_rect_at(&Rect::new(240.0, -5.0, 260.0, 5.0));
         assert!(used);
         assert_eq!(ids, vec![1]);
     }
@@ -1215,7 +1196,7 @@ mod tests {
         db.enable_spatial_index(Rect::new(-500.0, -500.0, 500.0, 500.0));
         db.remove_object(1).unwrap();
         db.advance_clock(95);
-        let (ids, used) = db.objects_in_rect(&Rect::new(90.0, -10.0, 110.0, 10.0));
+        let (ids, used) = in_rect(&mut db, &Rect::new(90.0, -10.0, 110.0, 10.0));
         assert!(used);
         assert_eq!(ids, vec![2]);
     }

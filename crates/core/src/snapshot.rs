@@ -266,9 +266,10 @@ impl EvalContext for DbContext<'_> {
         if self.mode != ContextMode::Current {
             return None;
         }
-        let bbox = region.bounding_box();
+        // The box `contains` can accept in, so the candidates hold every
+        // object the scan's `inside_polygon` keeps.
         self.db
-            .index_window_candidates(self.origin, self.global_end(), &bbox)
+            .index_window_candidates(self.origin, self.global_end(), &region.reach())
     }
 
     fn for_each_candidate(

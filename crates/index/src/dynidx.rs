@@ -1,14 +1,16 @@
 //! The dynamic-attribute index of Section 4.
 //!
-//! One [`DynamicAttributeIndex`] indexes one dynamic attribute `A` over the
-//! lifetime `[0, T]` ("in order to use this scheme we have to consider the
-//! time dimension starting at 0 and ending at some time-point T").  Each
-//! object's `A.function` is a line in (time × value) space; updates replace
-//! the line from the update time onwards, exactly as the paper prescribes:
-//! "o is removed from the records representing rectangles crossed by the
-//! old function-line, and it is added to the records representing
-//! rectangles crossed by the new function-line" — where only the part of
-//! the old line *after* the update time is replaced (the past is history).
+//! One [`DynamicAttributeIndex`] indexes one dynamic attribute `A` over a
+//! lifetime of `T` ticks ("in order to use this scheme we have to consider
+//! the time dimension starting at 0 and ending at some time-point T").
+//! Each object's `A.function` is a line in (time × value) space; updates
+//! replace the line from the update time onwards, exactly as the paper
+//! prescribes: "o is removed from the records representing rectangles
+//! crossed by the old function-line, and it is added to the records
+//! representing rectangles crossed by the new function-line" — where only
+//! the part of the old line *after* the update time is replaced (the past
+//! is history).  [`DynamicAttributeIndex::roll_to`] reconstructs it
+//! "every T time units".
 //!
 //! Supported queries:
 //!
@@ -27,22 +29,12 @@
 //! does not maintain them: its one Section 4 index is the position octree
 //! of [`crate::index2d`].
 
-use crate::rtree::RTree;
-use crate::tree::{Bounds, Seg, Tree};
+use crate::legs::{leg_at, Legs, Motion};
+use crate::tree::Bounds;
 use most_spatial::roots::solve_quadratic_le;
 use most_spatial::{predicates::exact_ticks, Rect};
-use most_temporal::{Horizon, IntervalSet, Tick};
+use most_temporal::{Horizon, Interval, IntervalSet, Tick};
 use std::collections::HashMap;
-
-/// Which spatial structure backs the index (ablation E7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexKind {
-    /// Region quadtree decomposition over (time × value): the tree the
-    /// position index runs, halving value and, where the lines move, time.
-    QuadTree,
-    /// R-tree with quadratic split.
-    RTree,
-}
 
 /// Counters reported by queries (access-cost accounting for E2/E7).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -57,76 +49,42 @@ pub struct QueryStats {
 
 /// Mirrors one query's [`QueryStats`] into the observability registry —
 /// batched per query, never per node, so the hot path stays cheap.
-pub(crate) fn record_query_stats(stats: &QueryStats) {
+fn record_query_stats(stats: &QueryStats) {
     most_obs::inc("index.queries");
     most_obs::add("index.nodes_visited", stats.nodes_visited);
     most_obs::add("index.candidates", stats.candidates);
     most_obs::add("index.results", stats.results);
 }
 
-#[derive(Debug)]
-enum Structure {
-    Quad(Tree<2>),
-    R(RTree),
-}
-
-impl Structure {
-    fn insert(&mut self, id: u64, seg: Seg<2>) {
-        match self {
-            Structure::Quad(t) => t.replace(id, [], [seg]),
-            Structure::R(t) => t.insert(id, seg),
-        }
-    }
-
-    fn remove(&mut self, id: u64, seg: Seg<2>) {
-        match self {
-            Structure::Quad(t) => t.replace(id, [seg], []),
-            Structure::R(t) => {
-                t.remove(id, seg);
-            }
-        }
-    }
-
-    fn query(&self, rect: &Rect) -> (Vec<u64>, u64) {
-        match self {
-            Structure::Quad(t) => t.query(&Bounds::from_rect(rect)),
-            Structure::R(t) => t.query(rect),
-        }
-    }
-}
-
-/// A per-object piece of the function-line: value `v0` at tick `from`,
-/// slope per tick, valid until `until` (inclusive, in ticks).
+/// A linear function-line: value `v0` at tick `since`, changing by `slope`
+/// per tick.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct Piece {
-    from: Tick,
-    until: Tick,
+struct Line {
+    since: Tick,
     v0: f64,
     slope: f64,
 }
 
-impl Piece {
-    fn segment(&self) -> Seg<2> {
-        let (t0, t1) = (self.from as f64, self.until as f64);
-        Seg {
-            p0: [t0, self.v0],
-            p1: [t1, self.v0 + self.slope * (t1 - t0)],
-        }
-    }
-
+impl Line {
     fn value_at(&self, t: Tick) -> f64 {
         // Signed difference: callers may probe ticks before the piece start
         // (extrapolation of the first piece).
-        self.v0 + self.slope * (t as f64 - self.from as f64)
+        self.v0 + self.slope * (t as f64 - self.since as f64)
+    }
+}
+
+impl Motion<2> for Line {
+    fn at(&self, t: Tick) -> [f64; 2] {
+        [t as f64, self.value_at(t)]
     }
 }
 
 /// The Section 4 index over one dynamic attribute.
 ///
 /// ```
-/// use most_index::{DynamicAttributeIndex, IndexKind};
+/// use most_index::DynamicAttributeIndex;
 ///
-/// let mut idx = DynamicAttributeIndex::new(IndexKind::QuadTree, 1_000, (-100.0, 1_100.0));
+/// let mut idx = DynamicAttributeIndex::new(1_000, (-100.0, 1_100.0));
 /// idx.insert(7, 0, 0.0, 1.0);   // A grows one unit per tick
 /// idx.insert(8, 0, 500.0, 0.0); // A stays at 500
 ///
@@ -140,99 +98,41 @@ impl Piece {
 /// ```
 #[derive(Debug)]
 pub struct DynamicAttributeIndex {
-    structure: Structure,
-    /// Piecewise function-line per object, pieces in time order.
-    objects: HashMap<u64, Vec<Piece>>,
-    lifetime: Tick,
+    lines: Legs<Line, 2>,
 }
 
 impl DynamicAttributeIndex {
-    /// Creates an index over `[0, lifetime]` ticks and the given attribute
+    /// Creates an index over ticks `[0, lifetime]` and the given attribute
     /// value range.
-    pub fn new(kind: IndexKind, lifetime: Tick, value_range: (f64, f64)) -> Self {
-        let bounds = Rect::new(0.0, value_range.0, lifetime as f64, value_range.1);
-        let structure = match kind {
-            IndexKind::QuadTree => Structure::Quad(Tree::new(Bounds::from_rect(&bounds))),
-            IndexKind::RTree => Structure::R(RTree::new()),
-        };
+    pub fn new(lifetime: Tick, value_range: (f64, f64)) -> Self {
         DynamicAttributeIndex {
-            structure,
-            objects: HashMap::new(),
-            lifetime,
-        }
-    }
-
-    /// Bulk-loads an index from `(id, value at tick 0, slope)` triples.
-    ///
-    /// With the R-tree structure this uses STR packing, which builds a
-    /// tighter tree far faster than repeated insertion; the quadtree falls
-    /// back to sequential insertion (its decomposition is
-    /// position-determined, so packing gains nothing).
-    pub fn bulk(
-        kind: IndexKind,
-        lifetime: Tick,
-        value_range: (f64, f64),
-        items: impl IntoIterator<Item = (u64, f64, f64)>,
-    ) -> Self {
-        let mut objects = HashMap::new();
-        let mut entries = Vec::new();
-        for (id, value, slope) in items {
-            let piece = Piece {
-                from: 0,
-                until: lifetime,
-                v0: value,
-                slope,
-            };
-            let prev = objects.insert(id, vec![piece]);
-            assert!(prev.is_none(), "duplicate id #{id} in bulk load");
-            entries.push((id, piece.segment()));
-        }
-        let structure = match kind {
-            IndexKind::RTree => Structure::R(RTree::bulk_load(entries)),
-            IndexKind::QuadTree => {
-                let bounds = Rect::new(0.0, value_range.0, lifetime as f64, value_range.1);
-                let mut tree = Tree::new(Bounds::from_rect(&bounds));
-                for (id, seg) in entries {
-                    tree.replace(id, [], [seg]);
-                }
-                Structure::Quad(tree)
-            }
-        };
-        DynamicAttributeIndex {
-            structure,
-            objects,
-            lifetime,
+            lines: Legs::new(lifetime, [0.0, value_range.0], [0.0, value_range.1]),
         }
     }
 
     /// Number of indexed objects.
     pub fn len(&self) -> usize {
-        self.objects.len()
+        self.lines.len()
     }
 
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
+        self.len() == 0
     }
 
     /// Inserts an object whose attribute is `value` at tick `at` and moves
-    /// with `slope` per tick; its line is plotted from `at` to `T`.
+    /// with `slope` per tick; its line is plotted from `at` to the end of
+    /// the lifetime.
     ///
     /// # Panics
     /// Panics if the id is already present (use [`Self::update`]).
     pub fn insert(&mut self, id: u64, at: Tick, value: f64, slope: f64) {
-        assert!(
-            !self.objects.contains_key(&id),
-            "object #{id} already indexed; use update()"
-        );
-        let piece = Piece {
-            from: at,
-            until: self.lifetime,
+        let line = Line {
+            since: at,
             v0: value,
             slope,
         };
-        self.structure.insert(id, piece.segment());
-        self.objects.insert(id, vec![piece]);
+        self.lines.insert(id, at, line);
     }
 
     /// Applies an explicit update at tick `t`: from `t` on, the attribute is
@@ -240,48 +140,26 @@ impl DynamicAttributeIndex {
     /// `t` is removed from the structure; the line before `t` stays (it
     /// records the past).
     pub fn update(&mut self, id: u64, t: Tick, value: f64, slope: f64) {
-        let pieces = self.objects.get_mut(&id).expect("object must be indexed");
-        let last = pieces.last_mut().expect("objects have at least one piece");
-        assert!(t >= last.from, "updates must move forward in time");
-        // Remove the old tail.
-        self.structure.remove(id, last.segment());
-        if t > last.from {
-            // Keep the historical prefix [last.from, t-1].
-            let mut prefix = *last;
-            prefix.until = t - 1;
-            *last = prefix;
-            self.structure.insert(id, prefix.segment());
-            let tail = Piece {
-                from: t,
-                until: self.lifetime,
-                v0: value,
-                slope,
-            };
-            self.structure.insert(id, tail.segment());
-            pieces.push(tail);
-        } else {
-            // Same-tick replacement.
-            *last = Piece {
-                from: t,
-                until: self.lifetime,
-                v0: value,
-                slope,
-            };
-            let seg = last.segment();
-            self.structure.insert(id, seg);
-        }
+        let line = Line {
+            since: t,
+            v0: value,
+            slope,
+        };
+        self.lines.update(id, t, line);
+    }
+
+    /// Reconstructs the index at tick `t` when the ticks `[t, t + reach]`
+    /// leave its lifetime; returns whether it did.  Ticks are global: the
+    /// lifetime after a reconstruction is `[t, t + T]`.
+    pub fn roll_to(&mut self, t: Tick, reach: Tick) -> bool {
+        self.lines.roll_to(t, reach)
     }
 
     /// The exact attribute value of `id` at tick `t` (from the recorded
     /// pieces), if indexed.
     pub fn value_of(&self, id: u64, t: Tick) -> Option<f64> {
-        let pieces = self.objects.get(&id)?;
-        let piece = pieces
-            .iter()
-            .rev()
-            .find(|p| p.from <= t)
-            .or_else(|| pieces.first())?;
-        Some(piece.value_at(t))
+        let leg = leg_at(self.lines.legs(id)?, t)?;
+        Some(leg.motion.value_at(t))
     }
 
     /// Instantaneous range query: ids with `lo <= A <= hi` at tick `now`.
@@ -293,7 +171,7 @@ impl DynamicAttributeIndex {
     pub fn instantaneous(&self, now: Tick, lo: f64, hi: f64) -> (Vec<u64>, QueryStats) {
         let eps = 0.5;
         let rect = Rect::new(now as f64 - eps, lo, now as f64 + eps, hi);
-        let (candidates, nodes_visited) = self.structure.query(&rect);
+        let (candidates, nodes_visited) = self.lines.query(&Bounds::from_rect(&rect));
         let mut stats = QueryStats {
             nodes_visited,
             candidates: candidates.len() as u64,
@@ -309,28 +187,27 @@ impl DynamicAttributeIndex {
     }
 
     /// Continuous range query from tick `now`: `Answer(CQ)` rows
-    /// `(id, ticks during which lo <= A <= hi)` until the index lifetime.
+    /// `(id, ticks during which lo <= A <= hi)` until the end of the
+    /// lifetime.
     ///
     /// "Using the index we retrieve the records representing the rectangles
     /// that intersect the rectangle `4 < A < 5` and `1 < t < T`.  We
     /// construct the set Answer(CQ) by examining each object id in these
     /// records, and determining the time intervals when `4 < o.A < 5`."
     pub fn continuous(&self, now: Tick, lo: f64, hi: f64) -> (Vec<(u64, IntervalSet)>, QueryStats) {
-        let rect = Rect::new(now as f64, lo, self.lifetime as f64, hi);
-        let (candidates, nodes_visited) = self.structure.query(&rect);
+        let end = self.lines.end();
+        let rect = Rect::new(now as f64, lo, end as f64, hi);
+        let (candidates, nodes_visited) = self.lines.query(&Bounds::from_rect(&rect));
         let mut stats = QueryStats {
             nodes_visited,
             candidates: candidates.len() as u64,
             results: 0,
         };
-        let h = Horizon::new(self.lifetime);
+        let h = Horizon::new(end);
+        let window = IntervalSet::singleton(Interval::new(now, end));
         let mut out = Vec::new();
         for id in candidates {
-            let set = self.in_range_intervals(id, lo, hi, h);
-            let clipped = set.intersect(&IntervalSet::singleton(most_temporal::Interval::new(
-                now,
-                self.lifetime,
-            )));
+            let clipped = self.in_range_intervals(id, lo, hi, h).intersect(&window);
             if !clipped.is_empty() {
                 out.push((id, clipped));
             }
@@ -342,41 +219,26 @@ impl DynamicAttributeIndex {
 
     /// Ticks at which `lo <= A <= hi` for one object, across its pieces.
     fn in_range_intervals(&self, id: u64, lo: f64, hi: f64, h: Horizon) -> IntervalSet {
-        let Some(pieces) = self.objects.get(&id) else {
+        let Some(legs) = self.lines.legs(id) else {
             return IntervalSet::empty();
         };
         let mut acc = IntervalSet::empty();
-        for p in pieces {
-            // lo <= v0 + slope·(t - from) <= hi, t in [p.from, p.until]
+        for leg in legs {
+            // lo <= v0 + slope·(t - since) <= hi, t in [leg.from, leg.until]
+            let (p, from, until) = (leg.motion, leg.from, leg.until);
             let b = p.slope;
-            let c0 = p.v0 - p.slope * p.from as f64;
-            let le_hi = solve_quadratic_le(0.0, b, c0 - hi).clipped(p.from as f64, p.until as f64);
-            let ge_lo = solve_quadratic_le(0.0, -b, lo - c0).clipped(p.from as f64, p.until as f64);
+            let c0 = p.v0 - p.slope * p.since as f64;
+            let le_hi = solve_quadratic_le(0.0, b, c0 - hi).clipped(from as f64, until as f64);
+            let ge_lo = solve_quadratic_le(0.0, -b, lo - c0).clipped(from as f64, until as f64);
             let s1 = exact_ticks(&le_hi, h, |t| {
-                p.value_at(t) <= hi && p.from <= t && t <= p.until
+                p.value_at(t) <= hi && from <= t && t <= until
             });
             let s2 = exact_ticks(&ge_lo, h, |t| {
-                p.value_at(t) >= lo && p.from <= t && t <= p.until
+                p.value_at(t) >= lo && from <= t && t <= until
             });
             acc = acc.union(&s1.intersect(&s2));
         }
         acc
-    }
-
-    /// Snapshot of each object's final piece — used by
-    /// [`crate::rebuild::RebuildingIndex`] to carry state across
-    /// reconstruction.
-    pub fn current_states(&self, at: Tick) -> Vec<(u64, f64, f64)> {
-        let mut out: Vec<(u64, f64, f64)> = self
-            .objects
-            .iter()
-            .map(|(&id, pieces)| {
-                let last = pieces.last().expect("non-empty");
-                (id, last.value_at(at.max(last.from)), last.slope)
-            })
-            .collect();
-        out.sort_by_key(|&(id, _, _)| id);
-        out
     }
 }
 
@@ -435,34 +297,30 @@ impl ScanIndex {
 mod tests {
     use super::*;
 
-    fn both_kinds() -> Vec<DynamicAttributeIndex> {
-        vec![
-            DynamicAttributeIndex::new(IndexKind::QuadTree, 1000, (-2000.0, 2000.0)),
-            DynamicAttributeIndex::new(IndexKind::RTree, 1000, (-2000.0, 2000.0)),
-        ]
+    fn index() -> DynamicAttributeIndex {
+        DynamicAttributeIndex::new(1000, (-2000.0, 2000.0))
     }
 
     #[test]
     fn instantaneous_matches_scan() {
-        for mut idx in both_kinds() {
-            let mut scan = ScanIndex::new();
-            for i in 0..200u64 {
-                let v0 = (i as f64) - 100.0;
-                let slope = ((i % 7) as f64 - 3.0) * 0.5;
-                idx.insert(i, 0, v0, slope);
-                scan.upsert(i, 0, v0, slope);
-            }
-            for now in [0u64, 10, 100, 500] {
-                let (a, _) = idx.instantaneous(now, -20.0, 20.0);
-                let (b, _) = scan.instantaneous(now, -20.0, 20.0);
-                assert_eq!(a, b, "now = {now}");
-            }
+        let mut idx = index();
+        let mut scan = ScanIndex::new();
+        for i in 0..200u64 {
+            let v0 = (i as f64) - 100.0;
+            let slope = ((i % 7) as f64 - 3.0) * 0.5;
+            idx.insert(i, 0, v0, slope);
+            scan.upsert(i, 0, v0, slope);
+        }
+        for now in [0u64, 10, 100, 500] {
+            let (a, _) = idx.instantaneous(now, -20.0, 20.0);
+            let (b, _) = scan.instantaneous(now, -20.0, 20.0);
+            assert_eq!(a, b, "now = {now}");
         }
     }
 
     #[test]
     fn index_visits_fewer_nodes_than_scan_at_scale() {
-        let mut idx = DynamicAttributeIndex::new(IndexKind::QuadTree, 1000, (-5000.0, 5000.0));
+        let mut idx = DynamicAttributeIndex::new(1000, (-5000.0, 5000.0));
         let mut scan = ScanIndex::new();
         for i in 0..2000u64 {
             let v0 = (i as f64) * 2.0 - 2000.0;
@@ -480,43 +338,42 @@ mod tests {
 
     #[test]
     fn update_redirects_the_line() {
-        for mut idx in both_kinds() {
-            idx.insert(1, 0, 0.0, 1.0); // value = t
-            idx.update(1, 100, 100.0, -1.0); // from 100: value = 200 - t
-                                             // Past is preserved.
-            assert_eq!(idx.value_of(1, 50), Some(50.0));
-            // Future follows the new vector.
-            assert_eq!(idx.value_of(1, 150), Some(50.0));
-            let (ids, _) = idx.instantaneous(150, 45.0, 55.0);
-            assert_eq!(ids, vec![1]);
-            // The old extrapolation (value 150 at t=150) must be gone.
-            let (ids, _) = idx.instantaneous(150, 145.0, 155.0);
-            assert!(ids.is_empty());
-        }
+        let mut idx = index();
+        // Value t, then from 100 on value 200 - t.
+        idx.insert(1, 0, 0.0, 1.0);
+        idx.update(1, 100, 100.0, -1.0);
+        // Past is preserved.
+        assert_eq!(idx.value_of(1, 50), Some(50.0));
+        // Future follows the new vector.
+        assert_eq!(idx.value_of(1, 150), Some(50.0));
+        let (ids, _) = idx.instantaneous(150, 45.0, 55.0);
+        assert_eq!(ids, vec![1]);
+        // The old extrapolation (value 150 at t=150) must be gone.
+        let (ids, _) = idx.instantaneous(150, 145.0, 155.0);
+        assert!(ids.is_empty());
     }
 
     #[test]
     fn continuous_query_returns_intervals() {
-        for mut idx in both_kinds() {
-            idx.insert(1, 0, 0.0, 1.0); // crosses [40, 60] during t in [40, 60]
-            idx.insert(2, 0, 500.0, 0.0); // never in range
-            idx.insert(3, 0, 100.0, -1.0); // crosses during t in [40, 60]
-            let (rows, stats) = idx.continuous(0, 40.0, 60.0);
-            assert_eq!(rows.len(), 2);
-            assert_eq!(stats.results, 2);
-            let r1 = rows.iter().find(|(id, _)| *id == 1).unwrap();
-            assert_eq!(r1.1.first_tick(), Some(40));
-            assert_eq!(r1.1.last_tick(), Some(60));
-            // Starting the query later clips the intervals.
-            let (rows, _) = idx.continuous(50, 40.0, 60.0);
-            let r1 = rows.iter().find(|(id, _)| *id == 1).unwrap();
-            assert_eq!(r1.1.first_tick(), Some(50));
-        }
+        let mut idx = index();
+        idx.insert(1, 0, 0.0, 1.0); // crosses [40, 60] during t in [40, 60]
+        idx.insert(2, 0, 500.0, 0.0); // never in range
+        idx.insert(3, 0, 100.0, -1.0); // crosses during t in [40, 60]
+        let (rows, stats) = idx.continuous(0, 40.0, 60.0);
+        assert_eq!(rows.len(), 2);
+        assert_eq!(stats.results, 2);
+        let r1 = rows.iter().find(|(id, _)| *id == 1).unwrap();
+        assert_eq!(r1.1.first_tick(), Some(40));
+        assert_eq!(r1.1.last_tick(), Some(60));
+        // Starting the query later clips the intervals.
+        let (rows, _) = idx.continuous(50, 40.0, 60.0);
+        let r1 = rows.iter().find(|(id, _)| *id == 1).unwrap();
+        assert_eq!(r1.1.first_tick(), Some(50));
     }
 
     #[test]
     fn continuous_with_update_uses_pieces() {
-        let mut idx = DynamicAttributeIndex::new(IndexKind::QuadTree, 1000, (-2000.0, 2000.0));
+        let mut idx = index();
         idx.insert(1, 0, 0.0, 1.0);
         idx.update(1, 50, 50.0, -1.0); // turns around at 50
         let (rows, _) = idx.continuous(0, 40.0, 45.0);
@@ -529,61 +386,81 @@ mod tests {
     }
 
     #[test]
-    fn current_states_snapshot() {
-        let mut idx = DynamicAttributeIndex::new(IndexKind::QuadTree, 100, (-500.0, 500.0));
-        idx.insert(1, 0, 10.0, 1.0);
-        idx.insert(2, 0, -10.0, 0.0);
-        idx.update(1, 20, 30.0, 2.0);
-        let states = idx.current_states(50);
-        assert_eq!(states.len(), 2);
-        assert_eq!(states[0], (1, 30.0 + 2.0 * 30.0, 2.0));
-        assert_eq!(states[1], (2, -10.0, 0.0));
-    }
-
-    #[test]
-    fn bulk_load_matches_incremental_build() {
-        for kind in [IndexKind::QuadTree, IndexKind::RTree] {
-            let items: Vec<(u64, f64, f64)> = (0..300)
-                .map(|i| {
-                    (
-                        i,
-                        (i as f64 * 7.0) % 400.0 - 100.0,
-                        ((i % 9) as f64 - 4.0) * 0.25,
-                    )
-                })
-                .collect();
-            let bulk = DynamicAttributeIndex::bulk(kind, 1000, (-2000.0, 2000.0), items.clone());
-            let mut inc = DynamicAttributeIndex::new(kind, 1000, (-2000.0, 2000.0));
-            for &(id, v, s) in &items {
-                inc.insert(id, 0, v, s);
-            }
-            for (now, lo, hi) in [(0u64, -50.0, 50.0), (200, 0.0, 120.0), (999, -400.0, 400.0)] {
-                assert_eq!(
-                    bulk.instantaneous(now, lo, hi).0,
-                    inc.instantaneous(now, lo, hi).0,
-                    "{kind:?} at {now}"
-                );
-            }
-            assert_eq!(bulk.len(), 300);
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn bulk_duplicate_id_panics() {
-        let _ = DynamicAttributeIndex::bulk(
-            IndexKind::RTree,
-            100,
-            (0.0, 10.0),
-            vec![(1, 1.0, 0.0), (1, 2.0, 0.0)],
-        );
-    }
-
-    #[test]
     #[should_panic]
     fn double_insert_panics() {
-        let mut idx = DynamicAttributeIndex::new(IndexKind::QuadTree, 100, (0.0, 10.0));
+        let mut idx = DynamicAttributeIndex::new(100, (0.0, 10.0));
         idx.insert(1, 0, 1.0, 0.0);
         idx.insert(1, 0, 2.0, 0.0);
+    }
+
+    /// Lifetime 100, rolled with reach 0: the reconstruction "every T time
+    /// units", in global ticks.
+    fn rolling() -> DynamicAttributeIndex {
+        DynamicAttributeIndex::new(100, (-10_000.0, 10_000.0))
+    }
+
+    #[test]
+    fn queries_work_across_epochs() {
+        let mut idx = rolling();
+        // Value = global t.  Inside the first epoch:
+        idx.insert(1, 0, 0.0, 1.0);
+        assert!(!idx.roll_to(50, 0));
+        assert_eq!(idx.instantaneous(50, 45.0, 55.0).0, vec![1]);
+        assert!(!idx.roll_to(100, 0), "the lifetime's last tick is inside");
+        // Far into the future: one reconstruction, and the line carries
+        // over.
+        assert!(idx.roll_to(350, 0));
+        assert_eq!(idx.instantaneous(350, 345.0, 355.0).0, vec![1]);
+        assert_eq!(idx.value_of(1, 420), Some(420.0));
+        // Rolling within the current lifetime is a no-op.
+        assert!(!idx.roll_to(360, 0));
+        assert!(!idx.roll_to(400, 0));
+    }
+
+    #[test]
+    fn update_after_rollover() {
+        let mut idx = rolling();
+        idx.insert(1, 0, 0.0, 1.0);
+        assert!(idx.roll_to(250, 0));
+        idx.update(1, 250, 0.0, -1.0);
+        assert_eq!(idx.instantaneous(260, -15.0, -5.0).0, vec![1]);
+    }
+
+    #[test]
+    fn continuous_clipped_to_epoch() {
+        let mut idx = rolling();
+        idx.insert(1, 0, 0.0, 1.0);
+        assert!(idx.roll_to(150, 0));
+        let (rows, _) = idx.continuous(150, 0.0, 10_000.0);
+        assert_eq!(rows.len(), 1);
+        // Global ticks within the epoch [150, 250].
+        assert_eq!(rows[0].1.first_tick(), Some(150));
+        assert_eq!(rows[0].1.last_tick(), Some(250));
+    }
+
+    #[test]
+    fn a_reach_rolls_before_the_window_leaves_the_lifetime() {
+        let mut idx = rolling();
+        idx.insert(1, 0, 0.0, 1.0);
+        assert!(!idx.roll_to(50, 50));
+        assert!(idx.roll_to(51, 50));
+        let (rows, _) = idx.continuous(51, 0.0, 10_000.0);
+        assert_eq!(rows[0].1.last_tick(), Some(151));
+    }
+
+    #[test]
+    fn smaller_period_means_more_rebuilds() {
+        let rebuilds = |period| {
+            let mut idx = DynamicAttributeIndex::new(period, (-1e6, 1e6));
+            for i in 0..20 {
+                idx.insert(i, 0, i as f64, 0.5);
+            }
+            (0..=1000)
+                .step_by(10)
+                .filter(|&t| idx.roll_to(t, 0))
+                .count()
+        };
+        assert!(rebuilds(50) > rebuilds(500));
+        assert_eq!(rebuilds(2000), 0);
     }
 }

@@ -8,69 +8,51 @@
 //! (time × value), beside an id-ordered leg table.  Both are shared
 //! between clones, so each database epoch publishes its own index for the
 //! price of the batch, not of the population.
+//!
+//! The index is a filter: [`MovingObjectIndex2D::candidates`] returns every
+//! object whose motion may touch a box during a window, and the caller
+//! decides with its own exact predicate.
 
-use most_spatial::predicates::inside_rect;
 use most_spatial::{MovingPoint, Point, Rect, Velocity};
-use most_temporal::{Horizon, Interval, IntervalSet, Tick};
+use most_temporal::Tick;
 
-use crate::cowmap::CowMap;
-use crate::dynidx::QueryStats;
-use crate::tree::{Bounds, Seg, Tree, NODES_COPIED};
+use crate::legs::{Legs, Motion};
+use crate::tree::Bounds;
 
-/// One motion leg of an indexed object.
-#[derive(Debug, Clone, Copy)]
-struct Leg {
-    from: Tick,
-    until: Tick,
-    motion: MovingPoint,
-}
-
-impl Leg {
-    fn seg(&self) -> Seg<3> {
-        let a = self.motion.position_at(self.from as f64);
-        let b = self.motion.position_at(self.until as f64);
-        Seg {
-            p0: [self.from as f64, a.x, a.y],
-            p1: [self.until as f64, b.x, b.y],
-        }
+impl Motion<3> for MovingPoint {
+    fn at(&self, t: Tick) -> [f64; 3] {
+        let p = self.position_at_tick(t);
+        [t as f64, p.x, p.y]
     }
 }
 
 /// Octree index over moving points in the plane.
 #[derive(Debug, Clone)]
 pub struct MovingObjectIndex2D {
-    tree: Tree<3>,
-    objects: CowMap<Vec<Leg>>,
-    lifetime: Tick,
+    legs: Legs<MovingPoint, 3>,
 }
 
 impl MovingObjectIndex2D {
-    /// Creates an index over `[0, lifetime]` ticks and the given spatial
+    /// Creates an index over ticks `[0, lifetime]` and the given spatial
     /// extent.
     pub fn new(lifetime: Tick, space: Rect) -> Self {
         MovingObjectIndex2D {
-            tree: Tree::new(Bounds {
-                min: [0.0, space.min_x, space.min_y],
-                max: [lifetime as f64, space.max_x, space.max_y],
-            }),
-            objects: CowMap::new(NODES_COPIED),
-            lifetime,
+            legs: Legs::new(
+                lifetime,
+                [0.0, space.min_x, space.min_y],
+                [0.0, space.max_x, space.max_y],
+            ),
         }
     }
 
     /// Number of indexed objects.
     pub fn len(&self) -> usize {
-        self.objects.len()
+        self.legs.len()
     }
 
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
-    }
-
-    /// The index lifetime `T`.
-    pub fn lifetime(&self) -> Tick {
-        self.lifetime
+        self.len() == 0
     }
 
     /// Inserts an object at tick `at` with position `p` and motion vector
@@ -79,128 +61,39 @@ impl MovingObjectIndex2D {
     /// # Panics
     /// Panics when the id is already present.
     pub fn insert(&mut self, id: u64, at: Tick, p: Point, v: Velocity) {
-        assert!(
-            !self.objects.contains_key(id),
-            "object #{id} already indexed"
-        );
-        let leg = Leg {
-            from: at,
-            until: self.lifetime,
-            motion: MovingPoint::new(p, at, v),
-        };
-        self.tree.replace(id, [], [leg.seg()]);
-        self.objects.insert(id, vec![leg]);
+        self.legs.insert(id, at, MovingPoint::new(p, at, v));
     }
 
     /// Motion-vector update at tick `t` (position explicitly supplied, as
     /// sensors report both).
     pub fn update(&mut self, id: u64, t: Tick, p: Point, v: Velocity) {
-        let legs = self.objects.get_mut(id).expect("object must be indexed");
-        let last = legs.last_mut().expect("non-empty legs");
-        assert!(t >= last.from, "updates must move forward in time");
-        let old_seg = last.seg();
-        let new_leg = Leg {
-            from: t,
-            until: self.lifetime,
-            motion: MovingPoint::new(p, t, v),
-        };
-        // The old leg keeps its served prefix, if it has one.
-        let prefix = (t > last.from).then(|| {
-            last.until = t - 1;
-            last.seg()
-        });
-        match prefix {
-            Some(_) => legs.push(new_leg),
-            None => *last = new_leg,
-        }
-        let new = prefix.into_iter().chain([new_leg.seg()]);
-        self.tree.replace(id, [old_seg], new);
+        self.legs.update(id, t, MovingPoint::new(p, t, v));
     }
 
     /// Removes an object and every segment of its motion history; returns
     /// whether it was present.
     pub fn remove(&mut self, id: u64) -> bool {
-        let Some(legs) = self.objects.remove(id) else {
-            return false;
-        };
-        self.tree.replace(id, legs.iter().map(Leg::seg), []);
-        true
+        self.legs.remove(id)
     }
 
-    /// Objects inside `region` at tick `t` ("Retrieve the objects that are
-    /// currently in the polygon P", with rectangles standing in for
-    /// regions), plus access stats.
-    pub fn query_at(&self, t: Tick, region: &Rect) -> (Vec<u64>, QueryStats) {
-        let probe = Bounds {
-            min: [t as f64 - 0.5, region.min_x, region.min_y],
-            max: [t as f64 + 0.5, region.max_x, region.max_y],
-        };
-        let (candidates, nodes_visited) = self.tree.query(&probe);
-        let mut stats = QueryStats {
-            nodes_visited,
-            candidates: candidates.len() as u64,
-            results: 0,
-        };
-        let out: Vec<u64> = candidates
-            .into_iter()
-            .filter(|&id| self.position_of(id, t).is_some_and(|p| region.contains(p)))
-            .collect();
-        stats.results = out.len() as u64;
-        (out, stats)
+    /// Reconstructs the index at tick `t` when the ticks `[t, t + reach]`
+    /// leave its lifetime ("the index needs to be reconstructed every T
+    /// time units"); returns whether it did.  Ticks are global: the
+    /// lifetime after a reconstruction is `[t, t + T]`.
+    pub fn roll_to(&mut self, t: Tick, reach: Tick) -> bool {
+        self.legs.roll_to(t, reach)
     }
 
-    /// Continuous variant: objects entering `region` during `[from, to]`,
-    /// with the tick intervals they spend inside.
-    pub fn query_window(
-        &self,
-        from: Tick,
-        to: Tick,
-        region: &Rect,
-    ) -> (Vec<(u64, IntervalSet)>, QueryStats) {
+    /// The objects whose motion may touch `region` at some tick of
+    /// `[from, to]`, ascending: a superset of those that do, for the caller
+    /// to test exactly.  `None` when the window leaves the current lifetime
+    /// or `region` leaves the indexed space, where the index cannot answer.
+    pub fn candidates(&self, from: Tick, to: Tick, region: &Rect) -> Option<Vec<u64>> {
         let probe = Bounds {
             min: [from as f64, region.min_x, region.min_y],
             max: [to as f64, region.max_x, region.max_y],
         };
-        let (candidates, nodes_visited) = self.tree.query(&probe);
-        let mut stats = QueryStats {
-            nodes_visited,
-            candidates: candidates.len() as u64,
-            results: 0,
-        };
-        let h = Horizon::new(self.lifetime);
-        let window = IntervalSet::singleton(Interval::new(from, to.min(self.lifetime)));
-        let mut out = Vec::new();
-        for id in candidates {
-            let Some(legs) = self.objects.get(id) else {
-                continue;
-            };
-            let mut acc = IntervalSet::empty();
-            for leg in legs {
-                let span = IntervalSet::singleton(Interval::new(leg.from, leg.until));
-                acc = acc.union(
-                    &inside_rect(leg.motion, *region, h)
-                        .intersect(&span)
-                        .intersect(&window),
-                );
-            }
-            if !acc.is_empty() {
-                out.push((id, acc));
-            }
-        }
-        out.sort_by_key(|(id, _)| *id);
-        stats.results = out.len() as u64;
-        (out, stats)
-    }
-
-    /// Exact recorded position of an object at tick `t`.
-    pub fn position_of(&self, id: u64, t: Tick) -> Option<Point> {
-        let legs = self.objects.get(id)?;
-        let leg = legs
-            .iter()
-            .rev()
-            .find(|l| l.from <= t)
-            .or_else(|| legs.first())?;
-        Some(leg.motion.position_at_tick(t))
+        self.legs.covers(&probe).then(|| self.legs.query(&probe).0)
     }
 }
 
@@ -213,31 +106,32 @@ mod tests {
     }
 
     #[test]
-    fn query_at_finds_moving_objects() {
+    fn candidates_find_moving_objects() {
         let mut idx = MovingObjectIndex2D::new(1000, space());
         idx.insert(1, 0, Point::new(0.0, 0.0), Velocity::new(1.0, 0.0));
         idx.insert(2, 0, Point::new(0.0, 100.0), Velocity::zero());
         let region = Rect::new(40.0, -10.0, 60.0, 10.0);
-        let (ids, _) = idx.query_at(50, &region);
-        assert_eq!(ids, vec![1]);
-        let (ids, _) = idx.query_at(0, &region);
-        assert!(ids.is_empty());
-        let (ids, _) = idx.query_at(50, &Rect::new(-10.0, 90.0, 10.0, 110.0));
-        assert_eq!(ids, vec![2]);
+        assert_eq!(idx.candidates(50, 50, &region), Some(vec![1]));
+        assert_eq!(idx.candidates(0, 0, &region), Some(vec![]));
+        assert_eq!(idx.candidates(0, 1000, &region), Some(vec![1]));
+        // A window that misses the crossing.
+        assert_eq!(idx.candidates(70, 100, &region), Some(vec![]));
+        let park = Rect::new(-10.0, 90.0, 10.0, 110.0);
+        assert_eq!(idx.candidates(50, 50, &park), Some(vec![2]));
     }
 
     #[test]
-    fn query_window_returns_intervals() {
-        let mut idx = MovingObjectIndex2D::new(1000, space());
-        idx.insert(1, 0, Point::new(0.0, 0.0), Velocity::new(1.0, 0.0));
-        let region = Rect::new(40.0, -10.0, 60.0, 10.0);
-        let (rows, _) = idx.query_window(0, 1000, &region);
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].1.first_tick(), Some(40));
-        assert_eq!(rows[0].1.last_tick(), Some(60));
-        // A window that misses the crossing.
-        let (rows, _) = idx.query_window(70, 100, &region);
-        assert!(rows.is_empty());
+    fn a_probe_beyond_the_lifetime_or_the_space_is_not_answered() {
+        let mut idx = MovingObjectIndex2D::new(100, space());
+        idx.insert(1, 0, Point::origin(), Velocity::zero());
+        let home = Rect::new(-1.0, -1.0, 1.0, 1.0);
+        assert_eq!(idx.candidates(0, 100, &home), Some(vec![1]));
+        assert_eq!(idx.candidates(50, 101, &home), None);
+        assert_eq!(idx.candidates(0, 0, &Rect::new(0.0, 0.0, 600.0, 1.0)), None);
+        // After a reconstruction at 80 the lifetime is [80, 180].
+        assert!(idx.roll_to(80, 50));
+        assert_eq!(idx.candidates(50, 60, &home), None);
+        assert_eq!(idx.candidates(80, 180, &home), Some(vec![1]));
     }
 
     #[test]
@@ -247,18 +141,20 @@ mod tests {
         // At t=30 turn north.
         idx.update(1, 30, Point::new(30.0, 0.0), Velocity::new(0.0, 1.0));
         let east = Rect::new(45.0, -5.0, 55.0, 5.0);
-        let (ids, _) = idx.query_at(50, &east);
-        assert!(ids.is_empty(), "old course should be un-indexed");
+        assert_eq!(
+            idx.candidates(50, 50, &east),
+            Some(vec![]),
+            "old course un-indexed"
+        );
         let north = Rect::new(25.0, 15.0, 35.0, 25.0);
-        let (ids, _) = idx.query_at(50, &north);
-        assert_eq!(ids, vec![1]);
-        // The historical prefix is still queryable.
-        let (ids, _) = idx.query_at(10, &Rect::new(5.0, -5.0, 15.0, 5.0));
-        assert_eq!(ids, vec![1]);
+        assert_eq!(idx.candidates(50, 50, &north), Some(vec![1]));
+        // The historical prefix is still indexed.
+        let past = Rect::new(5.0, -5.0, 15.0, 5.0);
+        assert_eq!(idx.candidates(10, 10, &past), Some(vec![1]));
     }
 
     #[test]
-    fn index_matches_brute_force_on_many_objects() {
+    fn candidates_hold_every_object_inside_on_many_objects() {
         let mut idx = MovingObjectIndex2D::new(500, space());
         let mut objs = Vec::new();
         for i in 0..200u64 {
@@ -272,15 +168,16 @@ mod tests {
         }
         let region = Rect::new(-50.0, -50.0, 50.0, 50.0);
         for t in [0u64, 100, 250, 499] {
-            let (got, stats) = idx.query_at(t, &region);
-            let want: Vec<u64> = objs
-                .iter()
-                .enumerate()
-                .filter(|(_, m)| region.contains(m.position_at_tick(t)))
-                .map(|(i, _)| i as u64)
+            let got: Vec<u64> = idx
+                .candidates(t, t, &region)
+                .unwrap()
+                .into_iter()
+                .filter(|&id| region.contains(objs[id as usize].position_at_tick(t)))
+                .collect();
+            let want: Vec<u64> = (0..objs.len() as u64)
+                .filter(|&id| region.contains(objs[id as usize].position_at_tick(t)))
                 .collect();
             assert_eq!(got, want, "t = {t}");
-            assert!(stats.nodes_visited > 0);
         }
     }
 

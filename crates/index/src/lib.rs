@@ -14,26 +14,28 @@
 //!   over time and `K - 1` value axes: segments stored in the cells they
 //!   cross, tested by one Liang–Barsky clipper, split by one rule, and
 //!   path-copied between clones.  `K = 2` is a region quadtree over
-//!   (time × value), `K = 3` an octree over (time × x × y);
-//! * `rtree` (private) — an STR bulk-loaded R-tree alternative over the
-//!   same segments (ablation E7);
+//!   (time × value), `K = 3` an octree over (time × x × y).  The clipper
+//!   widens each slab by a forward error bound, so the tree is a
+//!   conservative filter: it never drops an object that exact arithmetic
+//!   finds touching a probe;
+//! * `legs` (private) — what both indexes keep beside the tree: each
+//!   object's pieces, the update rule that cuts the last piece at the
+//!   update tick, and the one reconstruction, `roll_to`, which starts a
+//!   fresh tree "every T time units" once a caller's window leaves the
+//!   lifetime;
 //! * [`dynidx`] — [`dynidx::DynamicAttributeIndex`]: insert / update /
 //!   instantaneous and continuous range queries over one dynamic attribute,
-//!   on the `K = 2` tree or the R-tree, plus the [`dynidx::ScanIndex`]
-//!   linear-scan baseline;
-//! * [`index2d`] — the "3-dimensional space, with the third dimension
-//!   being, obviously, time" variant for objects moving in the plane, on
-//!   the `K = 3` tree;
-//! * [`cowmap`] — the id-ordered copy-on-write map behind the position
-//!   index's leg table and the database's object table (structural sharing
-//!   between epochs);
-//! * [`rebuild`] — horizon management: "the index needs to be reconstructed
-//!   every T time units", with counters supporting the E8 sweep of the
-//!   paper's open question ("choosing an appropriate value for T").
+//!   plus the [`dynidx::ScanIndex`] linear-scan baseline;
+//! * [`index2d`] — the "3-dimensional space, with the third dimension being,
+//!   obviously, time" variant for objects moving in the plane, answering
+//!   candidate sets for the caller's exact `INSIDE` test;
+//! * [`cowmap`] — the id-ordered copy-on-write map behind both indexes'
+//!   piece tables and the database's object table (structural sharing
+//!   between epochs).
 //!
-//! The attribute structures ([`dynidx`], the R-tree, [`rebuild`]) back the
-//! E2, E7, E8 and MICRO reproductions of Section 4.  The database maintains
-//! one index, [`index2d`]'s octree, and keeps its objects in a [`cowmap`].
+//! The attribute index backs the E2, E7, E8 and MICRO reproductions of
+//! Section 4.  The database maintains one index, [`index2d`]'s octree, and
+//! keeps its objects in a [`cowmap`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,12 +43,10 @@
 pub mod cowmap;
 pub mod dynidx;
 pub mod index2d;
-pub mod rebuild;
-mod rtree;
+mod legs;
 mod tree;
 
 pub use cowmap::CowMap;
-pub use dynidx::{DynamicAttributeIndex, IndexKind, QueryStats, ScanIndex};
+pub use dynidx::{DynamicAttributeIndex, QueryStats, ScanIndex};
 pub use index2d::MovingObjectIndex2D;
-pub use rebuild::RebuildingIndex;
 pub use tree::LEAF_CAPACITY;

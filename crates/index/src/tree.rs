@@ -25,6 +25,7 @@
 //! database epoch publish its own index for the price of the batch, not of
 //! the population.
 
+use most_spatial::error_bound::forward_error;
 use most_spatial::Rect;
 use std::sync::Arc;
 
@@ -37,6 +38,20 @@ use std::sync::Arc;
 /// the probe tests 2.5 times as many (EXPERIMENTS.md, PR 34).
 pub const LEAF_CAPACITY: usize = 64;
 const MAX_DEPTH: u32 = 10;
+
+/// Rounded operations the clip's slab widening covers.  A position at a
+/// tick and a segment's endpoints are each computed from the piece's
+/// anchor in three (`anchor + velocity · (t − since)`), and the clip
+/// adds at most six more per slab: the widening, the subtraction from
+/// `p0`, the difference `p1 − p0`, the division and the two comparisons.
+/// Sixteen covers both with room, over the summed magnitudes of the
+/// segment's and the slab's coordinates on that axis.  That sum stands
+/// in for the anchor's magnitude too, which holds for a piece that starts
+/// at its anchor.  A piece `roll_to` re-inserts keeps its object's older
+/// anchor; one far beyond both endpoints (an object that came from far
+/// away toward the origin since its last update) can put a position
+/// about `u·|anchor|` further out than the bound allows.
+const CLIP_OPS: u32 = 16;
 
 /// Counter of tree nodes and leg-table chunks copied because an older
 /// clone of the index still shares them.
@@ -102,37 +117,39 @@ pub(crate) struct Seg<const K: usize> {
 }
 
 impl<const K: usize> Seg<K> {
-    /// Whether the segment touches the box — Liang–Barsky clipping.
-    pub(crate) fn intersects(&self, b: &Bounds<K>) -> bool {
-        let mut t_min = 0.0f64;
-        let mut t_max = 1.0f64;
-        for axis in 0..K {
-            let d = self.p1[axis] - self.p0[axis];
-            if d == 0.0 {
-                if self.p0[axis] < b.min[axis] || self.p0[axis] > b.max[axis] {
-                    return false;
-                }
-            } else {
-                let t1 = (b.min[axis] - self.p0[axis]) / d;
-                let t2 = (b.max[axis] - self.p0[axis]) / d;
-                let (lo, hi) = if t1 <= t2 { (t1, t2) } else { (t2, t1) };
-                t_min = t_min.max(lo);
-                t_max = t_max.min(hi);
-                if t_min > t_max {
-                    return false;
-                }
-            }
+    /// The span of the segment's parameter (0 at `p0`, 1 at `p1`) over
+    /// which its `axis` coordinate lies in `[min, max]`, the slab widened
+    /// by [`CLIP_OPS`]' forward error bound over the magnitudes of the
+    /// segment and the slab; `None` when a segment constant on that axis
+    /// lies outside.
+    fn slab(&self, axis: usize, min: f64, max: f64) -> Option<(f64, f64)> {
+        let (p0, p1) = (self.p0[axis], self.p1[axis]);
+        let margin = forward_error(CLIP_OPS, p0.abs() + p1.abs() + min.abs() + max.abs());
+        let (min, max) = (min - margin, max + margin);
+        let d = p1 - p0;
+        if d == 0.0 {
+            (!(p0 < min || p0 > max)).then_some((f64::NEG_INFINITY, f64::INFINITY))
+        } else {
+            let (t1, t2) = ((min - p0) / d, (max - p0) / d);
+            Some(if t1 <= t2 { (t1, t2) } else { (t2, t1) })
         }
-        true
+    }
+
+    /// Whether the segment touches the box — a Liang–Barsky clip whose
+    /// slabs are widened by a forward error bound, so it never misses a
+    /// touch that exact arithmetic finds.  It may report a segment that
+    /// passes within rounding distance of the box: the index is a filter,
+    /// and the exact test after it decides.
+    pub(crate) fn intersects(&self, b: &Bounds<K>) -> bool {
+        clip((0..K).map(|axis| self.slab(axis, b.min[axis], b.max[axis])))
     }
 
     /// [`Seg::intersects`] against each of `b`'s `N` children
-    /// ([`Bounds::children`]), sharing the per-plane divisions between
-    /// them: a child's slab on a halved axis is the lower or the upper half
-    /// of `b`'s and on an axis the split keeps is `b`'s own, so two
-    /// parameter spans per axis serve every test.  The arithmetic per child
-    /// is that of `intersects`, operation for operation, so the two agree
-    /// bit for bit.
+    /// ([`Bounds::children`]), sharing the slabs between them: a child's
+    /// slab on a halved axis is the lower or the upper half of `b`'s and on
+    /// an axis the split keeps is `b`'s own, so two per axis serve every
+    /// test.  Each is [`Seg::slab`] over the child's own planes, so the two
+    /// agree bit for bit.
     fn child_hits<const N: usize>(&self, b: &Bounds<K>) -> [bool; N] {
         let first = first_split_axis::<K, N>();
         let spans: [[Option<(f64, f64)>; 2]; K] = std::array::from_fn(|axis| {
@@ -142,35 +159,17 @@ impl<const K: usize> Seg<K> {
             } else {
                 [b.min[axis], mid, b.max[axis]]
             };
-            let (p0, d) = (self.p0[axis], self.p1[axis] - self.p0[axis]);
-            std::array::from_fn(|half| {
-                let (min, max) = (planes[half], planes[half + 1]);
-                if d == 0.0 {
-                    (!(p0 < min || p0 > max)).then_some((f64::NEG_INFINITY, f64::INFINITY))
-                } else {
-                    let (t1, t2) = ((min - p0) / d, (max - p0) / d);
-                    Some(if t1 <= t2 { (t1, t2) } else { (t2, t1) })
-                }
-            })
+            std::array::from_fn(|half| self.slab(axis, planes[half], planes[half + 1]))
         });
         std::array::from_fn(|child| {
-            let (mut t_min, mut t_max) = (0.0f64, 1.0f64);
-            for (axis, halves) in spans.iter().enumerate() {
+            clip(spans.iter().enumerate().map(|(axis, halves)| {
                 let half = if axis < first {
                     0
                 } else {
                     (child >> (axis - first)) & 1
                 };
-                let Some((lo, hi)) = halves[half] else {
-                    return false;
-                };
-                t_min = t_min.max(lo);
-                t_max = t_max.min(hi);
-                if t_min > t_max {
-                    return false;
-                }
-            }
-            true
+                halves[half]
+            }))
         })
     }
 
@@ -187,6 +186,23 @@ impl<const K: usize> Seg<K> {
             0.0
         }
     }
+}
+
+/// Whether the per-axis parameter spans of a segment ([`Seg::slab`])
+/// leave some parameter in `[0, 1]` inside all of them.
+fn clip(spans: impl Iterator<Item = Option<(f64, f64)>>) -> bool {
+    let (mut t_min, mut t_max) = (0.0f64, 1.0f64);
+    for span in spans {
+        let Some((lo, hi)) = span else {
+            return false;
+        };
+        t_min = t_min.max(lo);
+        t_max = t_max.min(hi);
+        if t_min > t_max {
+            return false;
+        }
+    }
+    true
 }
 
 /// One indexed segment: the object and the piece of its function.

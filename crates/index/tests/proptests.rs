@@ -1,11 +1,13 @@
-//! Property tests: both index structures must agree with the linear-scan
-//! ground truth under random insert/update/query workloads.
+//! Property tests: the Section 4 indexes must agree with the linear-scan
+//! ground truth under random insert/update/query workloads, and the
+//! position index's candidates must hold every object a brute-force test
+//! finds, even where rounding decides a touch.
 
-use most_index::{DynamicAttributeIndex, IndexKind, MovingObjectIndex2D, LEAF_CAPACITY};
+use most_index::{DynamicAttributeIndex, MovingObjectIndex2D, LEAF_CAPACITY};
 use most_spatial::{MovingPoint, Point, Rect, Trajectory, Velocity};
 use most_temporal::{Horizon, IntervalSet, Tick};
 use most_testkit::check::{
-    bools, ints, just, one_of, select, tuple2, tuple3, tuple4, vecs, Check, Gen,
+    floats, ints, just, one_of, select, tuple2, tuple3, tuple4, vecs, Check, Gen,
 };
 
 const LIFETIME: Tick = 200;
@@ -92,8 +94,8 @@ impl Model {
     }
 }
 
-fn replay(ops: &[Op], kind: IndexKind) -> (DynamicAttributeIndex, Model) {
-    let mut idx = DynamicAttributeIndex::new(kind, LIFETIME, (-5000.0, 5000.0));
+fn replay(ops: &[Op]) -> (DynamicAttributeIndex, Model) {
+    let mut idx = DynamicAttributeIndex::new(LIFETIME, (-5000.0, 5000.0));
     let mut model = Model::default();
     let mut last_update: std::collections::BTreeMap<u64, Tick> = Default::default();
     for op in ops {
@@ -134,46 +136,34 @@ fn replay(ops: &[Op], kind: IndexKind) -> (DynamicAttributeIndex, Model) {
 
 #[test]
 fn instantaneous_matches_model() {
-    let gen = tuple4(
+    let gen = tuple3(
         arb_ops(),
-        bools(),
         ints(0..LIFETIME),
         tuple2(ints(-120i32..100), ints(1u32..80)),
     );
     Check::new("index::instantaneous_matches_model")
         .cases(48)
-        .run(&gen, |(ops, kind_r, now, (lo, width))| {
-            let kind = if *kind_r {
-                IndexKind::RTree
-            } else {
-                IndexKind::QuadTree
-            };
-            let (idx, model) = replay(ops, kind);
+        .run(&gen, |(ops, now, (lo, width))| {
+            let (idx, model) = replay(ops);
             let (lo, hi) = (*lo as f64, *lo as f64 + *width as f64);
             let (got, stats) = idx.instantaneous(*now, lo, hi);
             let want = model.in_range_at(*now, lo, hi);
-            assert_eq!(&got, &want, "kind {kind:?} now {now}");
+            assert_eq!(&got, &want, "now {now}");
             assert_eq!(stats.results, got.len() as u64);
         });
 }
 
 #[test]
 fn continuous_matches_model() {
-    let gen = tuple4(
+    let gen = tuple3(
         arb_ops(),
-        bools(),
         ints(0..LIFETIME),
         tuple2(ints(-120i32..100), ints(1u32..80)),
     );
-    Check::new("index::continuous_matches_model").cases(48).run(
-        &gen,
-        |(ops, kind_r, now, (lo, width))| {
-            let kind = if *kind_r {
-                IndexKind::RTree
-            } else {
-                IndexKind::QuadTree
-            };
-            let (idx, model) = replay(ops, kind);
+    Check::new("index::continuous_matches_model")
+        .cases(48)
+        .run(&gen, |(ops, now, (lo, width))| {
+            let (idx, model) = replay(ops);
             let (lo, hi) = (*lo as f64, *lo as f64 + *width as f64);
             let (rows, _) = idx.continuous(*now, lo, hi);
             for (&id, _) in model.objects.iter() {
@@ -183,30 +173,58 @@ fn continuous_matches_model() {
                     .find(|(rid, _)| *rid == id)
                     .map(|(_, s)| s.clone())
                     .unwrap_or_default();
-                assert_eq!(got, want, "object {id} kind {kind:?}");
+                assert_eq!(got, want, "object {id}");
             }
-        },
-    );
+        });
 }
 
+/// The tree against the model before and after a reconstruction: rolled
+/// at `now` with a reach of the whole lifetime, it re-inserts every object
+/// from its piece at `now`, and answers for `now` and half a lifetime on
+/// stay the model's.
 #[test]
-fn quadtree_and_rtree_agree() {
+fn quadtree_agrees_with_the_model_across_a_reconstruction() {
     let gen = tuple4(
         arb_ops(),
         ints(0..LIFETIME),
         ints(-120i32..100),
         ints(1u32..80),
     );
-    Check::new("index::quadtree_and_rtree_agree")
+    Check::new("index::quadtree_agrees_with_the_model")
         .cases(48)
         .run(&gen, |(ops, now, lo, width)| {
-            let (qi, _) = replay(ops, IndexKind::QuadTree);
-            let (ri, _) = replay(ops, IndexKind::RTree);
+            let (mut idx, model) = replay(ops);
             let (lo, hi) = (*lo as f64, *lo as f64 + *width as f64);
             assert_eq!(
-                qi.instantaneous(*now, lo, hi).0,
-                ri.instantaneous(*now, lo, hi).0
+                idx.instantaneous(*now, lo, hi).0,
+                model.in_range_at(*now, lo, hi)
             );
+            // Updates all fall before `LIFETIME`, so from the last of them
+            // on the model's lines are the current pieces.
+            let last = ops
+                .iter()
+                .filter_map(|op| match op {
+                    Op::Update { t, .. } => Some(*t),
+                    Op::Insert { .. } => None,
+                })
+                .max()
+                .unwrap_or(0)
+                .max(*now);
+            assert_eq!(idx.roll_to(last, LIFETIME), last > 0);
+            for t in [last, last + LIFETIME / 2] {
+                assert_eq!(
+                    idx.instantaneous(t, lo, hi).0,
+                    model.in_range_at(t, lo, hi),
+                    "rolled at {last}, queried at {t}"
+                );
+            }
+            for &id in model.objects.keys() {
+                assert_eq!(
+                    idx.value_of(id, last),
+                    model.value_of(id, last),
+                    "object {id}"
+                );
+            }
         });
 }
 
@@ -239,7 +257,7 @@ fn arb_object() -> Gen<((i32, i32), Velocity, Vec<(Tick, Velocity)>)> {
 }
 
 #[test]
-fn index2d_matches_trajectory_model() {
+fn index2d_candidates_hold_the_trajectory_model() {
     let region = one_of(vec![
         tuple2(ints(-200i32..150), ints(-200i32..150)),
         just((0, -60)),
@@ -276,27 +294,120 @@ fn index2d_matches_trajectory_model() {
                 .collect();
             let region = Rect::new(*rx as f64, *ry as f64, *rx as f64 + 60.0, *ry as f64 + 60.0);
             let inside = |id: usize, tick: Tick| region.contains(trajs[id].position_at_tick(tick));
-
-            let (got, stats) = idx.query_at(*t, &region);
-            let want: Vec<u64> = (0..trajs.len())
-                .filter(|&id| inside(id, *t))
-                .map(|id| id as u64)
-                .collect();
-            assert_eq!(got, want, "query_at {t}");
-            assert_eq!(stats.results, got.len() as u64);
-
+            // The candidates, filtered through the model, are the model's
+            // answer: nothing inside is missing.
+            let answer = |from: Tick, to: Tick| {
+                let ids = idx.candidates(from, to, &region).expect("inside the index");
+                let hit = |id: u64| (from..=to).any(|tick| inside(id as usize, tick));
+                let brute: Vec<u64> = (0..trajs.len() as u64).filter(|&id| hit(id)).collect();
+                (
+                    ids.into_iter().filter(|&id| hit(id)).collect::<Vec<u64>>(),
+                    brute,
+                )
+            };
+            let (got, want) = answer(*t, *t);
+            assert_eq!(got, want, "at {t}");
             let to = (from + len).min(LIFETIME);
-            let (got, _) = idx.query_window(*from, to, &region);
-            let want: Vec<(u64, IntervalSet)> = (0..trajs.len())
-                .filter_map(|id| {
-                    let ticks = IntervalSet::from_predicate(Horizon::new(LIFETIME), |tick| {
-                        *from <= tick && tick <= to && inside(id, tick)
-                    });
-                    (!ticks.is_empty()).then_some((id as u64, ticks))
-                })
-                .collect();
-            assert_eq!(got, want, "query_window {from}..={to}");
+            let (got, want) = answer(*from, to);
+            assert_eq!(got, want, "window {from}..={to}");
         });
+}
+
+// ---------------------------------------------------------------------------
+// The clip is conservative: touches that rounding decides are kept
+// ---------------------------------------------------------------------------
+
+/// An object of the edge model: start, motion vector and updates `(dt,
+/// velocity)`, all with float coordinates, so an edge through a position
+/// seldom falls on a round number.
+#[allow(clippy::type_complexity)]
+fn arb_float_object() -> Gen<((f64, f64), (f64, f64), Vec<(Tick, (f64, f64))>)> {
+    let velocity = || tuple2(floats(-3.0..3.0), floats(-3.0..3.0));
+    tuple3(
+        tuple2(floats(-300.0..300.0), floats(-300.0..300.0)),
+        velocity(),
+        vecs(tuple2(ints(0..60 as Tick), velocity()), 0..3),
+    )
+}
+
+/// A box with one edge through an object's position at a tick, probed
+/// over a window that touches the box at that tick only at either end (or
+/// at the tick alone), with the whole world moved to an offset: the clip's
+/// time and space parameters are then equal as real numbers, so rounding
+/// picks the answer unless the clip is conservative.  The candidates must
+/// hold every object a brute-force per-tick test finds inside.
+#[test]
+fn index2d_candidates_hold_every_touch_at_a_window_end() {
+    let gen = tuple4(
+        tuple2(
+            select(&[0.0, 1e6, 1e9]),
+            vecs(arb_float_object(), 1..20 * SCALE),
+        ),
+        tuple4(
+            ints(0usize..1_000),
+            ints(0..=LIFETIME),
+            ints(0u32..4),
+            ints(0u32..3),
+        ),
+        tuple2(floats(0.5..80.0), floats(0.5..80.0)),
+        ints(0..LIFETIME),
+    );
+    Check::new("index::index2d_candidates_hold_every_touch_at_a_window_end")
+        .cases(64)
+        .regressions(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/proptests.seeds"
+        ))
+        .run(
+            &gen,
+            |((offset, objs), (pick, touch, edge, end), (w, h), len)| {
+                let r = 2_000.0;
+                let space = Rect::new(offset - r, offset - r, offset + r, offset + r);
+                let mut idx = MovingObjectIndex2D::new(LIFETIME, space);
+                let trajs: Vec<Trajectory> = objs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, ((x, y), (vx, vy), updates))| {
+                        let (p, v) = (Point::new(offset + x, offset + y), Velocity::new(*vx, *vy));
+                        idx.insert(i as u64, 0, p, v);
+                        let mut traj = Trajectory::new(MovingPoint::from_origin(p, v));
+                        let mut at = 0;
+                        for &(dt, (vx, vy)) in updates {
+                            at += dt;
+                            if at >= LIFETIME {
+                                break;
+                            }
+                            let nv = Velocity::new(vx, vy);
+                            idx.update(i as u64, at, traj.position_at_tick(at), nv);
+                            traj.update_velocity(at, nv);
+                        }
+                        traj
+                    })
+                    .collect();
+                let p = trajs[pick % trajs.len()].position_at_tick(*touch);
+                let (x0, y0) = (p.x - w / 2.0, p.y - h / 2.0);
+                let region = match edge {
+                    0 => Rect::new(p.x, y0, p.x + w, y0 + h),
+                    1 => Rect::new(p.x - w, y0, p.x, y0 + h),
+                    2 => Rect::new(x0, p.y, x0 + w, p.y + h),
+                    _ => Rect::new(x0, p.y - h, x0 + w, p.y),
+                };
+                let (from, to) = match end {
+                    0 => (*touch, (touch + len).min(LIFETIME)),
+                    1 => (touch.saturating_sub(*len), *touch),
+                    _ => (*touch, *touch),
+                };
+                let got = idx.candidates(from, to, &region).expect("inside the index");
+                for (id, traj) in trajs.iter().enumerate() {
+                    if (from..=to).any(|tick| region.contains(traj.position_at_tick(tick))) {
+                        assert!(
+                            got.contains(&(id as u64)),
+                            "object {id} touches {region:?} in {from}..={to} at offset {offset}"
+                        );
+                    }
+                }
+            },
+        );
 }
 
 // ---------------------------------------------------------------------------
@@ -351,10 +462,10 @@ fn arb_ops2() -> Gen<Vec<Op2>> {
 
 /// Applies the ops that are valid in sequence (no double insert, no update
 /// of a missing object or past the lifetime); `last` tracks each live
-/// object's latest update tick.
+/// object's latest update tick and its motion from there.
 fn apply2(
     idx: &mut MovingObjectIndex2D,
-    last: &mut std::collections::BTreeMap<u64, Tick>,
+    last: &mut std::collections::BTreeMap<u64, (Tick, MovingPoint)>,
     ops: &[Op2],
 ) {
     let vel = |vx: i32, vy: i32| Velocity::new(vx as f64 * 0.5, vy as f64 * 0.5);
@@ -363,23 +474,22 @@ fn apply2(
             Op2::Insert { id, x, y, vx, vy } => {
                 // A live id keeps its latest update tick: resetting it to
                 // 0 would replay a later update backwards in time.
-                if let std::collections::btree_map::Entry::Vacant(tick) = last.entry(id) {
-                    tick.insert(0);
-                    idx.insert(id, 0, Point::new(x as f64, y as f64), vel(vx, vy));
+                if let std::collections::btree_map::Entry::Vacant(entry) = last.entry(id) {
+                    let (p, v) = (Point::new(x as f64, y as f64), vel(vx, vy));
+                    entry.insert((0, MovingPoint::new(p, 0, v)));
+                    idx.insert(id, 0, p, v);
                 }
             }
             Op2::Update { id, dt, vx, vy } => {
-                let Some(at) = last.get_mut(&id) else {
+                let Some((at, motion)) = last.get_mut(&id) else {
                     continue;
                 };
                 if *at + dt >= LIFETIME {
                     continue;
                 }
                 *at += dt;
-                let p = idx
-                    .position_of(id, *at)
-                    .expect("live object has a position");
-                idx.update(id, *at, p, vel(vx, vy));
+                *motion = motion.redirected_at(*at, vel(vx, vy));
+                idx.update(id, *at, motion.anchor, motion.velocity);
             }
             Op2::Remove { id } => {
                 assert_eq!(idx.remove(id), last.remove(&id).is_some());
@@ -388,8 +498,8 @@ fn apply2(
     }
 }
 
-/// Everything a reader can ask the index, rendered for comparison: ids,
-/// intervals and the access-cost stats (equal trees visit equal nodes).
+/// Everything a reader can ask the index, rendered for comparison: the
+/// candidates of instants and windows (equal trees return equal sets).
 fn answers2(idx: &MovingObjectIndex2D) -> String {
     let regions = [
         Rect::new(-60.0, -60.0, 60.0, 60.0),
@@ -399,10 +509,10 @@ fn answers2(idx: &MovingObjectIndex2D) -> String {
     let mut out = format!("len {}\n", idx.len());
     for region in &regions {
         for t in [0, 37, 120, LIFETIME - 1] {
-            out += &format!("{:?}\n", idx.query_at(t, region));
+            out += &format!("{:?}\n", idx.candidates(t, t, region));
         }
         for (from, to) in [(0, LIFETIME), (30, 90), (150, 160)] {
-            out += &format!("{:?}\n", idx.query_window(from, to, region));
+            out += &format!("{:?}\n", idx.candidates(from, to, region));
         }
     }
     out

@@ -22,11 +22,14 @@
 //! * [`region`] — axis-aligned rectangles and circles;
 //! * [`roots`] — linear/quadratic inequality solving over real time;
 //! * [`predicates`] — the interval "routines": `DIST ≤ r`, `INSIDE`,
-//!   `OUTSIDE`, `WITHIN-A-SPHERE`, exact at integer clock ticks.
+//!   `OUTSIDE`, `WITHIN-A-SPHERE`, exact at integer clock ticks;
+//! * [`error_bound`] — forward rounding-error bounds, which let a float
+//!   filter (the Section 4 index's clip) stay conservative.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod error_bound;
 pub mod motion;
 pub mod point;
 pub mod polygon;

@@ -188,6 +188,20 @@ impl Polygon {
         Rect::new(min_x, min_y, max_x, max_y)
     }
 
+    /// The box outside which [`Polygon::contains`] is false: the bounding
+    /// box widened by the band [`Polygon::on_boundary`] accepts and the
+    /// rounding of its test.  `swept_box_misses` in [`crate::predicates`]
+    /// derives that reach as `2e-9 + 32ε·s`, with `s` summing the box's
+    /// and the point's coordinate magnitudes.  A point within the margin
+    /// `m` below has `s ≤ 3·S + 4m` (`S` sums the box's magnitudes), for
+    /// which that reach is less than `m`; a point farther out is rejected.
+    pub fn reach(&self) -> Rect {
+        let b = self.bounding_box();
+        let magnitude = b.min_x.abs() + b.min_y.abs() + b.max_x.abs() + b.max_y.abs();
+        let m = 2e-9 + 128.0 * f64::EPSILON * magnitude;
+        Rect::new(b.min_x - m, b.min_y - m, b.max_x + m, b.max_y + m)
+    }
+
     /// Translates every vertex by `v` — the paper's "circle C moves as a
     /// rigid body having the motion vector of the car".
     pub fn translated(&self, v: Velocity) -> Polygon {
@@ -344,6 +358,21 @@ mod tests {
             (bb.min_x, bb.min_y, bb.max_x, bb.max_y),
             (-1.0, -4.0, 3.0, 5.0)
         );
+    }
+
+    #[test]
+    fn reach_holds_the_boundary_band() {
+        for offset in [0.0, 1e6, 1e9] {
+            let p = Polygon::rectangle(offset, offset, offset + 10.0, offset + 10.0);
+            let reach = p.reach();
+            // Just past the right edge, inside the band `contains` accepts.
+            let near = Point::new(offset + 10.0 + 5e-10, offset + 5.0);
+            assert!(p.contains(near) && reach.contains(near), "{offset}");
+            let far = Point::new(reach.max_x + 1e-6 * (1.0 + offset), offset + 5.0);
+            assert!(!p.contains(far), "{offset}");
+        }
+        let unit = Polygon::rectangle(0.0, 0.0, 10.0, 10.0);
+        assert!(!unit.bounding_box().contains(Point::new(10.0 + 5e-10, 5.0)));
     }
 
     #[test]

@@ -83,12 +83,6 @@ impl Rect {
             max_y: self.max_y.max(other.max_y),
         }
     }
-
-    /// Area increase needed to also cover `other` (R-tree insertion
-    /// heuristic).
-    pub fn enlargement(&self, other: &Rect) -> f64 {
-        self.union(other).area() - self.area()
-    }
 }
 
 /// A circle (the paper's "within a radius of 5 miles" display region).
@@ -153,13 +147,11 @@ mod tests {
     }
 
     #[test]
-    fn rect_union_and_enlargement() {
+    fn rect_union() {
         let a = Rect::new(0.0, 0.0, 2.0, 2.0);
         let b = Rect::new(3.0, 3.0, 4.0, 4.0);
         let u = a.union(&b);
         assert_eq!((u.min_x, u.min_y, u.max_x, u.max_y), (0.0, 0.0, 4.0, 4.0));
-        assert_eq!(a.enlargement(&b), 16.0 - 4.0);
-        assert_eq!(a.enlargement(&Rect::new(0.5, 0.5, 1.0, 1.0)), 0.0);
     }
 
     #[test]

@@ -3,10 +3,16 @@
 
 use moving_objects::core::Database;
 use moving_objects::ftl::Query;
-use moving_objects::index::{DynamicAttributeIndex, IndexKind, RebuildingIndex, LEAF_CAPACITY};
+use moving_objects::index::{DynamicAttributeIndex, LEAF_CAPACITY};
 use moving_objects::spatial::{Point, Polygon, Rect, Velocity};
 use moving_objects::temporal::{Interval, IntervalSet};
 use moving_objects::workload::cars::{apply_due_updates, CarScenario};
+
+/// Rolls the position index as a publish does, then reads through it.
+fn in_rect(db: &mut Database, rect: &Rect) -> (Vec<u64>, bool) {
+    db.maintain_spatial_index();
+    db.objects_in_rect_at(rect)
+}
 
 #[test]
 fn database_spatial_index_matches_ftl_inside_query() {
@@ -33,7 +39,7 @@ fn database_spatial_index_matches_ftl_inside_query() {
         db.advance_clock(step - last);
         apply_due_updates(&mut db, &ids, &plans, last, step);
         last = step;
-        let (via_index, used) = db.objects_in_rect(&rect);
+        let (via_index, used) = in_rect(&mut db, &rect);
         assert!(used, "index should serve the query");
         let via_ftl = db.instantaneous_now(&q).unwrap();
         let ftl_ids: Vec<u64> = via_ftl.iter().map(|v| v[0].as_id().unwrap()).collect();
@@ -50,7 +56,7 @@ fn continuous_index_query_matches_ftl_windows() {
     use moving_objects::spatial::Trajectory;
 
     let lifetime = 300u64;
-    let mut idx = DynamicAttributeIndex::new(IndexKind::QuadTree, lifetime, (-1_000.0, 1_000.0));
+    let mut idx = DynamicAttributeIndex::new(lifetime, (-1_000.0, 1_000.0));
     let mut ctx = MemoryContext::new(lifetime);
     // A.value == X coordinate of each car.
     let setups = [(0.0, 1.0), (500.0, -2.0), (120.0, 0.0), (-300.0, 2.5)];
@@ -76,16 +82,20 @@ fn continuous_index_query_matches_ftl_windows() {
 
 #[test]
 fn rebuilding_index_tracks_long_lived_objects() {
-    let mut idx = RebuildingIndex::new(IndexKind::QuadTree, 200, (-1e5, 1e5));
+    // Rolled as the database rolls its index: the window a query needs is
+    // half the lifetime.
+    let mut idx = DynamicAttributeIndex::new(200, (-1e5, 1e5));
     idx.insert(1, 0, 0.0, 1.0);
     idx.insert(2, 0, 1_000.0, -1.0);
+    let mut rebuilds = 0;
     // March far beyond several lifetimes with periodic queries.
     for epoch in 1..=10u64 {
         let t = epoch * 150;
+        rebuilds += u32::from(idx.roll_to(t, 100));
         let (ids, _) = idx.instantaneous(t, t as f64 - 0.5, t as f64 + 0.5);
         assert_eq!(ids, vec![1], "object 1 has value == t at every t (t = {t})");
     }
-    assert!(idx.rebuilds >= 6, "rebuilds = {}", idx.rebuilds);
+    assert!(rebuilds >= 6, "rebuilds = {rebuilds}");
 }
 
 #[test]
@@ -188,11 +198,69 @@ fn inside_beyond_the_index_space_matches_the_scan() {
     assert_eq!(indexed.instantaneous(&q).unwrap(), want);
 
     let far_box = Rect::new(490.0, 490.0, 510.0, 510.0);
-    assert_eq!(indexed.objects_in_rect(&far_box), (vec![far], false));
-    assert_eq!(scan.objects_in_rect(&far_box), (vec![far], false));
+    assert_eq!(in_rect(&mut indexed, &far_box), (vec![far], false));
+    assert_eq!(in_rect(&mut scan, &far_box), (vec![far], false));
     // A box inside the space is still answered from the tree.
     let home = Rect::new(0.0, 0.0, 10.0, 10.0);
-    let (ids, used) = indexed.objects_in_rect(&home);
+    let (ids, used) = in_rect(&mut indexed, &home);
     assert!(used);
-    assert_eq!(ids, scan.objects_in_rect(&home).0);
+    assert_eq!(ids, in_rect(&mut scan, &home).0);
+}
+
+/// The index is a filter, so it must never drop what a scan keeps.  Each
+/// region is a rectangle with one edge through a car's position at the
+/// clock: that car touches the region at the query window's first tick,
+/// and when it moves away the touch is all there is.  The tree's clip
+/// must keep it, at unit scale and far from the origin.
+#[test]
+fn a_region_with_an_edge_through_a_car_answers_as_the_scan_does() {
+    let q = Query::parse("RETRIEVE o WHERE INSIDE(o, R)").unwrap();
+    for offset in [0.0, 1e6] {
+        let world = |indexed: bool| {
+            let mut rng = most_testkit::rng::Rng::seed_from_u64(0xED6E);
+            let mut db = Database::new(100);
+            for _ in 0..400 {
+                let p = Point::new(
+                    offset + rng.random_range(-500.0..500.0f64),
+                    offset + rng.random_range(-500.0..500.0f64),
+                );
+                let v = Velocity::new(
+                    rng.random_range(-3.0..3.0f64),
+                    rng.random_range(-3.0..3.0f64),
+                );
+                db.insert_moving_object("cars", p, v);
+            }
+            if indexed {
+                let r = 5_000.0;
+                db.enable_spatial_index(Rect::new(offset - r, offset - r, offset + r, offset + r));
+            }
+            db.advance_clock(7);
+            db
+        };
+        let (mut scan, mut indexed) = (world(false), world(true));
+        let mut rng = most_testkit::rng::Rng::seed_from_u64(0x0ED6E);
+        for k in 0..600u64 {
+            let car = 1 + rng.below(400);
+            let p = scan.object(car).unwrap().position_at(7).unwrap();
+            let (w, h) = (
+                rng.random_range(1.0..80.0f64),
+                rng.random_range(1.0..80.0f64),
+            );
+            let (x0, y0) = (p.x - w / 2.0, p.y - h / 2.0);
+            // The edge through the car: left, right, bottom or top.
+            let region = match k % 4 {
+                0 => Polygon::rectangle(p.x, y0, p.x + w, y0 + h),
+                1 => Polygon::rectangle(p.x - w, y0, p.x, y0 + h),
+                2 => Polygon::rectangle(x0, p.y, x0 + w, p.y + h),
+                _ => Polygon::rectangle(x0, p.y - h, x0 + w, p.y),
+            };
+            scan.add_region("R", region.clone());
+            indexed.add_region("R", region);
+            assert_eq!(
+                indexed.instantaneous(&q).unwrap(),
+                scan.instantaneous(&q).unwrap(),
+                "offset {offset}, region {k} through car {car} at {p:?}"
+            );
+        }
+    }
 }

@@ -3,7 +3,7 @@
 //! hold at sizes close to the full-scale experiment runs.
 
 use moving_objects::ftl::Query;
-use moving_objects::index::{DynamicAttributeIndex, IndexKind, ScanIndex};
+use moving_objects::index::{DynamicAttributeIndex, ScanIndex};
 use moving_objects::spatial::Polygon;
 use moving_objects::workload::cars::CarScenario;
 use std::time::Instant;
@@ -12,8 +12,7 @@ use std::time::Instant;
 #[ignore = "large-scale; run with --release -- --ignored"]
 fn index_handles_two_hundred_thousand_objects() {
     let n = 200_000u64;
-    let mut idx =
-        DynamicAttributeIndex::new(IndexKind::RTree, 1_000, (-(n as f64), 2.0 * n as f64));
+    let mut idx = DynamicAttributeIndex::new(1_000, (-(n as f64), 2.0 * n as f64));
     let mut scan = ScanIndex::new();
     for i in 0..n {
         let v0 = (i as f64 * 13.37) % (n as f64);
