@@ -59,7 +59,9 @@ pub fn run(scale: Scale) -> Table {
         let t0 = Instant::now();
         let mut idx_results = Vec::new();
         for &(at, lo) in &probes {
-            let (ids, stats) = idx.instantaneous(at, lo, lo + window);
+            let (ids, stats) = idx
+                .instantaneous(at, lo, lo + window)
+                .expect("the index covers the query");
             idx_nodes += (stats.nodes_visited + stats.candidates) as f64 / queries as f64;
             idx_results.push(ids);
         }

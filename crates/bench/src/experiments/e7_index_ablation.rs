@@ -79,7 +79,9 @@ pub fn run(scale: Scale) -> Table {
     let reference: Vec<Vec<u64>> = probes
         .iter()
         .map(|&(at, lo)| {
-            let (ids, stats) = idx.instantaneous(at, lo, lo + window);
+            let (ids, stats) = idx
+                .instantaneous(at, lo, lo + window)
+                .expect("the index covers the query");
             nodes += (stats.nodes_visited + stats.candidates) as f64 / queries as f64;
             ids
         })
@@ -96,7 +98,9 @@ pub fn run(scale: Scale) -> Table {
     // Continuous queries after updates.
     let t0 = Instant::now();
     for &(_, lo) in probes.iter().take(queries / 3) {
-        let _ = idx.continuous(0, lo, lo + window);
+        let _ = idx
+            .continuous(0, lo, lo + window)
+            .expect("the index covers the query");
     }
     let cont_time = t0.elapsed() / (queries / 3).max(1) as u32;
     table.row(vec![

@@ -85,7 +85,9 @@ pub fn run(scale: Scale) -> Table {
                     updates += 1;
                 }
                 Op::Query(lo) => {
-                    let (ids, _) = idx.instantaneous(t, lo, lo + window);
+                    let (ids, _) = idx
+                        .instantaneous(t, lo, lo + window)
+                        .expect("the index covers the query");
                     query_time += t0.elapsed();
                     queries += 1;
                     results += ids.len();

@@ -88,7 +88,10 @@ pub fn run(scale: Scale) -> Table {
         }
         let window = n as f64 / 100.0;
         let lo = n as f64 / 3.0;
-        let s = bench(warmup, samples, || idx.instantaneous(500, lo, lo + window));
+        let s = bench(warmup, samples, || {
+            idx.instantaneous(500, lo, lo + window)
+                .expect("the index covers the query")
+        });
         add(&mut table, "range_query", format!("index/n{n}"), s);
         let s = bench(warmup, samples, || scan.instantaneous(500, lo, lo + window));
         add(&mut table, "range_query", format!("scan/n{n}"), s);
@@ -358,6 +361,7 @@ pub fn run(scale: Scale) -> Table {
     let idx = build();
     let s = bench(warmup, samples, || {
         idx.instantaneous(500, 1000.0, 1000.0 + qwindow)
+            .expect("the index covers the query")
     });
     add(&mut table, "structures", "query/QuadTree".to_owned(), s);
     let mut scan = ScanIndex::new();

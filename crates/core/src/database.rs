@@ -886,7 +886,8 @@ impl Database {
         to: Tick,
         bbox: &Rect,
     ) -> Option<Vec<u64>> {
-        self.spatial_index.as_ref()?.candidates(from, to, bbox)
+        let (ids, _) = self.spatial_index.as_ref()?.candidates(from, to, bbox)?;
+        Some(ids)
     }
 
     /// Rolls the position index to a fresh epoch when the clock has
@@ -920,7 +921,7 @@ impl Database {
             .as_ref()
             .and_then(|ix| ix.candidates(now, now, rect))
         {
-            Some(ids) => {
+            Some((ids, _)) => {
                 let ids = ids
                     .into_iter()
                     .filter(|&id| self.objects.get(id).is_some_and(inside))

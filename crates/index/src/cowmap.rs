@@ -5,12 +5,19 @@
 //! chunk sits behind an [`Arc`].  Cloning the map copies the chunk
 //! *pointers* — O(len / 64) — and a write through a shared pointer copies
 //! that one chunk first, so two clones diverge by exactly the chunks one
-//! of them rewrote.  Iteration is ascending by id and the JSON form is the
-//! `BTreeMap<u64, V>` object, so swapping a `BTreeMap` for this map changes
-//! no persisted byte.
+//! of them rewrote.
+//!
+//! The chunks sit in a vector sorted by key, and the entries of a chunk
+//! are sorted by id.  A lookup first tries the slot a dense run of ids
+//! puts it in (chunk `key − first key`, entry `id mod 64`) and
+//! binary-searches only when that slot holds another key, so sequential
+//! ids are found without a search.  A chunk created below the highest
+//! one shifts the vector, O(len / 64); ids that grow, as sequential ids
+//! do, only append.  Iteration is ascending by id and the JSON form is
+//! the `BTreeMap<u64, V>` object, so swapping a `BTreeMap` for this map
+//! changes no persisted byte.
 
 use most_testkit::ser::{Json, JsonKey, ToJson};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const CHUNK_BITS: u32 = 6;
@@ -21,10 +28,16 @@ type Chunk<V> = Vec<(u64, V)>;
 /// The map.  See the module docs.
 #[derive(Debug, Clone)]
 pub struct CowMap<V> {
-    chunks: BTreeMap<u64, Arc<Chunk<V>>>,
+    /// `(id >> 6, chunk)`, ascending by key.
+    chunks: Vec<(u64, Arc<Chunk<V>>)>,
     len: usize,
     /// Name of the `most-obs` counter bumped once per chunk copied.
     copy_counter: &'static str,
+}
+
+/// The slot of `id` in its chunk, or the slot it would take.
+fn entry_slot<V>(chunk: &Chunk<V>, id: u64) -> Result<usize, usize> {
+    find(chunk, id, id & ((1 << CHUNK_BITS) - 1), |e| e.0)
 }
 
 /// Write access to a chunk, copying it first (and counting the copy) when
@@ -36,11 +49,25 @@ fn unshare<'a, V: Clone>(chunk: &'a mut Arc<Chunk<V>>, copy_counter: &str) -> &'
     Arc::make_mut(chunk)
 }
 
+/// Where `key` sits in `entries`, ascending by key: `Ok` with its slot, or
+/// `Err` with the slot it would take.  Tries `guess` first.
+fn find<T>(
+    entries: &[T],
+    key: u64,
+    guess: u64,
+    key_of: impl Fn(&T) -> u64,
+) -> Result<usize, usize> {
+    match entries.get(guess as usize) {
+        Some(entry) if key_of(entry) == key => Ok(guess as usize),
+        _ => entries.binary_search_by_key(&key, key_of),
+    }
+}
+
 impl<V: Clone> CowMap<V> {
     /// An empty map whose chunk copies are counted under `copy_counter`.
     pub fn new(copy_counter: &'static str) -> Self {
         CowMap {
-            chunks: BTreeMap::new(),
+            chunks: Vec::new(),
             len: 0,
             copy_counter,
         }
@@ -68,10 +95,17 @@ impl<V: Clone> CowMap<V> {
         self.len == 0
     }
 
+    /// The slot of the chunk holding `id`'s key, or the slot it would take.
+    fn chunk_slot(&self, id: u64) -> Result<usize, usize> {
+        let key = id >> CHUNK_BITS;
+        let first = self.chunks.first().map_or(0, |c| c.0);
+        find(&self.chunks, key, key.wrapping_sub(first), |c| c.0)
+    }
+
     /// The value stored under `id`.
     pub fn get(&self, id: u64) -> Option<&V> {
-        let chunk = self.chunks.get(&(id >> CHUNK_BITS))?;
-        let at = chunk.binary_search_by_key(&id, |e| e.0).ok()?;
+        let chunk = &self.chunks[self.chunk_slot(id).ok()?].1;
+        let at = entry_slot(chunk, id).ok()?;
         Some(&chunk[at].1)
     }
 
@@ -82,18 +116,20 @@ impl<V: Clone> CowMap<V> {
 
     /// Write access to the value under `id`.  A miss copies nothing.
     pub fn get_mut(&mut self, id: u64) -> Option<&mut V> {
-        let chunk = self.chunks.get_mut(&(id >> CHUNK_BITS))?;
-        let at = chunk.binary_search_by_key(&id, |e| e.0).ok()?;
+        let slot = self.chunk_slot(id).ok()?;
+        let chunk = &mut self.chunks[slot].1;
+        let at = entry_slot(chunk, id).ok()?;
         Some(&mut unshare(chunk, self.copy_counter)[at].1)
     }
 
     /// Stores `value` under `id`, returning the value it replaced.
     pub fn insert(&mut self, id: u64, value: V) -> Option<V> {
-        let chunk = unshare(
-            self.chunks.entry(id >> CHUNK_BITS).or_default(),
-            self.copy_counter,
-        );
-        match chunk.binary_search_by_key(&id, |e| e.0) {
+        let slot = self.chunk_slot(id).unwrap_or_else(|slot| {
+            self.chunks.insert(slot, (id >> CHUNK_BITS, Arc::default()));
+            slot
+        });
+        let chunk = unshare(&mut self.chunks[slot].1, self.copy_counter);
+        match entry_slot(chunk, id) {
             Ok(at) => Some(std::mem::replace(&mut chunk[at].1, value)),
             Err(at) => {
                 chunk.insert(at, (id, value));
@@ -106,12 +142,12 @@ impl<V: Clone> CowMap<V> {
     /// Removes and returns the value under `id`.  A miss copies nothing;
     /// removing a chunk's last entry drops the chunk.
     pub fn remove(&mut self, id: u64) -> Option<V> {
-        let key = id >> CHUNK_BITS;
-        let chunk = self.chunks.get_mut(&key)?;
-        let at = chunk.binary_search_by_key(&id, |e| e.0).ok()?;
+        let slot = self.chunk_slot(id).ok()?;
+        let chunk = &mut self.chunks[slot].1;
+        let at = entry_slot(chunk, id).ok()?;
         self.len -= 1;
         if chunk.len() == 1 {
-            let last = self.chunks.remove(&key).expect("chunk just looked up");
+            let (_, last) = self.chunks.remove(slot);
             return Some(Arc::unwrap_or_clone(last).remove(0).1);
         }
         Some(unshare(chunk, self.copy_counter).remove(at).1)
@@ -120,8 +156,8 @@ impl<V: Clone> CowMap<V> {
     /// Entries in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
         self.chunks
-            .values()
-            .flat_map(|chunk| chunk.iter().map(|(id, value)| (*id, value)))
+            .iter()
+            .flat_map(|(_, chunk)| chunk.iter().map(|(id, value)| (*id, value)))
     }
 
     /// Ids in ascending order.
@@ -144,7 +180,11 @@ impl<V: Clone> CowMap<V> {
     pub fn chunks_shared_with(&self, other: &CowMap<V>) -> usize {
         self.chunks
             .iter()
-            .filter(|(key, chunk)| other.chunks.get(key).is_some_and(|o| Arc::ptr_eq(chunk, o)))
+            .filter(|(key, chunk)| {
+                other
+                    .chunk_slot(key << CHUNK_BITS)
+                    .is_ok_and(|slot| Arc::ptr_eq(chunk, &other.chunks[slot].1))
+            })
             .count()
     }
 }
@@ -162,6 +202,7 @@ impl<V: Clone + ToJson> ToJson for CowMap<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn sample() -> (CowMap<String>, BTreeMap<u64, String>) {
         let mut map = CowMap::new("test.chunks_copied");
@@ -194,6 +235,29 @@ mod tests {
         assert_eq!(map.get(64), Some(&"v64".to_string()));
         assert_eq!(map.get(66), None);
         assert!(map.contains_key(4096) && !map.contains_key(4097));
+    }
+
+    /// Lookups agree with a `BTreeMap` whether or not the slot a dense run
+    /// of ids suggests holds the id: gaps, chunks created below the first
+    /// one, and removals that empty the first chunk.
+    #[test]
+    fn lookups_find_ids_off_the_dense_slots() {
+        let mut map = CowMap::new("test.chunks_copied");
+        let mut reference = BTreeMap::new();
+        let ids = (200..400u64)
+            .chain((0..50).map(|i| 1_000 + 3 * i))
+            .chain([1 << 40, 5, 130, 70]);
+        for id in ids {
+            map.insert(id, id);
+            reference.insert(id, id);
+        }
+        for id in (128..192).chain([5, 70]) {
+            assert_eq!(map.remove(id), reference.remove(&id));
+        }
+        for id in (0..1_300).chain([1 << 40, (1 << 40) + 1]) {
+            assert_eq!(map.get(id), reference.get(&id), "id {id}");
+        }
+        assert!(map.iter().map(|(id, _)| id).eq(reference.keys().copied()));
     }
 
     #[test]

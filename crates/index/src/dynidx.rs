@@ -77,6 +77,10 @@ impl Motion<2> for Line {
     fn at(&self, t: Tick) -> [f64; 2] {
         [t as f64, self.value_at(t)]
     }
+
+    fn scale(&self, t: Tick) -> f64 {
+        self.v0.abs() + self.slope.abs() * (t as f64 - self.since as f64).abs()
+    }
 }
 
 /// The Section 4 index over one dynamic attribute.
@@ -89,12 +93,15 @@ impl Motion<2> for Line {
 /// idx.insert(8, 0, 500.0, 0.0); // A stays at 500
 ///
 /// // "Retrieve the objects for which currently 495 < A < 505" at t = 500:
-/// let (ids, _) = idx.instantaneous(500, 495.0, 505.0);
+/// let (ids, _) = idx.instantaneous(500, 495.0, 505.0).unwrap();
 /// assert_eq!(ids, vec![7, 8]);
 ///
 /// // The same query as continuous returns per-object tick intervals.
-/// let (rows, _) = idx.continuous(0, 495.0, 505.0);
+/// let (rows, _) = idx.continuous(0, 495.0, 505.0).unwrap();
 /// assert_eq!(rows.len(), 2);
+///
+/// // Past the lifetime the index cannot answer until it is rolled.
+/// assert!(idx.instantaneous(1_001, 495.0, 505.0).is_none());
 /// ```
 #[derive(Debug)]
 pub struct DynamicAttributeIndex {
@@ -162,16 +169,18 @@ impl DynamicAttributeIndex {
         Some(leg.motion.value_at(t))
     }
 
-    /// Instantaneous range query: ids with `lo <= A <= hi` at tick `now`.
+    /// Instantaneous range query: ids with `lo <= A <= hi` at tick `now`;
+    /// `None` when `now` lies outside the lifetime (see [`Self::roll_to`])
+    /// or `lo..hi` outside the value range, where the index cannot answer.
     ///
     /// "Using the index we retrieve the records representing the rectangles
     /// that intersect the rectangle `4 < A < 5` and `1−ε < t < 1+ε`.  For
     /// each object id in these records we check whether currently
     /// `4 < A < 5`."
-    pub fn instantaneous(&self, now: Tick, lo: f64, hi: f64) -> (Vec<u64>, QueryStats) {
+    pub fn instantaneous(&self, now: Tick, lo: f64, hi: f64) -> Option<(Vec<u64>, QueryStats)> {
         let eps = 0.5;
         let rect = Rect::new(now as f64 - eps, lo, now as f64 + eps, hi);
-        let (candidates, nodes_visited) = self.lines.query(&Bounds::from_rect(&rect));
+        let (candidates, nodes_visited) = self.lines.query(now, now, &Bounds::from_rect(&rect))?;
         let mut stats = QueryStats {
             nodes_visited,
             candidates: candidates.len() as u64,
@@ -183,21 +192,26 @@ impl DynamicAttributeIndex {
             .collect();
         stats.results = out.len() as u64;
         record_query_stats(&stats);
-        (out, stats)
+        Some((out, stats))
     }
 
     /// Continuous range query from tick `now`: `Answer(CQ)` rows
     /// `(id, ticks during which lo <= A <= hi)` until the end of the
-    /// lifetime.
+    /// lifetime; `None` where [`Self::instantaneous`] is.
     ///
     /// "Using the index we retrieve the records representing the rectangles
     /// that intersect the rectangle `4 < A < 5` and `1 < t < T`.  We
     /// construct the set Answer(CQ) by examining each object id in these
     /// records, and determining the time intervals when `4 < o.A < 5`."
-    pub fn continuous(&self, now: Tick, lo: f64, hi: f64) -> (Vec<(u64, IntervalSet)>, QueryStats) {
+    pub fn continuous(
+        &self,
+        now: Tick,
+        lo: f64,
+        hi: f64,
+    ) -> Option<(Vec<(u64, IntervalSet)>, QueryStats)> {
         let end = self.lines.end();
         let rect = Rect::new(now as f64, lo, end as f64, hi);
-        let (candidates, nodes_visited) = self.lines.query(&Bounds::from_rect(&rect));
+        let (candidates, nodes_visited) = self.lines.query(now, end, &Bounds::from_rect(&rect))?;
         let mut stats = QueryStats {
             nodes_visited,
             candidates: candidates.len() as u64,
@@ -214,7 +228,7 @@ impl DynamicAttributeIndex {
         }
         stats.results = out.len() as u64;
         record_query_stats(&stats);
-        (out, stats)
+        Some((out, stats))
     }
 
     /// Ticks at which `lo <= A <= hi` for one object, across its pieces.
@@ -312,7 +326,7 @@ mod tests {
             scan.upsert(i, 0, v0, slope);
         }
         for now in [0u64, 10, 100, 500] {
-            let (a, _) = idx.instantaneous(now, -20.0, 20.0);
+            let (a, _) = idx.instantaneous(now, -20.0, 20.0).unwrap();
             let (b, _) = scan.instantaneous(now, -20.0, 20.0);
             assert_eq!(a, b, "now = {now}");
         }
@@ -327,7 +341,7 @@ mod tests {
             idx.insert(i, 0, v0, 0.1);
             scan.upsert(i, 0, v0, 0.1);
         }
-        let (a, s_idx) = idx.instantaneous(5, -10.0, 10.0);
+        let (a, s_idx) = idx.instantaneous(5, -10.0, 10.0).unwrap();
         let (b, s_scan) = scan.instantaneous(5, -10.0, 10.0);
         assert_eq!(a, b);
         assert!(
@@ -346,10 +360,10 @@ mod tests {
         assert_eq!(idx.value_of(1, 50), Some(50.0));
         // Future follows the new vector.
         assert_eq!(idx.value_of(1, 150), Some(50.0));
-        let (ids, _) = idx.instantaneous(150, 45.0, 55.0);
+        let (ids, _) = idx.instantaneous(150, 45.0, 55.0).unwrap();
         assert_eq!(ids, vec![1]);
         // The old extrapolation (value 150 at t=150) must be gone.
-        let (ids, _) = idx.instantaneous(150, 145.0, 155.0);
+        let (ids, _) = idx.instantaneous(150, 145.0, 155.0).unwrap();
         assert!(ids.is_empty());
     }
 
@@ -359,14 +373,14 @@ mod tests {
         idx.insert(1, 0, 0.0, 1.0); // crosses [40, 60] during t in [40, 60]
         idx.insert(2, 0, 500.0, 0.0); // never in range
         idx.insert(3, 0, 100.0, -1.0); // crosses during t in [40, 60]
-        let (rows, stats) = idx.continuous(0, 40.0, 60.0);
+        let (rows, stats) = idx.continuous(0, 40.0, 60.0).unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(stats.results, 2);
         let r1 = rows.iter().find(|(id, _)| *id == 1).unwrap();
         assert_eq!(r1.1.first_tick(), Some(40));
         assert_eq!(r1.1.last_tick(), Some(60));
         // Starting the query later clips the intervals.
-        let (rows, _) = idx.continuous(50, 40.0, 60.0);
+        let (rows, _) = idx.continuous(50, 40.0, 60.0).unwrap();
         let r1 = rows.iter().find(|(id, _)| *id == 1).unwrap();
         assert_eq!(r1.1.first_tick(), Some(50));
     }
@@ -376,7 +390,7 @@ mod tests {
         let mut idx = index();
         idx.insert(1, 0, 0.0, 1.0);
         idx.update(1, 50, 50.0, -1.0); // turns around at 50
-        let (rows, _) = idx.continuous(0, 40.0, 45.0);
+        let (rows, _) = idx.continuous(0, 40.0, 45.0).unwrap();
         let set = &rows.iter().find(|(id, _)| *id == 1).unwrap().1;
         // In range on the way up (t in 40..=45) and on the way down
         // (value 45..40 at t in 55..=60).
@@ -405,12 +419,12 @@ mod tests {
         // Value = global t.  Inside the first epoch:
         idx.insert(1, 0, 0.0, 1.0);
         assert!(!idx.roll_to(50, 0));
-        assert_eq!(idx.instantaneous(50, 45.0, 55.0).0, vec![1]);
+        assert_eq!(idx.instantaneous(50, 45.0, 55.0).unwrap().0, vec![1]);
         assert!(!idx.roll_to(100, 0), "the lifetime's last tick is inside");
         // Far into the future: one reconstruction, and the line carries
         // over.
         assert!(idx.roll_to(350, 0));
-        assert_eq!(idx.instantaneous(350, 345.0, 355.0).0, vec![1]);
+        assert_eq!(idx.instantaneous(350, 345.0, 355.0).unwrap().0, vec![1]);
         assert_eq!(idx.value_of(1, 420), Some(420.0));
         // Rolling within the current lifetime is a no-op.
         assert!(!idx.roll_to(360, 0));
@@ -423,7 +437,7 @@ mod tests {
         idx.insert(1, 0, 0.0, 1.0);
         assert!(idx.roll_to(250, 0));
         idx.update(1, 250, 0.0, -1.0);
-        assert_eq!(idx.instantaneous(260, -15.0, -5.0).0, vec![1]);
+        assert_eq!(idx.instantaneous(260, -15.0, -5.0).unwrap().0, vec![1]);
     }
 
     #[test]
@@ -431,7 +445,7 @@ mod tests {
         let mut idx = rolling();
         idx.insert(1, 0, 0.0, 1.0);
         assert!(idx.roll_to(150, 0));
-        let (rows, _) = idx.continuous(150, 0.0, 10_000.0);
+        let (rows, _) = idx.continuous(150, 0.0, 10_000.0).unwrap();
         assert_eq!(rows.len(), 1);
         // Global ticks within the epoch [150, 250].
         assert_eq!(rows[0].1.first_tick(), Some(150));
@@ -444,7 +458,7 @@ mod tests {
         idx.insert(1, 0, 0.0, 1.0);
         assert!(!idx.roll_to(50, 50));
         assert!(idx.roll_to(51, 50));
-        let (rows, _) = idx.continuous(51, 0.0, 10_000.0);
+        let (rows, _) = idx.continuous(51, 0.0, 10_000.0).unwrap();
         assert_eq!(rows[0].1.last_tick(), Some(151));
     }
 

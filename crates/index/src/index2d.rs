@@ -24,6 +24,12 @@ impl Motion<3> for MovingPoint {
         let p = self.position_at_tick(t);
         [t as f64, p.x, p.y]
     }
+
+    fn scale(&self, t: Tick) -> f64 {
+        let (a, v) = (self.anchor, self.velocity);
+        let dt = (t as f64 - self.since as f64).abs();
+        a.x.abs().max(a.y.abs()) + v.dx.abs().max(v.dy.abs()) * dt
+    }
 }
 
 /// Octree index over moving points in the plane.
@@ -86,14 +92,15 @@ impl MovingObjectIndex2D {
 
     /// The objects whose motion may touch `region` at some tick of
     /// `[from, to]`, ascending: a superset of those that do, for the caller
-    /// to test exactly.  `None` when the window leaves the current lifetime
-    /// or `region` leaves the indexed space, where the index cannot answer.
-    pub fn candidates(&self, from: Tick, to: Tick, region: &Rect) -> Option<Vec<u64>> {
+    /// to test exactly.  Also returns the number of tree nodes visited.
+    /// `None` when the window leaves the current lifetime or `region`
+    /// leaves the indexed space, where the index cannot answer.
+    pub fn candidates(&self, from: Tick, to: Tick, region: &Rect) -> Option<(Vec<u64>, u64)> {
         let probe = Bounds {
             min: [from as f64, region.min_x, region.min_y],
             max: [to as f64, region.max_x, region.max_y],
         };
-        self.legs.covers(&probe).then(|| self.legs.query(&probe).0)
+        self.legs.query(from, to, &probe)
     }
 }
 
@@ -105,19 +112,23 @@ mod tests {
         Rect::new(-500.0, -500.0, 500.0, 500.0)
     }
 
+    fn ids(idx: &MovingObjectIndex2D, from: Tick, to: Tick, region: &Rect) -> Option<Vec<u64>> {
+        idx.candidates(from, to, region).map(|(ids, _)| ids)
+    }
+
     #[test]
     fn candidates_find_moving_objects() {
         let mut idx = MovingObjectIndex2D::new(1000, space());
         idx.insert(1, 0, Point::new(0.0, 0.0), Velocity::new(1.0, 0.0));
         idx.insert(2, 0, Point::new(0.0, 100.0), Velocity::zero());
         let region = Rect::new(40.0, -10.0, 60.0, 10.0);
-        assert_eq!(idx.candidates(50, 50, &region), Some(vec![1]));
-        assert_eq!(idx.candidates(0, 0, &region), Some(vec![]));
-        assert_eq!(idx.candidates(0, 1000, &region), Some(vec![1]));
+        assert_eq!(ids(&idx, 50, 50, &region), Some(vec![1]));
+        assert_eq!(ids(&idx, 0, 0, &region), Some(vec![]));
+        assert_eq!(ids(&idx, 0, 1000, &region), Some(vec![1]));
         // A window that misses the crossing.
-        assert_eq!(idx.candidates(70, 100, &region), Some(vec![]));
+        assert_eq!(ids(&idx, 70, 100, &region), Some(vec![]));
         let park = Rect::new(-10.0, 90.0, 10.0, 110.0);
-        assert_eq!(idx.candidates(50, 50, &park), Some(vec![2]));
+        assert_eq!(ids(&idx, 50, 50, &park), Some(vec![2]));
     }
 
     #[test]
@@ -125,13 +136,13 @@ mod tests {
         let mut idx = MovingObjectIndex2D::new(100, space());
         idx.insert(1, 0, Point::origin(), Velocity::zero());
         let home = Rect::new(-1.0, -1.0, 1.0, 1.0);
-        assert_eq!(idx.candidates(0, 100, &home), Some(vec![1]));
-        assert_eq!(idx.candidates(50, 101, &home), None);
-        assert_eq!(idx.candidates(0, 0, &Rect::new(0.0, 0.0, 600.0, 1.0)), None);
+        assert_eq!(ids(&idx, 0, 100, &home), Some(vec![1]));
+        assert_eq!(ids(&idx, 50, 101, &home), None);
+        assert_eq!(ids(&idx, 0, 0, &Rect::new(0.0, 0.0, 600.0, 1.0)), None);
         // After a reconstruction at 80 the lifetime is [80, 180].
         assert!(idx.roll_to(80, 50));
-        assert_eq!(idx.candidates(50, 60, &home), None);
-        assert_eq!(idx.candidates(80, 180, &home), Some(vec![1]));
+        assert_eq!(ids(&idx, 50, 60, &home), None);
+        assert_eq!(ids(&idx, 80, 180, &home), Some(vec![1]));
     }
 
     #[test]
@@ -142,15 +153,15 @@ mod tests {
         idx.update(1, 30, Point::new(30.0, 0.0), Velocity::new(0.0, 1.0));
         let east = Rect::new(45.0, -5.0, 55.0, 5.0);
         assert_eq!(
-            idx.candidates(50, 50, &east),
+            ids(&idx, 50, 50, &east),
             Some(vec![]),
             "old course un-indexed"
         );
         let north = Rect::new(25.0, 15.0, 35.0, 25.0);
-        assert_eq!(idx.candidates(50, 50, &north), Some(vec![1]));
+        assert_eq!(ids(&idx, 50, 50, &north), Some(vec![1]));
         // The historical prefix is still indexed.
         let past = Rect::new(5.0, -5.0, 15.0, 5.0);
-        assert_eq!(idx.candidates(10, 10, &past), Some(vec![1]));
+        assert_eq!(ids(&idx, 10, 10, &past), Some(vec![1]));
     }
 
     #[test]
@@ -171,6 +182,7 @@ mod tests {
             let got: Vec<u64> = idx
                 .candidates(t, t, &region)
                 .unwrap()
+                .0
                 .into_iter()
                 .filter(|&id| region.contains(objs[id as usize].position_at_tick(t)))
                 .collect();

@@ -27,6 +27,10 @@ use most_temporal::Tick;
 pub(crate) trait Motion<const K: usize>: Copy {
     /// The point at tick `t`.
     fn at(&self, t: Tick) -> [f64; K];
+
+    /// A bound on the magnitudes of the quantities [`Motion::at`] computes
+    /// a coordinate at tick `t` from: `|anchor| + |rate| · |t − since|`.
+    fn scale(&self, t: Tick) -> f64;
 }
 
 /// One piece of an object's function, valid over ticks `[from, until]`.
@@ -45,6 +49,10 @@ impl<M> Leg<M> {
         Seg {
             p0: self.motion.at(self.from),
             p1: self.motion.at(self.until),
+            scale: self
+                .motion
+                .scale(self.from)
+                .max(self.motion.scale(self.until)),
         }
     }
 }
@@ -161,18 +169,19 @@ impl<M: Motion<K>, const K: usize> Legs<M, K> {
         self.legs.get(id).map(Vec::as_slice)
     }
 
-    /// The ids whose segments touch `probe`, sorted, plus the nodes visited.
-    pub(crate) fn query(&self, probe: &Bounds<K>) -> (Vec<u64>, u64) {
-        self.tree.query(probe)
-    }
-
-    /// Whether `probe` lies inside the index's box.  A piece is kept only
-    /// in the cells it crosses, so once the root splits nothing outside the
-    /// box is indexed, and a probe reaching past it must scan.
-    pub(crate) fn covers(&self, probe: &Bounds<K>) -> bool {
-        (0..K).all(|axis| {
-            self.bounds.min[axis] <= probe.min[axis] && probe.max[axis] <= self.bounds.max[axis]
-        })
+    /// The ids whose segments touch `probe`, sorted, plus the nodes
+    /// visited.  `None` when the ticks `[from, to]` leave the lifetime or
+    /// the probe leaves the value box, where the index cannot answer: a
+    /// piece is kept only in the cells it crosses, so once the root splits
+    /// nothing outside the box is indexed.  The probe's time axis is the
+    /// caller's: it may reach past `[from, to]` by less than a tick.
+    pub(crate) fn query(&self, from: Tick, to: Tick, probe: &Bounds<K>) -> Option<(Vec<u64>, u64)> {
+        let inside = self.epoch <= from
+            && to <= self.end()
+            && (1..K).all(|axis| {
+                self.bounds.min[axis] <= probe.min[axis] && probe.max[axis] <= self.bounds.max[axis]
+            });
+        inside.then(|| self.tree.query(probe))
     }
 
     /// Reconstructs the index when the window `[t, t + reach]` leaves

@@ -22,7 +22,8 @@
 //!   object's pieces, the update rule that cuts the last piece at the
 //!   update tick, and the one reconstruction, `roll_to`, which starts a
 //!   fresh tree "every T time units" once a caller's window leaves the
-//!   lifetime;
+//!   lifetime.  A probe whose ticks leave the lifetime, or whose box
+//!   leaves the value box, gets `None` from either index;
 //! * [`dynidx`] — [`dynidx::DynamicAttributeIndex`]: insert / update /
 //!   instantaneous and continuous range queries over one dynamic attribute,
 //!   plus the [`dynidx::ScanIndex`] linear-scan baseline;

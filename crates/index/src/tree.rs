@@ -45,12 +45,11 @@ const MAX_DEPTH: u32 = 10;
 /// adds at most six more per slab: the widening, the subtraction from
 /// `p0`, the difference `p1 − p0`, the division and the two comparisons.
 /// Sixteen covers both with room, over the summed magnitudes of the
-/// segment's and the slab's coordinates on that axis.  That sum stands
-/// in for the anchor's magnitude too, which holds for a piece that starts
-/// at its anchor.  A piece `roll_to` re-inserts keeps its object's older
-/// anchor; one far beyond both endpoints (an object that came from far
-/// away toward the origin since its last update) can put a position
-/// about `u·|anchor|` further out than the bound allows.
+/// segment's and the slab's coordinates on that axis and of the
+/// quantities the endpoints were computed from ([`Seg::scale`]).  The
+/// last term matters for a piece `roll_to` re-inserts: it keeps its
+/// object's anchor, which may lie far beyond both endpoints (an object
+/// that came from far away toward the origin since its last update).
 const CLIP_OPS: u32 = 16;
 
 /// Counter of tree nodes and leg-table chunks copied because an older
@@ -114,17 +113,22 @@ const fn first_split_axis<const K: usize, const N: usize>() -> usize {
 pub(crate) struct Seg<const K: usize> {
     pub(crate) p0: [f64; K],
     pub(crate) p1: [f64; K],
+    /// A bound on the magnitudes of the quantities the endpoints were
+    /// computed from ([`crate::legs::Motion::scale`]); 0 for endpoints
+    /// given exactly.
+    pub(crate) scale: f64,
 }
 
 impl<const K: usize> Seg<K> {
     /// The span of the segment's parameter (0 at `p0`, 1 at `p1`) over
     /// which its `axis` coordinate lies in `[min, max]`, the slab widened
     /// by [`CLIP_OPS`]' forward error bound over the magnitudes of the
-    /// segment and the slab; `None` when a segment constant on that axis
-    /// lies outside.
+    /// segment, its scale and the slab; `None` when a segment constant on
+    /// that axis lies outside.
     fn slab(&self, axis: usize, min: f64, max: f64) -> Option<(f64, f64)> {
         let (p0, p1) = (self.p0[axis], self.p1[axis]);
-        let margin = forward_error(CLIP_OPS, p0.abs() + p1.abs() + min.abs() + max.abs());
+        let magnitude = self.scale + p0.abs() + p1.abs() + min.abs() + max.abs();
+        let margin = forward_error(CLIP_OPS, magnitude);
         let (min, max) = (min - margin, max + margin);
         let d = p1 - p0;
         if d == 0.0 {
@@ -257,6 +261,7 @@ impl<const K: usize> Items<K> {
         Seg {
             p0: [0.0; K],
             p1: [0.0; K],
+            scale: 0.0,
         },
     );
 
@@ -524,6 +529,7 @@ pub(crate) mod tests {
         Seg {
             p0: [t0, v0],
             p1: [t1, v0 + slope * (t1 - t0)],
+            scale: 0.0,
         }
     }
 
@@ -581,6 +587,7 @@ pub(crate) mod tests {
         let instant = Seg {
             p0: [5.0, 1.0],
             p1: [5.0, 1.0],
+            scale: 0.0,
         };
         for (case, seg, b, hit) in [
             (
@@ -665,6 +672,7 @@ pub(crate) mod tests {
             let seg = Seg {
                 p0,
                 p1: std::array::from_fn(&mut coord),
+                scale: 0.0,
             };
             let want = b.children::<N>().map(|c| seg.intersects(&c));
             assert_eq!(seg.child_hits::<N>(&b), want, "{seg:?}");
@@ -695,6 +703,7 @@ pub(crate) mod tests {
         let parked = Seg {
             p0: [0.0, 12.5, -7.0],
             p1: [200.0, 12.5, -7.0],
+            scale: 0.0,
         };
         let parked = tree_of(space(), (0..n).map(|i| (i, parked)));
         assert_eq!(interior_counts(&parked.root), [0, MAX_DEPTH as usize, 0]);
@@ -717,6 +726,7 @@ pub(crate) mod tests {
                 let seg = Seg {
                     p0: [0.0, x, y],
                     p1: [200.0, x + 800.0, y + 600.0],
+                    scale: 0.0,
                 };
                 (i, seg)
             }),
@@ -781,6 +791,7 @@ pub(crate) mod tests {
             let seg = Seg {
                 p0: [0.0, x, y],
                 p1: [200.0, x + 200.0 * vx, y + 200.0 * vy],
+                scale: 0.0,
             };
             (i, seg)
         });

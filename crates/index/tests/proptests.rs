@@ -146,7 +146,7 @@ fn instantaneous_matches_model() {
         .run(&gen, |(ops, now, (lo, width))| {
             let (idx, model) = replay(ops);
             let (lo, hi) = (*lo as f64, *lo as f64 + *width as f64);
-            let (got, stats) = idx.instantaneous(*now, lo, hi);
+            let (got, stats) = idx.instantaneous(*now, lo, hi).unwrap();
             let want = model.in_range_at(*now, lo, hi);
             assert_eq!(&got, &want, "now {now}");
             assert_eq!(stats.results, got.len() as u64);
@@ -165,7 +165,7 @@ fn continuous_matches_model() {
         .run(&gen, |(ops, now, (lo, width))| {
             let (idx, model) = replay(ops);
             let (lo, hi) = (*lo as f64, *lo as f64 + *width as f64);
-            let (rows, _) = idx.continuous(*now, lo, hi);
+            let (rows, _) = idx.continuous(*now, lo, hi).unwrap();
             for (&id, _) in model.objects.iter() {
                 let want = model.in_range_intervals(id, *now, lo, hi);
                 let got = rows
@@ -196,7 +196,7 @@ fn quadtree_agrees_with_the_model_across_a_reconstruction() {
             let (mut idx, model) = replay(ops);
             let (lo, hi) = (*lo as f64, *lo as f64 + *width as f64);
             assert_eq!(
-                idx.instantaneous(*now, lo, hi).0,
+                idx.instantaneous(*now, lo, hi).unwrap().0,
                 model.in_range_at(*now, lo, hi)
             );
             // Updates all fall before `LIFETIME`, so from the last of them
@@ -213,7 +213,7 @@ fn quadtree_agrees_with_the_model_across_a_reconstruction() {
             assert_eq!(idx.roll_to(last, LIFETIME), last > 0);
             for t in [last, last + LIFETIME / 2] {
                 assert_eq!(
-                    idx.instantaneous(t, lo, hi).0,
+                    idx.instantaneous(t, lo, hi).unwrap().0,
                     model.in_range_at(t, lo, hi),
                     "rolled at {last}, queried at {t}"
                 );
@@ -297,7 +297,7 @@ fn index2d_candidates_hold_the_trajectory_model() {
             // The candidates, filtered through the model, are the model's
             // answer: nothing inside is missing.
             let answer = |from: Tick, to: Tick| {
-                let ids = idx.candidates(from, to, &region).expect("inside the index");
+                let (ids, _) = idx.candidates(from, to, &region).expect("inside the index");
                 let hit = |id: u64| (from..=to).any(|tick| inside(id as usize, tick));
                 let brute: Vec<u64> = (0..trajs.len() as u64).filter(|&id| hit(id)).collect();
                 (
@@ -397,7 +397,7 @@ fn index2d_candidates_hold_every_touch_at_a_window_end() {
                     1 => (touch.saturating_sub(*len), *touch),
                     _ => (*touch, *touch),
                 };
-                let got = idx.candidates(from, to, &region).expect("inside the index");
+                let (got, _) = idx.candidates(from, to, &region).expect("inside the index");
                 for (id, traj) in trajs.iter().enumerate() {
                     if (from..=to).any(|tick| region.contains(traj.position_at_tick(tick))) {
                         assert!(
@@ -408,6 +408,90 @@ fn index2d_candidates_hold_every_touch_at_a_window_end() {
                 }
             },
         );
+}
+
+/// Objects whose one anchor lies far back along their path: object `i`
+/// starts at tick 0 so far out that it passes near the origin at tick
+/// `roll + near_i`, and the index is rolled to `roll` — the database's
+/// reconstruction, which re-inserts each piece with the anchor of its
+/// object's last update.  A position is then computed from an anchor up to
+/// about 1e11 away, so its rounding error dwarfs the magnitudes of the
+/// segment and the box.  A box with an edge or a corner through one
+/// object's position near the origin, probed over a window that touches
+/// it at either end, at the tick alone or across the whole lifetime, must
+/// still yield every object the brute-force per-tick test finds inside.
+#[test]
+fn index2d_candidates_hold_every_touch_after_a_roll_from_a_far_anchor() {
+    let velocity = tuple3(floats(-3.0..3.0), floats(-3.0..3.0), select(&[1.0, 100.0]));
+    let gen = tuple4(
+        tuple2(
+            select(&[1_000 as Tick, 1_000_000, 300_000_000]),
+            vecs(
+                tuple3(
+                    tuple2(floats(-300.0..300.0), floats(-300.0..300.0)),
+                    velocity,
+                    ints(0..=LIFETIME),
+                ),
+                1..20 * SCALE,
+            ),
+        ),
+        tuple3(ints(0usize..1_000), ints(0u32..8), ints(0u32..4)),
+        tuple2(floats(0.5..80.0), floats(0.5..80.0)),
+        ints(0..LIFETIME),
+    );
+    Check::new("index::index2d_candidates_hold_every_touch_after_a_roll_from_a_far_anchor")
+        .cases(64)
+        .regressions(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/proptests.seeds"
+        ))
+        .run(&gen, |((roll, objs), (pick, edge, end), (w, h), len)| {
+            let mut idx =
+                MovingObjectIndex2D::new(LIFETIME, Rect::new(-2000.0, -2000.0, 2000.0, 2000.0));
+            let motions: Vec<MovingPoint> = objs
+                .iter()
+                .enumerate()
+                .map(|(i, ((x, y), (vx, vy, speed), near))| {
+                    let v = Velocity::new(vx * speed, vy * speed);
+                    // At tick `roll + near` the object is about at (x, y).
+                    let far = (roll + near) as f64;
+                    let anchor = Point::new(x - v.dx * far, y - v.dy * far);
+                    idx.insert(i as u64, 0, anchor, v);
+                    MovingPoint::new(anchor, 0, v)
+                })
+                .collect();
+            assert!(idx.roll_to(*roll, LIFETIME));
+            let pick = pick % motions.len();
+            let touch = roll + objs[pick].2;
+            let p = motions[pick].position_at_tick(touch);
+            let (x0, y0) = (p.x - w / 2.0, p.y - h / 2.0);
+            let region = match edge {
+                0 => Rect::new(p.x, y0, p.x + w, y0 + h),
+                1 => Rect::new(p.x - w, y0, p.x, y0 + h),
+                2 => Rect::new(x0, p.y, x0 + w, p.y + h),
+                3 => Rect::new(x0, p.y - h, x0 + w, p.y),
+                4 => Rect::new(p.x, p.y, p.x + w, p.y + h),
+                5 => Rect::new(p.x - w, p.y, p.x, p.y + h),
+                6 => Rect::new(p.x, p.y - h, p.x + w, p.y),
+                _ => Rect::new(p.x - w, p.y - h, p.x, p.y),
+            };
+            let last = roll + LIFETIME;
+            let (from, to) = match end {
+                0 => (touch, (touch + len).min(last)),
+                1 => (touch.saturating_sub(*len).max(*roll), touch),
+                2 => (touch, touch),
+                _ => (*roll, last),
+            };
+            let (got, _) = idx.candidates(from, to, &region).expect("inside the index");
+            for (id, motion) in motions.iter().enumerate() {
+                if (from..=to).any(|tick| region.contains(motion.position_at_tick(tick))) {
+                    assert!(
+                        got.contains(&(id as u64)),
+                        "object {id} touches {region:?} in {from}..={to} after a roll to {roll}"
+                    );
+                }
+            }
+        });
 }
 
 // ---------------------------------------------------------------------------
@@ -499,19 +583,38 @@ fn apply2(
 }
 
 /// Everything a reader can ask the index, rendered for comparison: the
-/// candidates of instants and windows (equal trees return equal sets).
+/// candidates of instants and windows with the nodes each probe visited
+/// (equal trees return equal sets and visit equal nodes), then the same
+/// of copies rolled to a few ticks.  A roll rebuilds the tree from each
+/// object's stored piece at its tick, so the rendering reads the piece
+/// lists too, not only the tree.
 fn answers2(idx: &MovingObjectIndex2D) -> String {
+    let mut out = format!("len {}\n", idx.len());
+    out += &probes2(idx, 0);
+    for t in [37, 120, LIFETIME - 1] {
+        let mut rolled = idx.clone();
+        assert!(rolled.roll_to(t, LIFETIME));
+        out += &format!("rolled to {t}\n");
+        out += &probes2(&rolled, t);
+    }
+    out
+}
+
+/// The probes of [`answers2`], over ticks counted from `origin`.
+fn probes2(idx: &MovingObjectIndex2D, origin: Tick) -> String {
     let regions = [
         Rect::new(-60.0, -60.0, 60.0, 60.0),
         Rect::new(-250.0, -250.0, 0.0, 0.0),
         Rect::new(40.0, -200.0, 260.0, 30.0),
     ];
-    let mut out = format!("len {}\n", idx.len());
+    let mut out = String::new();
     for region in &regions {
         for t in [0, 37, 120, LIFETIME - 1] {
+            let t = origin + t;
             out += &format!("{:?}\n", idx.candidates(t, t, region));
         }
         for (from, to) in [(0, LIFETIME), (30, 90), (150, 160)] {
+            let (from, to) = (origin + from, origin + to);
             out += &format!("{:?}\n", idx.candidates(from, to, region));
         }
     }

@@ -19,6 +19,7 @@ pub const fn gamma(n: u32) -> f64 {
 /// A bound on the absolute rounding error of a value computed by at most
 /// `n` correctly rounded operations over quantities whose magnitudes sum
 /// to at most `magnitude`.
+#[inline]
 pub fn forward_error(n: u32, magnitude: f64) -> f64 {
     gamma(n) * magnitude
 }

@@ -25,7 +25,7 @@ fn index_handles_two_hundred_thousand_objects() {
     let mut idx_total = 0usize;
     for k in 0..50u64 {
         let lo = (k as f64 * 97.0) % (n as f64 - window);
-        let (ids, _) = idx.instantaneous(k * 17 % 1000, lo, lo + window);
+        let (ids, _) = idx.instantaneous(k * 17 % 1000, lo, lo + window).unwrap();
         idx_total += ids.len();
     }
     let idx_time = t0.elapsed();
