@@ -1,7 +1,6 @@
 //! Object classes: "a database is a set of object-classes ... an
 //! object-class is a set of attributes" (Section 2).
 
-
 /// The kind of an attribute (Section 2.1: "each attribute of an
 /// object-class is either static or dynamic").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,23 +40,37 @@ pub struct ClassDef {
 impl ClassDef {
     /// An open spatial class (any attributes allowed).
     pub fn spatial(name: impl Into<String>) -> Self {
-        ClassDef { name: name.into(), spatial: true, attrs: Vec::new() }
+        ClassDef {
+            name: name.into(),
+            spatial: true,
+            attrs: Vec::new(),
+        }
     }
 
     /// An open non-spatial class.
     pub fn plain(name: impl Into<String>) -> Self {
-        ClassDef { name: name.into(), spatial: false, attrs: Vec::new() }
+        ClassDef {
+            name: name.into(),
+            spatial: false,
+            attrs: Vec::new(),
+        }
     }
 
     /// Declares a static attribute.
     pub fn with_static(mut self, name: impl Into<String>) -> Self {
-        self.attrs.push(AttrDecl { name: name.into(), kind: AttrKind::Static });
+        self.attrs.push(AttrDecl {
+            name: name.into(),
+            kind: AttrKind::Static,
+        });
         self
     }
 
     /// Declares a dynamic scalar attribute.
     pub fn with_dynamic(mut self, name: impl Into<String>) -> Self {
-        self.attrs.push(AttrDecl { name: name.into(), kind: AttrKind::Dynamic });
+        self.attrs.push(AttrDecl {
+            name: name.into(),
+            kind: AttrKind::Dynamic,
+        });
         self
     }
 
@@ -82,7 +95,11 @@ impl ClassDef {
 
 most_testkit::json_enum!(AttrKind { Static, Dynamic });
 most_testkit::json_struct!(AttrDecl { name, kind });
-most_testkit::json_struct!(ClassDef { name, spatial, attrs });
+most_testkit::json_struct!(ClassDef {
+    name,
+    spatial,
+    attrs
+});
 
 #[cfg(test)]
 mod tests {

@@ -80,7 +80,11 @@ pub struct DynamicAttribute {
 impl DynamicAttribute {
     /// Creates a dynamic attribute.
     pub fn new(value: f64, updatetime: Tick, function: AttrFunction) -> Self {
-        DynamicAttribute { value, updatetime, function }
+        DynamicAttribute {
+            value,
+            updatetime,
+            function,
+        }
     }
 
     /// A static-behaving attribute (constant until explicitly updated).
@@ -125,7 +129,11 @@ most_testkit::json_enum!(AttrFunction {
     Linear(slope),
     Quadratic { accel, slope },
 });
-most_testkit::json_struct!(DynamicAttribute { value, updatetime, function });
+most_testkit::json_struct!(DynamicAttribute {
+    value,
+    updatetime,
+    function
+});
 
 #[cfg(test)]
 mod tests {
@@ -135,7 +143,10 @@ mod tests {
     fn function_zero_at_zero() {
         for f in [
             AttrFunction::Linear(5.0),
-            AttrFunction::Quadratic { accel: 2.0, slope: -1.0 },
+            AttrFunction::Quadratic {
+                accel: 2.0,
+                slope: -1.0,
+            },
         ] {
             assert_eq!(f.apply(0.0), 0.0);
         }
@@ -152,7 +163,14 @@ mod tests {
 
     #[test]
     fn quadratic_extension() {
-        let a = DynamicAttribute::new(10.0, 5, AttrFunction::Quadratic { accel: 1.0, slope: 0.0 });
+        let a = DynamicAttribute::new(
+            10.0,
+            5,
+            AttrFunction::Quadratic {
+                accel: 1.0,
+                slope: 0.0,
+            },
+        );
         assert_eq!(a.value_at(5), 10.0);
         assert_eq!(a.value_at(8), 10.0 + 9.0);
         assert_eq!(a.function.rate_at(3.0), 6.0);

@@ -100,7 +100,10 @@ impl fmt::Display for CoreError {
                 write!(f, "attribute `{attr}`: {detail}")
             }
             CoreError::Wal(detail) => write!(f, "write-ahead log: {detail}"),
-            CoreError::WalFeedPruned { from_seq, checkpoint_seq } => write!(
+            CoreError::WalFeedPruned {
+                from_seq,
+                checkpoint_seq,
+            } => write!(
                 f,
                 "feed from {from_seq} predates the checkpoint horizon {checkpoint_seq}: \
                  earlier records were pruned; bootstrap from a snapshot"

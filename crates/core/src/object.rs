@@ -193,13 +193,27 @@ impl MovingObject {
             .as_ref()
             .map(|t| t.update_count())
             .unwrap_or(0);
-        let statics: usize = self.statics.values().map(|h| h.len().saturating_sub(1)).sum();
-        let dynamics: usize = self.dynamics.values().map(|h| h.len().saturating_sub(1)).sum();
+        let statics: usize = self
+            .statics
+            .values()
+            .map(|h| h.len().saturating_sub(1))
+            .sum();
+        let dynamics: usize = self
+            .dynamics
+            .values()
+            .map(|h| h.len().saturating_sub(1))
+            .sum();
         motion + statics + dynamics
     }
 }
 
-most_testkit::json_struct!(MovingObject { id, class, trajectory, statics, dynamics });
+most_testkit::json_struct!(MovingObject {
+    id,
+    class,
+    trajectory,
+    statics,
+    dynamics
+});
 
 #[cfg(test)]
 mod tests {

@@ -41,7 +41,11 @@ pub struct PersistentQuery {
 impl PersistentQuery {
     /// Enters a persistent query at the database's current tick.
     pub fn enter(db: &Database, query: Query) -> Self {
-        PersistentQuery { query, entered_at: db.now(), evaluations: 0 }
+        PersistentQuery {
+            query,
+            entered_at: db.now(),
+            evaluations: 0,
+        }
     }
 
     /// The query text.
@@ -90,8 +94,7 @@ mod tests {
     }
 
     fn query_r() -> Query {
-        Query::parse("RETRIEVE o WHERE [x <- o.VX] Eventually within 10 (o.VX >= 2 * x)")
-            .unwrap()
+        Query::parse("RETRIEVE o WHERE [x <- o.VX] Eventually within 10 (o.VX >= 2 * x)").unwrap()
     }
 
     #[test]

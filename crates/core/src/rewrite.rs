@@ -94,8 +94,10 @@ impl MostDbmsLayer {
             })?;
         let schema = Schema::with_key(cols, &key)?;
         self.catalog.create_table(def.name.clone(), schema)?;
-        self.dynamic
-            .insert(def.name.clone(), def.dynamic_attrs.iter().cloned().collect());
+        self.dynamic.insert(
+            def.name.clone(),
+            def.dynamic_attrs.iter().cloned().collect(),
+        );
         Ok(())
     }
 
@@ -212,8 +214,8 @@ impl MostDbmsLayer {
 
         // Physical columns the leaves must retrieve.
         let mut fetch: BTreeSet<String> = BTreeSet::new();
-        let add_col = |fetch: &mut BTreeSet<String>, name: &str| {
-            match self.dynamic_ref(&q.from, name) {
+        let add_col =
+            |fetch: &mut BTreeSet<String>, name: &str| match self.dynamic_ref(&q.from, name) {
                 Some((prefix, attr)) => {
                     fetch.insert(format!("{prefix}{attr}_value"));
                     fetch.insert(format!("{prefix}{attr}_updatetime"));
@@ -222,8 +224,7 @@ impl MostDbmsLayer {
                 None => {
                     fetch.insert(name.to_owned());
                 }
-            }
-        };
+            };
         for (_, e) in &q.select {
             if let Expr::Column(c) = e {
                 add_col(&mut fetch, c);
@@ -270,7 +271,9 @@ impl MostDbmsLayer {
         for row in rows {
             let mut out = Vec::with_capacity(q.select.len());
             for (_, e) in &q.select {
-                let Expr::Column(c) = e else { unreachable!("validated above") };
+                let Expr::Column(c) = e else {
+                    unreachable!("validated above")
+                };
                 out.push(self.column_value(&q.from, c, &row, &col_index, now)?);
             }
             out_rows.push(Tuple::new(out));
@@ -334,9 +337,7 @@ impl MostDbmsLayer {
                     for (atom, expected) in pinned.iter() {
                         let actual = atom.eval_bool(&|name: &str| {
                             self.column_value(&q.from, name, &row, &col_index, now)
-                                .map_err(|_| {
-                                    most_dbms::DbError::UnknownColumn(name.to_owned())
-                                })
+                                .map_err(|_| most_dbms::DbError::UnknownColumn(name.to_owned()))
                         })?;
                         if actual != *expected {
                             keep = false;
@@ -401,11 +402,21 @@ impl MostDbmsLayer {
         regions: std::collections::BTreeMap<String, most_spatial::Polygon>,
     ) -> CoreResult<LayerContext<'_>> {
         let t = self.catalog.table(table)?;
-        let key = t.schema().key_index().ok_or_else(|| CoreError::AttributeKind {
-            attr: "<key>".into(),
-            detail: "ftl_context requires a keyed table".into(),
-        })?;
-        Ok(LayerContext { layer: self, table: table.to_owned(), key, now, horizon, regions })
+        let key = t
+            .schema()
+            .key_index()
+            .ok_or_else(|| CoreError::AttributeKind {
+                attr: "<key>".into(),
+                detail: "ftl_context requires a keyed table".into(),
+            })?;
+        Ok(LayerContext {
+            layer: self,
+            table: table.to_owned(),
+            key,
+            now,
+            horizon,
+            regions,
+        })
     }
 }
 
@@ -434,7 +445,10 @@ impl LayerContext<'_> {
     fn dynamic_triple(&self, row: &Tuple, attr: &str) -> Option<(f64, f64, f64)> {
         let schema = self.layer.catalog.table(&self.table).ok()?.schema().clone();
         let get = |col: String| -> Option<f64> {
-            schema.index_of(&col).and_then(|i| row.get(i)).and_then(|v| v.as_f64())
+            schema
+                .index_of(&col)
+                .and_then(|i| row.get(i))
+                .and_then(|v| v.as_f64())
         };
         Some((
             get(format!("{attr}_value"))?,
@@ -476,7 +490,9 @@ impl most_ftl::EvalContext for LayerContext<'_> {
     }
 
     fn attr(&self, id: u64, name: &str) -> StoredAttr {
-        let Some(row) = self.row_of(id) else { return StoredAttr::Missing };
+        let Some(row) = self.row_of(id) else {
+            return StoredAttr::Missing;
+        };
         let horizon = most_temporal::Interval::new(0, self.horizon);
         // A dynamic attribute's columns are its sub-attributes, never a
         // static value.
@@ -491,7 +507,11 @@ impl most_ftl::EvalContext for LayerContext<'_> {
             };
         }
         let schema = self.layer.catalog.table(&self.table).map(|t| t.schema());
-        match schema.ok().and_then(|s| s.index_of(name)).and_then(|i| row.get(i)) {
+        match schema
+            .ok()
+            .and_then(|s| s.index_of(name))
+            .and_then(|i| row.get(i))
+        {
             Some(v) => StoredAttr::Static(vec![(v.clone(), horizon)]),
             None => StoredAttr::Missing,
         }
@@ -521,12 +541,24 @@ mod tests {
         .unwrap();
         // Car 1 heads east from 0 at speed 1; car 2 parked at x=100;
         // car 3 heads west from 200 at speed 2.
-        l.insert("cars", vec![Value::Id(1), 80.0.into()], vec![(0.0, 0, 1.0), (0.0, 0, 0.0)])
-            .unwrap();
-        l.insert("cars", vec![Value::Id(2), 150.0.into()], vec![(100.0, 0, 0.0), (0.0, 0, 0.0)])
-            .unwrap();
-        l.insert("cars", vec![Value::Id(3), 60.0.into()], vec![(200.0, 0, -2.0), (5.0, 0, 0.0)])
-            .unwrap();
+        l.insert(
+            "cars",
+            vec![Value::Id(1), 80.0.into()],
+            vec![(0.0, 0, 1.0), (0.0, 0, 0.0)],
+        )
+        .unwrap();
+        l.insert(
+            "cars",
+            vec![Value::Id(2), 150.0.into()],
+            vec![(100.0, 0, 0.0), (0.0, 0, 0.0)],
+        )
+        .unwrap();
+        l.insert(
+            "cars",
+            vec![Value::Id(3), 60.0.into()],
+            vec![(200.0, 0, -2.0), (5.0, 0, 0.0)],
+        )
+        .unwrap();
         l
     }
 
@@ -544,10 +576,18 @@ mod tests {
         assert_eq!(stats.subqueries, 1);
         assert_eq!(rs.len(), 3);
         // Car 1 at x=50 at t=50.
-        let r1 = rs.rows.iter().find(|r| r.get(0) == Some(&Value::Id(1))).unwrap();
+        let r1 = rs
+            .rows
+            .iter()
+            .find(|r| r.get(0) == Some(&Value::Id(1)))
+            .unwrap();
         assert_eq!(r1.get(1), Some(&Value::from(50.0)));
         // Car 3 at 200 - 100 = 100.
-        let r3 = rs.rows.iter().find(|r| r.get(0) == Some(&Value::Id(3))).unwrap();
+        let r3 = rs
+            .rows
+            .iter()
+            .find(|r| r.get(0) == Some(&Value::Id(3)))
+            .unwrap();
         assert_eq!(r3.get(1), Some(&Value::from(100.0)));
     }
 
@@ -556,8 +596,11 @@ mod tests {
         let l = layer();
         // WHERE X <= 90 AND price <= 100
         let q = SelectQuery::from_table("cars").column("id").filter(
-            Expr::cmp(CmpOp::Le, col("X"), Expr::val(90.0))
-                .and(Expr::cmp(CmpOp::Le, col("price"), Expr::val(100.0))),
+            Expr::cmp(CmpOp::Le, col("X"), Expr::val(90.0)).and(Expr::cmp(
+                CmpOp::Le,
+                col("price"),
+                Expr::val(100.0),
+            )),
         );
         let (rs, stats) = l.query(&q, 50).unwrap();
         assert_eq!(stats.dynamic_atoms, 1);
@@ -588,11 +631,9 @@ mod tests {
     #[test]
     fn answers_depend_on_entry_time() {
         let l = layer();
-        let q = SelectQuery::from_table("cars").column("id").filter(Expr::cmp(
-            CmpOp::Le,
-            col("X"),
-            Expr::val(50.0),
-        ));
+        let q = SelectQuery::from_table("cars")
+            .column("id")
+            .filter(Expr::cmp(CmpOp::Le, col("X"), Expr::val(50.0)));
         let at_10: Vec<_> = l.query(&q, 10).unwrap().0.rows;
         let at_80: Vec<_> = l.query(&q, 80).unwrap().0.rows;
         // t=10: car 1 (x=10) only. t=80: car 1 at 80 fails; car 3 at 40
@@ -608,8 +649,11 @@ mod tests {
         let l = layer();
         // X <= 10 OR price <= 70  (dynamic atom inside a disjunction).
         let q = SelectQuery::from_table("cars").column("id").filter(
-            Expr::cmp(CmpOp::Le, col("X"), Expr::val(10.0))
-                .or(Expr::cmp(CmpOp::Le, col("price"), Expr::val(70.0))),
+            Expr::cmp(CmpOp::Le, col("X"), Expr::val(10.0)).or(Expr::cmp(
+                CmpOp::Le,
+                col("price"),
+                Expr::val(70.0),
+            )),
         );
         let (rs, stats) = l.query(&q, 5).unwrap();
         assert_eq!(stats.subqueries, 2);
@@ -623,11 +667,9 @@ mod tests {
         // Car 1 stops at t=30 (x=30).
         l.update_dynamic("cars", &Value::Id(1), "X", 30, None, Some(0.0))
             .unwrap();
-        let q = SelectQuery::from_table("cars").column("X").filter(Expr::cmp(
-            CmpOp::Eq,
-            col("id"),
-            Expr::Const(Value::Id(1)),
-        ));
+        let q = SelectQuery::from_table("cars")
+            .column("X")
+            .filter(Expr::cmp(CmpOp::Eq, col("id"), Expr::Const(Value::Id(1))));
         let (rs, _) = l.query(&q, 100).unwrap();
         assert_eq!(rs.rows[0].get(0), Some(&Value::from(30.0)));
         // Unknown attr / key errors.

@@ -32,7 +32,9 @@ pub struct SharedDatabase {
 impl SharedDatabase {
     /// Wraps a database, publishing its state as epoch 0.
     pub fn new(db: Database) -> Self {
-        SharedDatabase { epochs: EpochDb::new(db) }
+        SharedDatabase {
+            epochs: EpochDb::new(db),
+        }
     }
 
     /// Wraps an **existing** epoch engine, sharing its published state.
@@ -183,7 +185,10 @@ mod tests {
         assert_eq!(db.now(), 10);
         db.update_motion(car, Velocity::zero()).unwrap();
         other.read(|d| {
-            assert_eq!(d.object(car).unwrap().velocity_at(10), Some(Velocity::zero()));
+            assert_eq!(
+                d.object(car).unwrap().velocity_at(10),
+                Some(Velocity::zero())
+            );
         });
         db.write(|d| {
             d.add_region("Q", Polygon::rectangle(0.0, 0.0, 1.0, 1.0));
@@ -198,9 +203,19 @@ mod tests {
         let cq = db.write(|d| d.register_continuous(q)).unwrap();
         let baseline = db.read(|d| d.continuous_evaluations());
         db.apply_updates(&[
-            UpdateOp::Motion { id: car, velocity: Velocity::new(2.0, 0.0) },
-            UpdateOp::Motion { id: car, velocity: Velocity::new(3.0, 0.0) },
-            UpdateOp::Static { id: car, attr: "PRICE".into(), value: Value::from(9.0) },
+            UpdateOp::Motion {
+                id: car,
+                velocity: Velocity::new(2.0, 0.0),
+            },
+            UpdateOp::Motion {
+                id: car,
+                velocity: Velocity::new(3.0, 0.0),
+            },
+            UpdateOp::Static {
+                id: car,
+                attr: "PRICE".into(),
+                value: Value::from(9.0),
+            },
         ])
         .unwrap();
         db.read(|d| {
@@ -210,7 +225,10 @@ mod tests {
             assert_eq!(d.stats.updates, 3);
             // The final velocity is the last one in the batch.
             let now = d.now();
-            assert_eq!(d.object(car).unwrap().velocity_at(now), Some(Velocity::new(3.0, 0.0)));
+            assert_eq!(
+                d.object(car).unwrap().velocity_at(now),
+                Some(Velocity::new(3.0, 0.0))
+            );
         });
         let _ = cq;
     }
@@ -220,15 +238,27 @@ mod tests {
         let (db, car) = shared();
         let err = db
             .apply_updates(&[
-                UpdateOp::Motion { id: car, velocity: Velocity::zero() },
-                UpdateOp::Motion { id: 999, velocity: Velocity::zero() },
-                UpdateOp::Motion { id: car, velocity: Velocity::new(5.0, 5.0) },
+                UpdateOp::Motion {
+                    id: car,
+                    velocity: Velocity::zero(),
+                },
+                UpdateOp::Motion {
+                    id: 999,
+                    velocity: Velocity::zero(),
+                },
+                UpdateOp::Motion {
+                    id: car,
+                    velocity: Velocity::new(5.0, 5.0),
+                },
             ])
             .unwrap_err();
         assert!(matches!(err, crate::error::CoreError::UnknownObject(999)));
         db.read(|d| {
             // The first op applied; the one after the failure did not.
-            assert_eq!(d.object(car).unwrap().velocity_at(d.now()), Some(Velocity::zero()));
+            assert_eq!(
+                d.object(car).unwrap().velocity_at(d.now()),
+                Some(Velocity::zero())
+            );
             assert_eq!(d.stats.updates, 1);
         });
         // The failed batch still published exactly one epoch (its prefix

@@ -82,7 +82,12 @@ impl TriggerRegistry {
     }
 }
 
-most_testkit::json_struct!(Trigger { id, name, continuous_id, last_polled });
+most_testkit::json_struct!(Trigger {
+    id,
+    name,
+    continuous_id,
+    last_polled
+});
 most_testkit::json_struct!(TriggerRegistry { next, triggers });
 
 #[cfg(test)]

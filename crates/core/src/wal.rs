@@ -160,7 +160,11 @@ pub struct WalConfig {
 
 impl Default for WalConfig {
     fn default() -> Self {
-        WalConfig { segment_bytes: 256 * 1024, sync: false, checkpoint_every: 0 }
+        WalConfig {
+            segment_bytes: 256 * 1024,
+            sync: false,
+            checkpoint_every: 0,
+        }
     }
 }
 
@@ -321,8 +325,12 @@ fn scan_log(
     let mut stale = 0u64;
     for idx in segment_indices(dir)? {
         last_segment = idx;
-        match scan_segment(&dir.join(segment_name(idx)), &mut expected, &mut stale, &mut on_record)?
-        {
+        match scan_segment(
+            &dir.join(segment_name(idx)),
+            &mut expected,
+            &mut stale,
+            &mut on_record,
+        )? {
             ScanEnd::Clean => {}
             ScanEnd::Corrupt => truncated = true,
         }
@@ -453,14 +461,20 @@ impl Wal {
     /// returns — callers apply the mutation only afterwards.
     pub fn append(&mut self, record: &WalRecord) -> io::Result<u64> {
         let seq = self.next_seq;
-        let logged = LoggedRecord { seq, record: record.clone() };
+        let logged = LoggedRecord {
+            seq,
+            record: record.clone(),
+        };
         let payload = to_json_string(&logged)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("encode: {e}")))?;
         let payload = payload.as_bytes();
         if payload.len() as u64 > u64::from(MAX_RECORD) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                format!("record of {} bytes exceeds the {MAX_RECORD}-byte cap", payload.len()),
+                format!(
+                    "record of {} bytes exceeds the {MAX_RECORD}-byte cap",
+                    payload.len()
+                ),
             ));
         }
         let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
@@ -572,7 +586,10 @@ fn write_checkpoint(dir: &Path, next_seq: u64, db: &Database) -> io::Result<()> 
     // its `json_struct!`) so the snapshot serializes straight from the
     // borrowed state instead of deep-cloning the database first.
     let doc = most_testkit::ser::Json::Obj(vec![
-        ("next_seq".to_owned(), most_testkit::ser::ToJson::to_json(&next_seq)),
+        (
+            "next_seq".to_owned(),
+            most_testkit::ser::ToJson::to_json(&next_seq),
+        ),
         ("db".to_owned(), most_testkit::ser::ToJson::to_json(db)),
     ]);
     let text = doc
@@ -606,7 +623,10 @@ impl DurableDb {
     /// checkpoint + empty log).
     pub fn create(dir: &Path, db: Database, cfg: WalConfig) -> io::Result<DurableDb> {
         let wal = Wal::create(dir, &db, cfg)?;
-        Ok(DurableDb { epochs: EpochDb::new(db), wal: Mutex::new(wal) })
+        Ok(DurableDb {
+            epochs: EpochDb::new(db),
+            wal: Mutex::new(wal),
+        })
     }
 
     /// Recovers from `dir` and reopens for appending.  The recovered
@@ -618,7 +638,13 @@ impl DurableDb {
         let wal = Wal::reopen(dir, &recovery, cfg)?;
         let empty = Database::new(recovery.db.expiration());
         let db = std::mem::replace(&mut recovery.db, empty);
-        Ok((DurableDb { epochs: EpochDb::new(db), wal: Mutex::new(wal) }, recovery))
+        Ok((
+            DurableDb {
+                epochs: EpochDb::new(db),
+                wal: Mutex::new(wal),
+            },
+            recovery,
+        ))
     }
 
     /// The underlying epoch engine (for lock-free reads and epoch
@@ -643,7 +669,8 @@ impl DurableDb {
     /// continuous-query id for `Register` records, `None` otherwise.
     fn log_and_apply(&self, record: WalRecord) -> CoreResult<Option<u64>> {
         let mut wal = self.wal.lock().expect("wal lock poisoned");
-        wal.append(&record).map_err(|e| CoreError::Wal(e.to_string()))?;
+        wal.append(&record)
+            .map_err(|e| CoreError::Wal(e.to_string()))?;
         let result = match &record {
             WalRecord::Batch { ops } => self.epochs.apply_updates(ops).map(|()| None),
             WalRecord::Advance { ticks } => {
@@ -657,7 +684,9 @@ impl DurableDb {
             }
             WalRecord::Cancel { cq } => {
                 let id = *cq;
-                self.epochs.commit(|d| d.cancel_continuous(id)).map(|()| None)
+                self.epochs
+                    .commit(|d| d.cancel_continuous(id))
+                    .map(|()| None)
             }
         };
         let every = wal.cfg.checkpoint_every;
@@ -677,7 +706,8 @@ impl DurableDb {
     /// Logs and applies an update batch as one epoch (prefix-on-error
     /// semantics, mirrored exactly on replay).
     pub fn apply_updates(&self, ops: &[UpdateOp]) -> CoreResult<()> {
-        self.log_and_apply(WalRecord::Batch { ops: ops.to_vec() }).map(|_| ())
+        self.log_and_apply(WalRecord::Batch { ops: ops.to_vec() })
+            .map(|_| ())
     }
 
     /// Logs and applies a clock advance.
@@ -691,7 +721,9 @@ impl DurableDb {
     pub fn register_continuous(&self, query: &str) -> CoreResult<u64> {
         // Parse first: an unparsable query must not reach the log.
         Query::parse(query)?;
-        let id = self.log_and_apply(WalRecord::Register { query: query.to_owned() })?;
+        let id = self.log_and_apply(WalRecord::Register {
+            query: query.to_owned(),
+        })?;
         Ok(id.expect("Register records return the assigned id"))
     }
 
@@ -705,7 +737,8 @@ impl DurableDb {
     pub fn checkpoint(&self) -> CoreResult<()> {
         let mut wal = self.wal.lock().expect("wal lock poisoned");
         let pin = self.epochs.pin();
-        wal.checkpoint(pin.db()).map_err(|e| CoreError::Wal(e.to_string()))
+        wal.checkpoint(pin.db())
+            .map_err(|e| CoreError::Wal(e.to_string()))
     }
 
     /// Committed records with `seq >= from_seq` (the replica catch-up
@@ -715,12 +748,17 @@ impl DurableDb {
     /// permanent gap.
     pub fn read_from(&self, from_seq: u64) -> CoreResult<Vec<(u64, WalRecord)>> {
         let wal = self.wal.lock().expect("wal lock poisoned");
-        let checkpoint_seq =
-            wal.checkpoint_seq().map_err(|e| CoreError::Wal(e.to_string()))?;
+        let checkpoint_seq = wal
+            .checkpoint_seq()
+            .map_err(|e| CoreError::Wal(e.to_string()))?;
         if from_seq < checkpoint_seq {
-            return Err(CoreError::WalFeedPruned { from_seq, checkpoint_seq });
+            return Err(CoreError::WalFeedPruned {
+                from_seq,
+                checkpoint_seq,
+            });
         }
-        wal.read_from(from_seq).map_err(|e| CoreError::Wal(e.to_string()))
+        wal.read_from(from_seq)
+            .map_err(|e| CoreError::Wal(e.to_string()))
     }
 }
 
@@ -732,7 +770,9 @@ mod tests {
     fn record_codec_round_trips() {
         let records = vec![
             WalRecord::Advance { ticks: 7 },
-            WalRecord::Register { query: "RETRIEVE o WHERE INSIDE(o, P)".into() },
+            WalRecord::Register {
+                query: "RETRIEVE o WHERE INSIDE(o, P)".into(),
+            },
             WalRecord::Cancel { cq: 3 },
             WalRecord::Batch {
                 ops: vec![UpdateOp::Motion {

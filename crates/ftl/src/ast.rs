@@ -146,9 +146,7 @@ impl Term {
             Term::Var(_) | Term::Const(_) | Term::Time | Term::Point(..) => self.clone(),
             Term::Attr(b, a) => Term::Attr(Box::new(b.pin(x, v)), a.clone()),
             Term::Dist(a, b) => Term::Dist(Box::new(a.pin(x, v)), Box::new(b.pin(x, v))),
-            Term::Arith(op, a, b) => {
-                Term::Arith(*op, Box::new(a.pin(x, v)), Box::new(b.pin(x, v)))
-            }
+            Term::Arith(op, a, b) => Term::Arith(*op, Box::new(a.pin(x, v)), Box::new(b.pin(x, v))),
         }
     }
 }
@@ -400,23 +398,15 @@ impl Formula {
             Formula::Nexttime(a) => Formula::Nexttime(Box::new(a.pin(x, v))),
             Formula::Eventually(a) => Formula::Eventually(Box::new(a.pin(x, v))),
             Formula::Always(a) => Formula::Always(Box::new(a.pin(x, v))),
-            Formula::EventuallyWithin(c, a) => {
-                Formula::EventuallyWithin(*c, Box::new(a.pin(x, v)))
-            }
-            Formula::EventuallyAfter(c, a) => {
-                Formula::EventuallyAfter(*c, Box::new(a.pin(x, v)))
-            }
+            Formula::EventuallyWithin(c, a) => Formula::EventuallyWithin(*c, Box::new(a.pin(x, v))),
+            Formula::EventuallyAfter(c, a) => Formula::EventuallyAfter(*c, Box::new(a.pin(x, v))),
             Formula::AlwaysFor(c, a) => Formula::AlwaysFor(*c, Box::new(a.pin(x, v))),
-            Formula::Assign(y, term, f) if y != x => Formula::Assign(
-                y.clone(),
-                term.pin(x, v),
-                Box::new(f.pin(x, v)),
-            ),
+            Formula::Assign(y, term, f) if y != x => {
+                Formula::Assign(y.clone(), term.pin(x, v), Box::new(f.pin(x, v)))
+            }
             // Shadowing: the inner x is a different variable; only the term
             // (evaluated in the outer scope) sees the pin.
-            Formula::Assign(y, term, f) => {
-                Formula::Assign(y.clone(), term.pin(x, v), f.clone())
-            }
+            Formula::Assign(y, term, f) => Formula::Assign(y.clone(), term.pin(x, v), f.clone()),
         }
     }
 }
@@ -521,11 +511,23 @@ impl fmt::Display for Formula {
 
 impl fmt::Display for Query {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "RETRIEVE {} WHERE {}", self.targets.join(", "), self.formula)
+        write!(
+            f,
+            "RETRIEVE {} WHERE {}",
+            self.targets.join(", "),
+            self.formula
+        )
     }
 }
 
-most_testkit::json_enum!(CmpOp { Eq, Ne, Lt, Le, Gt, Ge });
+most_testkit::json_enum!(CmpOp {
+    Eq,
+    Ne,
+    Lt,
+    Le,
+    Gt,
+    Ge
+});
 most_testkit::json_enum!(ArithOp { Add, Sub, Mul, Div });
 most_testkit::json_enum!(Term {
     Var(name),
@@ -567,7 +569,10 @@ mod tests {
     fn term_free_vars_dedup_in_order() {
         let t = Term::Arith(
             ArithOp::Add,
-            Box::new(Term::Dist(Box::new(Term::var("o")), Box::new(Term::var("n")))),
+            Box::new(Term::Dist(
+                Box::new(Term::var("o")),
+                Box::new(Term::var("n")),
+            )),
             Box::new(Term::attr(Term::var("o"), "PRICE")),
         );
         assert_eq!(t.free_vars(), vec!["o", "n"]);
@@ -612,7 +617,11 @@ mod tests {
 
     #[test]
     fn conjunctive_detection() {
-        let atom = Formula::Cmp(CmpOp::Le, Term::attr(Term::var("o"), "PRICE"), Term::val(100i64));
+        let atom = Formula::Cmp(
+            CmpOp::Le,
+            Term::attr(Term::var("o"), "PRICE"),
+            Term::val(100i64),
+        );
         assert!(atom.is_conjunctive());
         assert!(atom.clone().and(atom.clone()).is_conjunctive());
         assert!(Formula::Eventually(Box::new(atom.clone())).is_conjunctive());
@@ -625,7 +634,11 @@ mod tests {
         let f = Formula::Cmp(
             CmpOp::Gt,
             Term::var("x"),
-            Term::Arith(ArithOp::Mul, Box::new(Term::val(2i64)), Box::new(Term::var("x"))),
+            Term::Arith(
+                ArithOp::Mul,
+                Box::new(Term::val(2i64)),
+                Box::new(Term::var("x")),
+            ),
         );
         let p = f.pin("x", &Value::Int(3));
         assert_eq!(p.free_vars(), Vec::<String>::new());
@@ -633,12 +646,12 @@ mod tests {
 
     #[test]
     fn display_round_trip_shapes() {
-        let f = Formula::EventuallyWithin(
-            3,
-            Box::new(Formula::Inside(Term::var("o"), "P".into())),
-        );
+        let f = Formula::EventuallyWithin(3, Box::new(Formula::Inside(Term::var("o"), "P".into())));
         assert_eq!(f.to_string(), "Eventually within 3 (INSIDE(o, P))");
-        let q = Query { targets: vec!["o".into()], formula: f };
+        let q = Query {
+            targets: vec!["o".into()],
+            formula: f,
+        };
         assert!(q.to_string().starts_with("RETRIEVE o WHERE"));
     }
 

@@ -34,7 +34,10 @@ pub enum FtlError {
 impl FtlError {
     /// Parse-error helper.
     pub fn parse(message: impl Into<String>, offset: usize) -> Self {
-        FtlError::Parse { message: message.into(), offset }
+        FtlError::Parse {
+            message: message.into(),
+            offset,
+        }
     }
 }
 

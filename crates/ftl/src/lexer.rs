@@ -257,10 +257,16 @@ pub fn tokenize(src: &str) -> FtlResult<Vec<Spanned>> {
                 keyword_or_ident(&src[start..i])
             }
             other => {
-                return Err(FtlError::parse(format!("unexpected character `{other}`"), i))
+                return Err(FtlError::parse(
+                    format!("unexpected character `{other}`"),
+                    i,
+                ))
             }
         };
-        out.push(Spanned { token, offset: start });
+        out.push(Spanned {
+            token,
+            offset: start,
+        });
     }
     Ok(out)
 }
@@ -297,13 +303,23 @@ mod tests {
     use super::*;
 
     fn toks(src: &str) -> Vec<Token> {
-        tokenize(src).unwrap().into_iter().map(|s| s.token).collect()
+        tokenize(src)
+            .unwrap()
+            .into_iter()
+            .map(|s| s.token)
+            .collect()
     }
 
     #[test]
     fn keywords_case_insensitive() {
-        assert_eq!(toks("retrieve WHERE until"), vec![Token::Retrieve, Token::Where, Token::Until]);
-        assert_eq!(toks("Eventually within"), vec![Token::Eventually, Token::Within]);
+        assert_eq!(
+            toks("retrieve WHERE until"),
+            vec![Token::Retrieve, Token::Where, Token::Until]
+        );
+        assert_eq!(
+            toks("Eventually within"),
+            vec![Token::Eventually, Token::Within]
+        );
     }
 
     #[test]
@@ -319,7 +335,11 @@ mod tests {
         // A dot not followed by a digit is attribute access.
         assert_eq!(
             toks("o.PRICE"),
-            vec![Token::Ident("o".into()), Token::Dot, Token::Ident("PRICE".into())]
+            vec![
+                Token::Ident("o".into()),
+                Token::Dot,
+                Token::Ident("PRICE".into())
+            ]
         );
     }
 

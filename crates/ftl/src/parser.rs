@@ -37,7 +37,11 @@ use most_dbms::value::Value;
 /// Parses a complete `RETRIEVE ... WHERE ...` query.
 pub fn parse_query(src: &str) -> FtlResult<Query> {
     let tokens = tokenize(src)?;
-    let mut p = Parser { tokens, pos: 0, src_len: src.len() };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        src_len: src.len(),
+    };
     let q = p.query()?;
     p.expect_end()?;
     Ok(q)
@@ -46,7 +50,11 @@ pub fn parse_query(src: &str) -> FtlResult<Query> {
 /// Parses a bare formula.
 pub fn parse_formula(src: &str) -> FtlResult<Formula> {
     let tokens = tokenize(src)?;
-    let mut p = Parser { tokens, pos: 0, src_len: src.len() };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        src_len: src.len(),
+    };
     let f = p.formula()?;
     p.expect_end()?;
     Ok(f)
@@ -64,7 +72,10 @@ impl Parser {
     }
 
     fn offset(&self) -> usize {
-        self.tokens.get(self.pos).map(|s| s.offset).unwrap_or(self.src_len)
+        self.tokens
+            .get(self.pos)
+            .map(|s| s.offset)
+            .unwrap_or(self.src_len)
     }
 
     fn next(&mut self) -> Option<Token> {
@@ -90,7 +101,9 @@ impl Parser {
         } else {
             Err(self.err(format!(
                 "expected {t}, found {}",
-                self.peek().map(|p| p.to_string()).unwrap_or_else(|| "end of input".into())
+                self.peek()
+                    .map(|p| p.to_string())
+                    .unwrap_or_else(|| "end of input".into())
             )))
         }
     }
@@ -111,7 +124,9 @@ impl Parser {
             Some(Token::Ident(s)) => Ok(s),
             other => Err(self.err(format!(
                 "expected identifier, found {}",
-                other.map(|t| t.to_string()).unwrap_or_else(|| "end of input".into())
+                other
+                    .map(|t| t.to_string())
+                    .unwrap_or_else(|| "end of input".into())
             ))),
         }
     }
@@ -121,7 +136,9 @@ impl Parser {
             Some(Token::Int(n)) => Ok(n),
             other => Err(self.err(format!(
                 "expected a tick count, found {}",
-                other.map(|t| t.to_string()).unwrap_or_else(|| "end of input".into())
+                other
+                    .map(|t| t.to_string())
+                    .unwrap_or_else(|| "end of input".into())
             ))),
         }
     }
@@ -134,7 +151,9 @@ impl Parser {
             other => {
                 return Err(self.err(format!(
                     "expected a number, found {}",
-                    other.map(|t| t.to_string()).unwrap_or_else(|| "end of input".into())
+                    other
+                        .map(|t| t.to_string())
+                        .unwrap_or_else(|| "end of input".into())
                 )))
             }
         };
@@ -196,7 +215,10 @@ impl Parser {
                 self.pos += 1;
                 if self.eat(&Token::Within) {
                     let c = self.duration()?;
-                    Ok(Formula::EventuallyWithin(c, Box::new(self.unary_formula()?)))
+                    Ok(Formula::EventuallyWithin(
+                        c,
+                        Box::new(self.unary_formula()?),
+                    ))
                 } else if self.eat(&Token::After) {
                     let c = self.duration()?;
                     Ok(Formula::EventuallyAfter(c, Box::new(self.unary_formula()?)))
@@ -376,7 +398,9 @@ impl Parser {
             other => {
                 return Err(self.err(format!(
                     "expected comparison operator, found {}",
-                    other.map(|t| t.to_string()).unwrap_or_else(|| "end of input".into())
+                    other
+                        .map(|t| t.to_string())
+                        .unwrap_or_else(|| "end of input".into())
                 )))
             }
         };
@@ -455,7 +479,9 @@ impl Parser {
             }
             other => Err(self.err(format!(
                 "expected a term, found {}",
-                other.map(|t| t.to_string()).unwrap_or_else(|| "end of input".into())
+                other
+                    .map(|t| t.to_string())
+                    .unwrap_or_else(|| "end of input".into())
             ))),
         }
     }
