@@ -94,7 +94,7 @@ fn replica_records(seed: u64, ids: &[u64], n: usize) -> Vec<WalRecord> {
 fn cq_answers(db: &Database) -> String {
     let mut out = String::new();
     for id in db.continuous_registry().ids() {
-        out.push_str(&to_json_string(db.continuous_answer(id).expect("cq exists")).expect("encodes"));
+        out.push_str(&to_json_string(&db.continuous_answer(id).expect("cq exists")).expect("encodes"));
         out.push(';');
     }
     out

@@ -6,7 +6,8 @@
 //! reevaluated when an update occurs that may change the set of tuples
 //! Answer(CQ).  In this sense Answer(CQ) is a materialized view."
 //!
-//! [`merge_answers`] implements the view-refresh rule: ticks before the
+//! The view is an [`AnswerStore`], and [`merge_answers`] implements the
+//! view-refresh rule: ticks before the
 //! re-evaluation boundary were already served from the old answer and must
 //! not be rewritten (the paper's example: an update before time 5 may turn
 //! the tuple `(o, 5, 7)` into `(o, 6, 7)` — only the part of the answer
@@ -21,6 +22,114 @@ use most_testkit::ser::{FromJson, Json, JsonError, ToJson};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+/// Most rows one chunk of an [`AnswerStore`] holds.
+const CHUNK_ROWS: usize = 64;
+
+/// A materialized `Answer(CQ)`: the rows of an [`Answer`], ascending by
+/// instantiation, in `Arc`-shared chunks of at most 64 rows.  Cloning
+/// copies the chunk pointers, and [`merge_answers`] rebuilds only the
+/// chunks holding a row it changes, so two epochs share every other
+/// chunk.  It encodes as the [`Answer`] it holds.
+#[derive(Debug, Clone)]
+pub struct AnswerStore {
+    vars: Vec<String>,
+    /// Never empty; chunk `i` holds the rows from its first up to the
+    /// first row of chunk `i + 1`.
+    chunks: Vec<Arc<Vec<AnswerTuple>>>,
+}
+
+impl AnswerStore {
+    /// The store of an answer's rows (sorted, as [`Answer::new`] leaves
+    /// them), moved into chunks in one pass.
+    pub fn new(answer: Answer) -> Self {
+        let mut chunks = Vec::with_capacity(answer.tuples.len().div_ceil(CHUNK_ROWS));
+        push_chunks(&mut chunks, answer.tuples);
+        AnswerStore {
+            vars: answer.vars,
+            chunks,
+        }
+    }
+
+    /// Rows ascending by instantiation.
+    pub fn rows(&self) -> impl Iterator<Item = &AnswerTuple> {
+        self.chunks.iter().flat_map(|c| c.iter())
+    }
+
+    /// The rows as an [`Answer`], already in its order.
+    pub fn to_answer(&self) -> Answer {
+        Answer {
+            vars: self.vars.clone(),
+            tuples: self.rows().cloned().collect(),
+        }
+    }
+
+    /// The chunk `values` sits in, or would: the last one starting at or
+    /// below it, else the first.
+    fn chunk_of(&self, values: &[Value]) -> usize {
+        let after = self.chunks.partition_point(|c| *c[0].values <= *values);
+        after.saturating_sub(1)
+    }
+
+    /// The row of instantiation `values`, found by binary search.
+    pub(crate) fn get(&self, values: &[Value]) -> Option<&AnswerTuple> {
+        let chunk = self.chunks.get(self.chunk_of(values))?;
+        let at = chunk.binary_search_by(|t| (*t.values).cmp(values)).ok()?;
+        Some(&chunk[at])
+    }
+
+    /// `(chunks that are the same allocation in other, chunks here)`.
+    pub(crate) fn shared_chunks(&self, other: &AnswerStore) -> (usize, usize) {
+        let shared = |c: &&Arc<_>| other.chunks.iter().any(|o| Arc::ptr_eq(c, o));
+        (self.chunks.iter().filter(shared).count(), self.chunks.len())
+    }
+
+    /// This store with `changes` (ascending by instantiation; `None`
+    /// deletes) written in.  Only the chunks the changes fall in are
+    /// rebuilt; every other chunk stays shared with `self`.
+    fn with_changes(&self, changes: Vec<(&[Value], Option<AnswerTuple>)>) -> AnswerStore {
+        let mut chunks = Vec::with_capacity(self.chunks.len() + 1);
+        let (mut changes, mut copied) = (changes.into_iter().peekable(), 0);
+        while let Some(&(key, _)) = changes.peek() {
+            let at = self.chunk_of(key);
+            chunks.extend(self.chunks[copied..at].iter().cloned());
+            let mut rows = self.chunks.get(at).map_or_else(Vec::new, |c| Vec::clone(c));
+            while let Some((key, row)) = changes.next_if(|(k, _)| self.chunk_of(k) == at) {
+                match (rows.binary_search_by(|t| (*t.values).cmp(key)), row) {
+                    (Ok(i), Some(row)) => rows[i] = row,
+                    (Ok(i), None) => drop(rows.remove(i)),
+                    (Err(i), Some(row)) => rows.insert(i, row),
+                    (Err(_), None) => {}
+                }
+            }
+            push_chunks(&mut chunks, rows);
+            copied = at + 1;
+        }
+        chunks.extend(self.chunks.get(copied..).into_iter().flatten().cloned());
+        AnswerStore {
+            vars: self.vars.clone(),
+            chunks,
+        }
+    }
+}
+
+impl PartialEq for AnswerStore {
+    fn eq(&self, other: &Self) -> bool {
+        self.vars == other.vars && self.rows().eq(other.rows())
+    }
+}
+
+/// Appends `rows` to `chunks`, split into as few chunks of at most
+/// [`CHUNK_ROWS`] as hold them, of near-equal size.
+fn push_chunks(chunks: &mut Vec<Arc<Vec<AnswerTuple>>>, rows: Vec<AnswerTuple>) {
+    let parts = rows.len().div_ceil(CHUNK_ROWS);
+    if parts == 1 {
+        return chunks.push(Arc::new(rows));
+    }
+    let size = rows.len().div_ceil(parts.max(1));
+    let mut rows = rows.into_iter();
+    chunks.extend((0..parts).map(|_| Arc::new(rows.by_ref().take(size).collect())));
+}
+
 /// A registered continuous query.
 #[derive(Debug, Clone)]
 pub struct CqEntry {
@@ -33,9 +142,9 @@ pub struct CqEntry {
     /// expiration`; a refresh inside that window evaluates on the rest of
     /// it and leaves this tick alone (the horizon rule, DESIGN.md §6).
     pub evaluated_at: Tick,
-    /// Materialized answer, in **global** ticks.  Shared between epochs
-    /// until a refresh changes it.
-    pub answer: Arc<Answer>,
+    /// Materialized answer, in **global** ticks.  Its chunks are shared
+    /// between epochs until a refresh rewrites one.
+    pub answer: AnswerStore,
     /// Statically-extracted dependency set ([`DepSet::of_query`]); the
     /// refresh engine skips updates that cannot affect it.
     pub deps: DepSet,
@@ -102,7 +211,7 @@ impl ContinuousRegistry {
                 query,
                 entered_at,
                 evaluated_at: entered_at,
-                answer: Arc::new(answer),
+                answer: AnswerStore::new(answer),
                 deps,
                 refreshes: 0,
                 skipped: 0,
@@ -141,27 +250,34 @@ impl ContinuousRegistry {
         self.entries.iter().map(|(k, v)| (*k, v))
     }
 
-    /// Replaces an entry's answer after a refresh evaluation at
-    /// `boundary` on the window starting at `start` (the entry's own, or
-    /// `boundary` for a renewal).  `nanos` is the wall-clock cost of the
-    /// evaluation that produced `answer`.
+    /// Merges a refresh evaluation at `boundary` on the window starting
+    /// at `start` (the entry's own, or `boundary` for a renewal) into an
+    /// entry's answer ([`merge_answers`]).  `nanos` is the wall-clock cost
+    /// of the evaluation that produced `fresh`.
     ///
-    /// Bumps `evaluations` only when the merged answer actually differs
-    /// from the materialized one; a refresh whose merge is byte-identical
-    /// past the boundary counts as a `noop_refreshes` instead, so the E3
-    /// metric reports answer-*changing* evaluations.
-    pub fn refresh(&mut self, id: u64, boundary: Tick, start: Tick, answer: Answer, nanos: u64) {
+    /// Bumps `evaluations` only when the merge changes the answer; a
+    /// refresh that changes no row counts as a `noop_refreshes` instead,
+    /// so the E3 metric reports answer-*changing* evaluations.
+    pub fn refresh(
+        &mut self,
+        id: u64,
+        boundary: Tick,
+        start: Tick,
+        fresh: &Answer,
+        touched: Option<&[u64]>,
+        nanos: u64,
+    ) {
         if let Some(entry) = self.entries.get_mut(&id) {
-            let merged = merge_answers(&entry.answer, &answer, boundary);
             entry.refresh_nanos += nanos;
             entry.evaluated_at = start;
             entry.exact = true;
-            if merged == *entry.answer {
-                self.noop_refreshes += 1;
-            } else {
-                entry.answer = Arc::new(merged);
-                entry.refreshes += 1;
-                self.evaluations += 1;
+            match merge_answers(&entry.answer, fresh, boundary, touched) {
+                Some(merged) => {
+                    entry.answer = merged;
+                    entry.refreshes += 1;
+                    self.evaluations += 1;
+                }
+                None => self.noop_refreshes += 1,
             }
         }
     }
@@ -231,45 +347,79 @@ pub fn display_delta(
 }
 
 /// Merges a materialized answer with a re-evaluation taken at `boundary`:
-/// ticks `< boundary` keep the old answer (already served), ticks
-/// `>= boundary` come from the new one.
-pub fn merge_answers(old: &Answer, new: &Answer, boundary: Tick) -> Answer {
-    // A real invariant, not a debug assert: in release builds a silent
-    // mismatch would merge rows from differently-shaped answers into
-    // garbage, and the sharded scatter-gather combine leans on this
-    // function downstream of `combine_shard_answers`' own check.
+/// ticks `< boundary` keep the old rows (already served), ticks
+/// `>= boundary` come from `fresh`.  `None` when that changes no row.
+///
+/// `fresh` re-evaluated every instantiation, or with `touched` (sorted
+/// ids) only those objects, whose old rows are found by binary search;
+/// every other row stays as it is.  One linear walk pairs the replaced
+/// rows with the fresh ones.  A pair that agrees from `boundary` on is
+/// unchanged, so the no-op check compares only replaced rows and builds
+/// nothing, and a merge copies only the chunks holding a changed row.
+pub fn merge_answers(
+    old: &AnswerStore,
+    fresh: &Answer,
+    boundary: Tick,
+    touched: Option<&[u64]>,
+) -> Option<AnswerStore> {
+    // Checked in release builds too: rows of differently-shaped answers
+    // would merge into garbage.
     assert_eq!(
-        old.vars, new.vars,
+        old.vars, fresh.vars,
         "merge_answers: answers disagree on target variables"
     );
-    let mut rows: BTreeMap<Vec<Value>, IntervalSet> = BTreeMap::new();
-    if boundary > 0 {
-        let past = IntervalSet::singleton(Interval::new(0, boundary - 1));
-        for tup in &old.tuples {
-            let clipped = tup.intervals.intersect(&past);
-            if !clipped.is_empty() {
-                rows.insert(tup.values.clone(), clipped);
-            }
+    let changes = match touched {
+        None => changed_rows(old.rows(), &fresh.tuples, boundary),
+        Some(ids) => changed_rows(
+            ids.iter().filter_map(|&id| old.get(&[Value::Id(id)])),
+            &fresh.tuples,
+            boundary,
+        ),
+    };
+    (!changes.is_empty()).then(|| old.with_changes(changes))
+}
+
+/// Walks the replaced rows and the fresh rows, both ascending, and
+/// returns each instantiation whose merged row differs from its old one,
+/// with that merged row (`None` when it is empty).
+fn changed_rows<'a>(
+    replaced: impl Iterator<Item = &'a AnswerTuple>,
+    fresh: &'a [AnswerTuple],
+    boundary: Tick,
+) -> Vec<(&'a [Value], Option<AnswerTuple>)> {
+    let (mut old, mut new) = (replaced.peekable(), fresh.iter().peekable());
+    let mut changes = Vec::new();
+    loop {
+        let order = match (old.peek(), new.peek()) {
+            (None, None) => return changes,
+            (Some(o), Some(f)) => o.values.cmp(&f.values),
+            // The side that ran out sorts last.
+            (o, f) => f.is_some().cmp(&o.is_some()),
+        };
+        let o = old.next_if(|_| order.is_le());
+        let f = new.next_if(|_| order.is_ge());
+        let future = Some(Interval::new(boundary, Tick::MAX));
+        if !clip(o, future).eq(clip(f, future)) {
+            let past = boundary.checked_sub(1).map(|end| Interval::new(0, end));
+            let intervals = IntervalSet::from_intervals(clip(o, past).chain(clip(f, future)));
+            let values = &o.or(f).expect("one side of a pair").values;
+            let row = (!intervals.is_empty()).then(|| AnswerTuple {
+                values: values.clone(),
+                intervals,
+            });
+            changes.push((values.as_slice(), row));
         }
     }
-    // The future part must not extend below the boundary; `[boundary,
-    // Tick::MAX]` is well-formed for every boundary, including `Tick::MAX`.
-    let future = IntervalSet::singleton(Interval::new(boundary, Tick::MAX));
-    for tup in &new.tuples {
-        let clipped = tup.intervals.intersect(&future);
-        if clipped.is_empty() {
-            continue;
-        }
-        rows.entry(tup.values.clone())
-            .and_modify(|s| *s = s.union(&clipped))
-            .or_insert(clipped);
-    }
-    Answer::new(
-        old.vars.clone(),
-        rows.into_iter()
-            .map(|(values, intervals)| AnswerTuple { values, intervals })
-            .collect(),
-    )
+}
+
+/// A row's intervals clipped to `window` (none when there is none).
+fn clip(
+    row: Option<&AnswerTuple>,
+    window: Option<Interval>,
+) -> impl Iterator<Item = Interval> + '_ {
+    row.into_iter()
+        .flat_map(|t| t.intervals.intervals())
+        .filter_map(move |iv| iv.intersect(window?))
 }
 
 /// Combines per-shard answers to one scatter-gather query into a single
@@ -304,6 +454,23 @@ pub fn combine_shard_answers(parts: &[Answer]) -> crate::error::CoreResult<Answe
     Ok(parts[1..]
         .iter()
         .fold(first.clone(), |acc, part| acc.union_with(part)))
+}
+
+impl ToJson for AnswerStore {
+    fn to_json(&self) -> Json {
+        let tuples = Json::Arr(self.rows().map(ToJson::to_json).collect());
+        let vars = self.vars.to_json();
+        Json::Obj(vec![
+            ("vars".to_owned(), vars),
+            ("tuples".to_owned(), tuples),
+        ])
+    }
+}
+
+impl FromJson for AnswerStore {
+    fn from_json(j: &Json) -> Result<Self, JsonError> {
+        Answer::from_json(j).map(AnswerStore::new)
+    }
 }
 
 impl ToJson for CqEntry {
@@ -373,12 +540,20 @@ mod tests {
         )
     }
 
+    /// The full-scope merge of two answers, as an answer.
+    fn merge(old: &Answer, new: &Answer, boundary: Tick) -> Answer {
+        let old = AnswerStore::new(old.clone());
+        merge_answers(&old, new, boundary, None)
+            .unwrap_or(old)
+            .to_answer()
+    }
+
     #[test]
     fn merge_keeps_past_and_takes_future() {
         // Old: object 1 in [5, 7]. Update at 6 says it's now [6, 9].
         let old = answer(&[(1, &[(5, 7)])]);
         let new = answer(&[(1, &[(6, 9)])]);
-        let merged = merge_answers(&old, &new, 6);
+        let merged = merge(&old, &new, 6);
         assert_eq!(
             merged.intervals_for(&[Value::Id(1)]).unwrap(),
             &IntervalSet::singleton(Interval::new(5, 9))
@@ -390,7 +565,7 @@ mod tests {
         // The paper: "the tuple may need to be deleted".
         let old = answer(&[(1, &[(5, 7)]), (2, &[(1, 2)])]);
         let new = answer(&[]);
-        let merged = merge_answers(&old, &new, 5);
+        let merged = merge(&old, &new, 5);
         // Object 1's [5,7] was entirely in the future: gone.
         assert!(merged.intervals_for(&[Value::Id(1)]).is_none());
         // Object 2's [1,2] was already served: kept.
@@ -401,7 +576,7 @@ mod tests {
     fn merge_adds_new_tuples() {
         let old = answer(&[]);
         let new = answer(&[(3, &[(10, 12)])]);
-        let merged = merge_answers(&old, &new, 8);
+        let merged = merge(&old, &new, 8);
         assert_eq!(merged.ids(), vec![3]);
     }
 
@@ -409,7 +584,7 @@ mod tests {
     fn merge_at_zero_boundary_is_replacement() {
         let old = answer(&[(1, &[(0, 5)])]);
         let new = answer(&[(2, &[(0, 3)])]);
-        let merged = merge_answers(&old, &new, 0);
+        let merged = merge(&old, &new, 0);
         assert_eq!(merged.ids(), vec![2]);
     }
 
@@ -421,15 +596,15 @@ mod tests {
         assert_eq!(reg.len(), 1);
         assert_eq!(reg.evaluations, 1);
         assert!(reg.get(id).is_some());
-        reg.refresh(id, 5, 5, answer(&[(1, &[(5, 20)])]), 7);
+        reg.refresh(id, 5, 5, &answer(&[(1, &[(5, 20)])]), None, 7);
         assert_eq!(reg.evaluations, 2);
         assert_eq!(reg.noop_refreshes, 0);
         let entry = reg.get(id).unwrap();
         assert_eq!(entry.refreshes, 1);
         assert_eq!(entry.refresh_nanos, 7);
         assert_eq!(
-            entry.answer.intervals_for(&[Value::Id(1)]).unwrap(),
-            &IntervalSet::singleton(Interval::new(0, 20))
+            entry.answer.get(&[Value::Id(1)]).unwrap().intervals,
+            IntervalSet::singleton(Interval::new(0, 20))
         );
         assert!(reg.cancel(id));
         assert!(!reg.cancel(id));
@@ -443,14 +618,14 @@ mod tests {
         let id = reg.register(q, 0, answer(&[(1, &[(0, 10)])]));
         // Re-evaluating at tick 4 yields the same future: merged answer is
         // byte-identical, so this refresh must not count as an evaluation.
-        reg.refresh(id, 4, 0, answer(&[(1, &[(4, 10)])]), 3);
+        reg.refresh(id, 4, 0, &answer(&[(1, &[(4, 10)])]), None, 3);
         assert_eq!(reg.evaluations, 1, "noop refresh must not bump evaluations");
         assert_eq!(reg.noop_refreshes, 1);
         let entry = reg.get(id).unwrap();
         assert_eq!(entry.refreshes, 0);
         assert_eq!(entry.refresh_nanos, 3, "evaluation cost is still recorded");
         // A later, answer-changing refresh counts again.
-        reg.refresh(id, 6, 6, answer(&[(1, &[(6, 15)])]), 2);
+        reg.refresh(id, 6, 6, &answer(&[(1, &[(6, 15)])]), None, 2);
         assert_eq!(reg.evaluations, 2);
         assert_eq!(reg.noop_refreshes, 1);
     }
@@ -475,7 +650,7 @@ mod tests {
         // answer wins wholesale.
         let old = answer(&[(1, &[(0, 5)]), (2, &[(3, 9)])]);
         let new = answer(&[(3, &[(0, 4)])]);
-        let merged = merge_answers(&old, &new, 0);
+        let merged = merge(&old, &new, 0);
         assert_eq!(merged.ids(), vec![3]);
     }
 
@@ -486,7 +661,7 @@ mod tests {
         // keep the whole served past and take only tick MAX from `new`.
         let old = answer(&[(1, &[(0, 5)])]);
         let new = answer(&[(1, &[(Tick::MAX, Tick::MAX)]), (2, &[(0, 5)])]);
-        let merged = merge_answers(&old, &new, Tick::MAX);
+        let merged = merge(&old, &new, Tick::MAX);
         assert_eq!(
             merged.intervals_for(&[Value::Id(1)]).unwrap(),
             &IntervalSet::from_intervals([
@@ -542,7 +717,7 @@ mod tests {
     fn merge_answers_rejects_var_mismatch_in_release_too() {
         let old = answer(&[(1, &[(0, 5)])]);
         let new = Answer::new(vec!["x".into(), "y".into()], vec![]);
-        let _ = merge_answers(&old, &new, 3);
+        let _ = merge(&old, &new, 3);
     }
 
     #[test]
@@ -619,13 +794,130 @@ mod tests {
         }
     }
 
+    /// The merge rule written out over whole answers: every old row keeps
+    /// its past, and the future comes from `fresh` for the replaced rows
+    /// and from the old row otherwise.
+    fn reference_merge(old: &Answer, fresh: &Answer, boundary: Tick, touched: &[u64]) -> Answer {
+        let mut rows: BTreeMap<Vec<Value>, IntervalSet> = BTreeMap::new();
+        let past =
+            IntervalSet::from_intervals(boundary.checked_sub(1).map(|e| Interval::new(0, e)));
+        let future = IntervalSet::singleton(Interval::new(boundary, Tick::MAX));
+        let replaced = |t: &AnswerTuple| touched.contains(&t.values[0].as_id().unwrap());
+        for t in &old.tuples {
+            let keep = if replaced(t) {
+                &past
+            } else {
+                &future.union(&past)
+            };
+            rows.insert(t.values.clone(), t.intervals.intersect(keep));
+        }
+        for t in &fresh.tuples {
+            let slot = rows.entry(t.values.clone()).or_default();
+            *slot = slot.union(&t.intervals.intersect(&future));
+        }
+        Answer::new(
+            old.vars.clone(),
+            rows.into_iter()
+                .map(|(values, intervals)| AnswerTuple { values, intervals })
+                .collect(),
+        )
+    }
+
+    /// A scoped merge equals the merge rule over whole answers, reports a
+    /// no-op exactly when the answer is unchanged, keeps every chunk at
+    /// 1..=64 rows, and shares every chunk that holds no changed row.
+    #[test]
+    fn a_scoped_merge_matches_the_rule_and_shares_untouched_chunks() {
+        use most_testkit::rng::Rng;
+        /// Rows for `ids`, each kept with probability `1 - 1/one_in`.
+        fn some_rows(rng: &mut Rng, ids: impl IntoIterator<Item = u64>, one_in: u64) -> Answer {
+            let mut rows = Vec::new();
+            for id in ids {
+                if rng.below(one_in) > 0 {
+                    let a = rng.below(40) as Tick;
+                    rows.push((id, [(a, a + rng.below(30) as Tick)]));
+                }
+            }
+            answer(
+                &rows
+                    .iter()
+                    .map(|(id, ivs)| (*id, &ivs[..]))
+                    .collect::<Vec<_>>(),
+            )
+        }
+        let mut rng = Rng::seed_from_u64(0x5C0E);
+        for case in 0..300 {
+            let universe = 1 + rng.below(400);
+            let old = some_rows(&mut rng, 0..universe, 3);
+            let mut touched: Vec<u64> = (0..rng.below(20))
+                .map(|_| rng.below(universe + 5))
+                .collect();
+            touched.sort_unstable();
+            touched.dedup();
+            let fresh = some_rows(&mut rng, touched.iter().copied(), 4);
+            let boundary = rng.below(50) as Tick;
+            let store = AnswerStore::new(old.clone());
+            let expected = reference_merge(&old, &fresh, boundary, &touched);
+            let merged = merge_answers(&store, &fresh, boundary, Some(&touched));
+            assert_eq!(merged.is_none(), expected == old, "case {case}: no-op");
+            let merged = merged.unwrap_or_else(|| store.clone());
+            assert_eq!(merged.to_answer(), expected, "case {case}");
+            assert!(merged
+                .chunks
+                .iter()
+                .all(|c| (1..=CHUNK_ROWS).contains(&c.len())));
+            assert!(merged
+                .rows()
+                .zip(merged.rows().skip(1))
+                .all(|(a, b)| a.values < b.values));
+            let changed = expected
+                .tuples
+                .iter()
+                .filter(|t| old.intervals_for(&t.values) != Some(&t.intervals))
+                .count()
+                + old
+                    .tuples
+                    .iter()
+                    .filter(|t| expected.intervals_for(&t.values).is_none())
+                    .count();
+            let (shared, total) = merged.shared_chunks(&store);
+            assert!(
+                total - shared <= 2 * changed,
+                "case {case}: {shared} of {total} shared"
+            );
+        }
+    }
+
+    #[test]
+    fn the_store_encodes_as_its_answer_and_finds_every_row() {
+        let rows: Vec<(u64, Vec<(Tick, Tick)>)> =
+            (0..200).map(|id| (3 * id, vec![(id, id + 5)])).collect();
+        let old = answer(
+            &rows
+                .iter()
+                .map(|(id, ivs)| (*id, ivs.as_slice()))
+                .collect::<Vec<_>>(),
+        );
+        let store = AnswerStore::new(old.clone());
+        assert_eq!(store.chunks.len(), 4);
+        assert_eq!(store.rows().count(), 200);
+        let json = store.to_json();
+        assert_eq!(json, old.to_json());
+        assert_eq!(AnswerStore::from_json(&json).unwrap(), store);
+        for t in &old.tuples {
+            assert_eq!(store.get(&t.values), Some(t));
+        }
+        assert_eq!(store.get(&[Value::Id(1)]), None);
+        assert_eq!(store.get(&[Value::Id(1_000)]), None);
+    }
+
     #[test]
     fn merge_future_window_includes_tick_max() {
         // A fresh answer reaching Tick::MAX must not have its final tick
         // shaved off by the future-window clip.
         let old = answer(&[]);
         let new = answer(&[(1, &[(10, Tick::MAX)])]);
-        let merged = merge_answers(&old, &new, 10);
+        let merged = merge(&old, &new, 10);
         assert_eq!(
             merged.intervals_for(&[Value::Id(1)]).unwrap(),
             &IntervalSet::singleton(Interval::new(10, Tick::MAX))

@@ -2,7 +2,7 @@
 //! clock, and the three query types.
 
 use crate::class::{AttrKind, ClassDef};
-use crate::continuous::ContinuousRegistry;
+use crate::continuous::{ContinuousRegistry, CqEntry};
 use crate::deps::{DepSet, UpdateKind};
 use crate::dynamic::AttrFunction;
 use crate::error::{CoreError, CoreResult};
@@ -717,22 +717,33 @@ impl Database {
         Ok(self.continuous.register(q, self.clock, answer))
     }
 
-    /// The materialized `Answer(CQ)` (global ticks).
-    pub fn continuous_answer(&self, id: u64) -> CoreResult<&Answer> {
+    /// The materialized `Answer(CQ)` (global ticks), copied out of its
+    /// store.
+    pub fn continuous_answer(&self, id: u64) -> CoreResult<Answer> {
+        Ok(self.cq(id)?.answer.to_answer())
+    }
+
+    fn cq(&self, id: u64) -> CoreResult<&CqEntry> {
         self.continuous
             .get(id)
-            .map(|e| e.answer.as_ref())
             .ok_or(CoreError::UnknownContinuousQuery(id))
     }
 
     /// The display of a continuous query at a clock tick.
     pub fn continuous_display(&self, id: u64, at: Tick) -> CoreResult<Vec<Vec<Value>>> {
-        Ok(self
-            .continuous_answer(id)?
-            .at_tick(at)
-            .into_iter()
-            .map(|t| t.values.clone())
-            .collect())
+        let rows = self.cq(id)?.answer.rows();
+        let shown = rows.filter(|t| t.intervals.contains(at));
+        Ok(shown.map(|t| t.values.clone()).collect())
+    }
+
+    /// How much of continuous query `id`'s answer this database shares
+    /// with `other`, as `(chunks that are the same allocation in both,
+    /// chunks here)`; `(0, 0)` for a query either side lacks.
+    pub fn shared_answer_chunks(&self, other: &Database, id: u64) -> (usize, usize) {
+        match (self.cq(id), other.cq(id)) {
+            (Ok(mine), Ok(theirs)) => mine.answer.shared_chunks(&theirs.answer),
+            _ => (0, 0),
+        }
     }
 
     /// Cancels a continuous query.
@@ -826,7 +837,7 @@ impl Database {
             let Some(entry) = self.continuous.get(trig.continuous_id) else {
                 continue;
             };
-            for tup in &entry.answer.tuples {
+            for tup in entry.answer.rows() {
                 for iv in tup.intervals.intervals() {
                     if iv.begin() > trig.last_polled && iv.begin() <= now {
                         events.push(TriggerEvent {

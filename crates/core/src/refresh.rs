@@ -17,8 +17,9 @@
 //!    the objects the batch touched and keeps every other row (DESIGN.md
 //!    §6, "A refresh inside the window re-evaluates the objects the batch
 //!    touched"); every other query is re-evaluated in full;
-//! 3. **merge** — the fresh answer replaces the materialized one from the
-//!    current tick onwards.
+//! 3. **merge** — the fresh rows replace the materialized ones from the
+//!    current tick onwards: every row after a full evaluation, the touched
+//!    objects' rows after a delta one ([`crate::continuous::merge_answers`]).
 //!
 //! The pass is serial, one query at a time.  Parallelism in this engine
 //! lives one level up, per shard (`crate::sharded`): work partitioned by
@@ -29,12 +30,10 @@
 //! the window stays put until its renewal.  A per-atom result cache was
 //! tried, measured and removed (EXPERIMENTS.md, E14).
 
-use crate::continuous::CqEntry;
 use crate::database::Database;
 use crate::deps::{DepSet, UpdateKind};
 use crate::error::{CoreError, CoreResult};
 use most_ftl::answer::Answer;
-use most_temporal::Tick;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 impl Database {
@@ -101,12 +100,22 @@ impl Database {
                 None
             };
             delta += u64::from(touched.is_some());
-            let result = timed_eval(|| match &touched {
-                Some(ids) => self.evaluate_touched(entry, ids, end),
-                None => self.evaluate_over(&entry.query, None, end),
+            // A delta refresh evaluates the touched objects still live: a
+            // removed object's rows keep only their past, and a negation's
+            // complement ranges over live objects only.
+            let result = timed_eval(|| {
+                let live = touched.as_ref().map(|ids| {
+                    let is_live = |&id: &u64| self.object(id).is_ok();
+                    ids.iter().copied().filter(is_live).collect()
+                });
+                self.evaluate_over(&entry.query, live, end)
             });
             match result {
-                (Ok(fresh), nanos) => self.continuous.refresh(id, boundary, start, fresh, nanos),
+                (Ok(fresh), nanos) => {
+                    let touched = touched.as_deref();
+                    self.continuous
+                        .refresh(id, boundary, start, &fresh, touched, nanos)
+                }
                 (Err(e), _) => {
                     self.continuous.note_failed(id);
                     if renewal {
@@ -122,27 +131,6 @@ impl Database {
         most_obs::add("refresh.horizon_renewals", renewals);
         most_obs::add("refresh.delta", delta);
         first_err.map_or(Ok(()), Err)
-    }
-
-    /// A delta refresh's fresh answer on the window ending at `end`: the
-    /// touched objects that are still live re-evaluated, and every
-    /// untouched object's materialized rows kept.  A removed object's rows
-    /// go with it, and the complement of a negation ranges over live
-    /// objects only.
-    fn evaluate_touched(&self, entry: &CqEntry, touched: &[u64], end: Tick) -> CoreResult<Answer> {
-        let live = touched
-            .iter()
-            .copied()
-            .filter(|&id| self.object(id).is_ok());
-        let fresh = self.evaluate_over(&entry.query, Some(live.collect()), end)?;
-        let kept = entry.answer.tuples.iter().filter(|t| {
-            t.values[0]
-                .as_id()
-                .is_none_or(|id| touched.binary_search(&id).is_err())
-        });
-        let mut tuples = fresh.tuples;
-        tuples.extend(kept.cloned());
-        Ok(Answer::new(fresh.vars, tuples))
     }
 }
 

@@ -202,7 +202,7 @@ impl CutPin {
             .cut
             .pins
             .iter()
-            .map(|p| p.continuous_answer(cq).cloned())
+            .map(|p| p.continuous_answer(cq))
             .collect::<CoreResult<_>>()?;
         combine_shard_answers(&parts)
     }
@@ -681,7 +681,7 @@ mod tests {
         );
         assert_eq!(
             to_json_string(&pin.continuous_answer(cq).unwrap()).unwrap(),
-            to_json_string(reference.continuous_answer(cq).unwrap()).unwrap(),
+            to_json_string(&reference.continuous_answer(cq).unwrap()).unwrap(),
             "materialized continuous answers must be byte-identical"
         );
         assert_eq!(

@@ -96,7 +96,7 @@ fn panicking_evaluation_fails_only_that_query() {
     );
     let healthy_after = db.continuous_answer(healthy).unwrap();
     assert_ne!(
-        healthy_before, *healthy_after,
+        healthy_before, healthy_after,
         "healthy CQ must refresh past the panic"
     );
     // The faulty CQ still serves its pre-batch materialized answer.
@@ -165,7 +165,7 @@ fn a_failing_renewal_is_retried_once_per_clock_advance() {
     for _ in 0..4 {
         db.advance_clock(1);
     }
-    assert_eq!(*db.continuous_answer(faulty).unwrap(), stale);
+    assert_eq!(db.continuous_answer(faulty).unwrap(), stale);
     if cfg!(feature = "obs") {
         assert_eq!(most_obs::counter_value("refresh.renewal_errors") - before, 5);
     }

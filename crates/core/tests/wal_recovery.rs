@@ -124,7 +124,7 @@ fn observe(db: &Database) -> (u64, String) {
         cqs.push_str(&format!(
             "cq{}:{};",
             id,
-            to_json_string(db.continuous_answer(id).unwrap()).unwrap()
+            to_json_string(&db.continuous_answer(id).unwrap()).unwrap()
         ));
     }
     (db.fingerprint(), cqs)

@@ -57,7 +57,7 @@ fn gen_records(seed: u64, ids: &[u64]) -> Vec<WalRecord> {
 fn cq_answers(db: &Database) -> String {
     let mut out = String::new();
     for id in db.continuous_registry().ids() {
-        out.push_str(&to_json_string(db.continuous_answer(id).unwrap()).unwrap());
+        out.push_str(&to_json_string(&db.continuous_answer(id).unwrap()).unwrap());
         out.push(';');
     }
     out

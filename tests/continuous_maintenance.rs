@@ -217,7 +217,7 @@ impl World {
             let fresh = copy.instantaneous_readonly(&cq.query).expect("evaluates");
             let maintained = self.db.continuous_answer(cq.id).expect("live query");
             assert_eq!(
-                rows_from(maintained, now),
+                rows_from(&maintained, now),
                 rows_from(&fresh, now),
                 "tick {now}, window end {end}, query {}",
                 cq.query
@@ -572,7 +572,7 @@ fn a_query_reading_time_is_re_evaluated_in_full() {
     db.update_motion(moving, Velocity::new(0.5, 0.0)).unwrap();
     let fresh = db.instantaneous_readonly(&query).unwrap();
     assert_eq!(
-        rows_from(db.continuous_answer(cq).unwrap(), 5),
+        rows_from(&db.continuous_answer(cq).unwrap(), 5),
         rows_from(&fresh, 5)
     );
     assert_eq!(
@@ -706,6 +706,132 @@ fn replacing_a_region_refreshes_the_queries_that_name_it() {
 }
 
 // ---------------------------------------------------------------------
+// The merge's edges on the delta path: a touched row that does not
+// change, one whose future changes, one whose object is removed, and a
+// two-target query on the full path.
+// ---------------------------------------------------------------------
+
+/// Cars parked inside region P (ids 1..=3) and one parked far outside it
+/// (id 4), under a per-object `INSIDE` query.
+fn parked_world() -> World {
+    let mut db = Database::new(EXPIRATION);
+    let spots = [(0.0, 0.0), (10.0, 0.0), (-10.0, 5.0), (500.0, 500.0)];
+    let ids = spots
+        .iter()
+        .map(|&(x, y)| db.insert_moving_object("cars", Point::new(x, y), Velocity::zero()))
+        .collect();
+    db.add_region("P", Polygon::rectangle(-20.0, -20.0, 20.0, 20.0));
+    World::new(db, ids, &["RETRIEVE o WHERE INSIDE(o, P)"])
+}
+
+/// The interval set of `[begin, end]` spans.
+fn spans(ivs: &[(Tick, Tick)]) -> IntervalSet {
+    IntervalSet::from_intervals(ivs.iter().map(|&(a, b)| Interval::new(a, b)))
+}
+
+/// (a) A touched car that stays outside the region changes no row: the
+/// refresh counts as a no-op, and the answer keeps every chunk of the
+/// epoch before it.
+#[test]
+fn a_touched_car_that_stays_outside_is_a_no_op() {
+    let mut world = parked_world();
+    world.advance(10);
+    let before = world.db.clone();
+    let (noops, evaluations) = (world.db.noop_refreshes(), world.db.continuous_evaluations());
+    world.write(|db| db.update_motion(4, Velocity::new(1.0, 0.0)).unwrap());
+    assert_eq!(world.db.noop_refreshes(), noops + 1);
+    assert_eq!(world.db.continuous_evaluations(), evaluations);
+    let (shared, total) = world.db.shared_answer_chunks(&before, world.cqs[0].id);
+    assert_eq!((shared, total), (1, 1));
+    world.check_past();
+}
+
+/// (b) A touched car whose future rows change keeps its rows before the
+/// boundary: car 1 sits in P from registration, and leaves it once set
+/// moving at tick 10.
+#[test]
+fn a_touched_car_keeps_its_rows_before_the_boundary() {
+    let mut world = parked_world();
+    world.advance(10);
+    world.write(|db| db.update_motion(1, Velocity::new(10.0, 0.0)).unwrap());
+    let answer = world.db.continuous_answer(world.cqs[0].id).unwrap();
+    assert_eq!(
+        answer.intervals_for(&[Value::Id(1)]),
+        Some(&spans(&[(0, 12)]))
+    );
+    assert_eq!(
+        answer.intervals_for(&[Value::Id(2)]),
+        Some(&spans(&[(0, EXPIRATION)]))
+    );
+    world.check_past();
+}
+
+/// (c) A car removed mid-window keeps its past rows, on the delta path as
+/// on the full one (`time` makes the second query's refresh full).
+#[test]
+fn a_car_removed_mid_window_keeps_its_past_rows() {
+    let mut db = Database::new(EXPIRATION);
+    let ids = [(0.0, 0.0), (10.0, 0.0)]
+        .iter()
+        .map(|&(x, y)| db.insert_moving_object("cars", Point::new(x, y), Velocity::zero()))
+        .collect();
+    db.add_region("P", Polygon::rectangle(-20.0, -20.0, 20.0, 20.0));
+    let queries = [
+        "RETRIEVE o WHERE INSIDE(o, P)",
+        "RETRIEVE o WHERE INSIDE(o, P) AND time >= 0",
+    ];
+    let mut world = World::new(db, ids, &queries);
+    world.advance(10);
+    world.ids.remove(0);
+    world.write(|db| db.remove_object(1).unwrap());
+    for cq in &world.cqs {
+        let answer = world.db.continuous_answer(cq.id).unwrap();
+        assert_eq!(
+            answer.intervals_for(&[Value::Id(1)]),
+            Some(&spans(&[(0, 9)]))
+        );
+        assert_eq!(
+            answer.intervals_for(&[Value::Id(2)]),
+            Some(&spans(&[(0, EXPIRATION)]))
+        );
+    }
+    world.check_past();
+}
+
+/// (d) A two-target query, refreshed in full, matches a fresh evaluation
+/// on its window after every step; twelve cars in one cluster give it 132
+/// rows, more than one chunk.
+#[test]
+fn a_two_target_query_matches_a_fresh_evaluation_after_each_step() {
+    let mut db = Database::new(EXPIRATION);
+    let ids: Vec<u64> = (0..12)
+        .map(|i| {
+            let p = Point::new((i % 4) as f64 * 8.0, (i / 4) as f64 * 8.0);
+            db.insert_moving_object("cars", p, Velocity::new(0.5, 0.0))
+        })
+        .collect();
+    let query = "RETRIEVE o, n WHERE o <> n AND DIST(o, n) <= 40";
+    let mut world = World::new(db, ids, &[query]);
+    assert_eq!(
+        world.db.continuous_answer(world.cqs[0].id).unwrap().len(),
+        132
+    );
+    for step in 0..6u64 {
+        world.advance(7);
+        let id = world.ids[(step * 5) as usize % world.ids.len()];
+        let away = Velocity::new(3.0 * step as f64 - 6.0, 2.0);
+        world.write(|db| db.update_motion(id, away).unwrap());
+    }
+    world.ids.remove(3);
+    world.write(|db| db.remove_object(4).unwrap());
+    let mut id = 0;
+    world.write(|db| id = db.insert_moving_object("cars", Point::new(4.0, 4.0), Velocity::zero()));
+    world.ids.push(id);
+    world.advance(EXPIRATION);
+    world.check_past();
+}
+
+// ---------------------------------------------------------------------
 // Merge idempotence: re-applying the same refresh result at the same
 // boundary must be a no-op — the property behind the registry's
 // "byte-identical answer ⇒ noop_refreshes" accounting.
@@ -713,7 +839,7 @@ fn replacing_a_region_refreshes_the_queries_that_name_it() {
 
 mod merge_props {
     use super::*;
-    use moving_objects::core::continuous::merge_answers;
+    use moving_objects::core::continuous::{merge_answers, AnswerStore};
     use moving_objects::ftl::answer::AnswerTuple;
 
     /// Random single-variable answers over ids 1..=5 (duplicate ids fold
@@ -755,9 +881,10 @@ mod merge_props {
             .run(
                 &tuple3(arb_answer(), arb_answer(), ints(0..70u64)),
                 |(old, new, boundary)| {
-                    let merged = merge_answers(old, new, *boundary);
-                    let again = merge_answers(&merged, new, *boundary);
-                    assert_eq!(again, merged, "boundary {boundary}");
+                    let old = AnswerStore::new(old.clone());
+                    let merged = merge_answers(&old, new, *boundary, None).unwrap_or(old);
+                    let again = merge_answers(&merged, new, *boundary, None);
+                    assert_eq!(again, None, "boundary {boundary}");
                 },
             );
     }
