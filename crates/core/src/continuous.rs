@@ -389,6 +389,7 @@ fn changed_rows<'a>(
 ) -> Vec<(&'a [Value], Option<AnswerTuple>)> {
     let (mut old, mut new) = (replaced.peekable(), fresh.iter().peekable());
     let mut changes = Vec::new();
+    let future = Some(Interval::new(boundary, Tick::MAX));
     loop {
         let order = match (old.peek(), new.peek()) {
             (None, None) => return changes,
@@ -398,7 +399,6 @@ fn changed_rows<'a>(
         };
         let o = old.next_if(|_| order.is_le());
         let f = new.next_if(|_| order.is_ge());
-        let future = Some(Interval::new(boundary, Tick::MAX));
         if !clip(o, future).eq(clip(f, future)) {
             let past = boundary.checked_sub(1).map(|end| Interval::new(0, end));
             let intervals = IntervalSet::from_intervals(clip(o, past).chain(clip(f, future)));
@@ -412,7 +412,7 @@ fn changed_rows<'a>(
     }
 }
 
-/// A row's intervals clipped to `window` (none when there is none).
+/// A row's intervals clipped to `window`; none when either is `None`.
 fn clip(
     row: Option<&AnswerTuple>,
     window: Option<Interval>,
