@@ -19,7 +19,7 @@ use most_ftl::answer::{Answer, AnswerTuple};
 use most_ftl::Query;
 use most_temporal::{Duration, Interval, IntervalSet, Tick};
 use most_testkit::ser::{FromJson, Json, JsonError, ToJson};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 /// Most rows one chunk of an [`AnswerStore`] holds.
@@ -79,7 +79,8 @@ impl AnswerStore {
 
     /// `(chunks that are the same allocation in other, chunks here)`.
     pub(crate) fn shared_chunks(&self, other: &AnswerStore) -> (usize, usize) {
-        let shared = |c: &&Arc<_>| other.chunks.iter().any(|o| Arc::ptr_eq(c, o));
+        let theirs: HashSet<_> = other.chunks.iter().map(Arc::as_ptr).collect();
+        let shared = |c: &&Arc<_>| theirs.contains(&Arc::as_ptr(c));
         (self.chunks.iter().filter(shared).count(), self.chunks.len())
     }
 
@@ -362,8 +363,7 @@ pub fn merge_answers(
     boundary: Tick,
     touched: Option<&[u64]>,
 ) -> Option<AnswerStore> {
-    // Checked in release builds too: rows of differently-shaped answers
-    // would merge into garbage.
+    // Checked in release builds too: differently-shaped rows merge into garbage.
     assert_eq!(
         old.vars, fresh.vars,
         "merge_answers: answers disagree on target variables"
