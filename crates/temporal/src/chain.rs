@@ -59,8 +59,7 @@ pub fn until_via_chains(i1: &IntervalSet, i2: &IntervalSet) -> IntervalSet {
             // f-interval covers the tick just before g starts (fidelity
             // notes 2 and 3): the chain reaches back to its start.
             Some(f_iv)
-                if f_iv.end().saturating_add(1) >= g_iv.begin()
-                    && f_iv.begin() < g_iv.begin() =>
+                if f_iv.end().saturating_add(1) >= g_iv.begin() && f_iv.begin() < g_iv.begin() =>
             {
                 f_iv.begin()
             }
@@ -84,7 +83,8 @@ mod tests {
     /// Pointwise Section 3.3 semantics, the oracle.
     fn until_pointwise(f: &IntervalSet, g: &IntervalSet, h: Horizon) -> IntervalSet {
         IntervalSet::from_predicate(h, |t| {
-            g.ticks().any(|t2| t2 >= t && (t..t2).all(|u| f.contains(u)))
+            g.ticks()
+                .any(|t2| t2 >= t && (t..t2).all(|u| f.contains(u)))
         })
     }
 

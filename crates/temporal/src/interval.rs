@@ -134,7 +134,10 @@ impl Interval {
         if self.end < delta {
             None
         } else {
-            Some(Interval::new(self.begin.saturating_sub(delta), self.end - delta))
+            Some(Interval::new(
+                self.begin.saturating_sub(delta),
+                self.end - delta,
+            ))
         }
     }
 
@@ -264,7 +267,10 @@ mod tests {
 
     #[test]
     fn tick_iteration() {
-        assert_eq!(Interval::new(2, 4).ticks().collect::<Vec<_>>(), vec![2, 3, 4]);
+        assert_eq!(
+            Interval::new(2, 4).ticks().collect::<Vec<_>>(),
+            vec![2, 3, 4]
+        );
         assert_eq!(Interval::new(2, 4).len(), 3);
     }
 

@@ -56,7 +56,9 @@ impl IntervalSet {
 
     /// The set containing the single interval `iv`.
     pub fn singleton(iv: Interval) -> Self {
-        IntervalSet { intervals: vec![iv] }
+        IntervalSet {
+            intervals: vec![iv],
+        }
     }
 
     /// The set containing the single tick `t`.
@@ -183,7 +185,8 @@ impl IntervalSet {
         if other.is_empty() {
             return self.clone();
         }
-        let mut out: Vec<Interval> = Vec::with_capacity(self.intervals.len() + other.intervals.len());
+        let mut out: Vec<Interval> =
+            Vec::with_capacity(self.intervals.len() + other.intervals.len());
         let mut a = self.intervals.iter().copied().peekable();
         let mut b = other.intervals.iter().copied().peekable();
         let push = |out: &mut Vec<Interval>, iv: Interval| match out.last_mut() {
@@ -275,10 +278,7 @@ impl IntervalSet {
     /// Ticks whose successor lies beyond the horizon are unsatisfied (the
     /// truncated history has no next state there).
     pub fn next_time(&self, h: Horizon) -> IntervalSet {
-        let shifted = self
-            .intervals
-            .iter()
-            .filter_map(|iv| iv.shift_down(1));
+        let shifted = self.intervals.iter().filter_map(|iv| iv.shift_down(1));
         IntervalSet::from_intervals(shifted).clamp_end(h.end().saturating_sub(1))
     }
 
@@ -566,7 +566,8 @@ mod tests {
         let result = f.until(&g);
         let expected = IntervalSet::from_predicate(h, |t| {
             // exists t'' >= t with g(t'') and f on [t, t''-1]
-            g.ticks().any(|t2| t2 >= t && (t..t2).all(|u| f.contains(u)))
+            g.ticks()
+                .any(|t2| t2 >= t && (t..t2).all(|u| f.contains(u)))
         });
         assert_eq!(result, expected);
     }
@@ -593,7 +594,10 @@ mod tests {
     fn eventually_within_expands_left() {
         assert_eq!(set(&[(5, 6)]).eventually_within(3), set(&[(2, 6)]));
         assert_eq!(set(&[(1, 2)]).eventually_within(5), set(&[(0, 2)]));
-        assert_eq!(IntervalSet::empty().eventually_within(3), IntervalSet::empty());
+        assert_eq!(
+            IntervalSet::empty().eventually_within(3),
+            IntervalSet::empty()
+        );
     }
 
     #[test]
