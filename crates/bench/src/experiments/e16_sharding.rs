@@ -37,7 +37,7 @@ use most_ftl::Query;
 use most_spatial::{Point, Polygon, Velocity};
 use most_testkit::rng::Rng;
 use most_testkit::ser::to_json_string;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const SEED: u64 = 0xE16;
 
@@ -164,7 +164,8 @@ struct Throughput {
 
 /// Applies `steps` spatially localized batches and returns the measured
 /// update throughput.  Each batch stays inside one band, so only that
-/// band's shard re-runs its continuous-query refresh.
+/// band's shard refreshes and publishes an epoch; that, and each shard
+/// holding about `objects / shards` cars, is asserted whatever the timings.
 fn run_throughput(objects: u64, shards: usize, steps: usize, batch: usize) -> Throughput {
     let (db, bands, _cq) = throughput_world(objects, shards);
     let mut rng = Rng::seed_from_u64(SEED ^ 0x7B ^ shards as u64);
@@ -182,11 +183,27 @@ fn run_throughput(objects: u64, shards: usize, steps: usize, batch: usize) -> Th
                 .collect()
         })
         .collect();
-    let t0 = Instant::now();
-    for ops in &scripts {
+    let epochs = || db.shard_stats().iter().map(|s| s.current).collect::<Vec<_>>();
+    let mut before = epochs();
+    let mut elapsed = Duration::ZERO;
+    for (k, ops) in scripts.iter().enumerate() {
+        let t0 = Instant::now();
         db.apply_updates(ops).expect("localized batches are valid");
+        elapsed += t0.elapsed();
+        let after = epochs();
+        let published: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+        let owner = (k % BANDS) * shards / BANDS;
+        let only_owner: Vec<u64> = (0..shards).map(|i| u64::from(i == owner)).collect();
+        assert_eq!(published, only_owner, "epochs per shard, batch {k}, {shards} shards");
+        before = after;
     }
-    let elapsed_secs = t0.elapsed().as_secs_f64().max(1e-9);
+    let share = objects / shards as u64;
+    let held: Vec<u64> = (0..shards).map(|i| db.pin().shard(i).len() as u64).collect();
+    assert!(
+        held.iter().all(|h| h.abs_diff(share) <= share / 10),
+        "cars per shard {held:?}, not about {share}"
+    );
+    let elapsed_secs = elapsed.as_secs_f64().max(1e-9);
     Throughput { ops: (steps * batch) as u64, elapsed_secs }
 }
 
@@ -267,22 +284,10 @@ pub fn run(scale: Scale) -> Table {
     most_obs::set_enabled(false);
     for &objects in object_sweep {
         let mut base_tp = None;
-        let mut prev_tp = None;
         for shards in [1usize, 2, 4] {
             let out = run_throughput(objects, shards, steps_b, batch_b);
             let tp = out.ops as f64 / out.elapsed_secs;
             let base = *base_tp.get_or_insert(tp);
-            if scale == Scale::Full {
-                if let Some(prev) = prev_tp {
-                    assert!(
-                        tp > prev,
-                        "update throughput must increase monotonically with shard \
-                         count: {objects} objects, {shards} shards: {tp:.0} ops/s \
-                         after {prev:.0} ops/s"
-                    );
-                }
-            }
-            prev_tp = Some(tp);
             table.row(vec![
                 "B throughput".into(),
                 "bands".into(),
@@ -310,8 +315,11 @@ pub fn run(scale: Scale) -> Table {
          sweeps shards × objects with *spatially localized* batches under band routing: \
          only the owning shard re-runs its continuous-query refresh and clones its epoch, \
          so per-batch mutation cost drops from O(n) to O(n/s) — an architectural win \
-         independent of core count.  At full scale the run asserts throughput rises \
-         monotonically from 1 to 4 shards.  Timings are wall-clock and vary; counts are \
+         independent of core count.  After every batch the run asserts, from the shards' \
+         epoch counters, that exactly the band's owning shard published one epoch and \
+         every other shard none, and that each shard holds about objects/shards cars.  \
+         Throughput is recorded, not asserted: a batch costs what it touches, so it need \
+         not rise with the shard count.  Timings are wall-clock and vary; counts are \
          seeded and exact.",
     );
     table.mark_measured(&["time", "ops/s", "speedup"]);

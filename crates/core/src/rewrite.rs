@@ -26,7 +26,7 @@ use most_dbms::schema::{ColumnDef, ColumnType, Schema};
 use most_dbms::tuple::Tuple;
 use most_dbms::value::Value;
 use most_dbms::Catalog;
-use most_ftl::context::StoredAttr;
+use most_ftl::context::{StaticSeries, StoredAttr};
 use most_temporal::Tick;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -512,7 +512,7 @@ impl most_ftl::EvalContext for LayerContext<'_> {
             .and_then(|s| s.index_of(name))
             .and_then(|i| row.get(i))
         {
-            Some(v) => StoredAttr::Static(vec![(v.clone(), horizon)]),
+            Some(v) => StoredAttr::Static(StaticSeries::One((v.clone(), horizon))),
             None => StoredAttr::Missing,
         }
     }

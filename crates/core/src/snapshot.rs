@@ -19,8 +19,7 @@
 use crate::database::Database;
 use crate::dynamic::AttrFunction;
 use crate::object::MovingObject;
-use most_dbms::value::Value;
-use most_ftl::context::StoredAttr;
+use most_ftl::context::{StaticSeries, StoredAttr};
 use most_ftl::{EvalContext, FtlResult};
 use most_spatial::{MovingPoint, Polygon, Trajectory};
 use most_temporal::{Horizon, Interval, Tick};
@@ -70,11 +69,11 @@ impl<'a> DbContext<'a> {
     }
 
     /// A static attribute's `(value, interval)` series in local ticks.
-    fn static_series(&self, obj: &MovingObject, name: &str) -> Vec<(Value, Interval)> {
+    fn static_series(&self, obj: &MovingObject, name: &str) -> StaticSeries {
         match self.mode {
             ContextMode::Current => match obj.static_at(name, self.origin) {
-                Some(v) => vec![(v.clone(), Interval::new(0, self.horizon.end()))],
-                None => Vec::new(),
+                Some(v) => StaticSeries::One((v.clone(), Interval::new(0, self.horizon.end()))),
+                None => StaticSeries::Many(Vec::new()),
             },
             ContextMode::Recorded => {
                 // Clip each entry to [origin, global_end] and shift to local
@@ -89,7 +88,7 @@ impl<'a> DbContext<'a> {
                     }
                     out.push((value, Interval::new(lo - self.origin, hi - self.origin)));
                 }
-                out
+                StaticSeries::Many(out)
             }
         }
     }
@@ -291,6 +290,7 @@ impl EvalContext for DbContext<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use most_dbms::value::Value;
     use most_spatial::{Point, Velocity};
 
     fn db() -> Database {
@@ -317,7 +317,10 @@ mod tests {
         // Static attr spans the horizon.
         assert_eq!(
             ctx.attr(1, "PRICE"),
-            StoredAttr::Static(vec![(Value::from(80.0), Interval::new(0, 100))])
+            StoredAttr::Static(StaticSeries::One((
+                Value::from(80.0),
+                Interval::new(0, 100)
+            )))
         );
         // Fuel: 100 - t_global = 85 at origin, draining.
         assert_eq!(

@@ -99,11 +99,10 @@ impl<T: EvalContext> AsEvalContext for T {
 pub enum StoredAttr {
     /// No such object, or no piece of the attribute on the horizon.
     Missing,
-    /// A static attribute's value series: `(value, interval)` pairs with
-    /// disjoint intervals in order.  For instantaneous evaluation this is a
-    /// single pair covering the horizon; persistent contexts return the
-    /// recorded piecewise history.
-    Static(Vec<(Value, Interval)>),
+    /// A static attribute's value series.  For instantaneous evaluation
+    /// this is a single pair covering the horizon; persistent contexts
+    /// return the recorded piecewise history.
+    Static(StaticSeries),
     /// A *scalar dynamic attribute*'s piecewise-polynomial series: for each
     /// validity interval, coefficients `[a, b, c]` of `a·t² + b·t + c`
     /// (local evaluation time).  The paper's model covers "dynamic
@@ -111,6 +110,28 @@ pub enum StoredAttr {
     /// consumption".  A dynamic attribute shadows a static one of the same
     /// name; ticks outside its pieces are undefined.
     Dynamic(Vec<(Interval, [f64; 3])>),
+}
+
+/// A static attribute's `(value, interval)` pairs, disjoint and in order.
+/// A current read is one value over the whole horizon, held inline so that
+/// reading it allocates nothing; a recorded history keeps its `Vec`.
+#[derive(Debug, Clone, PartialEq)]
+pub enum StaticSeries {
+    /// One entry.
+    One((Value, Interval)),
+    /// Any number of entries.
+    Many(Vec<(Value, Interval)>),
+}
+
+impl std::ops::Deref for StaticSeries {
+    type Target = [(Value, Interval)];
+
+    fn deref(&self) -> &Self::Target {
+        match self {
+            StaticSeries::One(entry) => std::slice::from_ref(entry),
+            StaticSeries::Many(entries) => entries,
+        }
+    }
 }
 
 /// A self-contained in-memory context: the simplest possible MOST "database"
@@ -125,7 +146,7 @@ pub struct MemoryContext {
 #[derive(Debug, Clone)]
 struct MemoryObject {
     trajectory: Trajectory,
-    attrs: BTreeMap<String, Vec<(Value, Interval)>>,
+    attrs: BTreeMap<String, StaticSeries>,
 }
 
 impl MemoryContext {
@@ -159,7 +180,8 @@ impl MemoryContext {
     ) -> &mut Self {
         let iv = Interval::new(0, self.horizon.end());
         if let Some(o) = self.objects.get_mut(&id) {
-            o.attrs.insert(name.into(), vec![(value.into(), iv)]);
+            o.attrs
+                .insert(name.into(), StaticSeries::One((value.into(), iv)));
         }
         self
     }
@@ -173,7 +195,7 @@ impl MemoryContext {
         series: Vec<(Value, Interval)>,
     ) -> &mut Self {
         if let Some(o) = self.objects.get_mut(&id) {
-            o.attrs.insert(name.into(), series);
+            o.attrs.insert(name.into(), StaticSeries::Many(series));
         }
         self
     }
@@ -277,7 +299,10 @@ mod tests {
         assert!(ctx.trajectory(2).is_none());
         assert_eq!(
             ctx.attr(1, "PRICE"),
-            StoredAttr::Static(vec![(Value::from(80.0), Interval::new(0, 100))])
+            StoredAttr::Static(StaticSeries::One((
+                Value::from(80.0),
+                Interval::new(0, 100)
+            )))
         );
         assert_eq!(ctx.attr(1, "NOPE"), StoredAttr::Missing);
         assert_eq!(ctx.attr(2, "PRICE"), StoredAttr::Missing);

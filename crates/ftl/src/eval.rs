@@ -23,7 +23,7 @@ use crate::answer::{Answer, AnswerTuple};
 use crate::ast::{Formula, Query, Term};
 use crate::context::{EvalContext, Restricted};
 use crate::error::{FtlError, FtlResult};
-use crate::numeric::{compare_terms, value_series};
+use crate::numeric::{value_series, CmpPlan};
 use crate::relation::VarRelation;
 use crate::semantics::Env;
 use most_dbms::value::Value;
@@ -198,9 +198,8 @@ fn eval_formula(
         Formula::Bool(false) => Ok(VarRelation::nullary(IntervalSet::empty())),
         Formula::Cmp(op, lhs, rhs) => {
             let vars = atom_object_vars(&[lhs, rhs], obj_vars);
-            atom_relation(ctx, &vars, None, |ctx, env| {
-                compare_terms(ctx, env, *op, lhs, rhs)
-            })
+            let plan = CmpPlan::new(ctx, *op, lhs, rhs);
+            atom_relation(ctx, &vars, None, |ctx, env| plan.eval(ctx, env))
         }
         Formula::Inside(term, region) => {
             let poly = ctx

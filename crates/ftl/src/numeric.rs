@@ -27,6 +27,7 @@ use most_spatial::predicates::exact_ticks;
 use most_spatial::roots::{solve_quadratic_le, RealIntervals};
 use most_spatial::{MovingPoint, Point, Trajectory};
 use most_temporal::{Horizon, Interval, IntervalSet, Tick};
+use std::borrow::Cow;
 
 /// A quadratic `a·t² + b·t + c` valid on a tick interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -184,7 +185,7 @@ fn build_attr_form(ctx: &dyn EvalContext, id: u64, attr: &str, h: Horizon) -> Ft
                     .map(|(iv, [a, b, c])| QuadPiece { iv, a, b, c })
                     .collect(),
             ),
-            StoredAttr::Static(series) if !series.is_empty() => TermForm::Values(series),
+            StoredAttr::Static(series) if !series.is_empty() => TermForm::Values(series.to_vec()),
             _ => TermForm::Invariant(Value::Null),
         }),
     }
@@ -327,7 +328,8 @@ fn align(a: &[QuadPiece], b: &[QuadPiece]) -> Vec<(Interval, QuadPiece, QuadPiec
     out
 }
 
-/// The tick set on which `lhs op rhs` holds, for one instantiation.
+/// The tick set on which `lhs op rhs` holds, for one instantiation: the
+/// atom's comparison plan, evaluated once.
 ///
 /// Exact at integer ticks.  Stored static values and constants are compared
 /// value by value, which is the per-tick comparison itself; every other
@@ -340,49 +342,125 @@ pub fn compare_terms(
     lhs: &Term,
     rhs: &Term,
 ) -> FtlResult<IntervalSet> {
-    let h = ctx.horizon();
-    let fa = operand_form(ctx, env, lhs)?;
-    let fb = operand_form(ctx, env, rhs)?;
-    let candidate = compare_forms(op, &fa, &fb, h)?;
-    if fa.is_stepwise() && fb.is_stepwise() {
-        return Ok(candidate);
-    }
-    // Reconcile against the exact per-tick truth.
-    let exact = |t: Tick| -> bool {
-        let (a, b) = match (eval_term(ctx, env, lhs, t), eval_term(ctx, env, rhs, t)) {
-            (Ok(a), Ok(b)) => (a, b),
-            _ => return false,
-        };
-        if a == Value::Null || b == Value::Null {
-            return false;
-        }
-        op.apply(&a, &b)
-    };
-    let real = RealIntervals::of(
-        candidate
-            .intervals()
-            .iter()
-            .map(|iv| most_spatial::roots::RealInterval {
-                lo: iv.begin() as f64,
-                hi: iv.end() as f64,
-            })
-            .collect(),
-    );
-    Ok(exact_ticks(&real, h, exact))
+    CmpPlan::new(ctx, op, lhs, rhs).eval(ctx, env)
 }
 
-/// The form of a comparison operand.  Arithmetic on constants alone (no
-/// variable, attribute, `time` or `DIST`) folds to its value, taken from
-/// [`eval_term`], so `o.PRICE <= -1` (parsed `0 - 1`) meets the per-value
-/// kernel as `o.PRICE <= 0` does instead of root solving.  A fold that
-/// fails or leaves the finite numbers keeps the built form and the error
-/// it reports (a division by zero).
-fn operand_form(ctx: &dyn EvalContext, env: &Env, term: &Term) -> FtlResult<TermForm> {
-    let mut closed = matches!(term, Term::Arith(..));
-    if closed {
-        term.visit(&mut |t| closed &= matches!(t, Term::Const(_) | Term::Arith(..)));
+/// A comparison atom analysed once, then evaluated per instantiation.
+/// Closed operands take their form once.  `v.A op c` (or `c op v.A`) for
+/// a stored attribute `A` and a constant form `c` then costs one attribute
+/// read and the per-value kernel; anything else takes the general path.
+pub(crate) struct CmpPlan<'q> {
+    h: Horizon,
+    op: CmpOp,
+    lhs: &'q Term,
+    rhs: &'q Term,
+    /// Each closed operand's form; one that fails (a division by zero) is
+    /// rebuilt per instantiation, which reports its error.
+    forms: [Option<TermForm>; 2],
+    /// `(v, A, op', c)` with `op'` oriented so that `v.A op' c`.
+    stored: Option<(&'q str, &'q str, CmpOp, Value)>,
+}
+
+impl<'q> CmpPlan<'q> {
+    pub(crate) fn new(ctx: &dyn EvalContext, op: CmpOp, lhs: &'q Term, rhs: &'q Term) -> Self {
+        let form = |term: &Term| is_closed(term).then(|| operand_form(ctx, &Env::new(), term).ok());
+        let stored_attr = |term: &'q Term| match term {
+            Term::Attr(base, a) if !is_motion_attr(a) => match base.as_ref() {
+                Term::Var(v) => Some((v.as_str(), a.as_str())),
+                _ => None,
+            },
+            _ => None,
+        };
+        let forms = [form(lhs).flatten(), form(rhs).flatten()];
+        let stored = match (stored_attr(lhs), stored_attr(rhs), &forms) {
+            (Some((v, a)), _, [_, Some(TermForm::Invariant(c))]) => Some((v, a, op, c.clone())),
+            (_, Some((v, a)), [Some(TermForm::Invariant(c)), _]) => {
+                Some((v, a, op.flipped(), c.clone()))
+            }
+            _ => None,
+        };
+        CmpPlan {
+            h: ctx.horizon(),
+            op,
+            lhs,
+            rhs,
+            forms,
+            stored,
+        }
     }
-    match closed.then(|| eval_term(ctx, env, term, 0)) {
+
+    /// The tick set on which the atom holds under `env`.
+    pub(crate) fn eval(&self, ctx: &dyn EvalContext, env: &Env) -> FtlResult<IntervalSet> {
+        if let Some((var, attr, op, c)) = &self.stored {
+            if let Some(&Value::Id(id)) = env.get(var) {
+                match ctx.attr(id, attr) {
+                    StoredAttr::Static(series) => {
+                        return Ok(values_vs_const(*op, &series, c, self.h))
+                    }
+                    StoredAttr::Missing => return Ok(IntervalSet::empty()),
+                    StoredAttr::Dynamic(_) => {}
+                }
+            }
+        }
+        self.solve(ctx, env)
+    }
+
+    /// The general path: both forms, then root solving and per-tick
+    /// reconciliation unless both are stepwise.  Kept out of line so that
+    /// the stored-attribute read above stays small.
+    #[inline(never)]
+    fn solve(&self, ctx: &dyn EvalContext, env: &Env) -> FtlResult<IntervalSet> {
+        let (h, op, lhs, rhs) = (self.h, self.op, self.lhs, self.rhs);
+        let form = |side: usize, term| match &self.forms[side] {
+            Some(f) => Ok(Cow::Borrowed(f)),
+            None => operand_form(ctx, env, term).map(Cow::Owned),
+        };
+        let fa = form(0, lhs)?;
+        let fb = form(1, rhs)?;
+        let candidate = compare_forms(op, &fa, &fb, h)?;
+        if fa.is_stepwise() && fb.is_stepwise() {
+            return Ok(candidate);
+        }
+        // Reconcile against the exact per-tick truth.
+        let exact = |t: Tick| -> bool {
+            let (a, b) = match (eval_term(ctx, env, lhs, t), eval_term(ctx, env, rhs, t)) {
+                (Ok(a), Ok(b)) => (a, b),
+                _ => return false,
+            };
+            if a == Value::Null || b == Value::Null {
+                return false;
+            }
+            op.apply(&a, &b)
+        };
+        let real = RealIntervals::of(
+            candidate
+                .intervals()
+                .iter()
+                .map(|iv| most_spatial::roots::RealInterval {
+                    lo: iv.begin() as f64,
+                    hi: iv.end() as f64,
+                })
+                .collect(),
+        );
+        Ok(exact_ticks(&real, h, exact))
+    }
+}
+
+/// Whether `term` is closed: constants and arithmetic on them alone (no
+/// variable, attribute, `time` or `DIST`).
+fn is_closed(term: &Term) -> bool {
+    let mut closed = true;
+    term.visit(&mut |t| closed &= matches!(t, Term::Const(_) | Term::Arith(..)));
+    closed
+}
+
+/// The form of a comparison operand.  A closed term folds to its value,
+/// taken from [`eval_term`], so `o.PRICE <= -1` (parsed `0 - 1`) meets the
+/// per-value kernel as `o.PRICE <= 0` does instead of root solving.  A
+/// fold that fails or leaves the finite numbers keeps the built form and
+/// the error it reports (a division by zero).
+fn operand_form(ctx: &dyn EvalContext, env: &Env, term: &Term) -> FtlResult<TermForm> {
+    match is_closed(term).then(|| eval_term(ctx, env, term, 0)) {
         Some(Ok(v)) if v.as_f64().is_some_and(f64::is_finite) => Ok(TermForm::Invariant(v)),
         _ => build_form(ctx, env, term),
     }

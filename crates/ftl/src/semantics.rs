@@ -166,9 +166,9 @@ pub fn eval_attr(ctx: &dyn EvalContext, id: u64, attr: &str, t: Tick) -> FtlResu
         _ => Ok(match ctx.attr(id, attr) {
             StoredAttr::Missing => None,
             StoredAttr::Static(series) => series
-                .into_iter()
+                .iter()
                 .find(|(_, iv)| iv.contains(t))
-                .map(|(v, _)| v),
+                .map(|(v, _)| v.clone()),
             StoredAttr::Dynamic(pieces) => {
                 pieces
                     .iter()

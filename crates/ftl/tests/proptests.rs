@@ -3,13 +3,17 @@
 //! formulas.
 
 use most_dbms::value::Value;
+use most_ftl::ast::{ArithOp, CmpOp};
 use most_ftl::context::{EvalContext, MemoryContext, StoredAttr};
-use most_ftl::semantics::naive_answer;
+use most_ftl::eval::evaluate_formula;
+use most_ftl::semantics::{eval_atom, naive_answer, Env};
 use most_ftl::FtlError;
-use most_ftl::{evaluate_query, Query};
+use most_ftl::{evaluate_query, Formula, Query, Term};
 use most_spatial::{Point, Polygon, Rect, Trajectory, Velocity};
-use most_temporal::{Horizon, Interval};
-use most_testkit::check::{ints, just, one_of, select, tuple2, tuple3, tuple4, vecs, Check, Gen};
+use most_temporal::{Horizon, Interval, IntervalSet};
+use most_testkit::check::{
+    bools, ints, just, one_of, select, tuple2, tuple3, tuple4, vecs, Check, Gen,
+};
 use std::collections::BTreeMap;
 
 const H_END: u64 = 60;
@@ -383,6 +387,134 @@ fn a_dynamic_attribute_shadows_a_static_one() {
                         assert!(src.contains("<-") && varying, "query: {src}");
                     }
                     Err(e) => panic!("query: {src}: {e}"),
+                }
+            },
+        );
+}
+
+/// What an object stores under `PRICE`: nothing, one value over the
+/// horizon, or a recorded series.
+#[derive(Debug, Clone)]
+enum Stored {
+    Missing,
+    One(Value),
+    Series(Vec<(Value, Interval)>),
+}
+
+/// A comparison operand without variables: a constant of every kind, or
+/// arithmetic on constants, which folds to one value (or, dividing by zero,
+/// fails to).
+fn arb_closed_operand() -> Gen<Term> {
+    let arith = |op, a: Term, b: Term| Term::Arith(op, Box::new(a), Box::new(b));
+    one_of(vec![
+        ints(-20i64..200).map(Term::val),
+        ints(0u32..400).map(|v| Term::val(v as f64 * 0.5)),
+        select(&["abc", "m", "zz"]).map(Term::val),
+        just(Term::Const(Value::Null)),
+        ints(1u64..6).map(|id| Term::Const(Value::Id(id))),
+        // `0 - 1` and its kin.
+        tuple2(ints(0i64..200), ints(0i64..200))
+            .map(move |(a, b)| arith(ArithOp::Sub, Term::val(a), Term::val(b))),
+        // `(2 + 1) * 4` and its kin.
+        tuple2(ints(0i64..100), ints(0i64..5)).map(move |(a, b)| {
+            let sum = arith(ArithOp::Add, Term::val(a), Term::val(1));
+            arith(ArithOp::Mul, sum, Term::val(b))
+        }),
+        ints(0i64..200).map(move |a| arith(ArithOp::Div, Term::val(a), Term::val(0))),
+    ])
+}
+
+const CMP_OPS: &[CmpOp] = &[
+    CmpOp::Le,
+    CmpOp::Lt,
+    CmpOp::Ge,
+    CmpOp::Gt,
+    CmpOp::Eq,
+    CmpOp::Ne,
+];
+
+#[test]
+fn a_planned_comparison_matches_the_per_tick_semantics() {
+    // One `o.PRICE op c` or `c op o.PRICE` atom, planned once and evaluated
+    // per object, against the per-tick truth of the same atom for each
+    // object.  A dynamic PRICE shadows the static one where it exists.
+    let stored = one_of(vec![
+        just(Stored::Missing),
+        arb_value().map(Stored::One),
+        arb_series(arb_value()).map(Stored::Series),
+    ]);
+    let dynamic = one_of(vec![
+        just(None),
+        tuple3(
+            ints(0u64..20),
+            select(&[0.0, 0.5, -1.0, 2.0]),
+            ints(0u32..150),
+        )
+        .map(|(from, slope, c)| Some((from, [0.0, slope, c as f64]))),
+    ]);
+    Check::new("ftl::a_planned_comparison_matches_the_per_tick_semantics")
+        .cases(256)
+        .regressions(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/proptests.seeds"
+        ))
+        .run(
+            &tuple2(
+                vecs(tuple2(stored, dynamic), 1..5),
+                tuple3(select(CMP_OPS), bools(), arb_closed_operand()),
+            ),
+            |(objects, (op, constant_first, c))| {
+                let mut memory = MemoryContext::new(H_END);
+                let mut shadows = BTreeMap::new();
+                for (i, (stored, dynamic)) in objects.iter().enumerate() {
+                    let id = i as u64 + 1;
+                    let parked = Trajectory::starting_at(Point::origin(), Velocity::zero());
+                    memory.add_object(id, parked);
+                    match stored {
+                        Stored::Missing => {}
+                        Stored::One(v) => {
+                            memory.set_attr(id, "PRICE", v.clone());
+                        }
+                        Stored::Series(s) => {
+                            memory.set_attr_series(id, "PRICE", s.clone());
+                        }
+                    }
+                    if let Some(d) = dynamic {
+                        shadows.insert(id, *d);
+                    }
+                }
+                let ctx = Shadowing(memory, shadows);
+                let price = Term::attr(Term::var("o"), "PRICE");
+                let atom = if *constant_first {
+                    Formula::Cmp(*op, c.clone(), price)
+                } else {
+                    Formula::Cmp(*op, price, c.clone())
+                };
+                let by_zero = matches!(c, Term::Arith(ArithOp::Div, ..));
+                // A non-numeric constant is outside the fragment a dynamic
+                // attribute is solved in.
+                let non_numeric =
+                    matches!(c, Term::Const(v) if v.as_f64().is_none() && *v != Value::Null);
+                match evaluate_formula(&ctx, &atom, &[]) {
+                    Ok(rel) if !by_zero => {
+                        let h = ctx.horizon();
+                        let expected: Vec<_> = ctx
+                            .object_ids()
+                            .into_iter()
+                            .filter_map(|id| {
+                                let mut env = Env::new();
+                                env.bind("o", Value::Id(id));
+                                let set = IntervalSet::from_predicate(h, |t| {
+                                    eval_atom(&ctx, &env, &atom, t).expect("per-tick truth")
+                                });
+                                (!set.is_empty()).then(|| (vec![Value::Id(id)], set))
+                            })
+                            .collect();
+                        assert_eq!(rel.rows(), expected.as_slice(), "atom: {atom}");
+                    }
+                    Err(FtlError::Type(_)) if by_zero => {}
+                    Err(FtlError::Type(_)) if non_numeric && !ctx.1.is_empty() => {}
+                    other => panic!("atom: {atom}: {other:?}"),
                 }
             },
         );

@@ -27,6 +27,7 @@ impl Interval {
     /// # Panics
     /// Panics if `begin > end`; use [`Interval::try_new`] for fallible
     /// construction.
+    #[inline]
     pub fn new(begin: Tick, end: Tick) -> Self {
         assert!(
             begin <= end,
@@ -36,6 +37,7 @@ impl Interval {
     }
 
     /// Creates the interval `[begin, end]`, or `None` when `begin > end`.
+    #[inline]
     pub fn try_new(begin: Tick, end: Tick) -> Option<Self> {
         (begin <= end).then_some(Interval { begin, end })
     }
@@ -84,6 +86,7 @@ impl Interval {
     }
 
     /// The intersection of two intervals, if non-empty.
+    #[inline]
     pub fn intersect(self, other: Interval) -> Option<Interval> {
         Interval::try_new(self.begin.max(other.begin), self.end.min(other.end))
     }

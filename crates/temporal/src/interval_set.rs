@@ -72,9 +72,17 @@ impl IntervalSet {
     }
 
     /// Builds a normalized set from arbitrary (possibly overlapping,
-    /// unsorted, consecutive) intervals.
+    /// unsorted, consecutive) intervals.  Zero or one interval is already
+    /// normalized: nothing is sorted or copied.
     pub fn from_intervals<I: IntoIterator<Item = Interval>>(ivs: I) -> Self {
-        let mut v: Vec<Interval> = ivs.into_iter().collect();
+        let mut ivs = ivs.into_iter();
+        let Some(first) = ivs.next() else {
+            return IntervalSet::empty();
+        };
+        let Some(second) = ivs.next() else {
+            return IntervalSet::singleton(first);
+        };
+        let mut v: Vec<Interval> = [first, second].into_iter().chain(ivs).collect();
         v.sort_unstable();
         let mut out: Vec<Interval> = Vec::with_capacity(v.len());
         for iv in v {
