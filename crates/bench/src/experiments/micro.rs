@@ -13,7 +13,6 @@ use crate::table::fmt_duration;
 use crate::timing::bench;
 use crate::{Scale, Table};
 use most_core::rewrite::{MostDbmsLayer, MovingTableDef};
-use most_core::snapshot::{ContextMode, DbContext};
 use most_core::{Database, UpdateOp};
 use most_dbms::expr::{CmpOp, Expr};
 use most_dbms::query::SelectQuery;
@@ -173,7 +172,7 @@ pub fn run(scale: Scale) -> Table {
         scenario.populate(&mut db, &plans);
         db
     };
-    let ctx = DbContext::new(&fleet_db, fleet_db.now(), ContextMode::Current);
+    let ctx = fleet_db.current_context();
     for (name, src) in [
         ("attr_cmp", "RETRIEVE o WHERE o.PRICE <= 41"),
         ("inside", "RETRIEVE o WHERE INSIDE(o, P)"),
@@ -193,7 +192,7 @@ pub fn run(scale: Scale) -> Table {
     let mut scan_db = Database::new(100);
     scan_db.add_region("P", Polygon::rectangle(-40.0, -40.0, 40.0, 40.0));
     scenario.populate(&mut scan_db, &scenario.generate());
-    let ctx = DbContext::new(&scan_db, scan_db.now(), ContextMode::Current);
+    let ctx = scan_db.current_context();
     // `conj_scan` is one `sharded_large` shard read: the `INSIDE` side walks
     // the whole domain, `PRICE` reads only its survivors.
     for (name, src) in [

@@ -10,11 +10,11 @@ use crate::object::MovingObject;
 use crate::snapshot::{ContextMode, DbContext};
 use crate::trigger::{TriggerEvent, TriggerRegistry};
 use most_dbms::value::Value;
-use most_ftl::answer::{Answer, AnswerTuple};
+use most_ftl::answer::Answer;
 use most_ftl::{evaluate_query, evaluate_query_over, Query};
 use most_index::{CowMap, MovingObjectIndex2D};
 use most_spatial::{Point, Polygon, Rect, Velocity};
-use most_temporal::{Duration, IntervalSet, Tick};
+use most_temporal::{Duration, Horizon, Tick};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -616,18 +616,25 @@ impl Database {
     // ------------------------------------------------------------------
 
     /// The FTL evaluation context for the current state ("the database
-    /// implicitly represents future states of the system being modeled").
+    /// implicitly represents future states of the system being modeled"),
+    /// over `[now, now + expiration]`.
     pub fn current_context(&self) -> DbContext<'_> {
-        DbContext::new(self, self.clock, ContextMode::Current)
+        DbContext::new(self, self.window_from(self.clock), ContextMode::Current)
     }
 
-    /// The recorded-history context from `origin` (persistent queries).
+    /// The recorded-history context over `[origin, origin + expiration]`
+    /// (persistent queries).
     pub fn recorded_context(&self, origin: Tick) -> DbContext<'_> {
-        DbContext::new(self, origin, ContextMode::Recorded)
+        DbContext::new(self, self.window_from(origin), ContextMode::Recorded)
     }
 
-    /// Evaluates a query on the implicit future history starting now and
-    /// returns the answer in **global** clock ticks.
+    /// The evaluation horizon of a query entered at `start`.
+    fn window_from(&self, start: Tick) -> Horizon {
+        Horizon::between(start, start.saturating_add(self.expiration))
+    }
+
+    /// Evaluates a query on the implicit future history starting now; the
+    /// answer is in clock ticks, as every evaluation's is.
     pub(crate) fn evaluate_global(&self, q: &Query) -> CoreResult<Answer> {
         self.evaluate_over(q, None, self.clock.saturating_add(self.expiration))
     }
@@ -647,11 +654,10 @@ impl Database {
             }
         }
         let ctx = self.current_context().until(end);
-        let local = match ids {
+        Ok(match ids {
             Some(ids) => evaluate_query_over(&ctx, q, ids)?,
             None => evaluate_query(&ctx, q)?,
-        };
-        Ok(shift_answer(local, self.clock))
+        })
     }
 
     /// Arms (or clears) evaluation fault injection: while set, evaluating
@@ -683,9 +689,7 @@ impl Database {
     /// persistent query on demand without tracking per-query state
     /// server-side (the anchor tick travels with each request).
     pub fn persistent_answer(&self, q: &Query, origin: Tick) -> CoreResult<Answer> {
-        let ctx = self.recorded_context(origin);
-        let local = evaluate_query(&ctx, q)?;
-        Ok(shift_answer(local, origin))
+        Ok(evaluate_query(&self.recorded_context(origin), q)?)
     }
 
     /// An **instantaneous query** (Section 2.3): one evaluation on the
@@ -950,21 +954,6 @@ impl Database {
             }
         }
     }
-}
-
-/// Shifts a local-tick answer (tick 0 = evaluation time) to global ticks.
-pub fn shift_answer(answer: Answer, origin: Tick) -> Answer {
-    let tuples = answer
-        .tuples
-        .into_iter()
-        .map(|t| AnswerTuple {
-            values: t.values,
-            intervals: IntervalSet::from_intervals(
-                t.intervals.intervals().iter().map(|iv| iv.shift_up(origin)),
-            ),
-        })
-        .collect();
-    Answer::new(answer.vars, tuples)
 }
 
 #[cfg(test)]

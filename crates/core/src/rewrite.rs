@@ -28,6 +28,7 @@ use most_dbms::value::Value;
 use most_dbms::Catalog;
 use most_ftl::context::{StaticSeries, StoredAttr};
 use most_temporal::Tick;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Declaration of a table managed by the MOST layer.
@@ -421,8 +422,8 @@ impl MostDbmsLayer {
 }
 
 /// [`most_ftl::EvalContext`] view of a [`MostDbmsLayer`] table (Section 5.1
-/// temporal queries over the host DBMS).  Local tick 0 corresponds to the
-/// global tick `now` passed to [`MostDbmsLayer::ftl_context`].
+/// temporal queries over the host DBMS).  Its horizon runs from the tick
+/// `now` passed to [`MostDbmsLayer::ftl_context`], on the global clock.
 pub struct LayerContext<'a> {
     layer: &'a MostDbmsLayer,
     table: String,
@@ -460,7 +461,7 @@ impl LayerContext<'_> {
 
 impl most_ftl::EvalContext for LayerContext<'_> {
     fn horizon(&self) -> most_temporal::Horizon {
-        most_temporal::Horizon::new(self.horizon)
+        most_temporal::Horizon::between(self.now, self.now.saturating_add(self.horizon))
     }
 
     fn object_ids(&self) -> Vec<u64> {
@@ -476,33 +477,36 @@ impl most_ftl::EvalContext for LayerContext<'_> {
         ids
     }
 
-    fn trajectory(&self, id: u64) -> Option<most_spatial::Trajectory> {
+    fn trajectory(&self, id: u64) -> Option<Cow<'_, most_spatial::Trajectory>> {
         let row = self.row_of(id)?;
         let (xv, xt, xs) = self.dynamic_triple(row, "X")?;
         let (yv, yt, ys) = self.dynamic_triple(row, "Y")?;
-        // Current position at `now`, extrapolated per sub-attribute triples.
+        // One leg from `now`: the position then, extrapolated per
+        // sub-attribute triple (X and Y keep their own updatetimes).
         let x = xv + xs * (self.now as f64 - xt);
         let y = yv + ys * (self.now as f64 - yt);
-        Some(most_spatial::Trajectory::starting_at(
-            most_spatial::Point::new(x, y),
-            most_spatial::Velocity::new(xs, ys),
-        ))
+        Some(Cow::Owned(most_spatial::Trajectory::new(
+            most_spatial::MovingPoint::new(
+                most_spatial::Point::new(x, y),
+                self.now,
+                most_spatial::Velocity::new(xs, ys),
+            ),
+        )))
     }
 
     fn attr(&self, id: u64, name: &str) -> StoredAttr {
         let Some(row) = self.row_of(id) else {
             return StoredAttr::Missing;
         };
-        let horizon = most_temporal::Interval::new(0, self.horizon);
+        let h = most_ftl::EvalContext::horizon(self);
+        let horizon = most_temporal::Interval::new(h.start(), h.end());
         // A dynamic attribute's columns are its sub-attributes, never a
         // static value.
         let dynamic = self.layer.dynamic.get(&self.table);
         if dynamic.is_some_and(|set| set.contains(name)) {
             return match self.dynamic_triple(row, name) {
-                // Local τ: value = v + s·((τ + now) − t)
-                Some((v, t, s)) => {
-                    StoredAttr::Dynamic(vec![(horizon, [0.0, s, v + s * (self.now as f64 - t)])])
-                }
+                // value = v + s·(t' − t) at tick t'
+                Some((v, t, s)) => StoredAttr::Dynamic(vec![(horizon, t as Tick, [0.0, s, v])]),
                 None => StoredAttr::Missing,
             };
         }

@@ -1,15 +1,17 @@
 //! Evaluation contexts over a MOST database.
 //!
-//! FTL formulas are always evaluated on a history whose tick 0 is the query
-//! entry time (appendix convention).  [`DbContext`] adapts a [`Database`]
-//! to [`most_ftl::EvalContext`] by translating between global clock ticks
-//! and that local frame, in one of two modes:
+//! [`DbContext`] adapts a [`Database`] to [`most_ftl::EvalContext`] on the
+//! database's own clock: the horizon starts at the tick the evaluation
+//! begins at (its origin), and trajectories, series and answers are all in
+//! global ticks.  Each object's stored trajectory is lent as it is; the two
+//! modes differ in which attribute history they read:
 //!
 //! * [`ContextMode::Current`] — the implicit future history of
 //!   *instantaneous and continuous* queries: each object's state **as of
-//!   the origin tick**, extrapolated forward by its current function.
-//!   Updates recorded before the origin are irrelevant (only the current
-//!   sub-attribute values matter) and updates after it do not exist yet.
+//!   the origin**, the current clock, extrapolated forward by its current
+//!   function.  Updates recorded before the origin are irrelevant (only
+//!   the current sub-attribute values matter) and updates after it do not
+//!   exist yet.
 //! * [`ContextMode::Recorded`] — the history a *persistent* query sees: all
 //!   updates recorded since the origin replay at their recorded ticks, and
 //!   the last state extrapolates into the future.  This is the
@@ -17,12 +19,13 @@
 //!   time" that Section 2.3 calls for.
 
 use crate::database::Database;
-use crate::dynamic::AttrFunction;
+use crate::dynamic::{AttrFunction, DynamicAttribute};
 use crate::object::MovingObject;
 use most_ftl::context::{StaticSeries, StoredAttr};
 use most_ftl::{EvalContext, FtlResult};
-use most_spatial::{MovingPoint, Polygon, Trajectory};
+use most_spatial::{Polygon, Trajectory};
 use most_temporal::{Horizon, Interval, Tick};
+use std::borrow::Cow;
 
 /// Which slice of the database history the context exposes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,139 +39,94 @@ pub enum ContextMode {
 /// A [`most_ftl::EvalContext`] view of a [`Database`].
 pub struct DbContext<'a> {
     db: &'a Database,
-    origin: Tick,
     horizon: Horizon,
     mode: ContextMode,
 }
 
 impl<'a> DbContext<'a> {
-    /// Creates a context whose local tick 0 is global tick `origin`.
-    pub fn new(db: &'a Database, origin: Tick, mode: ContextMode) -> Self {
-        DbContext {
-            db,
-            origin,
-            horizon: Horizon::new(db.expiration()),
-            mode,
-        }
+    /// A context over the ticks of `horizon`.  A [`ContextMode::Current`]
+    /// horizon starts at the clock: [`Database::current_context`].
+    pub(crate) fn new(db: &'a Database, horizon: Horizon, mode: ContextMode) -> Self {
+        DbContext { db, horizon, mode }
     }
 
-    /// This context with its horizon cut to end at global tick `end`, where
-    /// a continuous query's materialized window ends (DESIGN.md §6).
+    /// This context with its horizon cut to end at tick `end`, where a
+    /// continuous query's materialized window ends (DESIGN.md §6).
     pub(crate) fn until(mut self, end: Tick) -> Self {
-        self.horizon = Horizon::new(end.saturating_sub(self.origin));
+        let start = self.horizon.start();
+        self.horizon = Horizon::between(start, end.max(start));
         self
     }
 
-    /// The global tick corresponding to local tick 0.
+    /// The tick the evaluation begins at: the horizon's start.
     pub fn origin(&self) -> Tick {
-        self.origin
+        self.horizon.start()
     }
 
-    fn global_end(&self) -> Tick {
-        self.origin + self.horizon.end()
+    /// The whole horizon as one interval.
+    fn span(&self) -> Interval {
+        Interval::new(self.horizon.start(), self.horizon.end())
     }
 
-    /// A static attribute's `(value, interval)` series in local ticks.
+    /// A static attribute's `(value, interval)` series on the horizon.
     fn static_series(&self, obj: &MovingObject, name: &str) -> StaticSeries {
         match self.mode {
-            ContextMode::Current => match obj.static_at(name, self.origin) {
-                Some(v) => StaticSeries::One((v.clone(), Interval::new(0, self.horizon.end()))),
+            ContextMode::Current => match obj.static_at(name, self.origin()) {
+                Some(v) => StaticSeries::One((v.clone(), self.span())),
                 None => StaticSeries::Many(Vec::new()),
             },
+            // Each recorded entry clipped to the horizon; one in force at
+            // the origin starts there.
             ContextMode::Recorded => {
-                // Clip each entry to [origin, global_end] and shift to local
-                // ticks; an entry in force *at* the origin clips to start at
-                // local 0.
-                let mut out = Vec::new();
-                for (value, iv) in obj.static_series(name, self.global_end()) {
-                    let lo = iv.begin().max(self.origin);
-                    let hi = iv.end();
-                    if hi < self.origin {
-                        continue;
+                let mut series = obj.static_series(name, self.horizon.end());
+                series.retain_mut(|(_, iv)| match iv.intersect(self.span()) {
+                    Some(clipped) => {
+                        *iv = clipped;
+                        true
                     }
-                    out.push((value, Interval::new(lo - self.origin, hi - self.origin)));
-                }
-                StaticSeries::Many(out)
+                    None => false,
+                });
+                StaticSeries::Many(series)
             }
         }
     }
 
-    /// A scalar dynamic attribute's polynomial pieces in local ticks.
-    fn dynamic_series(&self, obj: &MovingObject, name: &str) -> Vec<(Interval, [f64; 3])> {
-        let coeffs = |state: &crate::dynamic::DynamicAttribute| -> [f64; 3] {
-            // value(τ) for local τ:  v + f((τ + origin) − updatetime)
-            let delta = self.origin as f64 - state.updatetime as f64;
-            match state.function {
-                AttrFunction::Linear(s) => [0.0, s, state.value + s * delta],
-                AttrFunction::Quadratic { accel, slope } => [
-                    accel,
-                    2.0 * accel * delta + slope,
-                    state.value + accel * delta * delta + slope * delta,
-                ],
-            }
+    /// A scalar dynamic attribute's pieces on the horizon, each anchored at
+    /// its state's `updatetime`.
+    fn dynamic_series(&self, obj: &MovingObject, name: &str) -> Vec<(Interval, Tick, [f64; 3])> {
+        // value(t) = v + f(t − updatetime)
+        let piece = |iv: Interval, state: &DynamicAttribute| {
+            let coeffs = match state.function {
+                AttrFunction::Linear(s) => [0.0, s, state.value],
+                AttrFunction::Quadratic { accel, slope } => [accel, slope, state.value],
+            };
+            (iv, state.updatetime, coeffs)
         };
         match self.mode {
-            ContextMode::Current => match obj.dynamic_at(name, self.origin) {
-                Some(state) => {
-                    vec![(Interval::new(0, self.horizon.end()), coeffs(&state))]
-                }
+            ContextMode::Current => match obj.dynamic_at(name, self.origin()) {
+                Some(state) => vec![piece(self.span(), &state)],
                 None => Vec::new(),
             },
             ContextMode::Recorded => {
                 let Some(history) = obj.dynamic_history(name) else {
                     return Vec::new();
                 };
-                let mut out = Vec::new();
-                for (i, state) in history.iter().enumerate() {
-                    let from_global = state.updatetime.max(self.origin);
-                    let until_global = history
+                // Each state holds until the next one's updatetime; before
+                // the first explicit set the attribute is undefined (no
+                // piece), matching the static-attribute convention.
+                let until = |i: usize| {
+                    history
                         .get(i + 1)
-                        .map(|n| n.updatetime.saturating_sub(1))
-                        .unwrap_or(self.global_end())
-                        .min(self.global_end());
-                    if until_global < self.origin || from_global > until_global {
-                        continue;
-                    }
-                    // A state set before the origin is in force from local 0.
-                    let lo = from_global - self.origin;
-                    let hi = until_global - self.origin;
-                    out.push((Interval::new(lo, hi), coeffs(state)));
-                }
-                // Before its first explicit set the attribute is undefined
-                // (no piece), matching the static-attribute convention.
-                out
-            }
-        }
-    }
-
-    /// [`EvalContext::trajectory`] of an object already in hand.
-    fn trajectory_of(&self, obj: &MovingObject) -> Option<Trajectory> {
-        let traj = obj.trajectory()?;
-        match self.mode {
-            ContextMode::Current => {
-                // Single leg: the motion in force at the origin, rebased to
-                // local tick 0.
-                let leg = traj.leg_at(self.origin);
-                let p = leg.position_at_tick(self.origin);
-                Some(Trajectory::new(MovingPoint::new(p, 0, leg.velocity)))
-            }
-            ContextMode::Recorded => {
-                let mut local: Option<Trajectory> = None;
-                for (leg, lo, _hi) in traj.legs_between(self.origin, self.global_end()) {
-                    let p = leg.position_at_tick(lo);
-                    let local_tick = lo - self.origin;
-                    match &mut local {
-                        None => {
-                            local = Some(Trajectory::new(MovingPoint::new(
-                                p,
-                                local_tick,
-                                leg.velocity,
-                            )))
-                        }
-                        Some(t) => t.update_position_and_velocity(local_tick, p, leg.velocity),
-                    }
-                }
-                local
+                        .map_or(Tick::MAX, |next| next.updatetime.saturating_sub(1))
+                };
+                history
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, state)| {
+                        let iv = Interval::try_new(state.updatetime, until(i))?;
+                        Some(piece(iv.intersect(self.span())?, state))
+                    })
+                    .collect()
             }
         }
     }
@@ -207,9 +165,9 @@ impl EvalContext for ObjectView<'_, '_> {
         self.ctx.object_ids()
     }
 
-    fn trajectory(&self, id: u64) -> Option<Trajectory> {
+    fn trajectory(&self, id: u64) -> Option<Cow<'_, Trajectory>> {
         if id == self.id {
-            self.ctx.trajectory_of(self.obj)
+            self.obj.trajectory().map(Cow::Borrowed)
         } else {
             self.ctx.trajectory(id)
         }
@@ -241,8 +199,11 @@ impl EvalContext for DbContext<'_> {
         self.db.len()
     }
 
-    fn trajectory(&self, id: u64) -> Option<Trajectory> {
-        self.trajectory_of(self.db.object(id).ok()?)
+    /// The stored trajectory, lent.  In both modes the legs on the horizon
+    /// are the history the query sees: a current context starts at the
+    /// clock, where the last leg is in force and no later one exists.
+    fn trajectory(&self, id: u64) -> Option<Cow<'_, Trajectory>> {
+        self.db.object(id).ok()?.trajectory().map(Cow::Borrowed)
     }
 
     fn attr(&self, id: u64, name: &str) -> StoredAttr {
@@ -268,7 +229,7 @@ impl EvalContext for DbContext<'_> {
         // The box `contains` can accept in, so the candidates hold every
         // object the scan's `inside_polygon` keeps.
         self.db
-            .index_window_candidates(self.origin, self.global_end(), &region.reach())
+            .index_window_candidates(self.horizon.start(), self.horizon.end(), &region.reach())
     }
 
     fn for_each_candidate(
@@ -303,29 +264,35 @@ mod tests {
     }
 
     #[test]
-    fn current_mode_extrapolates_from_origin() {
+    fn current_mode_extrapolates_from_the_clock() {
         let mut database = db();
         database.advance_clock(10);
         database.update_motion(1, Velocity::new(0.0, 2.0)).unwrap();
         database.advance_clock(5); // now = 15, at (10, 10)
-        let ctx = DbContext::new(&database, 15, ContextMode::Current);
+        let ctx = database.current_context();
+        assert_eq!(ctx.horizon(), Horizon::between(15, 115));
         let traj = ctx.trajectory(1).unwrap();
-        // Local tick 0 == global 15: position (10, 10), heading north.
-        assert_eq!(traj.position_at_tick(0), Point::new(10.0, 10.0));
-        assert_eq!(traj.position_at_tick(5), Point::new(10.0, 20.0));
-        assert_eq!(traj.legs().len(), 1);
+        // Tick 15: position (10, 10), heading north, on the one leg in
+        // force from the clock on.
+        assert_eq!(traj.position_at_tick(15), Point::new(10.0, 10.0));
+        assert_eq!(traj.position_at_tick(20), Point::new(10.0, 20.0));
+        assert_eq!(traj.legs_between(15, 115).count(), 1);
         // Static attr spans the horizon.
         assert_eq!(
             ctx.attr(1, "PRICE"),
             StoredAttr::Static(StaticSeries::One((
                 Value::from(80.0),
-                Interval::new(0, 100)
+                Interval::new(15, 115)
             )))
         );
-        // Fuel: 100 - t_global = 85 at origin, draining.
+        // Fuel: 100 - t, set at tick 0, so 85 at the clock, draining.
         assert_eq!(
             ctx.attr(1, "FUEL"),
-            StoredAttr::Dynamic(vec![(Interval::new(0, 100), [0.0, -1.0, 85.0])])
+            StoredAttr::Dynamic(vec![(Interval::new(15, 115), 0, [0.0, -1.0, 100.0])])
+        );
+        assert_eq!(
+            most_ftl::semantics::eval_attr(&ctx, 1, "FUEL", 15).unwrap(),
+            Value::from(85.0)
         );
     }
 
@@ -335,7 +302,7 @@ mod tests {
         database.advance_clock(10);
         database.update_motion(1, Velocity::new(2.0, 0.0)).unwrap();
         database.advance_clock(10); // now = 20
-        let ctx = DbContext::new(&database, 0, ContextMode::Recorded);
+        let ctx = database.recorded_context(0);
         let traj = ctx.trajectory(1).unwrap();
         assert_eq!(traj.position_at_tick(5), Point::new(5.0, 0.0));
         assert_eq!(traj.position_at_tick(15), Point::new(20.0, 0.0));
@@ -343,16 +310,22 @@ mod tests {
     }
 
     #[test]
-    fn recorded_mode_shifts_origin() {
+    fn recorded_mode_starts_at_the_origin() {
         let mut database = db();
         database.advance_clock(10);
         database.update_motion(1, Velocity::new(2.0, 0.0)).unwrap();
-        let ctx = DbContext::new(&database, 5, ContextMode::Recorded);
+        let ctx = database.recorded_context(5);
+        assert_eq!(ctx.horizon(), Horizon::between(5, 105));
         let traj = ctx.trajectory(1).unwrap();
-        // Local 0 == global 5: position (5, 0), still at speed 1.
-        assert_eq!(traj.position_at_tick(0), Point::new(5.0, 0.0));
-        // Local 5 == global 10: the update kicks in.
-        assert_eq!(traj.velocity_at_tick(5), Velocity::new(2.0, 0.0));
+        // Tick 5: position (5, 0), still at speed 1.
+        assert_eq!(traj.position_at_tick(5), Point::new(5.0, 0.0));
+        // Tick 10: the update kicks in.
+        assert_eq!(traj.velocity_at_tick(10), Velocity::new(2.0, 0.0));
+        let legs: Vec<_> = traj
+            .legs_between(5, 105)
+            .map(|(_, lo, hi)| (lo, hi))
+            .collect();
+        assert_eq!(legs, vec![(5, 9), (10, 105)]);
     }
 
     #[test]
@@ -360,14 +333,20 @@ mod tests {
         let mut database = db();
         database.advance_clock(10);
         database.set_static(1, "PRICE", Value::from(95.0)).unwrap();
-        let ctx = DbContext::new(&database, 0, ContextMode::Recorded);
+        let ctx = database.recorded_context(0);
         let StoredAttr::Static(series) = ctx.attr(1, "PRICE") else {
             panic!("a static series");
         };
         assert_eq!(series.len(), 2);
         assert_eq!(series[0], (Value::from(80.0), Interval::new(0, 9)));
-        assert_eq!(series[1].0, Value::from(95.0));
-        assert_eq!(series[1].1.begin(), 10);
+        assert_eq!(series[1], (Value::from(95.0), Interval::new(10, 100)));
+        // From a later origin the entry in force there is clipped to start
+        // at it, on the same ticks.
+        let StoredAttr::Static(series) = database.recorded_context(4).attr(1, "PRICE") else {
+            panic!("a static series");
+        };
+        assert_eq!(series[0], (Value::from(80.0), Interval::new(4, 9)));
+        assert_eq!(series[1], (Value::from(95.0), Interval::new(10, 104)));
     }
 
     #[test]
@@ -378,23 +357,27 @@ mod tests {
         database
             .set_dynamic_scalar(1, "FUEL", Some(100.0), Some(AttrFunction::Linear(-2.0)))
             .unwrap();
-        let ctx = DbContext::new(&database, 0, ContextMode::Recorded);
+        let ctx = database.recorded_context(0);
         let StoredAttr::Dynamic(series) = ctx.attr(1, "FUEL") else {
             panic!("dynamic pieces");
         };
         assert_eq!(series.len(), 2);
-        // First piece: 100 - t over [0, 19].
-        assert_eq!(series[0].0, Interval::new(0, 19));
-        assert_eq!(series[0].1, [0.0, -1.0, 100.0]);
-        // Second piece: 100 - 2(t - 20) = 140 - 2t from 20 on.
-        assert_eq!(series[1].0.begin(), 20);
-        assert_eq!(series[1].1, [0.0, -2.0, 140.0]);
+        // First piece: 100 - t over [0, 19], anchored at tick 0.
+        assert_eq!(series[0], (Interval::new(0, 19), 0, [0.0, -1.0, 100.0]));
+        // Second piece: 100 - 2(t - 20) from 20 on, anchored at tick 20.
+        assert_eq!(series[1], (Interval::new(20, 100), 20, [0.0, -2.0, 100.0]));
+        for (t, fuel) in [(0, 100.0), (19, 81.0), (20, 100.0), (25, 90.0)] {
+            assert_eq!(
+                most_ftl::semantics::eval_attr(&ctx, 1, "FUEL", t).unwrap(),
+                Value::from(fuel)
+            );
+        }
     }
 
     #[test]
     fn missing_object_yields_empty() {
         let database = db();
-        let ctx = DbContext::new(&database, 0, ContextMode::Current);
+        let ctx = database.current_context();
         assert!(ctx.trajectory(99).is_none());
         assert_eq!(ctx.attr(99, "PRICE"), StoredAttr::Missing);
         assert_eq!(ctx.attr(99, "FUEL"), StoredAttr::Missing);

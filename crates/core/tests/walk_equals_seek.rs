@@ -19,6 +19,7 @@ use most_ftl::{evaluate_query, Query};
 use most_spatial::{Point, Polygon, Rect, Trajectory, Velocity};
 use most_temporal::Horizon;
 use most_testkit::check::{bools, ints, tuple2, tuple3, tuple4, vecs, Check, Gen};
+use std::borrow::Cow;
 
 /// Every [`DbContext`] method but the candidate walk: atoms evaluated
 /// through it look each candidate up by id.
@@ -34,7 +35,7 @@ impl EvalContext for Seek<'_> {
     fn object_count(&self) -> usize {
         self.0.object_count()
     }
-    fn trajectory(&self, id: u64) -> Option<Trajectory> {
+    fn trajectory(&self, id: u64) -> Option<Cow<'_, Trajectory>> {
         self.0.trajectory(id)
     }
     fn attr(&self, id: u64, name: &str) -> StoredAttr {

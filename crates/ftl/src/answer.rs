@@ -60,11 +60,6 @@ impl Answer {
             .collect()
     }
 
-    /// The instantaneous answer at tick 0 (query entry time).
-    pub fn now(&self) -> Vec<&AnswerTuple> {
-        self.at_tick(0)
-    }
-
     /// Flattens to the paper's `(instantiation, begin, end)` rows, sorted by
     /// instantiation then interval.
     pub fn rows(&self) -> Vec<(Vec<Value>, Interval)> {
@@ -208,7 +203,7 @@ mod tests {
         assert_eq!(a.at_tick(13).len(), 2);
         assert_eq!(a.at_tick(16).len(), 0);
         assert_eq!(a.at_tick(22).len(), 1);
-        assert!(a.now().is_empty());
+        assert!(a.at_tick(0).is_empty());
     }
 
     #[test]

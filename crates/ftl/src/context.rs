@@ -1,15 +1,17 @@
 //! The evaluation context: how the FTL evaluator sees the database.
 //!
 //! The appendix assumes "the current database state reflects the positions
-//! of objects as of [time zero], and for each dynamic variable we have
-//! functions denoting how these variables change over time", so that "the
-//! future history of the database is implicitly defined".  [`EvalContext`]
-//! is that implicit history: the object domain, each object's (piecewise-)
-//! linear motion, its static attributes and the named regions queries may
-//! reference.
+//! of objects as of [the evaluation time], and for each dynamic variable we
+//! have functions denoting how these variables change over time", so that
+//! "the future history of the database is implicitly defined".
+//! [`EvalContext`] is that implicit history: the object domain, each
+//! object's (piecewise-) linear motion, its static attributes and the named
+//! regions queries may reference.
 //!
-//! For an *instantaneous* or *continuous* query every trajectory has a
-//! single leg (the current motion vector, extrapolated).  For a *persistent*
+//! A context speaks the database's clock: its horizon starts at the tick
+//! the evaluation begins at, and every trajectory, series and answer is in
+//! global ticks.  For an *instantaneous* or *continuous* query the motion in
+//! force at the horizon start extrapolates forward.  For a *persistent*
 //! query the trajectory and attribute series contain the recorded updates —
 //! which is precisely why persistent evaluation "requires saving of
 //! information about the way the database is updated over time"
@@ -18,13 +20,15 @@
 use crate::error::FtlResult;
 use most_dbms::value::Value;
 use most_spatial::{Polygon, Trajectory};
-use most_temporal::{Horizon, Interval};
+use most_temporal::{Horizon, Interval, Tick};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-/// The evaluator's read-only view of a MOST database history starting at
-/// tick 0 (= the query entry time, per the appendix convention).
+/// The evaluator's read-only view of a MOST database history over the
+/// global ticks of its [`horizon`](EvalContext::horizon).
 pub trait EvalContext: AsEvalContext {
-    /// The finite evaluation horizon (query expiration time).
+    /// The finite evaluation horizon: from the tick the evaluation begins
+    /// at to the query expiration time.
     fn horizon(&self) -> Horizon;
 
     /// The active domain: ids of all objects, ascending.
@@ -35,9 +39,10 @@ pub trait EvalContext: AsEvalContext {
         self.object_ids().len()
     }
 
-    /// The motion of object `id` over the horizon (single-leg for
-    /// instantaneous/continuous evaluation).
-    fn trajectory(&self, id: u64) -> Option<Trajectory>;
+    /// The motion of object `id`, in global ticks.  A context that stores
+    /// the trajectory lends it; one that assembles it from other columns
+    /// builds it.  Legs outside the horizon are never read.
+    fn trajectory(&self, id: u64) -> Option<Cow<'_, Trajectory>>;
 
     /// What object `id` stores under the non-motion attribute `name`, read
     /// once: the evaluator's numeric analysis and its per-tick semantics
@@ -104,12 +109,14 @@ pub enum StoredAttr {
     /// return the recorded piecewise history.
     Static(StaticSeries),
     /// A *scalar dynamic attribute*'s piecewise-polynomial series: for each
-    /// validity interval, coefficients `[a, b, c]` of `a·t² + b·t + c`
-    /// (local evaluation time).  The paper's model covers "dynamic
-    /// attributes \[that\] represent, for example, temperature, or fuel
-    /// consumption".  A dynamic attribute shadows a static one of the same
-    /// name; ticks outside its pieces are undefined.
-    Dynamic(Vec<(Interval, [f64; 3])>),
+    /// validity interval, its anchor tick `u` and coefficients `[a, b, c]`
+    /// of `a·(t − u)² + b·(t − u) + c` at global tick `t` (the stored
+    /// `updatetime` and function, so no coefficient grows with the clock).
+    /// The paper's model covers "dynamic attributes \[that\] represent,
+    /// for example, temperature, or fuel consumption".  A dynamic attribute
+    /// shadows a static one of the same name; ticks outside its pieces are
+    /// undefined.
+    Dynamic(Vec<(Interval, Tick, [f64; 3])>),
 }
 
 /// A static attribute's `(value, interval)` pairs, disjoint and in order.
@@ -178,7 +185,7 @@ impl MemoryContext {
         name: impl Into<String>,
         value: impl Into<Value>,
     ) -> &mut Self {
-        let iv = Interval::new(0, self.horizon.end());
+        let iv = Interval::new(self.horizon.start(), self.horizon.end());
         if let Some(o) = self.objects.get_mut(&id) {
             o.attrs
                 .insert(name.into(), StaticSeries::One((value.into(), iv)));
@@ -216,8 +223,8 @@ impl EvalContext for MemoryContext {
         self.objects.keys().copied().collect()
     }
 
-    fn trajectory(&self, id: u64) -> Option<Trajectory> {
-        self.objects.get(&id).map(|o| o.trajectory.clone())
+    fn trajectory(&self, id: u64) -> Option<Cow<'_, Trajectory>> {
+        self.objects.get(&id).map(|o| Cow::Borrowed(&o.trajectory))
     }
 
     fn attr(&self, id: u64, name: &str) -> StoredAttr {
@@ -261,7 +268,7 @@ impl EvalContext for Restricted<'_> {
         self.ids.len()
     }
 
-    fn trajectory(&self, id: u64) -> Option<Trajectory> {
+    fn trajectory(&self, id: u64) -> Option<Cow<'_, Trajectory>> {
         self.inner.trajectory(id)
     }
 

@@ -30,6 +30,7 @@ use most_dbms::value::Value;
 use most_spatial::predicates::{inside_polygon, piecewise, within_sphere};
 use most_spatial::{MovingPoint, Point, Trajectory};
 use most_temporal::{Interval, IntervalSet, Tick};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 /// Evaluates a query with the appendix algorithm, producing the
@@ -69,23 +70,17 @@ pub fn evaluate_query_over(ctx: &dyn EvalContext, q: &Query, ids: Vec<u64>) -> F
 
 /// Whether each row of `q`'s answer depends on the object it names alone:
 /// one target, which is the only free variable and the only variable in
-/// an object position, no object constant, and no `time`, which counts
-/// from the evaluation's first tick and so ties a row to when it was
-/// evaluated.  Every operator then works per object, over any domain the
-/// object is in (DESIGN.md §6).
+/// an object position, and no object constant.  Every operator then works
+/// per object, over any domain the object is in (DESIGN.md §6).
 pub fn is_per_object(q: &Query) -> bool {
     let [target] = q.targets.as_slice() else {
         return false;
     };
-    let mut reads_time = false;
-    q.formula
-        .visit_terms(&mut |t| t.visit(&mut |s| reads_time |= matches!(s, Term::Time)));
     q.formula.free_vars().iter().all(|v| v == target)
         && syntactic_object_vars(&q.formula)
             .iter()
             .all(|v| v == target)
         && !q.formula.mentions_object_constant()
-        && !reads_time
 }
 
 /// Evaluates a bare formula to its relation `R_f`.  `extra_object_vars`
@@ -248,13 +243,14 @@ fn eval_formula(
                     (Some(p), Some(a)) => (p, a),
                     _ => return Ok(IntervalSet::empty()),
                 };
-                // The region rides with the anchor: o(t) ∈ P + (a(t) − a(0))
-                // ⇔ the *relative* motion o(t) − a(t) + a(0) lies in P.
-                // Relative motion is piecewise linear, so the static
-                // polygon routine applies per aligned leg span.
-                let a0 = anch.position_at_tick(0);
+                // The region rides with the anchor from the horizon start s:
+                // o(t) ∈ P + (a(t) − a(s)) ⇔ the *relative* motion
+                // o(t) − a(t) + a(s) lies in P.  Relative motion is
+                // piecewise linear, so the static polygon routine applies
+                // per aligned leg span.
+                let a0 = anch.position_at_tick(h.start());
                 let mut acc = IntervalSet::empty();
-                for (leg_p, lo_p, hi_p) in point.legs_between(0, h.end()) {
+                for (leg_p, lo_p, hi_p) in point.legs_between(h.start(), h.end()) {
                     for (leg_a, lo, hi) in anch.legs_between(lo_p, hi_p) {
                         if lo > hi {
                             continue;
@@ -340,7 +336,7 @@ fn eval_formula(
         }
         Formula::Eventually(a) => {
             most_obs::inc("ftl.temporal_ops");
-            Ok(eval_formula(ctx, a, obj_vars)?.map_sets(|s| s.eventually()))
+            Ok(eval_formula(ctx, a, obj_vars)?.map_sets(|s| s.eventually(h)))
         }
         Formula::Always(a) => {
             most_obs::inc("ftl.temporal_ops");
@@ -348,11 +344,11 @@ fn eval_formula(
         }
         Formula::EventuallyWithin(c, a) => {
             most_obs::inc("ftl.temporal_ops");
-            Ok(eval_formula(ctx, a, obj_vars)?.map_sets(|s| s.eventually_within(*c)))
+            Ok(eval_formula(ctx, a, obj_vars)?.map_sets(|s| s.eventually_within(*c, h)))
         }
         Formula::EventuallyAfter(c, a) => {
             most_obs::inc("ftl.temporal_ops");
-            Ok(eval_formula(ctx, a, obj_vars)?.map_sets(|s| s.eventually_after(*c)))
+            Ok(eval_formula(ctx, a, obj_vars)?.map_sets(|s| s.eventually_after(*c, h)))
         }
         Formula::AlwaysFor(c, a) => {
             most_obs::inc("ftl.temporal_ops");
@@ -607,10 +603,14 @@ fn single_var_rows(
 }
 
 /// Resolves a point term (object variable / POINT literal) to its motion.
-fn point_motion(ctx: &dyn EvalContext, env: &Env, term: &Term) -> FtlResult<Option<Trajectory>> {
+fn point_motion<'c>(
+    ctx: &'c dyn EvalContext,
+    env: &Env,
+    term: &Term,
+) -> FtlResult<Option<Cow<'c, Trajectory>>> {
     match term {
-        Term::Point(x, y) => Ok(Some(Trajectory::new(MovingPoint::stationary(Point::new(
-            *x, *y,
+        Term::Point(x, y) => Ok(Some(Cow::Owned(Trajectory::new(MovingPoint::stationary(
+            Point::new(*x, *y),
         ))))),
         Term::Var(name) => match env.get(name) {
             Some(Value::Id(id)) => Ok(ctx.trajectory(*id)),
@@ -631,15 +631,14 @@ fn point_motion(ctx: &dyn EvalContext, env: &Env, term: &Term) -> FtlResult<Opti
 
 /// `WITHIN_SPHERE` over piecewise-linear motions: the horizon is split at
 /// every motion-vector switch, and the single-leg routine runs per span.
-fn within_sphere_piecewise(r: f64, trajs: &[Trajectory], h: most_temporal::Horizon) -> IntervalSet {
-    let mut cuts: BTreeSet<Tick> = BTreeSet::new();
-    cuts.insert(0);
+fn within_sphere_piecewise(
+    r: f64,
+    trajs: &[Cow<'_, Trajectory>],
+    h: most_temporal::Horizon,
+) -> IntervalSet {
+    let mut cuts: BTreeSet<Tick> = BTreeSet::from([h.start()]);
     for traj in trajs {
-        for leg in traj.legs() {
-            if leg.since <= h.end() {
-                cuts.insert(leg.since);
-            }
-        }
+        cuts.extend(traj.legs_between(h.start(), h.end()).map(|(_, lo, _)| lo));
     }
     let cuts: Vec<Tick> = cuts.into_iter().collect();
     let mut acc = IntervalSet::empty();
@@ -946,7 +945,7 @@ mod tests {
         fn object_count(&self) -> usize {
             self.inner.object_count()
         }
-        fn trajectory(&self, id: u64) -> Option<Trajectory> {
+        fn trajectory(&self, id: u64) -> Option<std::borrow::Cow<'_, Trajectory>> {
             self.inner.trajectory(id)
         }
         fn attr(&self, id: u64, name: &str) -> StoredAttr {
@@ -1017,6 +1016,9 @@ mod tests {
             "RETRIEVE o WHERE true",
             "RETRIEVE o WHERE [x <- o.SPEED] Always (o.SPEED = x)",
             "RETRIEVE o WHERE INSIDE(o, P) Until o.PRICE <= 5",
+            // `time` reads the clock, the same for every object.
+            "RETRIEVE o WHERE time <= 10 AND INSIDE(o, P)",
+            "RETRIEVE o WHERE Always (time <= 25 OR OUTSIDE(o, P))",
         ] {
             assert!(is_per_object(&parsed(src)), "{src}");
         }
@@ -1024,7 +1026,6 @@ mod tests {
             "RETRIEVE o, n WHERE o <> n AND DIST(o, n) <= 40",
             "RETRIEVE o WHERE o <> n AND DIST(o, n) <= 40",
             "RETRIEVE o WHERE WITHIN_SPHERE(10, o, n)",
-            "RETRIEVE o WHERE time <= 10 AND INSIDE(o, P)",
         ] {
             assert!(!is_per_object(&parsed(src)), "{src}");
         }

@@ -12,6 +12,10 @@
 //! per-tick evaluation ([`crate::semantics::eval_term`]) so answers are
 //! exact at integer clock ticks.
 //!
+//! A piece's interval is in global ticks; its polynomial is in
+//! `τ = t − h.start()`, so that its coefficients stay the size of the
+//! values near the evaluation's first tick however far the clock has run.
+//!
 //! Supported fragment (violations raise [`FtlError::Unsupported`]):
 //! products where at least one factor has degree ≤ 1 per piece (so the
 //! product stays quadratic), division by piecewise constants, and `DIST`
@@ -29,10 +33,11 @@ use most_spatial::{MovingPoint, Point, Trajectory};
 use most_temporal::{Horizon, Interval, IntervalSet, Tick};
 use std::borrow::Cow;
 
-/// A quadratic `a·t² + b·t + c` valid on a tick interval.
+/// A quadratic `a·τ² + b·τ + c` in `τ = t − h.start()`, valid on a tick
+/// interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuadPiece {
-    /// Validity range (ticks).
+    /// Validity range (global ticks).
     pub iv: Interval,
     /// Quadratic coefficient.
     pub a: f64,
@@ -102,7 +107,7 @@ pub fn is_motion_attr(name: &str) -> bool {
 /// ids; assignment-bound variables already pinned to constants).
 pub fn build_form(ctx: &dyn EvalContext, env: &Env, term: &Term) -> FtlResult<TermForm> {
     let h = ctx.horizon();
-    let full = Interval::new(0, h.end());
+    let full = Interval::new(h.start(), h.end());
     match term {
         Term::Const(v) => Ok(TermForm::Invariant(v.clone())),
         Term::Var(name) => env
@@ -114,7 +119,7 @@ pub fn build_form(ctx: &dyn EvalContext, env: &Env, term: &Term) -> FtlResult<Te
             iv: full,
             a: 0.0,
             b: 1.0,
-            c: 0.0,
+            c: h.start() as f64,
         }])),
         Term::Point(..) => Err(FtlError::Type(
             "a POINT literal has no scalar value; use it inside DIST".into(),
@@ -154,21 +159,22 @@ fn build_attr_form(ctx: &dyn EvalContext, id: u64, attr: &str, h: Horizon) -> Ft
                 return Ok(TermForm::Invariant(Value::Null));
             };
             let mut pieces = Vec::new();
-            for (leg, lo, hi) in traj.legs_between(0, h.end()) {
+            for (leg, lo, hi) in traj.legs_between(h.start(), h.end()) {
                 let iv = Interval::new(lo, hi);
+                // x(τ) = x(h.start()) + vx·τ
+                let p0 = leg.position_at_tick(h.start());
                 let piece = match attr {
-                    // x(t) = anchor.x + vx·(t − since)
                     "X" => QuadPiece {
                         iv,
                         a: 0.0,
                         b: leg.velocity.dx,
-                        c: leg.anchor.x - leg.velocity.dx * leg.since as f64,
+                        c: p0.x,
                     },
                     "Y" => QuadPiece {
                         iv,
                         a: 0.0,
                         b: leg.velocity.dy,
-                        c: leg.anchor.y - leg.velocity.dy * leg.since as f64,
+                        c: p0.y,
                     },
                     "VX" => QuadPiece::constant(iv, leg.velocity.dx),
                     "VY" => QuadPiece::constant(iv, leg.velocity.dy),
@@ -179,10 +185,20 @@ fn build_attr_form(ctx: &dyn EvalContext, id: u64, attr: &str, h: Horizon) -> Ft
             Ok(TermForm::Quad(pieces))
         }
         _ => Ok(match ctx.attr(id, attr) {
+            // a·(t − u)² + b·(t − u) + c, re-expanded around the horizon
+            // start: t − u = τ + δ.
             StoredAttr::Dynamic(pieces) if !pieces.is_empty() => TermForm::Quad(
                 pieces
                     .into_iter()
-                    .map(|(iv, [a, b, c])| QuadPiece { iv, a, b, c })
+                    .map(|(iv, u, [a, b, c])| {
+                        let delta = h.start() as f64 - u as f64;
+                        QuadPiece {
+                            iv,
+                            a,
+                            b: 2.0 * a * delta + b,
+                            c: c + a * delta * delta + b * delta,
+                        }
+                    })
                     .collect(),
             ),
             StoredAttr::Static(series) if !series.is_empty() => TermForm::Values(series.to_vec()),
@@ -193,10 +209,14 @@ fn build_attr_form(ctx: &dyn EvalContext, id: u64, attr: &str, h: Horizon) -> Ft
 
 /// Resolves a point-valued term to its motion (trajectory or stationary
 /// literal); `None` when undefined.
-fn resolve_motion(ctx: &dyn EvalContext, env: &Env, term: &Term) -> FtlResult<Option<Trajectory>> {
+fn resolve_motion<'c>(
+    ctx: &'c dyn EvalContext,
+    env: &Env,
+    term: &Term,
+) -> FtlResult<Option<Cow<'c, Trajectory>>> {
     match term {
-        Term::Point(x, y) => Ok(Some(Trajectory::new(MovingPoint::stationary(Point::new(
-            *x, *y,
+        Term::Point(x, y) => Ok(Some(Cow::Owned(Trajectory::new(MovingPoint::stationary(
+            Point::new(*x, *y),
         ))))),
         _ => match build_form(ctx, env, term)? {
             TermForm::Invariant(Value::Id(id)) => Ok(ctx.trajectory(id)),
@@ -211,15 +231,15 @@ fn resolve_motion(ctx: &dyn EvalContext, env: &Env, term: &Term) -> FtlResult<Op
 /// Squared-distance pieces between two piecewise-linear motions.
 fn dist_sq_pieces(a: &Trajectory, b: &Trajectory, h: Horizon) -> Vec<QuadPiece> {
     let mut out = Vec::new();
-    for (leg_a, lo_a, hi_a) in a.legs_between(0, h.end()) {
+    for (leg_a, lo_a, hi_a) in a.legs_between(h.start(), h.end()) {
         for (leg_b, lo_b, hi_b) in b.legs_between(lo_a, hi_a) {
             let lo = lo_a.max(lo_b);
             let hi = hi_a.min(hi_b);
             if lo > hi {
                 continue;
             }
-            let rel = leg_a.relative_to(leg_b);
-            let p0 = rel.position_at(0.0);
+            let rel = leg_a.relative_at(leg_b, h.start());
+            let p0 = rel.anchor;
             let v = rel.velocity;
             out.push(QuadPiece {
                 iv: Interval::new(lo, hi),
@@ -293,7 +313,7 @@ fn arith_forms(op: ArithOp, fa: TermForm, fb: TermForm, h: Horizon) -> FtlResult
 /// Coerces a form into piecewise quadratics; errors on non-numeric input or
 /// on `DIST` inside arithmetic.
 fn to_quad(f: TermForm, h: Horizon) -> FtlResult<Vec<QuadPiece>> {
-    let full = Interval::new(0, h.end());
+    let full = Interval::new(h.start(), h.end());
     match f {
         TermForm::Quad(p) => Ok(p),
         TermForm::Invariant(v) => match v.as_f64() {
@@ -437,8 +457,8 @@ impl<'q> CmpPlan<'q> {
                 .intervals()
                 .iter()
                 .map(|iv| most_spatial::roots::RealInterval {
-                    lo: iv.begin() as f64,
-                    hi: iv.end() as f64,
+                    lo: (iv.begin() - h.start()) as f64,
+                    hi: (iv.end() - h.start()) as f64,
                 })
                 .collect(),
         );
@@ -460,7 +480,7 @@ fn is_closed(term: &Term) -> bool {
 /// fold that fails or leaves the finite numbers keeps the built form and
 /// the error it reports (a division by zero).
 fn operand_form(ctx: &dyn EvalContext, env: &Env, term: &Term) -> FtlResult<TermForm> {
-    match is_closed(term).then(|| eval_term(ctx, env, term, 0)) {
+    match is_closed(term).then(|| eval_term(ctx, env, term, ctx.horizon().start())) {
         Some(Ok(v)) if v.as_f64().is_some_and(f64::is_finite) => Ok(TermForm::Invariant(v)),
         _ => build_form(ctx, env, term),
     }
@@ -525,7 +545,7 @@ fn values_vs_const(op: CmpOp, series: &[(Value, Interval)], v: &Value, h: Horizo
 
 /// The ticks of `intervals` that lie on the horizon.
 fn within(h: Horizon, intervals: impl Iterator<Item = Interval>) -> IntervalSet {
-    let full = Interval::new(0, h.end());
+    let full = Interval::new(h.start(), h.end());
     IntervalSet::from_intervals(intervals.filter_map(|iv| iv.intersect(full)))
 }
 
@@ -543,6 +563,14 @@ fn solve_aligned(
     Ok(out)
 }
 
+/// `iv` in `τ = t − h.start()`.
+fn local(iv: Interval, h: Horizon) -> (f64, f64) {
+    (
+        (iv.begin() - h.start()) as f64,
+        (iv.end() - h.start()) as f64,
+    )
+}
+
 /// Ticks in `iv` where `x(t) op y(t)` for two quadratics.
 fn quad_cmp(
     op: CmpOp,
@@ -552,19 +580,15 @@ fn quad_cmp(
     h: Horizon,
 ) -> FtlResult<IntervalSet> {
     let (da, db, dc) = (x.a - y.a, x.b - y.b, x.c - y.c);
+    let (lo, hi) = local(iv, h);
+    let tau = |t: Tick| (t - h.start()) as f64;
     let le = || {
-        let sol = solve_quadratic_le(da, db, dc).clipped(iv.begin() as f64, iv.end() as f64);
-        exact_ticks(&sol, h, |t| {
-            let tf = t as f64;
-            x.eval(tf) <= y.eval(tf)
-        })
+        let sol = solve_quadratic_le(da, db, dc).clipped(lo, hi);
+        exact_ticks(&sol, h, |t| x.eval(tau(t)) <= y.eval(tau(t)))
     };
     let ge = || {
-        let sol = solve_quadratic_le(-da, -db, -dc).clipped(iv.begin() as f64, iv.end() as f64);
-        exact_ticks(&sol, h, |t| {
-            let tf = t as f64;
-            x.eval(tf) >= y.eval(tf)
-        })
+        let sol = solve_quadratic_le(-da, -db, -dc).clipped(lo, hi);
+        exact_ticks(&sol, h, |t| x.eval(tau(t)) >= y.eval(tau(t)))
     };
     let piece = IntervalSet::singleton(iv);
     Ok(match op {
@@ -591,35 +615,33 @@ fn sqrt_vs_quad(
             "comparing DIST against a quadratic term would exceed quadratic degree".into(),
         ));
     }
-    // r² = (r.b t + r.c)²
+    // r² = (r.b τ + r.c)²
     let (sa, sb, sc) = (r.b * r.b, 2.0 * r.b * r.c, r.c * r.c);
-    let lo = iv.begin() as f64;
-    let hi = iv.end() as f64;
+    let (lo, hi) = local(iv, h);
+    let tau = |t: Tick| (t - h.start()) as f64;
     let piece = IntervalSet::singleton(iv);
     // ticks where r(t) >= 0 / <= 0 (linear).
     let r_nonneg = || {
         let sol = solve_quadratic_le(0.0, -r.b, -r.c).clipped(lo, hi);
-        exact_ticks(&sol, h, |t| r.eval(t as f64) >= 0.0)
+        exact_ticks(&sol, h, |t| r.eval(tau(t)) >= 0.0)
     };
     let r_nonpos = || {
         let sol = solve_quadratic_le(0.0, r.b, r.c).clipped(lo, hi);
-        exact_ticks(&sol, h, |t| r.eval(t as f64) <= 0.0)
+        exact_ticks(&sol, h, |t| r.eval(tau(t)) <= 0.0)
     };
     // ticks where q(t) <= r(t)² / >= r(t)².
     let q_le_r2 = || {
         let sol = solve_quadratic_le(q.a - sa, q.b - sb, q.c - sc).clipped(lo, hi);
         exact_ticks(&sol, h, |t| {
-            let tf = t as f64;
-            let rv = r.eval(tf);
-            q.eval(tf) <= rv * rv
+            let rv = r.eval(tau(t));
+            q.eval(tau(t)) <= rv * rv
         })
     };
     let q_ge_r2 = || {
         let sol = solve_quadratic_le(sa - q.a, sb - q.b, sc - q.c).clipped(lo, hi);
         exact_ticks(&sol, h, |t| {
-            let tf = t as f64;
-            let rv = r.eval(tf);
-            q.eval(tf) >= rv * rv
+            let rv = r.eval(tau(t));
+            q.eval(tau(t)) >= rv * rv
         })
     };
     let le = || r_nonneg().intersect(&q_le_r2());

@@ -473,7 +473,7 @@ mod tests {
     #[test]
     fn map_sets_applies_transform() {
         let a = rel(&["o"], &[(&[1], &[(3, 5)])]);
-        let m = a.map_sets(|s| s.eventually());
+        let m = a.map_sets(|s| s.eventually(Horizon::new(10)));
         assert_eq!(m.get(&[Value::Id(1)]), Some(&set(&[(0, 5)])));
     }
 }

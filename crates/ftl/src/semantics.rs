@@ -84,7 +84,8 @@ impl Env {
     }
 }
 
-/// Evaluates a term in state `t` under evaluation `env`.
+/// Evaluates a term in state `t` (a global tick; `time` is `t` itself)
+/// under evaluation `env`.
 ///
 /// Undefined values (missing attribute, missing object) evaluate to
 /// [`Value::Null`]; comparisons involving `Null` are unsatisfied, matching
@@ -172,10 +173,10 @@ pub fn eval_attr(ctx: &dyn EvalContext, id: u64, attr: &str, t: Tick) -> FtlResu
             StoredAttr::Dynamic(pieces) => {
                 pieces
                     .iter()
-                    .find(|(iv, _)| iv.contains(t))
-                    .map(|(_, [a, b, c])| {
-                        let tf = t as f64;
-                        Value::from((a * tf + b) * tf + c)
+                    .find(|(iv, ..)| iv.contains(t))
+                    .map(|(_, u, [a, b, c])| {
+                        let d = t as f64 - *u as f64;
+                        Value::from((a * d + b) * d + c)
                     })
             }
         }
@@ -243,7 +244,7 @@ pub fn eval_atom(ctx: &dyn EvalContext, env: &Env, f: &Formula, t: Tick) -> FtlR
             let inside = match (
                 resolve_point(ctx, env, term, t)?,
                 resolve_point(ctx, env, anchor, t)?,
-                resolve_point(ctx, env, anchor, 0)?,
+                resolve_point(ctx, env, anchor, ctx.horizon().start())?,
             ) {
                 (Some(p), Some(a_now), Some(a_start)) => {
                     let offset = a_now.delta(a_start);
@@ -415,7 +416,7 @@ pub fn naive_answer(ctx: &dyn EvalContext, q: &Query) -> FtlResult<crate::answer
             for t in h.ticks() {
                 sat.push(satisfies(ctx, &q.formula, &mut env, t)?);
             }
-            let set = IntervalSet::from_predicate(h, |t| sat[t as usize]);
+            let set = IntervalSet::from_predicate(h, |t| sat[(t - h.start()) as usize]);
             if !set.is_empty() {
                 tuples.push(crate::answer::AnswerTuple {
                     values: inst.clone(),

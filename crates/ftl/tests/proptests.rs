@@ -14,6 +14,7 @@ use most_temporal::{Horizon, Interval, IntervalSet};
 use most_testkit::check::{
     bools, ints, just, one_of, select, tuple2, tuple3, tuple4, vecs, Check, Gen,
 };
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 const H_END: u64 = 60;
@@ -31,7 +32,7 @@ impl EvalContext for PruningContext {
     fn object_ids(&self) -> Vec<u64> {
         self.0.object_ids()
     }
-    fn trajectory(&self, id: u64) -> Option<Trajectory> {
+    fn trajectory(&self, id: u64) -> Option<Cow<'_, Trajectory>> {
         self.0.trajectory(id)
     }
     fn attr(&self, id: u64, name: &str) -> StoredAttr {
@@ -323,13 +324,13 @@ impl EvalContext for Shadowing {
     fn object_ids(&self) -> Vec<u64> {
         self.0.object_ids()
     }
-    fn trajectory(&self, id: u64) -> Option<Trajectory> {
+    fn trajectory(&self, id: u64) -> Option<Cow<'_, Trajectory>> {
         self.0.trajectory(id)
     }
     fn attr(&self, id: u64, name: &str) -> StoredAttr {
         match self.1.get(&id) {
             Some(&(from, coeffs)) if name == "PRICE" => {
-                StoredAttr::Dynamic(vec![(Interval::new(from, H_END), coeffs)])
+                StoredAttr::Dynamic(vec![(Interval::new(from, H_END), 0, coeffs)])
             }
             _ => self.0.attr(id, name),
         }

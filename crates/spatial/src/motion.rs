@@ -36,8 +36,7 @@ impl MovingPoint {
         MovingPoint::new(p, 0, Velocity::zero())
     }
 
-    /// A point anchored at tick 0 — the appendix's convention that query
-    /// evaluation time is zero.
+    /// A point anchored at tick 0.
     pub fn from_origin(anchor: Point, velocity: Velocity) -> Self {
         MovingPoint::new(anchor, 0, velocity)
     }
@@ -81,18 +80,18 @@ impl MovingPoint {
     }
 
     /// The relative motion `self - other`: a moving point tracing the
-    /// difference vector, anchored at tick 0.
+    /// difference vector, anchored at tick `t`.
     ///
     /// `DIST(self, other) ≤ r` is equivalent to the relative motion staying
     /// inside the disk of radius `r` around the origin, which is how
     /// [`crate::predicates::dist_within`] reduces the two-object predicate to
     /// a quadratic inequality.
-    pub fn relative_to(self, other: MovingPoint) -> MovingPoint {
-        let p0 = self.position_at(0.0);
-        let q0 = other.position_at(0.0);
+    pub fn relative_at(self, other: MovingPoint, t: Tick) -> MovingPoint {
+        let p0 = self.position_at_tick(t);
+        let q0 = other.position_at_tick(t);
         MovingPoint::new(
             Point::new(p0.x - q0.x, p0.y - q0.y),
-            0,
+            t,
             self.velocity - other.velocity,
         )
     }
@@ -153,7 +152,7 @@ mod tests {
     fn relative_motion_tracks_distance() {
         let a = MovingPoint::from_origin(Point::new(0.0, 0.0), Velocity::new(1.0, 0.0));
         let b = MovingPoint::from_origin(Point::new(10.0, 0.0), Velocity::new(-1.0, 0.0));
-        let rel = a.relative_to(b);
+        let rel = a.relative_at(b, 3);
         for t in [0.0, 1.5, 5.0, 7.25] {
             let d = rel.position_at(t).dist(Point::origin());
             assert!((d - a.dist_at(b, t)).abs() < 1e-12);

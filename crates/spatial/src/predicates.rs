@@ -9,6 +9,10 @@
 //! FTL's semantics only ever inspect integer ticks, so tick-exactness is the
 //! right notion of correctness here; the property tests compare every
 //! routine against brute-force per-tick evaluation.
+//!
+//! Ticks in and out are global.  A routine solves in `τ = t − h.start()`,
+//! from each motion's position at the horizon start, so the magnitudes it
+//! works with do not grow with the clock.
 
 use crate::motion::MovingPoint;
 use crate::point::Point;
@@ -24,9 +28,9 @@ use most_temporal::{Horizon, Interval, IntervalSet, Tick};
 /// one tick; 8 leaves a wide margin.
 const MAX_BOUNDARY_NUDGE: u64 = 8;
 
-/// Converts real solution intervals into an exact tick [`IntervalSet`],
-/// verifying boundaries with `pred` (exact evaluation of the predicate at an
-/// integer tick).
+/// Converts real solution intervals, in `τ = t − h.start()`, into an exact
+/// tick [`IntervalSet`] of `h`, verifying boundaries with `pred` (exact
+/// evaluation of the predicate at an integer tick `t`).
 ///
 /// `pred` must agree with the real solution away from its boundaries; the
 /// conversion rounds each real interval to ticks and then nudges / shrinks
@@ -34,18 +38,19 @@ const MAX_BOUNDARY_NUDGE: u64 = 8;
 /// absorbs floating-point error in root finding.  Exposed publicly because
 /// the FTL numeric-term analysis assembles its own real solution sets.
 pub fn exact_ticks<F: Fn(Tick) -> bool>(sol: &RealIntervals, h: Horizon, pred: F) -> IntervalSet {
+    let (start, span) = (h.start(), h.end() - h.start());
     let mut out: Vec<Interval> = Vec::with_capacity(sol.intervals().len());
     for riv in sol.intervals() {
         let lo = riv.lo.max(0.0);
-        let hi = riv.hi.min(h.end() as f64);
+        let hi = riv.hi.min(span as f64);
         if lo > hi + 1.0 {
             continue;
         }
-        let mut begin = lo.ceil().max(0.0) as Tick;
-        let mut end = if hi < 0.0 { 0 } else { hi.floor() as Tick };
+        let mut begin = start + lo.ceil().max(0.0) as Tick;
+        let mut end = start + if hi < 0.0 { 0 } else { hi.floor() as Tick };
         // Expand outwards if rounding clipped a satisfied tick.
         for _ in 0..MAX_BOUNDARY_NUDGE {
-            if begin > 0 && pred(begin - 1) {
+            if begin > start && pred(begin - 1) {
                 begin -= 1;
             } else {
                 break;
@@ -83,8 +88,8 @@ pub fn exact_ticks<F: Fn(Tick) -> bool>(sol: &RealIntervals, h: Horizon, pred: F
 /// `DIST(a, b) ≤ r`: ticks at which two linearly moving points are within
 /// distance `r`.
 pub fn dist_within(a: MovingPoint, b: MovingPoint, r: f64, h: Horizon) -> IntervalSet {
-    let rel = a.relative_to(b);
-    let p0 = rel.position_at(0.0);
+    let rel = a.relative_at(b, h.start());
+    let p0 = rel.anchor;
     let v = rel.velocity;
     // |p0 + v t|² ≤ r²
     let qa = v.norm_sq();
@@ -97,8 +102,8 @@ pub fn dist_within(a: MovingPoint, b: MovingPoint, r: f64, h: Horizon) -> Interv
 /// `DIST(a, b) ≥ r`: ticks at which two linearly moving points are at least
 /// `r` apart.
 pub fn dist_at_least(a: MovingPoint, b: MovingPoint, r: f64, h: Horizon) -> IntervalSet {
-    let rel = a.relative_to(b);
-    let p0 = rel.position_at(0.0);
+    let rel = a.relative_at(b, h.start());
+    let p0 = rel.anchor;
     let v = rel.velocity;
     // |p0 + v t|² ≥ r²  ⇔  -(...) ≤ 0
     let qa = -v.norm_sq();
@@ -109,7 +114,7 @@ pub fn dist_at_least(a: MovingPoint, b: MovingPoint, r: f64, h: Horizon) -> Inte
 }
 
 /// Whether no tick of `h` can find `m` inside `poly`: the box spanned by
-/// its positions at ticks `0` and `h.end()` misses `poly`'s bounding box
+/// its positions at ticks `h.start()` and `h.end()` misses `poly`'s bounding box
 /// by more than `contains` reaches past it.  Exact, because:
 /// - every tick `inside_polygon` returns is confirmed by `contains` (the
 ///   event-tick check, or an interval end `exact_ticks` verified), so when
@@ -131,7 +136,7 @@ pub fn dist_at_least(a: MovingPoint, b: MovingPoint, r: f64, h: Horizon) -> Inte
 ///   `2e-9 + 32ε·s` covers the `1.5e-9 + 38u·s` needed.
 fn swept_box_misses(m: MovingPoint, poly: &Polygon, h: Horizon) -> bool {
     let (a, b, r) = (
-        m.position_at_tick(0),
+        m.position_at_tick(h.start()),
         m.position_at_tick(h.end()),
         poly.bounding_box(),
     );
@@ -158,10 +163,11 @@ pub fn inside_polygon(m: MovingPoint, poly: &Polygon, h: Horizon) -> IntervalSet
         };
     }
     // Containment status can only change when the point crosses the
-    // boundary; collect every candidate crossing time.
-    let p0 = m.position_at(0.0);
+    // boundary; collect every candidate crossing time τ.
+    let local = MovingPoint::new(m.position_at_tick(h.start()), 0, m.velocity);
+    let p0 = local.anchor;
     let v = m.velocity;
-    let h_real = h.end() as f64;
+    let h_real = (h.end() - h.start()) as f64;
     let mut events: Vec<f64> = vec![0.0, h_real];
     for e in poly.edges() {
         let ab = e.direction();
@@ -199,7 +205,7 @@ pub fn inside_polygon(m: MovingPoint, poly: &Polygon, h: Horizon) -> IntervalSet
     for w in events.windows(2) {
         let (lo, hi) = (w[0], w[1]);
         let mid = (lo + hi) / 2.0;
-        if poly.contains(m.position_at(mid)) {
+        if poly.contains(local.position_at(mid)) {
             match spans.last_mut() {
                 Some(last) if last.1 >= lo => last.1 = hi,
                 _ => spans.push((lo, hi)),
@@ -224,7 +230,7 @@ pub fn inside_polygon(m: MovingPoint, poly: &Polygon, h: Horizon) -> IntervalSet
     for &e in &events {
         let t = e.round();
         if (0.0..=h_real).contains(&t) {
-            let tick = t as Tick;
+            let tick = h.start() + t as Tick;
             if !result.contains(tick) && pred(tick) {
                 extra.push(Interval::point(tick));
             }
@@ -251,7 +257,7 @@ pub fn inside_circle(m: MovingPoint, c: Circle, h: Horizon) -> IntervalSet {
 /// Ticks at which a moving point is inside a static axis-aligned rectangle
 /// (boundary inclusive).
 pub fn inside_rect(m: MovingPoint, r: Rect, h: Horizon) -> IntervalSet {
-    let p0 = m.position_at(0.0);
+    let p0 = m.position_at_tick(h.start());
     let v = m.velocity;
     // Intersection of four half-plane constraints, each linear in t.
     let mut acc = IntervalSet::full(h);
@@ -264,7 +270,7 @@ pub fn inside_rect(m: MovingPoint, r: Rect, h: Horizon) -> IntervalSet {
     for (b, c) in constraints {
         let sol = crate::roots::solve_linear_le(b, c);
         let ticks = exact_ticks(&sol, h, |t| {
-            b * t as f64 + c <= 1e-9 // tolerance only guards rounding at ticks
+            b * (t - h.start()) as f64 + c <= 1e-9 // tolerance only guards rounding at ticks
         });
         acc = acc.intersect(&ticks);
         if acc.is_empty() {
@@ -282,8 +288,8 @@ fn refine_against<F: Fn(Tick) -> bool>(set: IntervalSet, h: Horizon, pred: F) ->
         set.intervals()
             .iter()
             .map(|iv| crate::roots::RealInterval {
-                lo: iv.begin() as f64,
-                hi: iv.end() as f64,
+                lo: (iv.begin() - h.start()) as f64,
+                hi: (iv.end() - h.start()) as f64,
             })
             .collect(),
     );
@@ -398,7 +404,7 @@ where
     F: Fn(MovingPoint, Horizon) -> IntervalSet,
 {
     let mut acc = IntervalSet::empty();
-    for (leg, lo, hi) in traj.legs_between(0, h.end()) {
+    for (leg, lo, hi) in traj.legs_between(h.start(), h.end()) {
         let ticks = leg_fn(leg, h);
         if !ticks.is_empty() {
             acc = acc.union(&ticks.intersect(&IntervalSet::singleton(Interval::new(lo, hi))));

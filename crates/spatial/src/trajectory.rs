@@ -136,12 +136,19 @@ impl Trajectory {
         to: Tick,
     ) -> impl Iterator<Item = (MovingPoint, Tick, Tick)> + '_ {
         let legs = self.legs();
-        legs.iter().enumerate().filter_map(move |(i, leg)| {
-            let leg_start = if i == 0 { 0 } else { leg.since };
-            let leg_end = legs.get(i + 1).map_or(Tick::MAX, |next| next.since - 1);
-            let (lo, hi) = (leg_start.max(from), leg_end.min(to));
-            (lo <= hi).then_some((*leg, lo, hi))
-        })
+        // The leg in force at `from`, found by search: a history of many
+        // updates is not walked from its first leg.
+        let first = legs
+            .partition_point(|leg| leg.since <= from)
+            .saturating_sub(1);
+        (first..legs.len())
+            .take_while(move |&i| i == 0 || legs[i].since <= to)
+            .filter_map(move |i| {
+                let leg_start = if i == 0 { 0 } else { legs[i].since };
+                let leg_end = legs.get(i + 1).map_or(Tick::MAX, |next| next.since - 1);
+                let (lo, hi) = (leg_start.max(from), leg_end.min(to));
+                (lo <= hi).then_some((legs[i], lo, hi))
+            })
     }
 }
 

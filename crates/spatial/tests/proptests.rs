@@ -16,6 +16,13 @@ fn horizon() -> Horizon {
     Horizon::new(H_END)
 }
 
+/// A horizon that starts after tick 0, ending where [`horizon`] does.
+const LATE_START: Tick = 37;
+
+fn late_horizon() -> Horizon {
+    Horizon::between(LATE_START, H_END)
+}
+
 fn brute<F: Fn(Tick) -> bool>(pred: F) -> IntervalSet {
     IntervalSet::from_predicate(horizon(), pred)
 }
@@ -376,8 +383,8 @@ enum Sweep {
 
 /// Mirrors the reject's test in `predicates::inside_polygon`, to measure
 /// how many generated cases exercise each side of it.
-fn sweep_of(m: &MovingPoint, poly: &Polygon) -> Sweep {
-    let (a, b) = (m.position_at_tick(0), m.position_at_tick(H_END));
+fn sweep_of(m: &MovingPoint, poly: &Polygon, h: Horizon) -> Sweep {
+    let (a, b) = (m.position_at_tick(h.start()), m.position_at_tick(h.end()));
     let r = poly.bounding_box();
     let s: f64 = [a.x, a.y, b.x, b.y, r.min_x, r.min_y, r.max_x, r.max_y]
         .iter()
@@ -412,6 +419,9 @@ fn sweep_of(m: &MovingPoint, poly: &Polygon) -> Sweep {
 /// narrower than one rounding step).  Those cases are generated and
 /// checked for the premise only; exact equality for them is covered on the
 /// lattice by the properties above.
+///
+/// Each case runs on the horizon from tick 0 and on one that starts at
+/// [`LATE_START`], where the swept box spans the start's position instead.
 #[test]
 fn inside_polygon_matches_brute_at_the_box_edge() {
     // Rejected, grazing, grazing with a tick inside, all cases.
@@ -423,32 +433,35 @@ fn inside_polygon_matches_brute_at_the_box_edge() {
             "/tests/proptests.seeds"
         ))
         .run(&arb_edge_case(), |c| {
-            let (m, poly, h) = (c.mover, &c.poly, horizon());
-            let want = brute(|t| poly.contains(m.position_at_tick(t)));
-            let got = inside_polygon(m, poly, h);
-            for iv in got.intervals() {
-                assert!(
-                    want.contains(iv.begin()) && want.contains(iv.end()),
-                    "{got} vs {want}"
-                );
-            }
-            let mut s = seen.get();
-            s[3] += 1;
-            match sweep_of(&m, poly) {
-                Sweep::Meeting => {}
-                sweep => {
-                    assert_eq!(got, want);
-                    let outside = brute(|t| !poly.contains(m.position_at_tick(t)));
-                    assert_eq!(outside_polygon(m, poly, h), outside);
-                    if sweep == Sweep::Rejected {
-                        s[0] += 1;
-                    } else {
-                        s[1] += 1;
-                        s[2] += usize::from(!want.is_empty());
+            for h in [horizon(), late_horizon()] {
+                let (m, poly) = (c.mover, &c.poly);
+                let want = IntervalSet::from_predicate(h, |t| poly.contains(m.position_at_tick(t)));
+                let got = inside_polygon(m, poly, h);
+                for iv in got.intervals() {
+                    assert!(
+                        want.contains(iv.begin()) && want.contains(iv.end()),
+                        "{got} vs {want}"
+                    );
+                }
+                let mut s = seen.get();
+                s[3] += 1;
+                match sweep_of(&m, poly, h) {
+                    Sweep::Meeting => {}
+                    sweep => {
+                        assert_eq!(got, want, "from tick {}", h.start());
+                        let outside =
+                            IntervalSet::from_predicate(h, |t| !poly.contains(m.position_at_tick(t)));
+                        assert_eq!(outside_polygon(m, poly, h), outside);
+                        if sweep == Sweep::Rejected {
+                            s[0] += 1;
+                        } else {
+                            s[1] += 1;
+                            s[2] += usize::from(!want.is_empty());
+                        }
                     }
                 }
+                seen.set(s);
             }
-            seen.set(s);
         });
     let [rejected, grazing, grazing_inside, total] = seen.get();
     // Not vacuous: a fair share takes the reject, and some cases sit in its
@@ -462,7 +475,8 @@ fn inside_polygon_matches_brute_at_the_box_edge() {
 
 /// `piecewise` over multi-leg trajectories, leg by leg: on every leg the
 /// reject decides (see above), the union matches per-tick evaluation over
-/// that leg's ticks.
+/// that leg's ticks, on the horizon from tick 0 and on one from
+/// [`LATE_START`].
 #[test]
 fn piecewise_matches_brute_at_the_box_edge() {
     let updates = vecs(tuple3(ints(1..H_END), arb_vel(), arb_vel()), 1..4);
@@ -487,16 +501,19 @@ fn piecewise_matches_brute_at_the_box_edge() {
                 }
             }
             let poly = &c.poly;
-            let got = piecewise(&traj, horizon(), |leg, h| inside_polygon(leg, poly, h));
-            let want = brute(|t| poly.contains(traj.position_at_tick(t)));
-            for (leg, lo, hi) in traj.legs_between(0, H_END) {
-                let sweep = sweep_of(&leg, poly);
-                if sweep != Sweep::Meeting {
-                    let span = IntervalSet::singleton(Interval::new(lo, hi));
-                    assert_eq!(got.intersect(&span), want.intersect(&span), "leg {leg}");
-                }
-                if sweep == Sweep::Rejected {
-                    rejected_legs.set(rejected_legs.get() + 1);
+            for h in [horizon(), late_horizon()] {
+                let got = piecewise(&traj, h, |leg, h| inside_polygon(leg, poly, h));
+                let want =
+                    IntervalSet::from_predicate(h, |t| poly.contains(traj.position_at_tick(t)));
+                for (leg, lo, hi) in traj.legs_between(h.start(), h.end()) {
+                    let sweep = sweep_of(&leg, poly, h);
+                    if sweep != Sweep::Meeting {
+                        let span = IntervalSet::singleton(Interval::new(lo, hi));
+                        assert_eq!(got.intersect(&span), want.intersect(&span), "leg {leg}");
+                    }
+                    if sweep == Sweep::Rejected {
+                        rejected_legs.set(rejected_legs.get() + 1);
+                    }
                 }
             }
         });

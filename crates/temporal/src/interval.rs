@@ -143,16 +143,6 @@ impl Interval {
             ))
         }
     }
-
-    /// Shifts the interval away from zero by `delta` (saturating at
-    /// `Tick::MAX`, which in practice is never reached because horizons are
-    /// small relative to `u64`).
-    pub fn shift_up(self, delta: u64) -> Interval {
-        Interval::new(
-            self.begin.saturating_add(delta),
-            self.end.saturating_add(delta),
-        )
-    }
 }
 
 impl fmt::Display for Interval {
@@ -261,11 +251,6 @@ mod tests {
         assert_eq!(i.shift_down(4), Some(Interval::new(0, 1)));
         assert_eq!(i.shift_down(5), Some(Interval::new(0, 0)));
         assert_eq!(i.shift_down(6), None);
-    }
-
-    #[test]
-    fn shift_up_moves_both_ends() {
-        assert_eq!(Interval::new(3, 5).shift_up(10), Interval::new(13, 15));
     }
 
     #[test]

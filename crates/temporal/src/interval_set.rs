@@ -66,9 +66,9 @@ impl IntervalSet {
         IntervalSet::singleton(Interval::point(t))
     }
 
-    /// The whole horizon `[0, h.end()]`.
+    /// The whole horizon `[h.start(), h.end()]`.
     pub fn full(h: Horizon) -> Self {
-        IntervalSet::singleton(Interval::new(0, h.end()))
+        IntervalSet::singleton(Interval::new(h.start(), h.end()))
     }
 
     /// Builds a normalized set from arbitrary (possibly overlapping,
@@ -243,11 +243,14 @@ impl IntervalSet {
     ///
     /// The paper restricts its algorithm to conjunctive (negation-free)
     /// formulas for safety; this complement is the active-domain extension
-    /// discussed in DESIGN.md (D3) and is exact within `[0, h.end()]`.
+    /// discussed in DESIGN.md (D3) and is exact within `[h.start(), h.end()]`.
     pub fn complement(&self, h: Horizon) -> IntervalSet {
         let mut out = Vec::with_capacity(self.intervals.len() + 1);
-        let mut cursor: Tick = 0;
+        let mut cursor: Tick = h.start();
         for iv in &self.intervals {
+            if iv.end() < cursor {
+                continue;
+            }
             if iv.begin() > cursor {
                 out.push(Interval::new(cursor, iv.begin() - 1));
             }
@@ -286,16 +289,19 @@ impl IntervalSet {
     /// Ticks whose successor lies beyond the horizon are unsatisfied (the
     /// truncated history has no next state there).
     pub fn next_time(&self, h: Horizon) -> IntervalSet {
-        let shifted = self.intervals.iter().filter_map(|iv| iv.shift_down(1));
-        IntervalSet::from_intervals(shifted).clamp_end(h.end().saturating_sub(1))
+        let window = Interval::try_new(h.start(), h.end().saturating_sub(1));
+        let shifted = self.intervals.iter();
+        IntervalSet::from_intervals(shifted.filter_map(|iv| iv.shift_down(1)?.intersect(window?)))
     }
 
     /// `Eventually f` (= `true Until f`): `t` satisfies iff some `t' >= t`
     /// within the horizon satisfies `f`.
-    pub fn eventually(&self) -> IntervalSet {
+    pub fn eventually(&self, h: Horizon) -> IntervalSet {
         match self.last_tick() {
-            Some(last) => IntervalSet::singleton(Interval::new(0, last)),
-            None => IntervalSet::empty(),
+            Some(last) if last >= h.start() => {
+                IntervalSet::singleton(Interval::new(h.start(), last))
+            }
+            _ => IntervalSet::empty(),
         }
     }
 
@@ -341,19 +347,19 @@ impl IntervalSet {
 
     /// `Eventually within c (f)`: `t` satisfies iff some `t' ∈ [t, t + c]`
     /// satisfies `f` (Section 3.4).
-    pub fn eventually_within(&self, c: u64) -> IntervalSet {
-        IntervalSet::from_intervals(
-            self.intervals
-                .iter()
-                .map(|iv| Interval::new(iv.begin().saturating_sub(c), iv.end())),
-        )
+    pub fn eventually_within(&self, c: u64, h: Horizon) -> IntervalSet {
+        IntervalSet::from_intervals(self.intervals.iter().filter_map(|iv| {
+            Interval::try_new(iv.begin().saturating_sub(c).max(h.start()), iv.end())
+        }))
     }
 
     /// `Eventually after c (f)`: `t` satisfies iff some `t' >= t + c`
     /// satisfies `f` (Section 3.4).
-    pub fn eventually_after(&self, c: u64) -> IntervalSet {
+    pub fn eventually_after(&self, c: u64, h: Horizon) -> IntervalSet {
         match self.last_tick() {
-            Some(last) if last >= c => IntervalSet::singleton(Interval::new(0, last - c)),
+            Some(last) if last >= c && last - c >= h.start() => {
+                IntervalSet::singleton(Interval::new(h.start(), last - c))
+            }
             _ => IntervalSet::empty(),
         }
     }
@@ -553,9 +559,12 @@ mod tests {
     }
 
     #[test]
-    fn eventually_reaches_back_to_zero() {
-        assert_eq!(set(&[(3, 5), (9, 9)]).eventually(), set(&[(0, 9)]));
-        assert_eq!(IntervalSet::empty().eventually(), IntervalSet::empty());
+    fn eventually_reaches_back_to_the_start() {
+        let h = Horizon::new(20);
+        assert_eq!(set(&[(3, 5), (9, 9)]).eventually(h), set(&[(0, 9)]));
+        assert_eq!(IntervalSet::empty().eventually(h), IntervalSet::empty());
+        let h = Horizon::between(2, 20);
+        assert_eq!(set(&[(3, 5), (9, 9)]).eventually(h), set(&[(2, 9)]));
     }
 
     #[test]
@@ -600,19 +609,26 @@ mod tests {
 
     #[test]
     fn eventually_within_expands_left() {
-        assert_eq!(set(&[(5, 6)]).eventually_within(3), set(&[(2, 6)]));
-        assert_eq!(set(&[(1, 2)]).eventually_within(5), set(&[(0, 2)]));
+        let h = Horizon::new(20);
+        assert_eq!(set(&[(5, 6)]).eventually_within(3, h), set(&[(2, 6)]));
+        assert_eq!(set(&[(1, 2)]).eventually_within(5, h), set(&[(0, 2)]));
         assert_eq!(
-            IntervalSet::empty().eventually_within(3),
+            IntervalSet::empty().eventually_within(3, h),
             IntervalSet::empty()
         );
+        let h = Horizon::between(4, 20);
+        assert_eq!(set(&[(5, 6)]).eventually_within(3, h), set(&[(4, 6)]));
     }
 
     #[test]
     fn eventually_after_requires_distance() {
-        assert_eq!(set(&[(5, 9)]).eventually_after(3), set(&[(0, 6)]));
-        assert_eq!(set(&[(2, 2)]).eventually_after(3), IntervalSet::empty());
-        assert_eq!(set(&[(3, 3)]).eventually_after(3), set(&[(0, 0)]));
+        let h = Horizon::new(20);
+        assert_eq!(set(&[(5, 9)]).eventually_after(3, h), set(&[(0, 6)]));
+        assert_eq!(set(&[(2, 2)]).eventually_after(3, h), IntervalSet::empty());
+        assert_eq!(set(&[(3, 3)]).eventually_after(3, h), set(&[(0, 0)]));
+        let h = Horizon::between(4, 20);
+        assert_eq!(set(&[(5, 9)]).eventually_after(3, h), set(&[(4, 6)]));
+        assert_eq!(set(&[(5, 6)]).eventually_after(3, h), IntervalSet::empty());
     }
 
     #[test]

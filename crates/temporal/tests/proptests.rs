@@ -4,7 +4,7 @@
 
 use most_temporal::chain::until_via_chains;
 use most_temporal::{Horizon, Interval, IntervalSet, Tick};
-use most_testkit::check::{ints, tuple2, tuple3, vecs, Check, Gen};
+use most_testkit::check::{ints, tuple2, tuple3, tuple4, vecs, Check, Gen};
 use std::collections::BTreeSet;
 
 const H_END: Tick = 64;
@@ -124,7 +124,7 @@ fn eventually_matches_pointwise() {
     Check::new("temporal::eventually_matches_pointwise").run(&arb_set(), |s| {
         let h = horizon();
         let expected = IntervalSet::from_predicate(h, |t| (t..=H_END).any(|u| s.contains(u)));
-        assert_eq!(s.eventually(), expected);
+        assert_eq!(s.eventually(h), expected);
     });
 }
 
@@ -171,7 +171,7 @@ fn eventually_within_matches_pointwise() {
             let expected = IntervalSet::from_predicate(h, |t| {
                 (t..=(t + c).min(H_END)).any(|u| s.contains(u))
             });
-            assert_eq!(s.eventually_within(c), expected);
+            assert_eq!(s.eventually_within(c, h), expected);
         },
     );
 }
@@ -186,7 +186,7 @@ fn eventually_after_matches_pointwise() {
             let expected = IntervalSet::from_predicate(h, |t| {
                 (t + c..=H_END).any(|u| u >= t + c && s.contains(u))
             });
-            assert_eq!(s.eventually_after(c), expected);
+            assert_eq!(s.eventually_after(c, h), expected);
         },
     );
 }
@@ -227,7 +227,7 @@ fn until_with_full_f_is_eventually() {
     Check::new("temporal::until_with_full_f_is_eventually").run(&arb_set(), |g| {
         // Eventually g  ==  true Until g   (Section 3.3)
         let full = IntervalSet::full(horizon());
-        assert_eq!(full.until(g), g.eventually());
+        assert_eq!(full.until(g), g.eventually(horizon()));
     });
 }
 
@@ -237,7 +237,53 @@ fn always_is_not_eventually_not() {
         // Always f == ¬ Eventually ¬ f    (Section 3.3)
         let h = horizon();
         let lhs = s.always(h);
-        let rhs = s.complement(h).eventually().complement(h);
+        let rhs = s.complement(h).eventually(h).complement(h);
         assert_eq!(lhs, rhs);
     });
+}
+
+/// Each operator that takes a horizon, on a horizon that starts after
+/// tick 0, against its per-tick definition over `h.ticks()`.  Operands lie
+/// within the horizon, as every atom's set does.
+#[test]
+fn horizon_operators_with_a_start_match_pointwise() {
+    Check::new("temporal::horizon_operators_with_a_start_match_pointwise").run(
+        &tuple4(arb_set(), arb_set(), ints(1..=40u64), ints(0..20u64)),
+        |(f, g, start, c)| {
+            let (start, c) = (*start, *c);
+            let h = Horizon::between(start, H_END);
+            let (f, g) = (f.clamp(h), g.clamp(h));
+            let at = |pred: &dyn Fn(Tick) -> bool| IntervalSet::from_predicate(h, pred);
+            let end = H_END;
+            assert_eq!(IntervalSet::full(h), at(&|_| true));
+            assert_eq!(f.complement(h), at(&|t| !f.contains(t)));
+            assert_eq!(f.next_time(h), at(&|t| t < end && f.contains(t + 1)));
+            assert_eq!(f.eventually(h), at(&|t| (t..=end).any(|u| f.contains(u))));
+            assert_eq!(f.always(h), at(&|t| (t..=end).all(|u| f.contains(u))));
+            assert_eq!(
+                f.eventually_within(c, h),
+                at(&|t| (t..=(t + c).min(end)).any(|u| f.contains(u)))
+            );
+            assert_eq!(
+                f.eventually_after(c, h),
+                at(&|t| (t + c..=end).any(|u| f.contains(u)))
+            );
+            assert_eq!(
+                f.always_for(c, h),
+                at(&|t| t + c <= end && (t..=t + c).all(|u| f.contains(u)))
+            );
+            assert_eq!(
+                f.until(&g),
+                at(&|t| (t..=end).any(|t2| g.contains(t2) && (t..t2).all(|u| f.contains(u))))
+            );
+            assert_eq!(
+                f.until_within(c, &g),
+                at(&|t| {
+                    (t..=(t + c).min(end))
+                        .any(|t2| g.contains(t2) && (t..t2).all(|u| f.contains(u)))
+                })
+            );
+            assert_eq!(f.difference(&g, h), at(&|t| f.contains(t) && !g.contains(t)));
+        },
+    );
 }

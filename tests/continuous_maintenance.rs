@@ -50,7 +50,8 @@ const EXPIRATION: u64 = 120;
 /// Every shape the refresh pass has been checked on: the dependency-set
 /// lattice (position-only, one attribute, attribute + position, motion
 /// sub-attribute, domain-only), bounded and unbounded temporal operators,
-/// disjunction, negation, a pair query and a non-target variable.
+/// disjunction, negation, a pair query, a non-target variable and `time`,
+/// which reads the clock.
 const QUERIES: &[&str] = &[
     "RETRIEVE o WHERE INSIDE(o, P)",
     "RETRIEVE o WHERE Eventually INSIDE(o, P)",
@@ -64,6 +65,7 @@ const QUERIES: &[&str] = &[
     "RETRIEVE o WHERE NOT INSIDE(o, P)",
     "RETRIEVE o WHERE OUTSIDE(o, P)",
     "RETRIEVE o WHERE o <> n AND DIST(o, n) <= 40",
+    "RETRIEVE o WHERE time >= 100 AND Eventually within 30 INSIDE(o, P)",
 ];
 
 type Rows = Vec<(Vec<Value>, IntervalSet)>;
@@ -555,14 +557,12 @@ fn a_touched_object_does_not_look_past_the_window_end() {
     world.check_past();
 }
 
-/// `time` counts from an evaluation's first tick, so a query reading it
-/// is not per-object: a write five ticks after registration re-evaluates
-/// every row from the write's tick, where the delta path would keep the
-/// parked car's row counted from registration.  (The oracle's random
-/// worlds leave `time` out: a skipped query keeps the tick it counts
-/// from, so no fresh evaluation at a later tick matches it.)
+/// `time` is the clock, so a query reading it is per-object: a write five
+/// ticks after registration re-evaluates the touched car from the write's
+/// tick, and both rows still end at tick 10, where the clock passes the
+/// bound.
 #[test]
-fn a_query_reading_time_is_re_evaluated_in_full() {
+fn a_query_reading_time_counts_on_the_clock() {
     let mut db = Database::new(100);
     let moving = db.insert_moving_object("cars", Point::origin(), Velocity::zero());
     let parked = db.insert_moving_object("cars", Point::new(5.0, 0.0), Velocity::zero());
@@ -575,10 +575,51 @@ fn a_query_reading_time_is_re_evaluated_in_full() {
         rows_from(&db.continuous_answer(cq).unwrap(), 5),
         rows_from(&fresh, 5)
     );
+    let answer = db.continuous_answer(cq).unwrap();
+    for id in [moving, parked] {
+        assert_eq!(
+            answer.intervals_for(&[Value::Id(id)]),
+            Some(&spans(&[(0, 10)]))
+        );
+    }
     assert_eq!(
-        db.continuous_display(cq, 12).unwrap(),
+        db.continuous_display(cq, 10).unwrap(),
         vec![vec![Value::Id(moving)], vec![Value::Id(parked)]]
     );
+    assert!(db.continuous_display(cq, 12).unwrap().is_empty());
+}
+
+/// A continuous query reading `time` shows the same display whatever the
+/// writes between: with two cars, a motion update to one at tick 5, a
+/// `PRICE` write the query does not read, or no write at all, the display
+/// is both cars through tick 10 and empty from tick 11 on.
+#[test]
+fn time_in_a_continuous_query_is_the_clock() {
+    let writes: [fn(&mut Database, u64); 3] = [
+        |db, id| db.update_motion(id, Velocity::new(0.5, 0.0)).unwrap(),
+        |db, id| db.set_static(id, "PRICE", Value::from(90.0)).unwrap(),
+        |_, _| {},
+    ];
+    for write in writes {
+        let mut db = Database::new(100);
+        let moving = db.insert_moving_object("cars", Point::origin(), Velocity::zero());
+        let parked = db.insert_moving_object("cars", Point::new(5.0, 0.0), Velocity::zero());
+        let query = Query::parse("RETRIEVE o WHERE time <= 10 AND o.X <= 100").unwrap();
+        let cq = db.register_continuous(query).unwrap();
+        let both = vec![vec![Value::Id(moving)], vec![Value::Id(parked)]];
+        for t in 0..=20 {
+            if t == 5 {
+                write(&mut db, moving);
+            }
+            let shown = db.continuous_display(cq, t).unwrap();
+            if t <= 10 {
+                assert_eq!(shown, both, "tick {t}");
+            } else {
+                assert!(shown.is_empty(), "tick {t}: {shown:?}");
+            }
+            db.advance_clock(1);
+        }
+    }
 }
 
 /// Counterexample 2 (non-target variables): `n` is projected away, so a
@@ -767,7 +808,8 @@ fn a_touched_car_keeps_its_rows_before_the_boundary() {
 }
 
 /// (c) A car removed mid-window keeps its past rows, on the delta path as
-/// on the full one (`time` makes the second query's refresh full).
+/// on the full one (the projected `n` makes the second query's refresh
+/// full).
 #[test]
 fn a_car_removed_mid_window_keeps_its_past_rows() {
     let mut db = Database::new(EXPIRATION);
@@ -778,7 +820,7 @@ fn a_car_removed_mid_window_keeps_its_past_rows() {
     db.add_region("P", Polygon::rectangle(-20.0, -20.0, 20.0, 20.0));
     let queries = [
         "RETRIEVE o WHERE INSIDE(o, P)",
-        "RETRIEVE o WHERE INSIDE(o, P) AND time >= 0",
+        "RETRIEVE o WHERE INSIDE(o, P) AND INSIDE(n, P)",
     ];
     let mut world = World::new(db, ids, &queries);
     world.advance(10);

@@ -17,7 +17,9 @@
 //! The queries are the FTL property test's templates, less the two whose
 //! region rides with a second object (`INSIDE(o, P, n)`): that region is
 //! placed where the object stands at the evaluation's first tick, so a
-//! reference starting at tick 0 asks a different question.
+//! reference starting at tick 0 asks a different question.  `time` is the
+//! clock on every context, so the templates that read it ask the same
+//! question of both; their bounds are scaled by ten to reach the clock.
 //!
 //! Previously failing cases are pinned by `tests/global_ticks_oracle.seeds`.
 
@@ -52,6 +54,7 @@ const TEMPLATES: &[&str] = &[
     "RETRIEVE o, n WHERE Eventually WITHIN_SPHERE(8, o, n)",
     "RETRIEVE o WHERE Eventually (o.X >= 10 AND o.Y <= 20)",
     "RETRIEVE o WHERE [x <- o.SPEED] Eventually (o.SPEED >= 2 * x)",
+    "RETRIEVE o WHERE Always (time <= {c}0 OR OUTSIDE(o, P))",
     "RETRIEVE o WHERE Eventually (DIST(o, POINT(10, 10)) <= {c})",
     "RETRIEVE o, n WHERE o <> n AND Eventually (DIST(o, n) <= 5)",
     "RETRIEVE o WHERE Eventually (o.VX >= 1 AND INSIDE(o, P))",
@@ -71,6 +74,8 @@ const TEMPLATES: &[&str] = &[
     "RETRIEVE o WHERE INSIDE(o, P) AND (OUTSIDE(o, Q) Until INSIDE(o, Q))",
     "RETRIEVE o WHERE INSIDE(o, P) AND ([x <- o.SPEED] Eventually (o.SPEED >= 2 * x))",
     "RETRIEVE o WHERE INSIDE(o, P) AND o.PRICE <= {c}0 AND Always for {c} OUTSIDE(o, Q)",
+    "RETRIEVE o WHERE time <= {c}0 AND INSIDE(o, P)",
+    "RETRIEVE o WHERE INSIDE(o, Q) AND time >= {c}0",
     "RETRIEVE o, n WHERE INSIDE(o, P) AND o.PRICE <= {c}0",
     "RETRIEVE o, n WHERE INSIDE(o, P) AND DIST(o, n) <= {c}",
     "RETRIEVE o, n WHERE DIST(o, n) <= {c} AND INSIDE(n, Q)",
