@@ -136,18 +136,18 @@ impl Trajectory {
         to: Tick,
     ) -> impl Iterator<Item = (MovingPoint, Tick, Tick)> + '_ {
         let legs = self.legs();
-        // The leg in force at `from`, found by search: a history of many
-        // updates is not walked from its first leg.
+        // Legs ending before `from` are skipped by search, not walked.
         let first = legs
             .partition_point(|leg| leg.since <= from)
             .saturating_sub(1);
-        (first..legs.len())
-            .take_while(move |&i| i == 0 || legs[i].since <= to)
-            .filter_map(move |i| {
-                let leg_start = if i == 0 { 0 } else { legs[i].since };
+        legs[first..]
+            .iter()
+            .zip(first..)
+            .filter_map(move |(leg, i)| {
+                let leg_start = if i == 0 { 0 } else { leg.since };
                 let leg_end = legs.get(i + 1).map_or(Tick::MAX, |next| next.since - 1);
                 let (lo, hi) = (leg_start.max(from), leg_end.min(to));
-                (lo <= hi).then_some((legs[i], lo, hi))
+                (lo <= hi).then_some((*leg, lo, hi))
             })
     }
 }
