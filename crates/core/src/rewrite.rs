@@ -498,8 +498,7 @@ impl most_ftl::EvalContext for LayerContext<'_> {
         let Some(row) = self.row_of(id) else {
             return StoredAttr::Missing;
         };
-        let h = most_ftl::EvalContext::horizon(self);
-        let horizon = most_temporal::Interval::new(h.start(), h.end());
+        let horizon = most_ftl::EvalContext::horizon(self).span();
         // A dynamic attribute's columns are its sub-attributes, never a
         // static value.
         let dynamic = self.layer.dynamic.get(&self.table);

@@ -3,18 +3,20 @@
 //! [`DbContext`] adapts a [`Database`] to [`most_ftl::EvalContext`] on the
 //! database's own clock: the horizon starts at the tick the evaluation
 //! begins at (its origin), and trajectories, series and answers are all in
-//! global ticks.  Each object's stored trajectory is lent as it is; the two
-//! modes differ in which attribute history they read:
+//! global ticks.  Nothing is re-anchored: a trajectory leg keeps its stored
+//! anchor, an attribute piece its stored `updatetime`.  The two modes
+//! differ in which history they read:
 //!
 //! * [`ContextMode::Current`] — the implicit future history of
 //!   *instantaneous and continuous* queries: each object's state **as of
 //!   the origin**, the current clock, extrapolated forward by its current
-//!   function.  Updates recorded before the origin are irrelevant (only
-//!   the current sub-attribute values matter) and updates after it do not
-//!   exist yet.
+//!   function (the motion leg in force there, copied inline).  Updates
+//!   recorded before the origin are irrelevant (only the current
+//!   sub-attribute values matter) and updates after it do not exist yet.
 //! * [`ContextMode::Recorded`] — the history a *persistent* query sees: all
 //!   updates recorded since the origin replay at their recorded ticks, and
-//!   the last state extrapolates into the future.  This is the
+//!   the last state extrapolates into the future; the stored trajectory is
+//!   lent, not copied.  This is the
 //!   "saving of information about the way the database is updated over
 //!   time" that Section 2.3 calls for.
 
@@ -63,23 +65,18 @@ impl<'a> DbContext<'a> {
         self.horizon.start()
     }
 
-    /// The whole horizon as one interval.
-    fn span(&self) -> Interval {
-        Interval::new(self.horizon.start(), self.horizon.end())
-    }
-
     /// A static attribute's `(value, interval)` series on the horizon.
     fn static_series(&self, obj: &MovingObject, name: &str) -> StaticSeries {
         match self.mode {
             ContextMode::Current => match obj.static_at(name, self.origin()) {
-                Some(v) => StaticSeries::One((v.clone(), self.span())),
+                Some(v) => StaticSeries::One((v.clone(), self.horizon.span())),
                 None => StaticSeries::Many(Vec::new()),
             },
             // Each recorded entry clipped to the horizon; one in force at
             // the origin starts there.
             ContextMode::Recorded => {
                 let mut series = obj.static_series(name, self.horizon.end());
-                series.retain_mut(|(_, iv)| match iv.intersect(self.span()) {
+                series.retain_mut(|(_, iv)| match iv.intersect(self.horizon.span()) {
                     Some(clipped) => {
                         *iv = clipped;
                         true
@@ -104,7 +101,7 @@ impl<'a> DbContext<'a> {
         };
         match self.mode {
             ContextMode::Current => match obj.dynamic_at(name, self.origin()) {
-                Some(state) => vec![piece(self.span(), &state)],
+                Some(state) => vec![piece(self.horizon.span(), &state)],
                 None => Vec::new(),
             },
             ContextMode::Recorded => {
@@ -124,11 +121,29 @@ impl<'a> DbContext<'a> {
                     .enumerate()
                     .filter_map(|(i, state)| {
                         let iv = Interval::try_new(state.updatetime, until(i))?;
-                        Some(piece(iv.intersect(self.span())?, state))
+                        Some(piece(iv.intersect(self.horizon.span())?, state))
                     })
                     .collect()
             }
         }
+    }
+
+    /// [`EvalContext::trajectory`] of an object already in hand, as
+    /// stored: a current context (`CURRENT`) hands out the leg in force at
+    /// the origin, copied inline with its own anchor; a recorded one lends
+    /// the whole history.  The mode is a type parameter so that a
+    /// whole-domain walk decides it once, not per candidate: a per-candidate
+    /// branch on it cost the unindexed scan of MICRO `inside_scan` ~15%.
+    fn trajectory_of<'o, const CURRENT: bool>(
+        &self,
+        obj: &'o MovingObject,
+    ) -> Option<Cow<'o, Trajectory>> {
+        let traj = obj.trajectory()?;
+        Some(if CURRENT {
+            Cow::Owned(Trajectory::new(traj.leg_at(self.origin())))
+        } else {
+            Cow::Borrowed(traj)
+        })
     }
 
     /// [`EvalContext::attr`] of an object already in hand.
@@ -150,13 +165,13 @@ impl<'a> DbContext<'a> {
 /// a whole-domain walk: `trajectory` / `attr` of that object read the
 /// object the walk already holds, every other read goes to the context.
 /// An atom never probes, so the probe keeps its "no index" default.
-struct ObjectView<'c, 'a> {
+struct ObjectView<'c, 'a, const CURRENT: bool> {
     ctx: &'c DbContext<'a>,
     id: u64,
     obj: &'a MovingObject,
 }
 
-impl EvalContext for ObjectView<'_, '_> {
+impl<const CURRENT: bool> EvalContext for ObjectView<'_, '_, CURRENT> {
     fn horizon(&self) -> Horizon {
         self.ctx.horizon()
     }
@@ -167,7 +182,7 @@ impl EvalContext for ObjectView<'_, '_> {
 
     fn trajectory(&self, id: u64) -> Option<Cow<'_, Trajectory>> {
         if id == self.id {
-            self.obj.trajectory().map(Cow::Borrowed)
+            self.ctx.trajectory_of::<CURRENT>(self.obj)
         } else {
             self.ctx.trajectory(id)
         }
@@ -199,11 +214,12 @@ impl EvalContext for DbContext<'_> {
         self.db.len()
     }
 
-    /// The stored trajectory, lent.  In both modes the legs on the horizon
-    /// are the history the query sees: a current context starts at the
-    /// clock, where the last leg is in force and no later one exists.
     fn trajectory(&self, id: u64) -> Option<Cow<'_, Trajectory>> {
-        self.db.object(id).ok()?.trajectory().map(Cow::Borrowed)
+        let obj = self.db.object(id).ok()?;
+        match self.mode {
+            ContextMode::Current => self.trajectory_of::<true>(obj),
+            ContextMode::Recorded => self.trajectory_of::<false>(obj),
+        }
     }
 
     fn attr(&self, id: u64, name: &str) -> StoredAttr {
@@ -242,9 +258,13 @@ impl EvalContext for DbContext<'_> {
         if let Some(ids) = probe {
             return ids.iter().try_for_each(|&id| visit(id, self));
         }
-        self.db
-            .objects()
-            .try_for_each(|(id, obj)| visit(id, &ObjectView { ctx: self, id, obj }))
+        let mut objects = self.db.objects();
+        match self.mode {
+            ContextMode::Current => objects
+                .try_for_each(|(id, obj)| visit(id, &ObjectView::<true> { ctx: self, id, obj })),
+            ContextMode::Recorded => objects
+                .try_for_each(|(id, obj)| visit(id, &ObjectView::<false> { ctx: self, id, obj })),
+        }
     }
 }
 

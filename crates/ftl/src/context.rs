@@ -185,7 +185,7 @@ impl MemoryContext {
         name: impl Into<String>,
         value: impl Into<Value>,
     ) -> &mut Self {
-        let iv = Interval::new(self.horizon.start(), self.horizon.end());
+        let iv = self.horizon.span();
         if let Some(o) = self.objects.get_mut(&id) {
             o.attrs
                 .insert(name.into(), StaticSeries::One((value.into(), iv)));

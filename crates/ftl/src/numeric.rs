@@ -13,8 +13,9 @@
 //! exact at integer clock ticks.
 //!
 //! A piece's interval is in global ticks; its polynomial is in
-//! `τ = t − h.start()`, so that its coefficients stay the size of the
-//! values near the evaluation's first tick however far the clock has run.
+//! `τ = t − h.start()` ([`Horizon::offset`]), so that its coefficients
+//! stay the size of the values near the evaluation's first tick however
+//! far the clock has run.
 //!
 //! Supported fragment (violations raise [`FtlError::Unsupported`]):
 //! products where at least one factor has degree ≤ 1 per piece (so the
@@ -107,7 +108,7 @@ pub fn is_motion_attr(name: &str) -> bool {
 /// ids; assignment-bound variables already pinned to constants).
 pub fn build_form(ctx: &dyn EvalContext, env: &Env, term: &Term) -> FtlResult<TermForm> {
     let h = ctx.horizon();
-    let full = Interval::new(h.start(), h.end());
+    let full = h.span();
     match term {
         Term::Const(v) => Ok(TermForm::Invariant(v.clone())),
         Term::Var(name) => env
@@ -191,7 +192,7 @@ fn build_attr_form(ctx: &dyn EvalContext, id: u64, attr: &str, h: Horizon) -> Ft
                 pieces
                     .into_iter()
                     .map(|(iv, u, [a, b, c])| {
-                        let delta = h.start() as f64 - u as f64;
+                        let delta = -h.offset(u);
                         QuadPiece {
                             iv,
                             a,
@@ -313,7 +314,7 @@ fn arith_forms(op: ArithOp, fa: TermForm, fb: TermForm, h: Horizon) -> FtlResult
 /// Coerces a form into piecewise quadratics; errors on non-numeric input or
 /// on `DIST` inside arithmetic.
 fn to_quad(f: TermForm, h: Horizon) -> FtlResult<Vec<QuadPiece>> {
-    let full = Interval::new(h.start(), h.end());
+    let full = h.span();
     match f {
         TermForm::Quad(p) => Ok(p),
         TermForm::Invariant(v) => match v.as_f64() {
@@ -457,8 +458,8 @@ impl<'q> CmpPlan<'q> {
                 .intervals()
                 .iter()
                 .map(|iv| most_spatial::roots::RealInterval {
-                    lo: (iv.begin() - h.start()) as f64,
-                    hi: (iv.end() - h.start()) as f64,
+                    lo: h.offset(iv.begin()),
+                    hi: h.offset(iv.end()),
                 })
                 .collect(),
         );
@@ -545,7 +546,7 @@ fn values_vs_const(op: CmpOp, series: &[(Value, Interval)], v: &Value, h: Horizo
 
 /// The ticks of `intervals` that lie on the horizon.
 fn within(h: Horizon, intervals: impl Iterator<Item = Interval>) -> IntervalSet {
-    let full = Interval::new(h.start(), h.end());
+    let full = h.span();
     IntervalSet::from_intervals(intervals.filter_map(|iv| iv.intersect(full)))
 }
 
@@ -563,14 +564,6 @@ fn solve_aligned(
     Ok(out)
 }
 
-/// `iv` in `τ = t − h.start()`.
-fn local(iv: Interval, h: Horizon) -> (f64, f64) {
-    (
-        (iv.begin() - h.start()) as f64,
-        (iv.end() - h.start()) as f64,
-    )
-}
-
 /// Ticks in `iv` where `x(t) op y(t)` for two quadratics.
 fn quad_cmp(
     op: CmpOp,
@@ -580,15 +573,14 @@ fn quad_cmp(
     h: Horizon,
 ) -> FtlResult<IntervalSet> {
     let (da, db, dc) = (x.a - y.a, x.b - y.b, x.c - y.c);
-    let (lo, hi) = local(iv, h);
-    let tau = |t: Tick| (t - h.start()) as f64;
+    let (lo, hi) = (h.offset(iv.begin()), h.offset(iv.end()));
     let le = || {
         let sol = solve_quadratic_le(da, db, dc).clipped(lo, hi);
-        exact_ticks(&sol, h, |t| x.eval(tau(t)) <= y.eval(tau(t)))
+        exact_ticks(&sol, h, |t| x.eval(h.offset(t)) <= y.eval(h.offset(t)))
     };
     let ge = || {
         let sol = solve_quadratic_le(-da, -db, -dc).clipped(lo, hi);
-        exact_ticks(&sol, h, |t| x.eval(tau(t)) >= y.eval(tau(t)))
+        exact_ticks(&sol, h, |t| x.eval(h.offset(t)) >= y.eval(h.offset(t)))
     };
     let piece = IntervalSet::singleton(iv);
     Ok(match op {
@@ -617,8 +609,8 @@ fn sqrt_vs_quad(
     }
     // r² = (r.b τ + r.c)²
     let (sa, sb, sc) = (r.b * r.b, 2.0 * r.b * r.c, r.c * r.c);
-    let (lo, hi) = local(iv, h);
-    let tau = |t: Tick| (t - h.start()) as f64;
+    let (lo, hi) = (h.offset(iv.begin()), h.offset(iv.end()));
+    let tau = |t: Tick| h.offset(t);
     let piece = IntervalSet::singleton(iv);
     // ticks where r(t) >= 0 / <= 0 (linear).
     let r_nonneg = || {

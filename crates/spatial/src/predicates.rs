@@ -10,9 +10,9 @@
 //! right notion of correctness here; the property tests compare every
 //! routine against brute-force per-tick evaluation.
 //!
-//! Ticks in and out are global.  A routine solves in `τ = t − h.start()`,
-//! from each motion's position at the horizon start, so the magnitudes it
-//! works with do not grow with the clock.
+//! Ticks in and out are global.  A routine solves in `τ = t − h.start()`
+//! ([`Horizon::offset`]), from each motion's position at the horizon start,
+//! so the magnitudes it works with do not grow with the clock.
 
 use crate::motion::MovingPoint;
 use crate::point::Point;
@@ -28,9 +28,10 @@ use most_temporal::{Horizon, Interval, IntervalSet, Tick};
 /// one tick; 8 leaves a wide margin.
 const MAX_BOUNDARY_NUDGE: u64 = 8;
 
-/// Converts real solution intervals, in `τ = t − h.start()`, into an exact
-/// tick [`IntervalSet`] of `h`, verifying boundaries with `pred` (exact
-/// evaluation of the predicate at an integer tick `t`).
+/// Converts real solution intervals, in `τ` ([`Horizon::offset`]), into an
+/// exact [`IntervalSet`] of `h`'s global ticks, verifying boundaries with
+/// `pred` (exact evaluation of the predicate at a global tick `t`; a
+/// predicate in `τ` reads `h.offset(t)`).
 ///
 /// `pred` must agree with the real solution away from its boundaries; the
 /// conversion rounds each real interval to ticks and then nudges / shrinks
@@ -38,19 +39,18 @@ const MAX_BOUNDARY_NUDGE: u64 = 8;
 /// absorbs floating-point error in root finding.  Exposed publicly because
 /// the FTL numeric-term analysis assembles its own real solution sets.
 pub fn exact_ticks<F: Fn(Tick) -> bool>(sol: &RealIntervals, h: Horizon, pred: F) -> IntervalSet {
-    let (start, span) = (h.start(), h.end() - h.start());
     let mut out: Vec<Interval> = Vec::with_capacity(sol.intervals().len());
     for riv in sol.intervals() {
         let lo = riv.lo.max(0.0);
-        let hi = riv.hi.min(span as f64);
+        let hi = riv.hi.min(h.offset(h.end()));
         if lo > hi + 1.0 {
             continue;
         }
-        let mut begin = start + lo.ceil().max(0.0) as Tick;
-        let mut end = start + if hi < 0.0 { 0 } else { hi.floor() as Tick };
+        let mut begin = h.start() + lo.ceil().max(0.0) as Tick;
+        let mut end = h.start() + if hi < 0.0 { 0 } else { hi.floor() as Tick };
         // Expand outwards if rounding clipped a satisfied tick.
         for _ in 0..MAX_BOUNDARY_NUDGE {
-            if begin > start && pred(begin - 1) {
+            if begin > h.start() && pred(begin - 1) {
                 begin -= 1;
             } else {
                 break;
@@ -167,7 +167,7 @@ pub fn inside_polygon(m: MovingPoint, poly: &Polygon, h: Horizon) -> IntervalSet
     let local = MovingPoint::new(m.position_at_tick(h.start()), 0, m.velocity);
     let p0 = local.anchor;
     let v = m.velocity;
-    let h_real = (h.end() - h.start()) as f64;
+    let h_real = h.offset(h.end());
     let mut events: Vec<f64> = vec![0.0, h_real];
     for e in poly.edges() {
         let ab = e.direction();
@@ -270,7 +270,7 @@ pub fn inside_rect(m: MovingPoint, r: Rect, h: Horizon) -> IntervalSet {
     for (b, c) in constraints {
         let sol = crate::roots::solve_linear_le(b, c);
         let ticks = exact_ticks(&sol, h, |t| {
-            b * (t - h.start()) as f64 + c <= 1e-9 // tolerance only guards rounding at ticks
+            b * h.offset(t) + c <= 1e-9 // tolerance only guards rounding at ticks
         });
         acc = acc.intersect(&ticks);
         if acc.is_empty() {
@@ -288,8 +288,8 @@ fn refine_against<F: Fn(Tick) -> bool>(set: IntervalSet, h: Horizon, pred: F) ->
         set.intervals()
             .iter()
             .map(|iv| crate::roots::RealInterval {
-                lo: (iv.begin() - h.start()) as f64,
-                hi: (iv.end() - h.start()) as f64,
+                lo: h.offset(iv.begin()),
+                hi: h.offset(iv.end()),
             })
             .collect(),
     );

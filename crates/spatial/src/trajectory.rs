@@ -136,13 +136,15 @@ impl Trajectory {
         to: Tick,
     ) -> impl Iterator<Item = (MovingPoint, Tick, Tick)> + '_ {
         let legs = self.legs();
-        // Legs ending before `from` are skipped by search, not walked.
+        // Legs ending before `from` are skipped by search and legs starting
+        // after `to` are never reached: only the overlapping ones are walked.
         let first = legs
             .partition_point(|leg| leg.since <= from)
             .saturating_sub(1);
         legs[first..]
             .iter()
             .zip(first..)
+            .take_while(move |&(leg, i)| i == 0 || leg.since <= to)
             .filter_map(move |(leg, i)| {
                 let leg_start = if i == 0 { 0 } else { leg.since };
                 let leg_end = legs.get(i + 1).map_or(Tick::MAX, |next| next.since - 1);

@@ -68,7 +68,7 @@ impl IntervalSet {
 
     /// The whole horizon `[h.start(), h.end()]`.
     pub fn full(h: Horizon) -> Self {
-        IntervalSet::singleton(Interval::new(h.start(), h.end()))
+        IntervalSet::singleton(h.span())
     }
 
     /// Builds a normalized set from arbitrary (possibly overlapping,

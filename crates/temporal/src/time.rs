@@ -7,6 +7,8 @@
 //! evaluation's start to the paper's "predefined (but very large) amount of
 //! time" after which queries expire.
 
+use crate::interval::Interval;
+
 /// A point on the global discrete clock (the paper's `time` object).
 ///
 /// Every answer, stored state and index entry counts ticks on this one
@@ -65,6 +67,19 @@ impl Horizon {
     /// A horizon is never empty: it always contains its start.
     pub const fn is_empty(self) -> bool {
         false
+    }
+
+    /// The whole horizon as one interval.
+    pub fn span(self) -> Interval {
+        Interval::new(self.start, self.end)
+    }
+
+    /// `t` as `τ = t − start`: the offset from the horizon start that
+    /// numeric kernels solve in, so their magnitudes do not grow with the
+    /// clock.  Every tick a kernel takes or returns is global; this is the
+    /// one conversion into its variable.
+    pub fn offset(self, t: Tick) -> f64 {
+        t as f64 - self.start as f64
     }
 
     /// Whether `t` falls inside the horizon.
